@@ -1,10 +1,10 @@
 // Micro-benchmarks for the vectorized scan kernels: the batched SoA loops
 // the refinement scans on the hot query path compile down to — predicate
 // filter masks, per-column aggregate accumulation (plain and masked),
-// point-in-polygon counting, cell-count summation, and the sorted-key
-// probes. Each kernel runs at the scalar reference level and at the
-// runtime-dispatched level, results are compared bit for bit, and the
-// speedups land in BENCH_kernels.json.
+// point-in-polygon counting, cell-count summation, the sorted-key probes,
+// and the CRC-32 over persisted bytes. Each kernel runs at the scalar
+// reference level and at the runtime-dispatched level, results are compared
+// bit for bit, and the speedups land in BENCH_kernels.json.
 //
 // Output contract (grepped by CI):
 //   "parity mismatches: N"  — must be 0; any N > 0 is a correctness bug.
@@ -191,6 +191,25 @@ void Run() {
       for (const uint64_t p : probes) {
         got += simd.lower_bound_u64(sorted_keys.data(), n, p);
       }
+    });
+    r.parity = want == got;
+    results.push_back(r);
+  }
+
+  // -- crc32: the checksum on every shard fault, WAL record and file write;
+  // slicing-by-8 (scalar) vs the dispatched level (PCLMULQDQ fold on AVX2)
+  // over a fixed 4 MiB buffer.
+  {
+    std::vector<uint8_t> bytes(size_t{4} << 20);
+    for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
+    uint32_t want = 0, got = 0;
+    KernelResult r;
+    r.name = "crc32";
+    r.scalar_ms = BestMs(reps, [&] {
+      want = scalar.crc32_update(0, bytes.data(), bytes.size());
+    });
+    r.simd_ms = BestMs(reps, [&] {
+      got = simd.crc32_update(0, bytes.data(), bytes.size());
     });
     r.parity = want == got;
     results.push_back(r);

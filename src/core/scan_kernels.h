@@ -28,6 +28,8 @@ namespace geoblocks::core::kernels {
 /// one 4-lane vector. min/max fold lane-wise with the same shape. The
 /// `GEOBLOCKS_NO_SIMD` compile definition (CMake option of the same name)
 /// forces the scalar table, which is also the only table on non-x86 targets.
+/// The table also carries the CRC-32 behind `serialize::Crc32`, which guards
+/// every persisted byte.
 
 enum class DispatchLevel { kScalar = 0, kSSE2 = 1, kAVX2 = 2 };
 
@@ -95,6 +97,15 @@ struct KernelTable {
   /// sorted u64 array; return the insertion index in [0, n].
   size_t (*lower_bound_u64)(const uint64_t* keys, size_t n, uint64_t key);
   size_t (*upper_bound_u64)(const uint64_t* keys, size_t n, uint64_t key);
+
+  /// CRC-32/ISO-HDLC (reflected polynomial 0xEDB88320) of data[0..n)
+  /// continued from `crc`, the final (post-XOR) value of the bytes before
+  /// them; crc = 0 starts a new checksum. Chaining is exact:
+  /// crc32_update(crc32_update(0, a, i), a + i, n - i) equals
+  /// crc32_update(0, a, n). The scalar and SSE2 tables use slicing-by-8; the
+  /// AVX2 table folds 64-byte blocks with PCLMULQDQ. Every level returns the
+  /// same value.
+  uint32_t (*crc32_update)(uint32_t crc, const uint8_t* data, size_t n);
 };
 
 /// The active table, selected once before main() runs.

@@ -16,7 +16,6 @@
 // codec (core/update_codec.h) with the pending section here.
 #include "core/serialize.h"
 
-#include <array>
 #include <cstring>
 #include <mutex>
 #include <sstream>
@@ -26,6 +25,7 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
+#include "core/scan_kernels.h"
 #include "core/update_codec.h"
 #include "io/mapped_file.h"
 
@@ -34,23 +34,8 @@ namespace geoblocks::core {
 namespace serialize {
 
 uint32_t Crc32(std::string_view bytes) {
-  // CRC-32/ISO-HDLC, table-driven; the table is built once.
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return kernels::Kernels().crc32_update(
+      0, reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
 }
 
 }  // namespace serialize

@@ -93,7 +93,9 @@ inline void RequireLittleEndianHost() {
 
 /// CRC-32/ISO-HDLC (the zlib/IEEE 802.3 CRC): polynomial 0xEDB88320
 /// (reflected), initial value 0xFFFFFFFF, final XOR 0xFFFFFFFF.
-/// Check value: Crc32("123456789") == 0xCBF43926.
+/// Check value: Crc32("123456789") == 0xCBF43926. Computed by the dispatched
+/// `kernels::KernelTable::crc32_update` (slicing-by-8 or PCLMULQDQ folding;
+/// both give the same value).
 ///
 /// @param bytes The exact byte range to checksum.
 /// @return The final (post-XOR) CRC value as stored on disk.
