@@ -7,7 +7,7 @@ namespace geoblocks::core {
 void Accumulator::AddCellRange(const uint32_t* counts,
                                const ColumnAggregate* cols, size_t n,
                                size_t num_columns) {
-  count_ += kernels::Kernels().sum_counts(counts, n);
+  count_ += kernels::SumCounts(counts, n);
   double* v = values();
   for (size_t s = 0; s < num_specs_; ++s) {
     const AggSpec& spec = request_->specs()[s];

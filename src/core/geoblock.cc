@@ -67,7 +67,6 @@ size_t BlockState::SeekFirst(uint64_t key, size_t last_idx) const {
   const std::vector<uint64_t>& ids = *cells;
   // Listing 1: after a match, first try the successor of the last combined
   // aggregate before falling back to binary search.
-  const kernels::KernelTable& kern = kernels::Kernels();
   if (last_idx != GeoBlock::kNoLastAgg) {
     const size_t next = last_idx + 1;
     if (next >= ids.size()) return ids.size();
@@ -77,9 +76,10 @@ size_t BlockState::SeekFirst(uint64_t key, size_t last_idx) const {
       // and last_idx was consumed, ids[last_idx] < key always holds.
       return next;
     }
-    return next + kern.lower_bound_u64(ids.data() + next, ids.size() - next, key);
+    return next + kernels::LowerBoundU64(ids.data() + next, ids.size() - next,
+                                         key);
   }
-  return kern.lower_bound_u64(ids.data(), ids.size(), key);
+  return kernels::LowerBoundU64(ids.data(), ids.size(), key);
 }
 
 void BlockState::CombineCell(cell::CellId qcell, Accumulator* acc,
@@ -94,8 +94,8 @@ void BlockState::CombineCell(cell::CellId qcell, Accumulator* acc,
   const size_t idx = SeekFirst(first_child, *last_idx);
   // Contiguous range over the sorted cell aggregates (Listing 1, 25-28),
   // folded as one batched strided scan instead of per-cell calls.
-  const size_t end = idx + kernels::Kernels().upper_bound_u64(
-                               ids.data() + idx, ids.size() - idx, last_child);
+  const size_t end = idx + kernels::UpperBoundU64(ids.data() + idx,
+                                                  ids.size() - idx, last_child);
   if (end > idx) {
     acc->AddCellRange(counts->data() + idx,
                       column_aggs->data() + idx * num_columns, end - idx,
@@ -132,13 +132,12 @@ uint64_t BlockState::CountCovering(
     // Locate the first and last contained aggregate (Listing 2, lines 8-9);
     // the second search starts from the first, and both reuse the position
     // of the previous query cell as a hint (query cells ascend).
-    const kernels::KernelTable& kern = kernels::Kernels();
     const size_t first =
-        hint + kern.lower_bound_u64(ids.data() + hint, ids.size() - hint,
-                                    f_child);
+        hint + kernels::LowerBoundU64(ids.data() + hint, ids.size() - hint,
+                                      f_child);
     const size_t last_plus_one =
-        first + kern.upper_bound_u64(ids.data() + first, ids.size() - first,
-                                     l_child);
+        first + kernels::UpperBoundU64(ids.data() + first, ids.size() - first,
+                                       l_child);
     hint = first;
     if (last_plus_one <= first) continue;
     const size_t last = last_plus_one - 1;
@@ -323,8 +322,8 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
     for (size_t p = 0; p < preds.size(); ++p) {
       pred_cols[p] = view.column(static_cast<size_t>(preds[p].column)).data();
     }
-    kern.filter_mask(preds.data(), preds.size(), pred_cols.data(), n,
-                     mask.data());
+    kernels::FilterMask(preds.data(), preds.size(), pred_cols.data(), n,
+                        mask.data());
   }
 
   uint32_t matched_so_far = 0;  // offset into the filtered tuple sequence
@@ -333,9 +332,9 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
     const uint64_t cell_id = (keys[row] & (~lsb + 1)) | lsb;
     // Keys ascend, so one grid cell's rows are exactly the contiguous run up
     // to the cell's maximal leaf key.
-    const size_t run_end = row + kern.upper_bound_u64(keys.data() + row,
-                                                      n - row,
-                                                      cell_id + lsb - 1);
+    const size_t run_end = row + kernels::UpperBoundU64(keys.data() + row,
+                                                        n - row,
+                                                        cell_id + lsb - 1);
     const size_t run_len = run_end - row;
     uint32_t matched = 0;
     uint64_t min_key = 0;
@@ -573,7 +572,7 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
         cell::CellId::FromPoint(projection_.ToUnit(batch[b].location)).id();
     const uint64_t cell_id = (key & (~lsb + 1)) | lsb;
     const size_t pos =
-        kernels::Kernels().lower_bound_u64(ids.data(), ids.size(), cell_id);
+        kernels::LowerBoundU64(ids.data(), ids.size(), cell_id);
     if (pos == ids.size() || ids[pos] != cell_id) {
       // New, previously unaggregated region: the sorted layout has no slot
       // for it (Section 5 — requires a rebuild, ideally batched; see

@@ -76,36 +76,6 @@ inline bool PointInPolygonScalar(double x, double y, const UnitTransform& t,
 // Scalar reference kernels
 // ---------------------------------------------------------------------------
 
-void FilterMaskScalar(const storage::Predicate* predicates,
-                      size_t num_predicates, const double* const* columns,
-                      size_t n, uint8_t* mask) {
-  for (size_t i = 0; i < n; ++i) mask[i] = 1;
-  for (size_t p = 0; p < num_predicates; ++p) {
-    const double* c = columns[p];
-    const double v = predicates[p].value;
-    switch (predicates[p].op) {
-      case storage::CompareOp::kLt:
-        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] < v);
-        break;
-      case storage::CompareOp::kLe:
-        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] <= v);
-        break;
-      case storage::CompareOp::kGt:
-        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] > v);
-        break;
-      case storage::CompareOp::kGe:
-        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] >= v);
-        break;
-      case storage::CompareOp::kEq:
-        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] == v);
-        break;
-      case storage::CompareOp::kNe:
-        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] != v);
-        break;
-    }
-  }
-}
-
 void AggregateColumnScalar(const double* values, size_t n,
                            ColumnAggregate* out) {
   if (n == 0) return;
@@ -149,39 +119,6 @@ uint64_t CountPolygonHitsScalar(const double* xs, const double* ys, size_t n,
     hits += PointInPolygonScalar(xs[i], ys[i], transform, polygon) ? 1 : 0;
   }
   return hits;
-}
-
-uint64_t SumCountsScalar(const uint32_t* counts, size_t n) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) sum += counts[i];
-  return sum;
-}
-
-// Branchless binary search: the comparison feeds conditional moves, never a
-// branch, so the probe's shape is identical at every dispatch level (the
-// sorted-key probes are shared by all tables).
-size_t LowerBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
-  size_t lo = 0;
-  size_t len = n;
-  while (len > 0) {
-    const size_t half = len >> 1;
-    const bool pred = keys[lo + half] < key;
-    lo = pred ? lo + half + 1 : lo;
-    len = pred ? len - half - 1 : half;
-  }
-  return lo;
-}
-
-size_t UpperBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
-  size_t lo = 0;
-  size_t len = n;
-  while (len > 0) {
-    const size_t half = len >> 1;
-    const bool pred = keys[lo + half] <= key;
-    lo = pred ? lo + half + 1 : lo;
-    len = pred ? len - half - 1 : half;
-  }
-  return lo;
 }
 
 // ---------------------------------------------------------------------------
@@ -234,9 +171,8 @@ uint32_t Crc32UpdateScalar(uint32_t crc, const uint8_t* data, size_t n) {
 }
 
 constexpr KernelTable kScalarTable = {
-    FilterMaskScalar,       AggregateColumnScalar, AggregateColumnMaskedScalar,
-    CountPolygonHitsScalar, SumCountsScalar,       LowerBoundU64,
-    UpperBoundU64,          Crc32UpdateScalar,
+    AggregateColumnScalar,  AggregateColumnMaskedScalar,
+    CountPolygonHitsScalar, Crc32UpdateScalar,
 };
 
 #if defined(GEOBLOCKS_SCAN_SIMD)
@@ -249,43 +185,6 @@ constexpr KernelTable kScalarTable = {
 inline __m128d Sse2Blend(__m128d a, __m128d b, __m128d mask) {
   return _mm_or_pd(_mm_and_pd(mask, b), _mm_andnot_pd(mask, a));
 }
-
-#define GEOBLOCKS_SSE2_PRED_LOOP(VCMP, SCMP)                                \
-  do {                                                                      \
-    size_t i = 0;                                                           \
-    for (; i + 4 <= n; i += 4) {                                            \
-      const __m128d c01 = _mm_loadu_pd(c + i);                              \
-      const __m128d c23 = _mm_loadu_pd(c + i + 2);                          \
-      const int m01 = _mm_movemask_pd(VCMP(c01, vv));                       \
-      const int m23 = _mm_movemask_pd(VCMP(c23, vv));                       \
-      mask[i] &= static_cast<uint8_t>(m01 & 1);                             \
-      mask[i + 1] &= static_cast<uint8_t>((m01 >> 1) & 1);                  \
-      mask[i + 2] &= static_cast<uint8_t>(m23 & 1);                         \
-      mask[i + 3] &= static_cast<uint8_t>((m23 >> 1) & 1);                  \
-    }                                                                       \
-    for (; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] SCMP v);        \
-  } while (0)
-
-void FilterMaskSse2(const storage::Predicate* predicates,
-                    size_t num_predicates, const double* const* columns,
-                    size_t n, uint8_t* mask) {
-  for (size_t i = 0; i < n; ++i) mask[i] = 1;
-  for (size_t p = 0; p < num_predicates; ++p) {
-    const double* c = columns[p];
-    const double v = predicates[p].value;
-    const __m128d vv = _mm_set1_pd(v);
-    switch (predicates[p].op) {
-      case storage::CompareOp::kLt: GEOBLOCKS_SSE2_PRED_LOOP(_mm_cmplt_pd, <); break;
-      case storage::CompareOp::kLe: GEOBLOCKS_SSE2_PRED_LOOP(_mm_cmple_pd, <=); break;
-      case storage::CompareOp::kGt: GEOBLOCKS_SSE2_PRED_LOOP(_mm_cmpgt_pd, >); break;
-      case storage::CompareOp::kGe: GEOBLOCKS_SSE2_PRED_LOOP(_mm_cmpge_pd, >=); break;
-      case storage::CompareOp::kEq: GEOBLOCKS_SSE2_PRED_LOOP(_mm_cmpeq_pd, ==); break;
-      case storage::CompareOp::kNe: GEOBLOCKS_SSE2_PRED_LOOP(_mm_cmpneq_pd, !=); break;
-    }
-  }
-}
-
-#undef GEOBLOCKS_SSE2_PRED_LOOP
 
 void AggregateColumnSse2(const double* values, size_t n, ColumnAggregate* out) {
   if (n == 0) return;
@@ -433,70 +332,15 @@ uint64_t CountPolygonHitsSse2(const double* xs, const double* ys, size_t n,
   return hits;
 }
 
-uint64_t SumCountsSse2(const uint32_t* counts, size_t n) {
-  uint64_t sum = 0;
-  size_t i = 0;
-  if (n >= 2) {
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc = zero;
-    for (; i + 2 <= n; i += 2) {
-      const __m128i two = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(counts + i));
-      acc = _mm_add_epi64(acc, _mm_unpacklo_epi32(two, zero));
-    }
-    alignas(16) uint64_t lanes[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    sum = lanes[0] + lanes[1];
-  }
-  for (; i < n; ++i) sum += counts[i];
-  return sum;
-}
-
 constexpr KernelTable kSse2Table = {
-    FilterMaskSse2,       AggregateColumnSse2, AggregateColumnMaskedSse2,
-    CountPolygonHitsSse2, SumCountsSse2,       LowerBoundU64,
-    UpperBoundU64,        Crc32UpdateScalar,
+    AggregateColumnSse2,  AggregateColumnMaskedSse2,
+    CountPolygonHitsSse2, Crc32UpdateScalar,
 };
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels (one 4-lane __m256d; compiled with a target attribute so the
 // baseline build still runs on SSE2-only machines)
 // ---------------------------------------------------------------------------
-
-#define GEOBLOCKS_AVX2_PRED_LOOP(CMP_IMM, SCMP)                             \
-  do {                                                                      \
-    size_t i = 0;                                                           \
-    for (; i + 4 <= n; i += 4) {                                            \
-      const __m256d c4 = _mm256_loadu_pd(c + i);                            \
-      const int mm = _mm256_movemask_pd(_mm256_cmp_pd(c4, vv, CMP_IMM));    \
-      mask[i] &= static_cast<uint8_t>(mm & 1);                              \
-      mask[i + 1] &= static_cast<uint8_t>((mm >> 1) & 1);                   \
-      mask[i + 2] &= static_cast<uint8_t>((mm >> 2) & 1);                   \
-      mask[i + 3] &= static_cast<uint8_t>((mm >> 3) & 1);                   \
-    }                                                                       \
-    for (; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] SCMP v);        \
-  } while (0)
-
-__attribute__((target("avx2"))) void FilterMaskAvx2(
-    const storage::Predicate* predicates, size_t num_predicates,
-    const double* const* columns, size_t n, uint8_t* mask) {
-  for (size_t i = 0; i < n; ++i) mask[i] = 1;
-  for (size_t p = 0; p < num_predicates; ++p) {
-    const double* c = columns[p];
-    const double v = predicates[p].value;
-    const __m256d vv = _mm256_set1_pd(v);
-    switch (predicates[p].op) {
-      case storage::CompareOp::kLt: GEOBLOCKS_AVX2_PRED_LOOP(_CMP_LT_OQ, <); break;
-      case storage::CompareOp::kLe: GEOBLOCKS_AVX2_PRED_LOOP(_CMP_LE_OQ, <=); break;
-      case storage::CompareOp::kGt: GEOBLOCKS_AVX2_PRED_LOOP(_CMP_GT_OQ, >); break;
-      case storage::CompareOp::kGe: GEOBLOCKS_AVX2_PRED_LOOP(_CMP_GE_OQ, >=); break;
-      case storage::CompareOp::kEq: GEOBLOCKS_AVX2_PRED_LOOP(_CMP_EQ_OQ, ==); break;
-      case storage::CompareOp::kNe: GEOBLOCKS_AVX2_PRED_LOOP(_CMP_NEQ_UQ, !=); break;
-    }
-  }
-}
-
-#undef GEOBLOCKS_AVX2_PRED_LOOP
 
 __attribute__((target("avx2"))) void AggregateColumnAvx2(
     const double* values, size_t n, ColumnAggregate* out) {
@@ -653,28 +497,6 @@ __attribute__((target("avx2"))) uint64_t CountPolygonHitsAvx2(
   return hits;
 }
 
-__attribute__((target("avx2"))) uint64_t SumCountsAvx2(const uint32_t* counts,
-                                                       size_t n) {
-  uint64_t sum = 0;
-  size_t i = 0;
-  if (n >= 4) {
-    __m256i acc = _mm256_setzero_si256();
-    for (; i + 4 <= n; i += 4) {
-      const __m128i four = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(counts + i));
-      const __m128i four_hi = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(counts + i + 2));
-      acc = _mm256_add_epi64(
-          acc, _mm256_cvtepu32_epi64(_mm_unpacklo_epi64(four, four_hi)));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  }
-  for (; i < n; ++i) sum += counts[i];
-  return sum;
-}
-
 inline __m128i Load128(const uint8_t* p) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
@@ -750,9 +572,8 @@ __attribute__((target("pclmul,sse4.1"))) uint32_t Crc32UpdatePclmul(
 }
 
 constexpr KernelTable kAvx2Table = {
-    FilterMaskAvx2,       AggregateColumnAvx2, AggregateColumnMaskedAvx2,
-    CountPolygonHitsAvx2, SumCountsAvx2,       LowerBoundU64,
-    UpperBoundU64,        Crc32UpdatePclmul,
+    AggregateColumnAvx2,  AggregateColumnMaskedAvx2,
+    CountPolygonHitsAvx2, Crc32UpdatePclmul,
 };
 
 #endif  // GEOBLOCKS_SCAN_SIMD
@@ -767,6 +588,72 @@ DispatchLevel DetectBestLevel() {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Plain kernels: one implementation at every level (SIMD variants of the
+// filter mask and count sum measured under 1.2x faster than these)
+// ---------------------------------------------------------------------------
+
+void FilterMask(const storage::Predicate* predicates, size_t num_predicates,
+                const double* const* columns, size_t n, uint8_t* mask) {
+  for (size_t i = 0; i < n; ++i) mask[i] = 1;
+  for (size_t p = 0; p < num_predicates; ++p) {
+    const double* c = columns[p];
+    const double v = predicates[p].value;
+    switch (predicates[p].op) {
+      case storage::CompareOp::kLt:
+        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] < v);
+        break;
+      case storage::CompareOp::kLe:
+        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] <= v);
+        break;
+      case storage::CompareOp::kGt:
+        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] > v);
+        break;
+      case storage::CompareOp::kGe:
+        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] >= v);
+        break;
+      case storage::CompareOp::kEq:
+        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] == v);
+        break;
+      case storage::CompareOp::kNe:
+        for (size_t i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(c[i] != v);
+        break;
+    }
+  }
+}
+
+uint64_t SumCounts(const uint32_t* counts, size_t n) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += counts[i];
+  return sum;
+}
+
+// Branchless binary search: the comparison feeds conditional moves, never a
+// branch.
+size_t LowerBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
+  size_t lo = 0;
+  size_t len = n;
+  while (len > 0) {
+    const size_t half = len >> 1;
+    const bool pred = keys[lo + half] < key;
+    lo = pred ? lo + half + 1 : lo;
+    len = pred ? len - half - 1 : half;
+  }
+  return lo;
+}
+
+size_t UpperBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
+  size_t lo = 0;
+  size_t len = n;
+  while (len > 0) {
+    const size_t half = len >> 1;
+    const bool pred = keys[lo + half] <= key;
+    lo = pred ? lo + half + 1 : lo;
+    len = pred ? len - half - 1 : half;
+  }
+  return lo;
+}
 
 const char* ToString(DispatchLevel level) {
   switch (level) {

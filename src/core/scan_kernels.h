@@ -16,9 +16,10 @@ namespace geoblocks::core::kernels {
 /// per-column min/max/sum accumulation, point-in-polygon counting, cell-count
 /// summation, and the sorted-key probes — all run over the contiguous
 /// structure-of-arrays buffers exposed by `storage::DatasetView` and
-/// `BlockState`. This header batches them into kernels dispatched once at
-/// startup to the widest instruction set the CPU offers (SSE2 is the x86-64
-/// baseline; AVX2 when available).
+/// `BlockState`. The kernels whose SIMD variants measurably beat scalar
+/// (`bench_micro_kernels`) sit in a `KernelTable` dispatched once at startup
+/// to the widest instruction set the CPU offers (SSE2 is the x86-64
+/// baseline; AVX2 when available); the rest are plain functions.
 ///
 /// Contract: every SIMD variant is bit-identical to the scalar reference,
 /// including floating-point aggregate ordering. To make that possible the
@@ -66,14 +67,23 @@ struct PreparedPolygon {
   static PreparedPolygon From(const geo::Polygon& polygon);
 };
 
-/// Kernel function-pointer table. All span arguments accept n == 0.
-struct KernelTable {
-  /// mask[i] = 1 when row i passes every predicate, else 0 (overwrites mask).
-  /// columns[j] points at the column array for predicates[j], each of length
-  /// n. Zero predicates means all-pass.
-  void (*filter_mask)(const storage::Predicate* predicates, size_t num_predicates,
-                      const double* const* columns, size_t n, uint8_t* mask);
+/// mask[i] = 1 when row i passes every predicate, else 0 (overwrites mask).
+/// columns[j] points at the column array for predicates[j], each of length
+/// n. Zero predicates means all-pass. n == 0 is allowed.
+void FilterMask(const storage::Predicate* predicates, size_t num_predicates,
+                const double* const* columns, size_t n, uint8_t* mask);
 
+/// Exact u64 sum of counts[0..n).
+uint64_t SumCounts(const uint32_t* counts, size_t n);
+
+/// Branchless equivalents of std::lower_bound / std::upper_bound over a
+/// sorted u64 array; return the insertion index in [0, n].
+size_t LowerBoundU64(const uint64_t* keys, size_t n, uint64_t key);
+size_t UpperBoundU64(const uint64_t* keys, size_t n, uint64_t key);
+
+/// Kernel function-pointer table: the kernels with a SIMD variant per
+/// dispatch level. All span arguments accept n == 0.
+struct KernelTable {
   /// Folds min/max/striped-sum of values[0..n) into *out (out must already be
   /// initialized; kernels combine with its current contents).
   void (*aggregate_column)(const double* values, size_t n, ColumnAggregate* out);
@@ -89,14 +99,6 @@ struct KernelTable {
   uint64_t (*count_polygon_hits)(const double* xs, const double* ys, size_t n,
                                  const UnitTransform& transform,
                                  const PreparedPolygon& polygon);
-
-  /// Exact u64 sum of counts[0..n).
-  uint64_t (*sum_counts)(const uint32_t* counts, size_t n);
-
-  /// Branchless equivalents of std::lower_bound / std::upper_bound over a
-  /// sorted u64 array; return the insertion index in [0, n].
-  size_t (*lower_bound_u64)(const uint64_t* keys, size_t n, uint64_t key);
-  size_t (*upper_bound_u64)(const uint64_t* keys, size_t n, uint64_t key);
 
   /// CRC-32/ISO-HDLC (reflected polynomial 0xEDB88320) of data[0..n)
   /// continued from `crc`, the final (post-XOR) value of the bytes before

@@ -53,8 +53,8 @@ void ReadExact(int fd, uint64_t offset, char* buf, size_t n) {
   }
 }
 
-/// Writes exactly `n` bytes at `offset` with no fail-point involvement
-/// (recovery-side writes in Open).
+/// Writes exactly `n` bytes at `offset` straight to the fd, bypassing the
+/// I/O shim (recovery-side writes in Open).
 void WriteExact(int fd, uint64_t offset, const char* buf, size_t n) {
   size_t done = 0;
   while (done < n) {
@@ -128,7 +128,9 @@ void AtomicWriteFile(const std::string& path, std::string_view bytes) {
 }
 
 UpdateLog::UpdateLog(std::string path, int fd, const Options& options)
-    : path_(std::move(path)), fd_(fd), options_(options) {}
+    : path_(std::move(path)), fd_(fd), options_(options) {
+  if (options_.shim == nullptr) options_.shim = util::IoShim::Real();
+}
 
 std::string UpdateLog::EncodeHeader(uint64_t base_cn) {
   std::string header;
@@ -228,25 +230,16 @@ UpdateLog::~UpdateLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void UpdateLog::WriteThroughFailPoint(std::string_view bytes) {
-  uint64_t admitted = bytes.size();
-  if (options_.fail_point != nullptr) {
-    admitted = options_.fail_point->AdmitBytes(bytes.size());
-  }
-  // The admitted prefix goes to the disk through the I/O shim, which may
-  // itself truncate it (short count — disk filling) or refuse it outright
-  // (ENOSPC/EIO). Either syscall-level failure surfaces as a thrown
-  // durability error after persisting only the prefix that went through —
-  // the same torn-tail shape a crash leaves, which is exactly what
-  // recovery already handles.
-  util::IoShim* io = options_.shim != nullptr ? options_.shim
-                                              : util::IoShim::Real();
+void UpdateLog::WriteAtEnd(std::string_view bytes) {
+  // A short count (disk filling) or an outright refusal (ENOSPC/EIO) from
+  // the shim surfaces as a thrown durability error after persisting only
+  // the prefix that went through — the same torn-tail shape a crash
+  // leaves, which is exactly what recovery already handles.
   size_t done = 0;
-  const auto want = static_cast<size_t>(admitted);
-  while (done < want) {
-    const ssize_t put =
-        io->Pwrite(fd_, bytes.data() + done, want - done,
-                   static_cast<off_t>(append_offset_ + done));
+  while (done < bytes.size()) {
+    const ssize_t put = options_.shim->Pwrite(
+        fd_, bytes.data() + done, bytes.size() - done,
+        static_cast<off_t>(append_offset_ + done));
     if (put < 0) {
       if (errno == EINTR) continue;
       append_offset_ += done;
@@ -255,24 +248,14 @@ void UpdateLog::WriteThroughFailPoint(std::string_view bytes) {
     done += static_cast<size_t>(put);
   }
   append_offset_ += done;
-  if (admitted < bytes.size()) {
-    throw std::runtime_error(
-        "geoblocks: update log: injected crash during write");
-  }
 }
 
-void UpdateLog::SyncThroughFailPoint() {
-  util::IoShim* io = options_.shim != nullptr ? options_.shim
-                                              : util::IoShim::Real();
+void UpdateLog::Sync() {
   // Policy: NEVER retry a failed fsync. After an fsync error the kernel
   // may have dropped the dirty pages while clearing the error state, so a
   // second fsync can return success without the data being durable
   // (the post-fsyncgate rule). One failure kills the log permanently.
-  if (io->Fsync(fd_) != 0) ThrowErrno("fsync failed for " + path_);
-  if (options_.fail_point != nullptr && !options_.fail_point->AdmitSync()) {
-    throw std::runtime_error(
-        "geoblocks: update log: injected crash after sync");
-  }
+  if (options_.shim->Fsync(fd_) != 0) ThrowErrno("fsync failed for " + path_);
 }
 
 uint64_t UpdateLog::Append(
@@ -337,8 +320,8 @@ void UpdateLog::CommitLoop() {
     space_cv_.notify_all();
     bool ok = true;
     try {
-      WriteThroughFailPoint(group);
-      SyncThroughFailPoint();
+      WriteAtEnd(group);
+      Sync();
     } catch (...) {
       ok = false;
     }
@@ -428,8 +411,8 @@ void UpdateLog::Truncate(uint64_t new_base) {
   try {
     if (::ftruncate(fd_, 0) != 0) ThrowErrno("ftruncate failed for " + path_);
     append_offset_ = 0;
-    WriteThroughFailPoint(EncodeHeader(new_base));
-    SyncThroughFailPoint();
+    WriteAtEnd(EncodeHeader(new_base));
+    Sync();
   } catch (...) {
     failed_ = true;
     durable_cv_.notify_all();

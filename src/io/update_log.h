@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/geoblock.h"
-#include "util/fail_point.h"
 #include "util/io_shim.h"
 
 namespace geoblocks::io {
@@ -52,13 +51,15 @@ void AtomicWriteFile(const std::string& path, std::string_view bytes);
 ///
 /// ## Failure model
 ///
-/// A write or sync failure — real, or injected through
-/// `Options::fail_point` — marks the log dead, exactly like a crashed
-/// process: the in-flight `Append` (and every later one) throws
-/// `std::runtime_error`, and nothing more is written. Recovery is a fresh
-/// `Open` on the same path: it validates the header, scans records until
-/// the first invalid one (a torn tail), truncates the tail, and positions
-/// the next change number after the last durable record.
+/// A write or sync failure — real, or injected through `Options::shim` —
+/// marks the log dead, exactly like a crashed process: the in-flight
+/// `Append` (and every later one) throws `std::runtime_error`, and nothing
+/// more is written. A short write followed by EIO/ENOSPC leaves the same
+/// torn tail a crash mid-write would; a refused fsync leaves the group
+/// written but unacknowledged, the window between fsync and ack. Recovery
+/// is a fresh `Open` on the same path: it validates the header, scans
+/// records until the first invalid one (a torn tail), truncates the tail,
+/// and positions the next change number after the last durable record.
 ///
 /// ## Change numbers
 ///
@@ -75,13 +76,10 @@ class UpdateLog {
     /// Appenders block once the un-synced in-memory segment holds this many
     /// bytes (backpressure toward the disk; keeps the segment bounded).
     size_t max_pending_bytes = size_t{4} << 20;
-    /// Crash-fault injection: when set, every file write and fsync is
-    /// admitted through this fail point (see util::FailPoint). Testing
-    /// only; null in production.
-    util::FailPoint* fail_point = nullptr;
-    /// Syscall fault injection: the commit path issues its pwrite/fsync
-    /// through this shim (see util::IoShim — ENOSPC, EIO, short writes).
-    /// Null uses the real syscalls. A shim-injected failure is
+    /// Fault injection: the commit path issues its pwrite/fsync through
+    /// this shim (see util::FaultShim — short writes, ENOSPC, EIO), which
+    /// is also how the recovery suites crash the log at an exact byte or
+    /// fsync. Null uses the real syscalls. A shim-injected failure is
     /// indistinguishable from a real one: the log dies and the owning
     /// BlockSet enters degraded read-only mode.
     util::IoShim* shim = nullptr;
@@ -136,9 +134,9 @@ class UpdateLog {
   /// @return The record's change number (strictly increasing).
   /// @throws std::runtime_error when the log has failed (a prior write or
   ///     sync error, or an injected crash) — the batch must NOT be treated
-  ///     as durable. A batch may be durable yet still throw when the crash
-  ///     hit between the fsync and the acknowledgment; recovery then
-  ///     replays it (at-least-once, never silent loss).
+  ///     as durable. A batch may be durable yet still throw when the
+  ///     failure hit after its bytes reached the file (a failed fsync);
+  ///     recovery then replays it (at-least-once, never silent loss).
   uint64_t Append(std::span<const core::GeoBlock::UpdateTuple> batch);
 
   /// Re-reads the log from disk and hands every valid record with
@@ -188,12 +186,12 @@ class UpdateLog {
   /// it as one group, advance the durable change number, release waiters.
   void CommitLoop();
 
-  /// Writes `bytes` at the current append offset through the fail point.
+  /// Writes `bytes` at the current append offset through the shim.
   /// Caller must be the commit thread / Truncate (file ops are serialized
-  /// by protocol). Throws std::runtime_error on failure or injected crash.
-  void WriteThroughFailPoint(std::string_view bytes);
-  /// fsync through the fail point (throws on the post-sync crash window).
-  void SyncThroughFailPoint();
+  /// by protocol). Throws std::runtime_error on failure.
+  void WriteAtEnd(std::string_view bytes);
+  /// fsync through the shim; throws std::runtime_error on failure.
+  void Sync();
 
   /// Serializes the 24-byte file header for base `base_cn`.
   static std::string EncodeHeader(uint64_t base_cn);

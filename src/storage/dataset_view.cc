@@ -48,12 +48,12 @@ DatasetView DatasetView::UnownedWindow(const SortedDataset& data, size_t first,
 
 size_t DatasetView::LowerBound(uint64_t k) const {
   const std::span<const uint64_t> s = keys();
-  return core::kernels::Kernels().lower_bound_u64(s.data(), s.size(), k);
+  return core::kernels::LowerBoundU64(s.data(), s.size(), k);
 }
 
 size_t DatasetView::UpperBound(uint64_t k) const {
   const std::span<const uint64_t> s = keys();
-  return core::kernels::Kernels().upper_bound_u64(s.data(), s.size(), k);
+  return core::kernels::UpperBoundU64(s.data(), s.size(), k);
 }
 
 std::pair<size_t, size_t> DatasetView::EqualRangeForCell(

@@ -92,13 +92,11 @@ SortedDataset SortedDataset::Slice(size_t first, size_t last) const {
 }
 
 size_t SortedDataset::LowerBound(uint64_t k) const {
-  return core::kernels::Kernels().lower_bound_u64(keys_.data(), keys_.size(),
-                                                  k);
+  return core::kernels::LowerBoundU64(keys_.data(), keys_.size(), k);
 }
 
 size_t SortedDataset::UpperBound(uint64_t k) const {
-  return core::kernels::Kernels().upper_bound_u64(keys_.data(), keys_.size(),
-                                                  k);
+  return core::kernels::UpperBoundU64(keys_.data(), keys_.size(), k);
 }
 
 std::pair<size_t, size_t> SortedDataset::EqualRangeForCell(

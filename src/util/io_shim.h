@@ -6,10 +6,11 @@
 /// recv) is issued through an `IoShim`, so a test can make the disk fill
 /// up (ENOSPC), the device die (EIO on write or fsync), or a socket reset
 /// (ECONNRESET) at an exact byte offset — without root, loopback devices,
-/// or LD_PRELOAD tricks. This generalizes the crash-budget idea of
-/// util/fail_point.h (which stays: FailPoint models *process* crashes —
-/// torn writes and the post-fsync-pre-ack window — while the shim models
-/// *syscall* failures the process survives and must contain).
+/// or LD_PRELOAD tricks. It is also the repository's one crash injector:
+/// a pwrite byte budget tears the WAL at an exact offset (short write,
+/// then EIO), and a refused fsync opens the written-but-unacknowledged
+/// window, so the recovery crash matrix (tests/recovery_test.cc) runs
+/// through the same seam as the syscall-failure chaos suites.
 ///
 /// Production code passes no shim and pays one virtual call per syscall
 /// (noise next to the syscall itself); the chaos suites

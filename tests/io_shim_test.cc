@@ -111,6 +111,23 @@ TEST(FaultShim, FiniteFailTimesRecovers) {
   EXPECT_EQ(shim.fsync_counters().errors, 2u);
 }
 
+TEST(FaultShim, RefusedFsyncLeavesWrittenBytesReadable) {
+  // The recovery suites model "crash between fsync and ack" as a refused
+  // fsync: the group's bytes are already in the file, so an in-process
+  // reopen replays it. That rests on exactly this property.
+  TempFd file;
+  FaultShim shim;
+  shim.ArmFsync(/*after_calls=*/0, EIO);
+  EXPECT_EQ(shim.Pwrite(file.fd(), "durable?", 8, 0), 8);
+  errno = 0;
+  EXPECT_EQ(shim.Fsync(file.fd()), -1);
+  EXPECT_EQ(errno, EIO);
+  EXPECT_EQ(shim.fsync_counters().errors, 1u);
+  char buf[9] = {};
+  EXPECT_EQ(::pread(file.fd(), buf, 8, 0), 8);
+  EXPECT_STREQ(buf, "durable?");
+}
+
 TEST(FaultShim, SendAndRecvInjection) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);

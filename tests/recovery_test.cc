@@ -3,8 +3,9 @@
 // bit-identical to a serial oracle (manifest + the durable batch prefix
 // re-applied in order), with zero acknowledged batches lost.
 //
-// Crash modes covered (ISSUE 6 satellite: the parameterized fail-point
-// suite): torn tail records at byte-granular offsets, a flipped CRC in the
+// Crashes are injected through util::FaultShim: a pwrite byte budget
+// tears the log at an exact offset, a refused fsync leaves a written but
+// unacknowledged group. Crash modes covered: torn tail records at byte-granular offsets, a flipped CRC in the
 // tail, a truncated multi-record group under concurrent appenders, a crash
 // between the fsync and the acknowledgment, a torn WAL header after a
 // checkpoint, and idempotent replay across a mid-stream checkpoint.
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -30,7 +32,7 @@
 #include "core/serialize.h"
 #include "io/update_log.h"
 #include "storage/sharded_dataset.h"
-#include "util/fail_point.h"
+#include "util/io_shim.h"
 #include "workload/datagen.h"
 
 namespace geoblocks {
@@ -173,10 +175,10 @@ class RecoveryTest : public ::testing::Test {
 
   /// Opens the set on the current manifest+WAL and applies batches serially
   /// until one crashes (or all land). Returns how many were acknowledged.
-  size_t ApplyUntilCrash(util::FailPoint* fail_point,
+  size_t ApplyUntilCrash(util::FaultShim* shim,
                          const std::vector<Batch>& batches) const {
     UpdateLog::Options options;
-    options.fail_point = fail_point;
+    options.shim = shim;
     auto log = UpdateLog::Open(wal_path_, options);
     BlockSet set = BlockSet::OpenLogged(manifest_path_, log.get());
     size_t acked = 0;
@@ -240,7 +242,7 @@ std::vector<Batch>* RecoveryTest::batches_ = nullptr;
 // --------------------------------------------------------------------------
 
 TEST_F(RecoveryTest, ByteGranularCrashMatrixRecoversBitIdentical) {
-  // Dry run (no fail point) to learn where each record ends on disk.
+  // Dry run (no fault armed) to learn where each record ends on disk.
   const size_t all = ApplyUntilCrash(nullptr, *batches_);
   ASSERT_EQ(all, batches_->size());
   std::vector<uint64_t> record_ends;  // offsets in record space (post-header)
@@ -274,11 +276,11 @@ TEST_F(RecoveryTest, ByteGranularCrashMatrixRecoversBitIdentical) {
   for (const uint64_t budget : crash_points) {
     SCOPED_TRACE("crash after " + std::to_string(budget) + " record bytes");
     ResetFiles();
-    util::FailPoint fail_point;
-    fail_point.ArmAfterBytes(budget);
-    const size_t acked = ApplyUntilCrash(&fail_point, *batches_);
+    util::FaultShim shim;
+    shim.ArmPwrite(budget, EIO);
+    const size_t acked = ApplyUntilCrash(&shim, *batches_);
     if (budget < total) {
-      EXPECT_TRUE(fail_point.triggered());
+      EXPECT_GT(shim.pwrite_counters().errors, 0u);
       EXPECT_LT(acked, batches_->size());
     } else {
       EXPECT_EQ(acked, batches_->size());
@@ -295,14 +297,14 @@ TEST_F(RecoveryTest, CrashBetweenFsyncAndAckReplaysTheUnackedBatch) {
   for (const uint64_t syncs : {uint64_t{0}, uint64_t{2}}) {
     SCOPED_TRACE("crash after " + std::to_string(syncs) + " acked syncs");
     ResetFiles();
-    util::FailPoint fail_point;
-    fail_point.ArmAfterSyncs(syncs);
-    const size_t acked = ApplyUntilCrash(&fail_point, *batches_);
-    EXPECT_TRUE(fail_point.triggered());
+    util::FaultShim shim;
+    shim.ArmFsync(syncs, EIO);
+    const size_t acked = ApplyUntilCrash(&shim, *batches_);
+    EXPECT_EQ(shim.fsync_counters().errors, 1u);
     ASSERT_LT(acked, batches_->size());
-    // The crashing batch reached the disk (its fsync completed) but was
-    // never acknowledged: recovery replays it — at-least-once, the safe
-    // side of the acknowledged-write contract.
+    // The crashing batch reached the file (only its fsync was refused) but
+    // was never acknowledged: recovery replays it — at-least-once, the
+    // safe side of the acknowledged-write contract.
     ExpectRecoveredMatchesOracle(acked, *batches_, "post-fsync crash");
   }
 }
@@ -347,12 +349,12 @@ TEST_F(RecoveryTest, TruncatedGroupUnderConcurrentAppenders) {
   const uint64_t budget = one_record * (kThreads * kPerThread / 2) + 17;
   ResetFiles();
 
-  util::FailPoint fail_point;
-  fail_point.ArmAfterBytes(budget);
+  util::FaultShim shim;
+  shim.ArmPwrite(budget, EIO);
   std::atomic<size_t> acked{0};
   {
     UpdateLog::Options options;
-    options.fail_point = &fail_point;
+    options.shim = &shim;
     auto log = UpdateLog::Open(wal_path_, options);
     BlockSet set = BlockSet::OpenLogged(manifest_path_, log.get());
     std::vector<std::thread> threads;
@@ -370,7 +372,7 @@ TEST_F(RecoveryTest, TruncatedGroupUnderConcurrentAppenders) {
     }
     for (std::thread& th : threads) th.join();
   }
-  EXPECT_TRUE(fail_point.triggered());
+  EXPECT_GT(shim.pwrite_counters().errors, 0u);
   EXPECT_LT(acked.load(), kThreads * kPerThread);
 
   const std::vector<Batch> same(kThreads * kPerThread, batch);

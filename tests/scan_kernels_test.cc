@@ -1,8 +1,9 @@
-// Parity matrix for the vectorized scan kernels: every SIMD dispatch level
-// must match the scalar reference bit-identically (including min/max/sum
-// aggregate ordering) over adversarial inputs — empty spans, lengths
-// 1..(vector_width*3+1) to cover tails, all-pass/all-fail filters, duplicate
-// keys at chunk boundaries.
+// Parity matrix for the scan kernels: every table kernel at every supported
+// SIMD dispatch level must match the scalar reference bit-identically
+// (including min/max/sum aggregate ordering), and the plain kernels must
+// match their per-row / std:: definitions, over adversarial inputs — empty
+// spans, lengths 1..(vector_width*3+1) to cover tails, all-pass/all-fail
+// filters, duplicate keys at chunk boundaries.
 
 #include "core/scan_kernels.h"
 
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -17,6 +19,7 @@
 
 #include "geo/polygon.h"
 #include "geo/projection.h"
+#include "storage/filter.h"
 
 namespace geoblocks::core::kernels {
 namespace {
@@ -132,45 +135,42 @@ TEST(ScanKernelsTest, AggregateColumnMaskedParity) {
 }
 
 TEST(ScanKernelsTest, FilterMaskParity) {
-  const KernelTable& ref = KernelsAt(DispatchLevel::kScalar);
   const storage::CompareOp ops[] = {
       storage::CompareOp::kLt, storage::CompareOp::kLe, storage::CompareOp::kGt,
       storage::CompareOp::kGe, storage::CompareOp::kEq, storage::CompareOp::kNe};
-  for (DispatchLevel level : SimdLevels()) {
-    const KernelTable& simd = KernelsAt(level);
-    for (size_t n = 0; n <= kMaxLen; ++n) {
-      std::vector<double> col = AdversarialValues(n, 3000 + n);
-      if (n >= 3) col[n / 2] = std::numeric_limits<double>::quiet_NaN();
-      // Single predicates of every operator, with thresholds that produce
-      // all-pass, all-fail, and mixed outcomes.
-      for (storage::CompareOp op : ops) {
-        for (double threshold : {-1e301, 0.0, 1e301}) {
-          const storage::Predicate pred{0, op, threshold};
-          const double* cols[] = {col.data()};
-          std::vector<uint8_t> want(n, 0xAA), got(n, 0x55);
-          ref.filter_mask(&pred, 1, cols, n, want.data());
-          simd.filter_mask(&pred, 1, cols, n, got.data());
-          EXPECT_EQ(want, got) << ToString(level) << " op "
-                               << static_cast<int>(op) << " thr " << threshold;
-        }
+  for (size_t n = 0; n <= kMaxLen; ++n) {
+    std::vector<double> col = AdversarialValues(n, 3000 + n);
+    if (n >= 3) col[n / 2] = std::numeric_limits<double>::quiet_NaN();
+    // Single predicates of every operator, with thresholds that produce
+    // all-pass, all-fail, and mixed outcomes; each row must match the
+    // per-row Predicate::Matches.
+    for (storage::CompareOp op : ops) {
+      for (double threshold : {-1e301, 0.0, 1e301}) {
+        const storage::Predicate pred{0, op, threshold};
+        const double* cols[] = {col.data()};
+        std::vector<uint8_t> want(n), got(n, 0x55);
+        for (size_t i = 0; i < n; ++i) want[i] = pred.Matches(col[i]) ? 1 : 0;
+        FilterMask(&pred, 1, cols, n, got.data());
+        EXPECT_EQ(want, got) << "op " << static_cast<int>(op) << " thr "
+                             << threshold << " n=" << n;
       }
-      // A conjunction over two columns.
-      std::vector<double> col2 = AdversarialValues(n, 4000 + n);
-      const storage::Predicate preds[] = {
-          {0, storage::CompareOp::kGe, -1e5},
-          {1, storage::CompareOp::kLt, 1e5},
-      };
-      const double* cols[] = {col.data(), col2.data()};
-      std::vector<uint8_t> want(n), got(n);
-      ref.filter_mask(preds, 2, cols, n, want.data());
-      simd.filter_mask(preds, 2, cols, n, got.data());
-      EXPECT_EQ(want, got) << ToString(level) << " conjunction";
-      // Zero predicates: all-pass.
-      ref.filter_mask(nullptr, 0, nullptr, n, want.data());
-      EXPECT_EQ(want, std::vector<uint8_t>(n, 1));
-      simd.filter_mask(nullptr, 0, nullptr, n, got.data());
-      EXPECT_EQ(got, std::vector<uint8_t>(n, 1));
     }
+    // A conjunction over two columns, against Filter::Matches.
+    std::vector<double> col2 = AdversarialValues(n, 4000 + n);
+    const storage::Filter filter({
+        {0, storage::CompareOp::kGe, -1e5},
+        {1, storage::CompareOp::kLt, 1e5},
+    });
+    const double* cols[] = {col.data(), col2.data()};
+    std::vector<uint8_t> want(n), got(n, 0x55);
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = filter.Matches([&](int c) { return cols[c][i]; }) ? 1 : 0;
+    }
+    FilterMask(filter.predicates().data(), 2, cols, n, got.data());
+    EXPECT_EQ(want, got) << "conjunction n=" << n;
+    // Zero predicates: all-pass.
+    FilterMask(nullptr, 0, nullptr, n, got.data());
+    EXPECT_EQ(got, std::vector<uint8_t>(n, 1));
   }
 }
 
@@ -237,48 +237,41 @@ TEST(ScanKernelsTest, PolygonHitsMatchPolygonContains) {
 }
 
 TEST(ScanKernelsTest, SumCountsParity) {
-  const KernelTable& ref = KernelsAt(DispatchLevel::kScalar);
-  for (DispatchLevel level : SimdLevels()) {
-    const KernelTable& simd = KernelsAt(level);
-    for (size_t n = 0; n <= kMaxLen; ++n) {
-      std::mt19937 rng(5000 + n);
-      std::vector<uint32_t> counts(n);
-      for (size_t i = 0; i < n; ++i) {
-        // Near-max values exercise the u32 -> u64 widening.
-        counts[i] = (rng() % 2) ? 0xFFFFFFFFu - (rng() % 5) : rng() % 1000;
-      }
-      EXPECT_EQ(simd.sum_counts(counts.data(), n), ref.sum_counts(counts.data(), n))
-          << ToString(level) << " n=" << n;
+  for (size_t n = 0; n <= kMaxLen; ++n) {
+    std::mt19937 rng(5000 + n);
+    std::vector<uint32_t> counts(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Near-max values exercise the u32 -> u64 widening.
+      counts[i] = (rng() % 2) ? 0xFFFFFFFFu - (rng() % 5) : rng() % 1000;
     }
+    EXPECT_EQ(SumCounts(counts.data(), n),
+              std::accumulate(counts.begin(), counts.end(), uint64_t{0}))
+        << "n=" << n;
   }
 }
 
 TEST(ScanKernelsTest, SortedProbesMatchStdBounds) {
-  for (DispatchLevel level :
-       {DispatchLevel::kScalar, DispatchLevel::kSSE2, DispatchLevel::kAVX2}) {
-    const KernelTable& table = KernelsAt(level);
-    for (size_t n = 0; n <= kMaxLen; ++n) {
-      std::mt19937 rng(6000 + n);
-      std::vector<uint64_t> keys(n);
-      for (size_t i = 0; i < n; ++i) keys[i] = rng() % 16;
+  for (size_t n = 0; n <= kMaxLen; ++n) {
+    std::mt19937 rng(6000 + n);
+    std::vector<uint64_t> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = rng() % 16;
+    std::sort(keys.begin(), keys.end());
+    // Duplicate runs straddling the binary-search midpoints.
+    if (n >= 4) {
+      keys[n / 2] = keys[n / 2 - 1];
       std::sort(keys.begin(), keys.end());
-      // Duplicate runs straddling the binary-search midpoints.
-      if (n >= 4) {
-        keys[n / 2] = keys[n / 2 - 1];
-        std::sort(keys.begin(), keys.end());
-      }
-      for (uint64_t q = 0; q <= 17; ++q) {
-        const size_t lb = table.lower_bound_u64(keys.data(), n, q);
-        const size_t ub = table.upper_bound_u64(keys.data(), n, q);
-        EXPECT_EQ(lb, static_cast<size_t>(
-                          std::lower_bound(keys.begin(), keys.end(), q) -
-                          keys.begin()))
-            << "n=" << n << " q=" << q;
-        EXPECT_EQ(ub, static_cast<size_t>(
-                          std::upper_bound(keys.begin(), keys.end(), q) -
-                          keys.begin()))
-            << "n=" << n << " q=" << q;
-      }
+    }
+    for (uint64_t q = 0; q <= 17; ++q) {
+      EXPECT_EQ(LowerBoundU64(keys.data(), n, q),
+                static_cast<size_t>(
+                    std::lower_bound(keys.begin(), keys.end(), q) -
+                    keys.begin()))
+          << "n=" << n << " q=" << q;
+      EXPECT_EQ(UpperBoundU64(keys.data(), n, q),
+                static_cast<size_t>(
+                    std::upper_bound(keys.begin(), keys.end(), q) -
+                    keys.begin()))
+          << "n=" << n << " q=" << q;
     }
   }
 }

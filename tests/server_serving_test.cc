@@ -12,8 +12,8 @@
 //     match a serial oracle that applies the acknowledged batches in any
 //     order — bit-identical sweeps, exact total count.
 //
-//  3. Crash + restart — the server runs over BlockSet::OpenLogged with an
-//     injected WAL fail point (util/fail_point.h). Clients push updates
+//  3. Crash + restart — the server runs over BlockSet::OpenLogged with a
+//     WAL whose writes die mid-record (util::FaultShim). Clients push updates
 //     until the log dies (Status::kInternal = NOT acknowledged), the
 //     server Abort()s, and recovery must restore exactly the acknowledged
 //     prefix: persist-first carried through the wire.
@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -41,7 +42,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/sharded_dataset.h"
-#include "util/fail_point.h"
+#include "util/io_shim.h"
 #include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -310,10 +311,10 @@ TEST_F(ServerServingTest, AcknowledgedUpdatesSurviveCrashAndRestart) {
   std::mutex acked_mu;
   std::vector<Batch> acked;
   {
-    util::FailPoint fail_point;
-    fail_point.ArmAfterBytes(4000);  // dies partway through the storm
+    util::FaultShim shim;
+    shim.ArmPwrite(4000, EIO);  // dies partway through the storm
     UpdateLog::Options log_options;
-    log_options.fail_point = &fail_point;
+    log_options.shim = &shim;
     auto log = UpdateLog::Open(wal_path, log_options);
     BlockSet set = BlockSet::OpenLogged(manifest_path, log.get());
     ServerOptions options;
@@ -346,9 +347,9 @@ TEST_F(ServerServingTest, AcknowledgedUpdatesSurviveCrashAndRestart) {
     server.Abort();  // simulated crash: backlog discarded unanswered
   }
 
-  // Recovery: exactly the acknowledged batches survive (ArmAfterBytes
+  // Recovery: exactly the acknowledged batches survive (the pwrite budget
   // kills the WAL mid-record, so acked <=> durable, bit for bit).
-  ASSERT_FALSE(acked.empty()) << "fail point fired before any ack";
+  ASSERT_FALSE(acked.empty()) << "fault fired before any ack";
   auto log = UpdateLog::Open(wal_path);
   const BlockSet recovered = BlockSet::OpenLogged(manifest_path, log.get());
 

@@ -1,13 +1,15 @@
 // The durable update log in isolation: record round trips, change-number
 // monotonicity across reopen, torn-tail truncation, corruption rejection,
-// group commit under concurrency, checkpoint truncation, and the injected
-// crash modes (byte budgets and the post-fsync window).
+// group commit under concurrency, checkpoint truncation, and the crash
+// modes injected through util::FaultShim (a pwrite byte budget and a
+// refused fsync).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -17,7 +19,7 @@
 #include "core/geoblock.h"
 #include "core/serialize.h"
 #include "io/update_log.h"
-#include "util/fail_point.h"
+#include "util/io_shim.h"
 
 namespace geoblocks {
 namespace {
@@ -291,14 +293,14 @@ TEST_F(UpdateLogTest, ConcurrentAppendersGetUniqueDurableRecords) {
 }
 
 TEST_F(UpdateLogTest, InjectedWriteCrashFailsTheLogPermanently) {
-  util::FailPoint fp;
+  util::FaultShim shim;
   UpdateLog::Options options;
-  options.fail_point = &fp;
+  options.shim = &shim;
   auto log = UpdateLog::Open(path_, options);
   log->Append(MakeBatch(2, 1));
-  fp.ArmAfterBytes(5);  // the next record tears after 5 bytes
+  shim.ArmPwrite(5, EIO);  // the next record tears after 5 bytes
   EXPECT_THROW(log->Append(MakeBatch(2, 2)), std::runtime_error);
-  EXPECT_TRUE(fp.triggered());
+  EXPECT_GT(shim.pwrite_counters().errors, 0u);
   EXPECT_TRUE(log->failed());
   // Dead like a crashed process: later appends throw too.
   EXPECT_THROW(log->Append(MakeBatch(1, 3)), std::runtime_error);
@@ -312,15 +314,16 @@ TEST_F(UpdateLogTest, InjectedWriteCrashFailsTheLogPermanently) {
 }
 
 TEST_F(UpdateLogTest, CrashBetweenFsyncAndAckLeavesADurableUnackedRecord) {
-  util::FailPoint fp;
+  util::FaultShim shim;
   UpdateLog::Options options;
-  options.fail_point = &fp;
+  options.shim = &shim;
   auto log = UpdateLog::Open(path_, options);
   log->Append(MakeBatch(2, 1));
-  fp.ArmAfterSyncs(0);
-  // The record reaches the disk — the fsync completes — but the writer
-  // dies before acknowledging, so Append must throw.
+  shim.ArmFsync(0, EIO);
+  // The record reaches the file but its fsync is refused, so the writer
+  // dies before acknowledging and Append must throw.
   EXPECT_THROW(log->Append(MakeBatch(2, 2)), std::runtime_error);
+  EXPECT_EQ(shim.fsync_counters().errors, 1u);
   EXPECT_EQ(log->durable_change_number(), 1u) << "never acknowledged";
   log.reset();
 
