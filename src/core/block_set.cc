@@ -90,9 +90,12 @@ BlockSet BlockSet::Build(const storage::ShardedDataset& shards,
   const size_t k = shards.num_shards();
   set.blocks_.reserve(k);
   set.writers_.reserve(k);
+  set.residency_.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     set.blocks_.push_back(std::make_unique<GeoBlock>());
     set.writers_.push_back(std::make_shared<ShardWriter>());
+    set.residency_.push_back(
+        std::make_shared<ShardResidency>(/*materialized=*/true));
   }
   if (k == 0) return set;
   set.projection_ = shards.shard(0).projection();
@@ -128,12 +131,9 @@ size_t BlockSet::num_cells() const {
   // cells needs every payload — and rebalances once at the end.
   size_t cells = 0;
   for (size_t s = 0; s < blocks_.size(); ++s) {
-    const std::shared_ptr<const BlockState> state =
-        source_ != nullptr ? ResidentState(s, /*rebalance=*/false)
-                           : blocks_[s]->StateSnapshot();
-    cells += state->num_cells();
+    cells += ResidentState(s, /*rebalance=*/false)->num_cells();
   }
-  if (source_ != nullptr && governor_ != nullptr) governor_->EnsureBudget();
+  if (governor_ != nullptr) governor_->EnsureBudget();
   return cells;
 }
 
@@ -152,8 +152,7 @@ BlockHeader BlockSet::MergedHeader() const {
   // needs every shard's payload.
   for (size_t s = 0; s < blocks_.size(); ++s) {
     const std::shared_ptr<const BlockState> state =
-        source_ != nullptr ? ResidentState(s, /*rebalance=*/false)
-                           : blocks_[s]->StateSnapshot();
+        ResidentState(s, /*rebalance=*/false);
     if (state->num_cells() == 0) continue;
     if (!any) {
       header.min_cell = state->header.min_cell;
@@ -165,7 +164,7 @@ BlockHeader BlockSet::MergedHeader() const {
     }
     header.global.Merge(state->header.global);
   }
-  if (source_ != nullptr && governor_ != nullptr) governor_->EnsureBudget();
+  if (governor_ != nullptr) governor_->EnsureBudget();
   return header;
 }
 
@@ -201,8 +200,7 @@ void BlockSet::OverlappingShards(std::span<const cell::CellId> covering,
   result.reserve(blocks_.size());
   for (size_t s = 0; s < blocks_.size(); ++s) {
     const GeoBlock& b = *blocks_[s];
-    if (source_ != nullptr &&
-        !residency_[s]->hull_known.load(std::memory_order_acquire)) {
+    if (!residency_[s]->hull_known.load(std::memory_order_acquire)) {
       // Never-materialized lazy shard: its routing hull is unknown, so
       // route by the manifest boundary range instead — conservative (a
       // wrongly included shard materializes, folds nothing, and tightens
@@ -257,17 +255,12 @@ QueryResult BlockSet::SelectCovering(std::span<const cell::CellId> covering,
   OverlappingShards(covering, &shards);
   Accumulator acc(&request);
   // Each shard folds its whole covering contribution under one pinned
-  // state version (GeoBlock::CombineCovering); shards ascend, so the fold
-  // order matches a single block over the same data bit for bit. On a
-  // lazy set the pin comes from ResidentState, which faults cold shards
-  // in first — the fold never sees a tombstone, so answers stay
-  // bit-identical to the fully resident set.
+  // state version; shards ascend, so the fold order matches a single block
+  // over the same data bit for bit. The pin comes from ResidentState,
+  // which faults a cold (mapped) shard in first — the fold never sees a
+  // tombstone, so answers stay bit-identical to the fully resident set.
   for (const size_t s : shards) {
-    if (source_ != nullptr) {
-      ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
-    } else {
-      blocks_[s]->CombineCovering(covering, &acc);
-    }
+    ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
   }
   return acc.Finish();
 }
@@ -284,11 +277,7 @@ uint64_t BlockSet::CountCovering(
   OverlappingShards(covering, &shards);
   uint64_t result = 0;
   for (const size_t s : shards) {
-    if (source_ != nullptr) {
-      result += ResidentState(s, /*rebalance=*/true)->CountCovering(covering);
-    } else {
-      result += blocks_[s]->CountCovering(covering);
-    }
+    result += ResidentState(s, /*rebalance=*/true)->CountCovering(covering);
   }
   return result;
 }
@@ -333,16 +322,11 @@ std::vector<QueryResult> BlockSet::ExecuteBatch(const QueryBatch& batch,
   std::vector<Accumulator> partials(parts.size(), Accumulator(&request));
   const auto run_part = [&](size_t p) {
     const Part& part = parts[p];
-    if (source_ != nullptr) {
-      // Admission-time fault-in: the pool worker that admits this
-      // (query, shard) task pays the shard's materialization, so cold
-      // shards hydrate in parallel across the work-stealing pool.
-      ResidentState(part.shard, /*rebalance=*/true)
-          ->CombineCovering(coverings[part.query], &partials[p]);
-    } else {
-      blocks_[part.shard]->CombineCovering(coverings[part.query],
-                                           &partials[p]);
-    }
+    // Admission-time fault-in: the pool worker that admits this (query,
+    // shard) task pays a cold shard's materialization, so cold shards
+    // hydrate in parallel across the work-stealing pool.
+    ResidentState(part.shard, /*rebalance=*/true)
+        ->CombineCovering(coverings[part.query], &partials[p]);
   };
   if (pool != nullptr) {
     pool->ParallelFor(parts.size(), run_part);
@@ -385,8 +369,8 @@ BlockSet::SetUpdateResult BlockSet::ApplyBatchUpdate(
   const size_t k = blocks_.size();
   if (k == 0 || boundaries_.size() != k + 1 || writers_.size() != k) {
     throw std::logic_error(
-        "BlockSet::ApplyBatchUpdate: set has no manifest metadata (only "
-        "sets from Build or ReadFrom can be updated)");
+        "BlockSet::ApplyBatchUpdate: set has no manifest metadata (a "
+        "default-constructed set cannot be updated)");
   }
   if (batch.empty()) {
     SetUpdateResult result;
@@ -511,14 +495,14 @@ void BlockSet::CommitShardBatch(size_t s,
   GeoBlock* block = blocks_[s].get();
   GeoBlockQC* qc = cache_enabled() ? cached_[s].get() : nullptr;
   std::lock_guard<std::mutex> lock(w.mu);
-  // Lazy set: the commit must patch a materialized state — applying a
-  // batch to a tombstone would reject every tuple into pending, and the
-  // eventual merge would then build a state holding ONLY those tuples
-  // (data loss). Fault-in here is bookkeeping-only (no EnsureBudget while
-  // holding a shard lock — another shard's evict callback could be
-  // waiting on ours); the budget transiently overshoots and the next
-  // query-path fault trims it.
-  if (source_ != nullptr) EnsureResident(s);
+  // The commit must patch a materialized state — applying a batch to a
+  // tombstone would reject every tuple into pending, and the eventual
+  // merge would then build a state holding ONLY those tuples (data loss).
+  // On a cold mapped shard the fault-in here is bookkeeping-only (no
+  // EnsureBudget while holding a shard lock — another shard's evict
+  // callback could be waiting on ours); the budget transiently overshoots
+  // and the next query-path fault trims it. A resident shard: no-op.
+  EnsureResident(s);
   // The commit proper: with a cache, block-state publish and trie patch
   // run as one writer critical section (GeoBlockQC::CommitBlockBatch), so
   // an interval-triggered trie rebuild can never interleave half a commit.
@@ -535,8 +519,8 @@ void BlockSet::CommitShardBatch(size_t s,
     w.pending.push_back(batch[idx]);
   }
   w.pending_count.store(w.pending.size(), std::memory_order_relaxed);
-  if (source_ != nullptr && (r.applied > 0 || !r.rejected.empty())) {
-    // Sticky: this shard's in-memory state now runs ahead of the mapped
+  if (r.applied > 0 || !r.rejected.empty()) {
+    // Sticky: this shard's in-memory state now runs ahead of any mapped
     // payload (applied tuples immediately; buffered ones at merge time,
     // possibly on a background task with no path back here), so it must
     // never be evicted — a re-fault would resurrect the stale payload.
@@ -595,13 +579,11 @@ size_t BlockSet::FlushPendingUpdates() {
     // shard that never materialized: merge into the real state, never
     // into a tombstone (which would drop every previously aggregated
     // cell). Merging also marks the shard dirty — its state now runs
-    // ahead of the mapped payload.
-    if (source_ != nullptr && !w.pending.empty()) EnsureResident(s);
+    // ahead of any mapped payload.
+    if (!w.pending.empty()) EnsureResident(s);
     if (MergePendingLocked(&w, blocks_[s].get(),
                            cache_enabled() ? cached_[s].get() : nullptr)) {
-      if (source_ != nullptr) {
-        residency_[s]->dirty.store(true, std::memory_order_release);
-      }
+      residency_[s]->dirty.store(true, std::memory_order_release);
       ++merged;
     }
   }
@@ -690,10 +672,8 @@ void BlockSet::AttachDataset(
   // Attachment validates per-shard schema widths, which only materialized
   // shards know: fault everything in first (the views attached below are
   // independent of residency — an eviction after attach keeps them).
-  if (source_ != nullptr) {
-    for (size_t s = 0; s < blocks_.size(); ++s) EnsureResident(s);
-    if (governor_ != nullptr) governor_->EnsureBudget();
-  }
+  for (size_t s = 0; s < blocks_.size(); ++s) EnsureResident(s);
+  if (governor_ != nullptr) governor_->EnsureBudget();
   if (data->num_rows() != total_rows_) {
     throw std::runtime_error(
         "BlockSet::AttachDataset: dataset row count does not match the "
@@ -773,11 +753,11 @@ void BlockSet::EnableCache(const GeoBlockQC::Options& options) {
   for (const std::unique_ptr<GeoBlock>& b : blocks_) {
     cached_.push_back(std::make_unique<GeoBlockQC>(b.get(), options));
   }
-  // Lazy sets re-wire the governor: the payload evict callbacks captured
-  // the OLD writer records (now flipped dead above) and would refuse
-  // every eviction, so they are re-registered against the fresh writers;
-  // the new tries get their own entries.
-  if (source_ != nullptr && governor_ != nullptr) {
+  // Governed sets re-wire the governor: the payload evict callbacks
+  // captured the OLD writer records (now flipped dead above) and would
+  // refuse every eviction, so they are re-registered against the fresh
+  // writers; the new tries get their own entries.
+  if (governor_ != nullptr) {
     for (size_t s = 0; s < blocks_.size(); ++s) {
       RegisterShardEntry(s);
       RegisterTrieEntry(s);
@@ -821,20 +801,15 @@ void BlockSet::SelectCoveringCachedInto(std::span<const cell::CellId> covering,
   // mutex (GeoBlockQC concurrency model). Shards are visited in ascending
   // order, so the fold stays bit-identical to a serialized execution over
   // the same snapshots. With the cache disabled the same fold runs against
-  // the raw blocks (identical to SelectCovering).
+  // the pinned resident states (identical to SelectCovering).
   if (cache_enabled()) {
     for (const size_t s : shards) {
-      if (source_ == nullptr) {
-        cached_[s]->CombineCovering(covering, &acc);
-        continue;
-      }
-      // Lazy set: the cached fold refuses to answer over a tombstone
-      // (GeoBlockQC::CombineCovering returns false having folded
-      // nothing). Fault the shard in and retry; if eviction keeps
-      // winning the race, fold straight from the pinned state we just
-      // materialized — it is guaranteed non-tombstone, so correctness
-      // never depends on winning a race.
       if (cached_[s]->CombineCovering(covering, &acc)) continue;
+      // Cold mapped shard: the cached fold refuses to answer over a
+      // tombstone (returns false having folded nothing). Fault the shard
+      // in and retry; if eviction keeps winning the race, fold straight
+      // from the pinned state we just materialized — it is guaranteed
+      // non-tombstone, so correctness never depends on winning a race.
       bool folded = false;
       for (int attempt = 0; attempt < 2 && !folded; ++attempt) {
         const std::shared_ptr<const BlockState> pinned =
@@ -848,11 +823,7 @@ void BlockSet::SelectCoveringCachedInto(std::span<const cell::CellId> covering,
     }
   } else {
     for (const size_t s : shards) {
-      if (source_ != nullptr) {
-        ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
-      } else {
-        blocks_[s]->CombineCovering(covering, &acc);
-      }
+      ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
     }
   }
   acc.FinishInto(out);

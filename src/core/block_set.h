@@ -15,6 +15,7 @@
 #include "core/block_qc.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
+#include "core/serialize.h"
 #include "io/mapped_file.h"
 #include "storage/sharded_dataset.h"
 #include "util/thread_pool.h"
@@ -341,8 +342,8 @@ class BlockSet {
   /// @param batch The arriving tuples (routed by location).
   /// @param pool  Optional pool for the per-shard commit fan-out.
   /// @return Applied/buffered counts plus rebuild activity.
-  /// @throws std::logic_error on a set without manifest metadata (only
-  ///     sets from Build or ReadFrom can be updated).
+  /// @throws std::logic_error on a default-constructed set, which has no
+  ///     manifest metadata to route tuples by.
   SetUpdateResult ApplyBatchUpdate(std::span<const GeoBlock::UpdateTuple> batch,
                                    util::ThreadPool* pool = nullptr);
 
@@ -453,9 +454,8 @@ class BlockSet {
   /// (EnableCache) is not persisted.
   ///
   /// @param out Destination stream (open in binary mode).
-  /// @throws std::logic_error when the set has no manifest metadata (a
-  ///     default-constructed set; only sets from Build or ReadFrom can be
-  ///     written).
+  /// @throws std::logic_error on a default-constructed set, which has no
+  ///     manifest metadata to persist.
   /// @throws std::runtime_error on a big-endian host (the format is
   ///     little-endian).
   void WriteTo(std::ostream& out) const;
@@ -526,8 +526,7 @@ class BlockSet {
   /// @param s Shard index in [0, num_shards()).
   /// @return Whether the shard's payload is resident.
   bool shard_resident(size_t s) const {
-    return source_ == nullptr ||
-           residency_[s]->resident.load(std::memory_order_acquire);
+    return residency_[s]->resident.load(std::memory_order_acquire);
   }
 
   /// @return Number of shards currently resident (== num_shards() on an
@@ -713,41 +712,41 @@ class BlockSet {
     std::atomic<bool> merge_inflight{false};
   };
 
-  /// Everything a lazily opened set needs to fault a shard payload in
-  /// later: the mapping itself plus the manifest's payload table. Behind a
-  /// shared_ptr so governor evict callbacks (which capture shard state,
-  /// never the movable set) and the set agree on lifetime.
+  /// What a lazily opened set needs to fault a shard payload in later:
+  /// the mapping plus the manifest that locates and cross-checks every
+  /// payload in it. Only OpenMapped creates one. Behind a shared_ptr so
+  /// governor evict callbacks (which capture shard state, never the
+  /// movable set) and the set agree on lifetime.
   struct LazySource {
     io::MappedFile file;
     /// Optional fault-injection seam: payload reads go through
     /// shim->Pread on file.fd() instead of the mapping when set.
     util::IoShim* shim = nullptr;
-    /// First payload byte in the file (== manifest size incl. CRC).
-    uint64_t payload_base = 0;
-    std::vector<uint64_t> payload_offsets;  ///< relative to payload_base
-    std::vector<uint64_t> payload_sizes;
-    std::vector<uint32_t> payload_crcs;
-    std::vector<uint64_t> state_rows;
-    std::vector<uint64_t> window_rows;
-    uint64_t manifest_change_number = 0;
+    serialize::SetManifest manifest;
   };
 
-  /// Per-shard residency record of a lazy set. The mutex is the shard's
-  /// *residency lock* (r.mu): materialization publishes under it, and
-  /// eviction takes it after the shard's writer lock (w.mu) — the global
-  /// lock order is always w.mu -> r.mu, so commit publishes, fault-in
-  /// publishes, and eviction publishes all serialize on the state cell.
-  /// Behind a shared_ptr: governor callbacks capture it, so it must
+  /// Per-shard residency record, kept on every set: built shards start
+  /// resident, loaded ones cold until HydrateShard. The mutex is the
+  /// shard's *residency lock* (r.mu): materialization publishes under it,
+  /// and eviction takes it after the shard's writer lock (w.mu) — the
+  /// global lock order is always w.mu -> r.mu, so commit publishes,
+  /// fault-in publishes, and eviction publishes all serialize on the state
+  /// cell. Behind a shared_ptr: governor callbacks capture it, so it must
   /// survive set moves (and outlive the set if a callback is in flight).
   struct ShardResidency {
+    /// @param materialized True for a shard that already holds its state
+    ///     (Build); false for a cold shell awaiting HydrateShard.
+    explicit ShardResidency(bool materialized)
+        : resident(materialized), hull_known(materialized) {}
+
     std::mutex mu;
-    std::atomic<bool> resident{false};
+    std::atomic<bool> resident;
     /// False until first materialization: the routing atomics still hold
     /// their empty-shell defaults, so OverlappingShards falls back to the
     /// shard's manifest boundary range (conservative, never excludes a
     /// shard that could answer). Once true, the published hull is precise
     /// and stays so across evictions (EvictState keeps the atomics).
-    std::atomic<bool> hull_known{false};
+    std::atomic<bool> hull_known;
     /// Sticky: set on the first committed update or pending merge.
     /// A dirty shard is never evicted — its in-memory state has diverged
     /// from the mapped payload, and after a Checkpoint the mapping is
@@ -758,9 +757,10 @@ class BlockSet {
     MemoryGovernor::EntryHandle trie_entry;  ///< cache-trie charge
   };
 
-  /// The read-path unit of the lazy plane: returns a pinned, guaranteed
-  /// non-tombstone state of shard `s`, materializing it first when cold.
-  /// Fast path (resident): one StateSnapshot + a relaxed governor touch.
+  /// The read-path unit of every set: returns a pinned, guaranteed
+  /// non-tombstone state of shard `s`, materializing it first when cold
+  /// (only a mapped shard can be). Fast path (resident): one
+  /// StateSnapshot, plus a relaxed governor touch when there is one.
   /// Slow path: deserialize under r.mu, pin before unlocking (so the
   /// caller's fold survives an immediate re-eviction), then — with
   /// `rebalance` — let the governor evict someone else to pay for it.
@@ -769,9 +769,24 @@ class BlockSet {
   std::shared_ptr<const BlockState> ResidentState(size_t s,
                                                   bool rebalance) const;
 
-  /// Deserializes shard `s`'s payload from the mapping and publishes it.
-  /// Caller holds residency_[s]->mu; the shard must be cold.
+  /// Reads shard `s`'s payload from the mapping, hydrates it, and counts
+  /// the fault. Caller holds residency_[s]->mu; the shard must be cold.
+  /// @throws ShardFaultError on a failed read or a corrupt payload.
   void MaterializeShardLocked(size_t s) const;
+
+  /// The set a manifest describes, before any payload is read: manifest
+  /// metadata plus, per shard, a cold shell (a tombstoned GeoBlock), a
+  /// writer record and a residency record. ReadFrom and OpenMapped both
+  /// start here. Defined in serialize.cc.
+  static BlockSet FromManifest(const serialize::SetManifest& m);
+
+  /// The one hydration step: parses and cross-checks shard `s`'s payload
+  /// (ParseShardPayload) and publishes it into the cold shell, adopting the
+  /// shard's configuration on its first hydration only; then marks the
+  /// shard resident with a known hull. Caller holds residency_[s]->mu or
+  /// owns the set exclusively (ReadFrom). Defined in serialize.cc.
+  void HydrateShard(size_t s, std::string_view payload,
+                    const serialize::SetManifest& m) const;
 
   /// (Re-)registers shard `s`'s payload entry with the governor. Captures
   /// the shard's writer record, so EnableCache (which replaces writers)
@@ -784,13 +799,13 @@ class BlockSet {
   /// destructor / move-assign / EnableCache teardown.
   void UnregisterGovernorEntries();
 
-  /// Parses and fully cross-checks one shard payload (CRC, structure,
-  /// level/schema agreement with `reference`, exact state-row check) —
-  /// shared by the eager loader and fault-in. Defined in serialize.cc.
-  static std::unique_ptr<GeoBlock> ParseShardPayload(
-      std::string_view payload, uint32_t expected_crc, uint64_t state_rows,
-      uint64_t window_rows, uint64_t manifest_change_number,
-      const GeoBlock* reference);
+  /// Parses and fully cross-checks shard `s`'s payload against manifest
+  /// `m` (CRC, structure, level/schema agreement with `reference`, exact
+  /// state-row check). Called only by HydrateShard. Defined in
+  /// serialize.cc.
+  static GeoBlock ParseShardPayload(std::string_view payload,
+                                    const serialize::SetManifest& m,
+                                    size_t s, const GeoBlock* reference);
 
   /// Checksums and decodes the pending-updates section into the per-shard
   /// writer buffers. Defined in serialize.cc.
@@ -850,8 +865,9 @@ class BlockSet {
   std::vector<ShardWindow> windows_;
   bool dataset_attached_ = false;
 
-  // The lazy plane (null/empty on eager sets): the mapped file + payload
-  // table, one residency record per shard, and the optional governor.
+  // The shard plane: one residency record per shard on every set. Only
+  // OpenMapped sets the mapped source and the optional governor (both
+  // null otherwise), so only its shards are ever cold after load.
   std::shared_ptr<LazySource> source_;
   std::vector<std::shared_ptr<ShardResidency>> residency_;
   MemoryGovernor* governor_ = nullptr;

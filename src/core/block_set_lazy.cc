@@ -1,6 +1,8 @@
-// The lazy half of BlockSet: OpenMapped and the shard fault-in / residency
-// machinery. The eager loader (ReadFrom) lives in serialize.cc; both share
-// ReadSetManifest and ParseShardPayload so the two paths validate payloads
+// The shard residency plane of BlockSet: OpenMapped, fault-in, eviction and
+// the governor wiring. Every set keeps one residency record per shard; a
+// built or eagerly loaded (ReadFrom) set simply never has a cold shard.
+// ReadFrom and OpenMapped both start from FromManifest and hydrate through
+// the one HydrateShard step (serialize.cc), so both validate payloads
 // identically — only *when* bytes are touched differs.
 //
 // Locking (docs/ARCHITECTURE.md §Memory governance): the global order is
@@ -62,12 +64,13 @@ std::string_view ReadFileBytes(const io::MappedFile& file, util::IoShim* shim,
 BlockSet BlockSet::OpenMapped(const std::string& path,
                               const LazyOpenOptions& options) {
   io::MappedFile file = io::MappedFile::Open(path);
-  serialize::SetManifest m;
+  auto src = std::make_shared<LazySource>();
   {
     io::ViewStream manifest_stream(file.data(), file.size());
-    m = serialize::ReadSetManifest(manifest_stream);
+    src->manifest = serialize::ReadSetManifest(manifest_stream);
   }
-  const uint64_t k = m.shard_count;
+  // The set co-owns `src` below, so this reference outlives the function.
+  const serialize::SetManifest& m = src->manifest;
   // The whole payload region and the pending section must be inside the
   // mapping: checked once here so later faults can never run off the end
   // of the file (which would be a SIGBUS, not an exception).
@@ -76,43 +79,12 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
         "geoblocks: mapped BlockSet file is shorter than its manifest "
         "promises");
   }
-
-  BlockSet set;
-  set.align_level_ = m.align_level;
-  set.total_rows_ = m.total_rows;
-  set.change_number_.store(m.change_number, std::memory_order_relaxed);
-  set.boundaries_ = std::move(m.boundaries);
-  set.windows_.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    set.windows_[i] = {m.window_offsets[i], m.window_rows[i]};
-  }
-
-  auto src = std::make_shared<LazySource>();
   src->file = std::move(file);
   src->shim = options.shim;
-  src->payload_base = m.manifest_bytes;
-  src->payload_offsets = std::move(m.payload_offsets);
-  src->payload_sizes = std::move(m.payload_sizes);
-  src->payload_crcs = std::move(m.payload_crcs);
-  src->state_rows = std::move(m.state_rows);
-  src->window_rows = std::move(m.window_rows);
-  src->manifest_change_number = m.change_number;
+
+  BlockSet set = FromManifest(m);
   set.source_ = std::move(src);
   set.governor_ = options.governor;
-
-  set.blocks_.reserve(k);
-  set.residency_.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    // Each shard starts as a tombstone shell: "mapped, not materialized".
-    // The block object (and its snapshot cell) is the one readers, caches,
-    // and queued merges will hold for the set's whole life — fault-in and
-    // eviction republish INTO it, never replace it.
-    auto shell = std::make_unique<GeoBlock>();
-    shell->EvictState();
-    set.blocks_.push_back(std::move(shell));
-    set.writers_.push_back(std::make_shared<ShardWriter>());
-    set.residency_.push_back(std::make_shared<ShardResidency>());
-  }
 
   // Shard 0 is materialized eagerly: it carries the level / projection /
   // schema width every later fault is cross-checked against, and decoding
@@ -134,38 +106,26 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
                     &scratch);
   set.RestorePendingTuples(pending, m.pending_crc);
 
-  if (set.governor_ != nullptr) {
-    for (size_t i = 0; i < k; ++i) set.RegisterShardEntry(i);
-  }
-  set.dataset_attached_ = false;
+  for (size_t i = 0; i < set.num_shards(); ++i) set.RegisterShardEntry(i);
   return set;
 }
 
 void BlockSet::MaterializeShardLocked(size_t s) const {
   const LazySource& src = *source_;
+  const serialize::SetManifest& m = src.manifest;
   std::string scratch;
   try {
-    const std::string_view payload = ReadFileBytes(
-        src.file, src.shim, src.payload_base + src.payload_offsets[s],
-        src.payload_sizes[s], &scratch);
-    // First materialization adopts the payload's configuration (level,
-    // schema, projection, filter) and seeds the routing hull; a re-fault
-    // after eviction must not rewrite them — readers may be looking, and
-    // the manifest cross-checks prove the re-loaded values are identical.
-    const bool first =
-        !residency_[s]->hull_known.load(std::memory_order_relaxed);
-    std::unique_ptr<GeoBlock> loaded = ParseShardPayload(
-        payload, src.payload_crcs[s], src.state_rows[s], src.window_rows[s],
-        src.manifest_change_number, s == 0 ? nullptr : blocks_[0].get());
-    blocks_[s]->AdoptDeserialized(std::move(*loaded), /*adopt_config=*/first);
+    HydrateShard(s,
+                 ReadFileBytes(src.file, src.shim,
+                               m.manifest_bytes + m.payload_offsets[s],
+                               m.payload_sizes[s], &scratch),
+                 m);
   } catch (const std::exception& e) {
     // Typed containment: the caller learns which shard is damaged; the
     // set stays healthy (this shard stays a tombstone and throws the same
     // way on the next route to it; every other shard is unaffected).
     throw ShardFaultError(s, e.what());
   }
-  residency_[s]->hull_known.store(true, std::memory_order_release);
-  residency_[s]->resident.store(true, std::memory_order_release);
   residency_[s]->faults.fetch_add(1, std::memory_order_relaxed);
   if (governor_ != nullptr && residency_[s]->entry != nullptr) {
     governor_->RecordFault(residency_[s]->entry);
@@ -205,7 +165,6 @@ std::shared_ptr<const BlockState> BlockSet::ResidentState(
 }
 
 void BlockSet::EnsureResident(size_t s) const {
-  if (source_ == nullptr) return;
   if (!blocks_[s]->StateSnapshot()->evicted) return;
   std::lock_guard<std::mutex> lock(residency_[s]->mu);
   if (!blocks_[s]->StateSnapshot()->evicted) return;
@@ -213,7 +172,6 @@ void BlockSet::EnsureResident(size_t s) const {
 }
 
 size_t BlockSet::resident_shards() const {
-  if (source_ == nullptr) return blocks_.size();
   size_t n = 0;
   for (const std::shared_ptr<ShardResidency>& r : residency_) {
     if (r->resident.load(std::memory_order_acquire)) ++n;
@@ -230,7 +188,7 @@ uint64_t BlockSet::shard_fault_count() const {
 }
 
 void BlockSet::RegisterShardEntry(size_t s) {
-  if (governor_ == nullptr || source_ == nullptr) return;
+  if (governor_ == nullptr) return;
   const std::shared_ptr<ShardResidency> res = residency_[s];
   if (res->entry != nullptr) {
     governor_->Unregister(res->entry);
@@ -272,7 +230,7 @@ void BlockSet::RegisterShardEntry(size_t s) {
 }
 
 void BlockSet::RegisterTrieEntry(size_t s) {
-  if (governor_ == nullptr || source_ == nullptr || !cache_enabled()) return;
+  if (governor_ == nullptr || !cache_enabled()) return;
   const std::shared_ptr<ShardResidency> res = residency_[s];
   if (res->trie_entry != nullptr) {
     governor_->Unregister(res->trie_entry);
@@ -293,7 +251,6 @@ void BlockSet::RegisterTrieEntry(size_t s) {
 void BlockSet::UnregisterGovernorEntries() {
   if (governor_ == nullptr) return;
   for (const std::shared_ptr<ShardResidency>& res : residency_) {
-    if (res == nullptr) continue;
     if (res->entry != nullptr) {
       governor_->Unregister(res->entry);
       res->entry = nullptr;

@@ -567,14 +567,15 @@ class GeoBlock {
   /// @param state The version to persist.
   void WriteStateTo(std::ostream& out, const BlockState& state) const;
 
-  // -- Lazy materialization plane (BlockSet::OpenMapped machinery) --------
+  // -- Materialization plane (BlockSet::ReadFrom / OpenMapped machinery) --
   //
-  // A lazily opened set constructs its shard GeoBlocks as empty shells
-  // whose published state is a tombstone (`BlockState::evicted`), then
-  // materializes each shard on first route by deserializing its payload
-  // and publishing the loaded state INTO the existing block — the block
-  // object, its SnapshotCell, and the pointers GeoBlockQC and concurrent
-  // readers hold all stay valid. Both calls below are state-cell writes
+  // A loaded set constructs its shard GeoBlocks as empty shells whose
+  // published state is a tombstone (`BlockState::evicted`), then
+  // materializes each shard — at load (ReadFrom) or on first route
+  // (OpenMapped) — by deserializing its payload and publishing the
+  // loaded state INTO the existing block. The block object, its
+  // SnapshotCell, and the pointers GeoBlockQC and concurrent readers
+  // hold all stay valid. Both calls below are state-cell writes
   // and must obey the external-serialization contract BlockSet provides
   // (per-shard writer/residency locks; see docs/ARCHITECTURE.md §Memory
   // governance for the exact lock pairing).

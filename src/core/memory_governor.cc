@@ -65,16 +65,23 @@ void MemoryGovernor::EnsureBudget() {
   if (resident_.load(std::memory_order_relaxed) > budget &&
       !candidates.empty()) {
     // Bucketed LRU with hit-count cost tie-break; strict recency breaks
-    // the final tie so the order is total.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const EntryHandle& a, const EntryHandle& b) {
-                const uint64_t la =
-                    a->last_access_.load(std::memory_order_relaxed);
-                const uint64_t lb =
-                    b->last_access_.load(std::memory_order_relaxed);
-                return std::make_tuple(la / kRecencyBucket, a->hits(), la) <
-                       std::make_tuple(lb / kRecencyBucket, b->hits(), lb);
-              });
+    // the final tie so the order is total. Each key is read once before
+    // sorting: readers keep touching entries meanwhile, and a comparator
+    // over live atomics is no strict weak ordering (std::sort may then
+    // run off the range).
+    using RankKey = std::tuple<uint64_t, uint64_t, uint64_t>;
+    std::vector<std::pair<RankKey, EntryHandle>> ranked;
+    ranked.reserve(candidates.size());
+    for (EntryHandle& e : candidates) {
+      const uint64_t last = e->last_access_.load(std::memory_order_relaxed);
+      ranked.emplace_back(RankKey{last / kRecencyBucket, e->hits(), last},
+                          std::move(e));
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      candidates[i] = std::move(ranked[i].second);
+    }
     // Never evict the most recently touched entry: when the budget is
     // smaller than one hot shard, the alternative is fault-evict
     // ping-pong on exactly the shard the current query needs.

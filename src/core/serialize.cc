@@ -246,8 +246,8 @@ void BlockSet::WriteTo(std::ostream& out) const {
   const size_t k = blocks_.size();
   if (k == 0 || boundaries_.size() != k + 1 || windows_.size() != k) {
     throw std::logic_error(
-        "BlockSet::WriteTo: set has no manifest metadata (only sets from "
-        "Build or ReadFrom can be persisted)");
+        "BlockSet::WriteTo: set has no manifest metadata (a "
+        "default-constructed set cannot be persisted)");
   }
 
   // Serialize every shard payload first: the manifest needs their sizes
@@ -255,16 +255,15 @@ void BlockSet::WriteTo(std::ostream& out) const {
   // and the manifest's state_rows cross-check come from that same pinned
   // version, so the two can never disagree — not even on a lazily opened
   // set where the governor may evict (unpublish) the shard between the
-  // two reads. On a lazy set, cold shards are faulted in first (a
-  // tombstone has no aggregates to persist).
+  // two reads. Cold shards are faulted in first (a tombstone has no
+  // aggregates to persist).
   std::vector<std::string> payloads;
   std::vector<uint64_t> state_rows;
   payloads.reserve(k);
   state_rows.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     const std::shared_ptr<const BlockState> state =
-        source_ != nullptr ? ResidentState(i, /*rebalance=*/false)
-                           : blocks_[i]->StateSnapshot();
+        ResidentState(i, /*rebalance=*/false);
     std::ostringstream payload(std::ios::binary);
     blocks_[i]->WriteStateTo(payload, *state);
     payloads.push_back(std::move(payload).str());
@@ -279,7 +278,7 @@ void BlockSet::WriteTo(std::ostream& out) const {
     uint64_t count = 0;
     const size_t count_pos = pending_section.size();
     pending_section.append(sizeof(uint64_t), '\0');
-    if (i < writers_.size() && writers_[i] != nullptr) {
+    {
       ShardWriter& w = *writers_[i];
       std::lock_guard<std::mutex> lock(w.mu);
       count = w.pending.size();
@@ -324,7 +323,7 @@ void BlockSet::WriteTo(std::ostream& out) const {
             static_cast<std::streamsize>(pending_section.size()));
   // Persisting a lazy set faulted every cold shard in; hand the overshoot
   // back to the governor now that the payloads are on their way out.
-  if (source_ != nullptr && governor_ != nullptr) governor_->EnsureBudget();
+  if (governor_ != nullptr) governor_->EnsureBudget();
 }
 
 namespace serialize {
@@ -445,23 +444,22 @@ SetManifest ReadSetManifest(std::istream& in) {
 
 }  // namespace serialize
 
-std::unique_ptr<GeoBlock> BlockSet::ParseShardPayload(
-    std::string_view payload, uint32_t expected_crc, uint64_t state_rows,
-    uint64_t window_rows, uint64_t manifest_change_number,
-    const GeoBlock* reference) {
-  if (serialize::Crc32(payload) != expected_crc) {
+GeoBlock BlockSet::ParseShardPayload(std::string_view payload,
+                                     const serialize::SetManifest& m,
+                                     size_t s, const GeoBlock* reference) {
+  if (serialize::Crc32(payload) != m.payload_crcs[s]) {
     throw std::runtime_error(
         "geoblocks: BlockSet shard payload checksum mismatch");
   }
   io::ViewStream payload_stream(payload);
-  auto block = std::make_unique<GeoBlock>(GeoBlock::ReadFrom(payload_stream));
+  GeoBlock block = GeoBlock::ReadFrom(payload_stream);
   if (payload_stream.peek() != std::istream::traits_type::eof()) {
     throw std::runtime_error(
         "geoblocks: BlockSet shard payload has trailing bytes");
   }
   if (reference != nullptr &&
-      (block->level() != reference->level() ||
-       block->num_columns() != reference->num_columns())) {
+      (block.level() != reference->level() ||
+       block.num_columns() != reference->num_columns())) {
     throw std::runtime_error(
         "geoblocks: BlockSet shards disagree on level or schema width");
   }
@@ -469,20 +467,64 @@ std::unique_ptr<GeoBlock> BlockSet::ParseShardPayload(
   // shard's post-update row count (state_rows), so the payload's global
   // count must equal it — no permissive `>=` (docs/FORMAT.md, "Updates
   // and re-serialization").
-  if (block->header().global.count != state_rows) {
+  if (block.header().global.count != m.state_rows[s]) {
     throw std::runtime_error(
         "geoblocks: BlockSet shard row count does not match its manifest "
         "state rows");
   }
   // And on a never-updated set without a filter, every window row was
   // aggregated, so the state rows must equal the window exactly.
-  if (manifest_change_number == 0 && block->filter().IsTrue() &&
-      state_rows != window_rows) {
+  if (m.change_number == 0 && block.filter().IsTrue() &&
+      m.state_rows[s] != m.window_rows[s]) {
     throw std::runtime_error(
         "geoblocks: BlockSet shard row count does not match its manifest "
         "window");
   }
   return block;
+}
+
+BlockSet BlockSet::FromManifest(const serialize::SetManifest& m) {
+  const uint64_t k = m.shard_count;
+  BlockSet set;
+  set.align_level_ = m.align_level;
+  set.total_rows_ = m.total_rows;
+  set.change_number_.store(m.change_number, std::memory_order_relaxed);
+  set.boundaries_ = m.boundaries;
+  set.windows_.resize(k);
+  for (size_t i = 0; i < k; ++i) {
+    set.windows_[i] = {m.window_offsets[i], m.window_rows[i]};
+  }
+  set.blocks_.reserve(k);
+  set.writers_.reserve(k);
+  set.residency_.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    // Each shard starts as a tombstone shell: "mapped, not materialized".
+    // The block object (and its snapshot cell) is the one readers, caches,
+    // and queued merges will hold for the set's whole life — hydration and
+    // eviction republish INTO it, never replace it.
+    auto shell = std::make_unique<GeoBlock>();
+    shell->EvictState();
+    set.blocks_.push_back(std::move(shell));
+    set.writers_.push_back(std::make_shared<ShardWriter>());
+    set.residency_.push_back(
+        std::make_shared<ShardResidency>(/*materialized=*/false));
+  }
+  return set;
+}
+
+void BlockSet::HydrateShard(size_t s, std::string_view payload,
+                            const serialize::SetManifest& m) const {
+  // First hydration adopts the payload's configuration (level, schema,
+  // projection, filter) and seeds the routing hull; a re-fault after
+  // eviction must not rewrite them — readers may be looking, and the
+  // manifest cross-checks prove the re-loaded values are identical.
+  ShardResidency& res = *residency_[s];
+  const bool first = !res.hull_known.load(std::memory_order_relaxed);
+  blocks_[s]->AdoptDeserialized(
+      ParseShardPayload(payload, m, s, s == 0 ? nullptr : blocks_[0].get()),
+      /*adopt_config=*/first);
+  res.hull_known.store(true, std::memory_order_release);
+  res.resident.store(true, std::memory_order_release);
 }
 
 void BlockSet::RestorePendingTuples(std::string_view pending_section,
@@ -522,37 +564,27 @@ void BlockSet::RestorePendingTuples(std::string_view pending_section,
 
 BlockSet BlockSet::ReadFrom(std::istream& in) {
   serialize::RequireLittleEndianHost();
-  // Shared header pass: the eager and lazy (OpenMapped) loaders validate
-  // the same manifest the same way; they differ only in when payload bytes
+  // The eager and lazy (OpenMapped) loaders share the manifest decoder,
+  // FromManifest and HydrateShard; they differ only in when payload bytes
   // are touched (here: immediately; lazily: on first route to the shard).
   const serialize::SetManifest m = serialize::ReadSetManifest(in);
-  const uint64_t k = m.shard_count;
+  BlockSet set = FromManifest(m);
 
-  BlockSet set;
-  set.align_level_ = m.align_level;
-  set.total_rows_ = m.total_rows;
-  set.change_number_.store(m.change_number, std::memory_order_relaxed);
-  set.boundaries_ = m.boundaries;
-  set.windows_.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    set.windows_[i] = {m.window_offsets[i], m.window_rows[i]};
-  }
-
-  // Shard payloads: checksum each one, then parse it in isolation so a
-  // payload that lies about its length cannot bleed into its neighbor.
-  set.blocks_.reserve(k);
+  // Shard payloads, in shard order (shard 0 donates the configuration the
+  // others are cross-checked against): each is read whole and parsed in
+  // isolation, so a payload that lies about its length cannot bleed into
+  // its neighbor.
   std::string payload;
-  for (size_t i = 0; i < k; ++i) {
+  for (size_t i = 0; i < m.shard_count; ++i) {
     payload.resize(m.payload_sizes[i]);
     in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
     if (!in) {
       throw std::runtime_error("geoblocks: truncated BlockSet shard payload");
     }
-    set.blocks_.push_back(ParseShardPayload(
-        payload, m.payload_crcs[i], m.state_rows[i], m.window_rows[i],
-        m.change_number, i == 0 ? nullptr : set.blocks_.front().get()));
-    set.writers_.push_back(std::make_shared<BlockSet::ShardWriter>());
+    set.HydrateShard(i, payload, m);
   }
+  set.level_ = set.blocks_.front()->level();
+  set.projection_ = set.blocks_.front()->projection();
 
   // Pending-updates section: checksum, then restore each shard's buffered
   // new-region tuples exactly as they were saved.
@@ -564,9 +596,6 @@ BlockSet BlockSet::ReadFrom(std::istream& in) {
         "geoblocks: truncated BlockSet pending section");
   }
   set.RestorePendingTuples(pending_section, m.pending_crc);
-  set.level_ = set.blocks_.front()->level();
-  set.projection_ = set.blocks_.front()->projection();
-  set.dataset_attached_ = false;
   return set;
 }
 

@@ -127,6 +127,16 @@ TEST_F(BlockSetPersistTest, RoundTripBitIdenticalAcrossShardCounts) {
     EXPECT_EQ(loaded.num_cells(), set.num_cells());
     EXPECT_FALSE(loaded.dataset_attached());
     ExpectBitIdenticalAnswers(loaded, set, "round trip");
+    // Built and eagerly loaded sets keep residency records like a mapped
+    // set, but every shard is resident and none was ever faulted in.
+    for (const BlockSet* s : {&set, &loaded}) {
+      EXPECT_FALSE(s->lazy());
+      EXPECT_EQ(s->resident_shards(), s->num_shards());
+      for (size_t i = 0; i < s->num_shards(); ++i) {
+        EXPECT_TRUE(s->shard_resident(i)) << "k=" << k << " shard " << i;
+      }
+      EXPECT_EQ(s->shard_fault_count(), 0u);
+    }
   }
 }
 

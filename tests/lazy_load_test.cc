@@ -160,6 +160,12 @@ TEST_F(LazyLoadTest, MappedAnswersBitIdenticalToEagerAcrossShardCounts) {
     EXPECT_EQ(mapped.boundaries(), eager.boundaries());
     ExpectBitIdentical(mapped, eager);
     EXPECT_EQ(mapped.num_cells(), eager.num_cells());
+    // WriteTo hydrates every cold shard and reproduces the mapped file.
+    const BlockSet remapped = BlockSet::OpenMapped(path_);
+    std::ostringstream out(std::ios::binary);
+    remapped.WriteTo(out);
+    EXPECT_EQ(out.str(), ReadFileBytes()) << "k=" << k;
+    EXPECT_EQ(remapped.resident_shards(), k);
   }
 }
 
