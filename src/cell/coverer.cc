@@ -1,24 +1,10 @@
 #include "cell/coverer.h"
 
-#include <algorithm>
 #include <cmath>
-#include <queue>
 
 namespace geoblocks::cell {
 
 namespace {
-
-struct Candidate {
-  CellId cell;
-
-  /// Expand coarser cells first; ties broken by id for determinism.
-  friend bool operator<(const Candidate& a, const Candidate& b) {
-    const int la = a.cell.level();
-    const int lb = b.cell.level();
-    if (la != lb) return la > lb;  // priority_queue: smaller level on top
-    return a.cell > b.cell;
-  }
-};
 
 /// Smallest single cell whose rectangle contains `bounds` (Root() if none
 /// smaller does).
@@ -32,99 +18,43 @@ CellId SmallestEnclosingCell(const geo::Rect& bounds) {
   return cell;
 }
 
-/// Merges complete sibling quadruples into their parent, bottom-up, marking
-/// the merged cell interior only when all four children were interior.
-void Canonicalize(std::vector<CoveringCell>* cells, int min_level) {
-  std::sort(cells->begin(), cells->end(),
-            [](const CoveringCell& a, const CoveringCell& b) {
-              return a.cell < b.cell;
-            });
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    std::vector<CoveringCell> out;
-    out.reserve(cells->size());
-    size_t i = 0;
-    while (i < cells->size()) {
-      const CellId c = (*cells)[i].cell;
-      const int lvl = c.level();
-      if (lvl > min_level && i + 3 < cells->size()) {
-        const CellId parent = c.Parent();
-        bool all_siblings = c == parent.Child(0);
-        bool all_interior = true;
-        for (int k = 0; all_siblings && k < 4; ++k) {
-          const CoveringCell& cc = (*cells)[i + k];
-          if (cc.cell != parent.Child(k)) all_siblings = false;
-          all_interior = all_interior && cc.interior;
-        }
-        if (all_siblings) {
-          out.push_back({parent, all_interior});
-          i += 4;
-          merged = true;
-          continue;
-        }
-      }
-      out.push_back((*cells)[i]);
-      ++i;
-    }
-    *cells = std::move(out);
+/// Emits the covering of `polygon` within `cell` into `*out` in ascending
+/// cell id order, merging four just-emitted children back into `cell`.
+void CoverCell(const geo::Polygon& polygon, CellId cell, int max_level,
+               std::vector<CoveringCell>* out) {
+  const bool contained = polygon.ContainsRect(cell.ToRect());
+  if (contained || cell.level() >= max_level) {
+    out->push_back({cell, contained});
+    return;
   }
+  const size_t first = out->size();
+  for (int k = 0; k < 4; ++k) {
+    const CellId child = cell.Child(k);
+    if (polygon.IntersectsRect(child.ToRect())) {
+      CoverCell(polygon, child, max_level, out);
+    }
+  }
+  if (out->size() != first + 4) return;
+  bool interior = true;
+  for (int k = 0; k < 4; ++k) {
+    const CoveringCell& cc = (*out)[first + k];
+    if (cc.cell != cell.Child(k)) return;
+    interior = interior && cc.interior;
+  }
+  out->resize(first);
+  out->push_back({cell, interior});
 }
 
 }  // namespace
 
-std::vector<CoveringCell> GetCovering(const UnitRegion& region,
-                                      const CovererOptions& options) {
-  std::vector<CoveringCell> result;
-  const geo::Rect bounds = region.Bounds();
-  if (bounds.IsEmpty()) return result;
-
-  std::priority_queue<Candidate> queue;
-  CellId seed = SmallestEnclosingCell(bounds);
-  if (seed.level() > options.max_level) seed = seed.Parent(options.max_level);
-  queue.push({seed});
-
-  while (!queue.empty()) {
-    const CellId c = queue.top().cell;
-    queue.pop();
-    const geo::Rect rect = c.ToRect();
-    const bool contained = region.Contains(rect);
-    const int lvl = c.level();
-    // A cell below min_level must always be expanded, budget or not, so
-    // that every emitted cell satisfies the level constraints.
-    if (lvl >= options.min_level) {
-      const bool budget_exhausted =
-          result.size() + queue.size() + 3 > options.max_cells;
-      if (contained || lvl >= options.max_level || budget_exhausted) {
-        result.push_back({c, contained});
-        continue;
-      }
-    }
-    for (const CellId& child : c.Children()) {
-      if (region.MayIntersect(child.ToRect())) {
-        queue.push({child});
-      }
-    }
-  }
-
-  Canonicalize(&result, options.min_level);
-  return result;
-}
-
-std::vector<CellId> GetCoveringCells(const UnitRegion& region,
-                                     const CovererOptions& options) {
-  std::vector<CellId> cells;
-  GetCoveringCellsInto(region, options, &cells);
-  return cells;
-}
-
-void GetCoveringCellsInto(const UnitRegion& region,
-                          const CovererOptions& options,
-                          std::vector<CellId>* out) {
+void GetCovering(const geo::Polygon& polygon, int max_level,
+                 std::vector<CoveringCell>* out) {
   out->clear();
-  for (const CoveringCell& cc : GetCovering(region, options)) {
-    out->push_back(cc.cell);
-  }
+  const geo::Rect& bounds = polygon.Bounds();
+  if (bounds.IsEmpty()) return;
+  CellId seed = SmallestEnclosingCell(bounds);
+  if (seed.level() > max_level) seed = seed.Parent(max_level);
+  CoverCell(polygon, seed, max_level, out);
 }
 
 geo::Rect GetInteriorRect(const geo::Polygon& polygon) {

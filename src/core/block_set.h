@@ -224,9 +224,9 @@ class BlockSet {
   /// @param polygon Query polygon in lat/lng coordinates.
   /// @return Sorted, disjoint covering cells no finer than level().
   std::vector<cell::CellId> Cover(const geo::Polygon& polygon) const;
-  /// Allocation-reusing variant: clears and refills `*out` (its capacity is
-  /// kept, so a thread-local scratch vector amortizes to zero allocations
-  /// per query once warm).
+  /// Allocation-reusing variant: clears and refills `*out`, keeping its
+  /// capacity (see CoverPolygonInto). Once warm, the one allocation left
+  /// per call is Projection::ToUnit's unit-space copy of the polygon.
   ///
   /// @param polygon Query polygon in lat/lng coordinates.
   /// @param out     Receives the sorted, disjoint covering cells.

@@ -467,11 +467,10 @@ std::vector<cell::CellId> CoverPolygon(const geo::Projection& projection,
 void CoverPolygonInto(const geo::Projection& projection, int level,
                       const geo::Polygon& polygon,
                       std::vector<cell::CellId>* out) {
-  const geo::Polygon unit = projection.ToUnit(polygon);
-  const cell::PolygonRegion region(&unit);
-  cell::CovererOptions options;
-  options.max_level = level;
-  cell::GetCoveringCellsInto(region, options, out);
+  thread_local std::vector<cell::CoveringCell> covering;
+  cell::GetCovering(projection.ToUnit(polygon), level, &covering);
+  out->clear();
+  for (const cell::CoveringCell& cc : covering) out->push_back(cc.cell);
 }
 
 std::vector<cell::CellId> GeoBlock::Cover(const geo::Polygon& polygon) const {

@@ -38,8 +38,9 @@ struct BlockHeader {
 };
 
 /// Covering policy shared by every block-shaped engine (GeoBlock,
-/// BlockSet): project the query polygon onto the unit square and cover it
-/// with cells no finer than `level` (Section 3.5).
+/// BlockSet) and the cell-sorted baselines (BinarySearchIndex, BTreeIndex):
+/// project the query polygon onto the unit square and cover it with cells
+/// no finer than `level` (Section 3.5) through cell::GetCovering.
 ///
 /// @param projection Mapping from lat/lng onto the unit square.
 /// @param level      Finest cell level the covering may use.
@@ -51,6 +52,9 @@ std::vector<cell::CellId> CoverPolygon(const geo::Projection& projection,
 
 /// Allocation-reusing variant of CoverPolygon: clears and refills `*out`,
 /// keeping its capacity (for thread-local scratch buffers on query paths).
+/// The coverer writes into a thread-local scratch vector, so once that and
+/// `*out` are warm the one allocation left per call is the unit-space copy
+/// of the polygon made by Projection::ToUnit.
 ///
 /// @param projection Mapping from lat/lng onto the unit square.
 /// @param level      Finest cell level the covering may use.
@@ -354,16 +358,6 @@ class GeoBlock {
   /// the rows). Queries keep working; refinement throws until the next
   /// AttachData. No-op on an already-detached block.
   void DetachData() { data_ = storage::DatasetView(); }
-
-  /// Covering options a query against this block must use: covering cells
-  /// are never finer than the block's grid (Section 3.5).
-  ///
-  /// @return Coverer options with max_level set to the block level.
-  cell::CovererOptions QueryCovererOptions() const {
-    cell::CovererOptions o;
-    o.max_level = level_;
-    return o;
-  }
 
   /// Computes the covering of a (lat/lng) query polygon for this block.
   ///

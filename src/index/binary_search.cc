@@ -1,16 +1,12 @@
 #include "index/binary_search.h"
 
-#include "cell/coverer.h"
+#include "core/geoblock.h"
 
 namespace geoblocks::index {
 
 std::vector<cell::CellId> BinarySearchIndex::Cover(
     const geo::Polygon& polygon, int cover_level) const {
-  const geo::Polygon unit = data_->projection().ToUnit(polygon);
-  const cell::PolygonRegion region(&unit);
-  cell::CovererOptions options;
-  options.max_level = cover_level;
-  return cell::GetCoveringCells(region, options);
+  return core::CoverPolygon(data_->projection(), cover_level, polygon);
 }
 
 core::QueryResult BinarySearchIndex::Select(

@@ -20,8 +20,9 @@ class BinarySearchIndex {
 
   const storage::SortedDataset& data() const { return *data_; }
 
-  /// Covers the polygon with cells no finer than `cover_level` (the same
-  /// covering the corresponding GeoBlock would use, for comparability).
+  /// Covers the polygon with cells no finer than `cover_level` through
+  /// core::CoverPolygon (the same covering the corresponding GeoBlock
+  /// would use, for comparability).
   std::vector<cell::CellId> Cover(const geo::Polygon& polygon,
                                   int cover_level) const;
 

@@ -1,16 +1,12 @@
 #include "index/btree_index.h"
 
-#include "cell/coverer.h"
+#include "core/geoblock.h"
 
 namespace geoblocks::index {
 
 std::vector<cell::CellId> BTreeIndex::Cover(const geo::Polygon& polygon,
                                             int cover_level) const {
-  const geo::Polygon unit = data_->projection().ToUnit(polygon);
-  const cell::PolygonRegion region(&unit);
-  cell::CovererOptions options;
-  options.max_level = cover_level;
-  return cell::GetCoveringCells(region, options);
+  return core::CoverPolygon(data_->projection(), cover_level, polygon);
 }
 
 core::QueryResult BTreeIndex::Select(const geo::Polygon& polygon,

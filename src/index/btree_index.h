@@ -21,6 +21,8 @@ class BTreeIndex {
 
   const BTree& tree() const { return tree_; }
 
+  /// Covers the polygon with cells no finer than `cover_level` through
+  /// core::CoverPolygon, like BinarySearchIndex::Cover.
   std::vector<cell::CellId> Cover(const geo::Polygon& polygon,
                                   int cover_level) const;
 

@@ -10,11 +10,8 @@ namespace geoblocks::workload {
 uint64_t ExactCount(const storage::SortedDataset& data,
                     const geo::Polygon& polygon, int fine_level) {
   const geo::Polygon unit = data.projection().ToUnit(polygon);
-  const cell::PolygonRegion region(&unit);
-  cell::CovererOptions options;
-  options.max_level = fine_level;
-  const std::vector<cell::CoveringCell> covering =
-      cell::GetCovering(region, options);
+  std::vector<cell::CoveringCell> covering;
+  cell::GetCovering(unit, fine_level, &covering);
 
   // Boundary cells refine through the batched point-in-polygon kernel over
   // the contiguous x/y arrays (bit-identical to Polygon::Contains per row).

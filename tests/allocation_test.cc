@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "cell/coverer.h"
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "storage/sharded_dataset.h"
@@ -40,11 +41,12 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace geoblocks::core {
 namespace {
 
-/// Steady-state allocation behavior of the two serving hot paths: the
-/// cached SELECT read path (SelectCoveringCachedInto) and the MVCC commit
-/// fast path (ApplyBatchUpdate routed through the per-shard clone-patch
-/// publish). Both must reach zero heap allocations once their reusable
-/// scratch — thread-local routing/classify buffers, the block-state arena,
+/// Steady-state allocation behavior of the serving hot paths: the
+/// unit-space coverer, the cached SELECT read path
+/// (SelectCoveringCachedInto) and the MVCC commit fast path
+/// (ApplyBatchUpdate routed through the per-shard clone-patch publish). Each
+/// must reach zero heap allocations once its reusable scratch — the output
+/// covering, thread-local routing/classify buffers, the block-state arena,
 /// the recycled trie spare, and the caller's QueryResult — is warm.
 class AllocationTest : public ::testing::Test {
  protected:
@@ -144,6 +146,60 @@ TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {
       << "steady-state cached SELECT must not allocate";
   EXPECT_EQ(result.count, want.count);
   EXPECT_EQ(result.values, want.values);
+}
+
+TEST_F(AllocationTest, CovererIntoWarmVectorIsAllocationFree) {
+  // The unit-space coverer recurses on the call stack and merges siblings
+  // in place, so writing into a vector that already has the capacity makes
+  // no heap allocation. (CoverInto adds Projection::ToUnit's copy.)
+  const auto polygons = workload::Neighborhoods(raw_, 4, 11);
+  ASSERT_FALSE(polygons.empty());
+  std::vector<geo::Polygon> units;
+  for (const geo::Polygon& p : polygons) {
+    units.push_back(data_->projection().ToUnit(p));
+  }
+  std::vector<cell::CoveringCell> covering;
+  for (const geo::Polygon& unit : units) {
+    cell::GetCovering(unit, kLevel, &covering);
+  }
+  const std::vector<cell::CoveringCell> want = covering;
+  ASSERT_FALSE(want.empty());
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 50; ++i) {
+    for (const geo::Polygon& unit : units) {
+      cell::GetCovering(unit, kLevel, &covering);
+    }
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "steady-state covering must not allocate";
+  EXPECT_EQ(covering, want);
+}
+
+TEST_F(AllocationTest, CoverIntoAllocatesOnlyTheUnitPolygon) {
+  // BlockSet::CoverInto = Projection::ToUnit + the coverer into a
+  // thread-local scratch + a copy into the caller's vector; once both
+  // vectors are warm, ToUnit's copy of the polygon is all that allocates.
+  const auto polygons = workload::Neighborhoods(raw_, 4, 11);
+  ASSERT_FALSE(polygons.empty());
+  std::vector<cell::CellId> covering;
+  for (const geo::Polygon& p : polygons) set_.CoverInto(p, &covering);
+
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const geo::Polygon& p : polygons) {
+    const geo::Polygon unit = data_->projection().ToUnit(p);
+    ASSERT_FALSE(unit.IsEmpty());
+  }
+  const uint64_t to_unit = g_allocations.load(std::memory_order_relaxed) -
+                           before;
+  ASSERT_GT(to_unit, 0u);
+
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (const geo::Polygon& p : polygons) set_.CoverInto(p, &covering);
+  const uint64_t cover_into =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(cover_into, to_unit)
+      << "CoverInto must allocate only Projection::ToUnit's polygon copy";
 }
 
 TEST_F(AllocationTest, CommitFastPathSteadyStateIsAllocationFree) {

@@ -1,24 +1,274 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
 #include <random>
+#include <string>
 
 #include "cell/coverer.h"
+#include "storage/sorted_dataset.h"
+#include "workload/datagen.h"
+#include "workload/polygen.h"
 
 namespace geoblocks::cell {
 namespace {
 
+std::vector<CoveringCell> Cover(const geo::Polygon& polygon, int max_level) {
+  std::vector<CoveringCell> covering;
+  GetCovering(polygon, max_level, &covering);
+  return covering;
+}
+
+// ---------------------------------------------------------------------------
+// Reference coverer: the S2RegionCoverer-style best-first expansion this
+// library used before the depth-first coverer, fixed at min level 0 with no
+// cell budget (the only configuration any caller used). GetCovering must
+// reproduce its output exactly, cells and interior flags both.
+// ---------------------------------------------------------------------------
+
+struct Candidate {
+  CellId cell;
+
+  /// Expand coarser cells first; ties broken by id for determinism.
+  friend bool operator<(const Candidate& a, const Candidate& b) {
+    const int la = a.cell.level();
+    const int lb = b.cell.level();
+    if (la != lb) return la > lb;  // priority_queue: smaller level on top
+    return a.cell > b.cell;
+  }
+};
+
+CellId SmallestEnclosingCell(const geo::Rect& bounds) {
+  CellId cell = CellId::FromPoint(bounds.min);
+  while (cell.level() > 0 && !cell.ToRect().Contains(bounds)) {
+    cell = cell.Parent();
+  }
+  if (!cell.ToRect().Contains(bounds)) return CellId::Root();
+  return cell;
+}
+
+/// Merges complete sibling quadruples into their parent, bottom-up, marking
+/// the merged cell interior only when all four children were interior.
+void Canonicalize(std::vector<CoveringCell>* cells) {
+  std::sort(cells->begin(), cells->end(),
+            [](const CoveringCell& a, const CoveringCell& b) {
+              return a.cell < b.cell;
+            });
+  bool merged = true;
+  while (merged) {
+    merged = false;
+    std::vector<CoveringCell> out;
+    out.reserve(cells->size());
+    size_t i = 0;
+    while (i < cells->size()) {
+      const CellId c = (*cells)[i].cell;
+      if (c.level() > 0 && i + 3 < cells->size()) {
+        const CellId parent = c.Parent();
+        bool all_siblings = c == parent.Child(0);
+        bool all_interior = true;
+        for (int k = 0; all_siblings && k < 4; ++k) {
+          const CoveringCell& cc = (*cells)[i + k];
+          if (cc.cell != parent.Child(k)) all_siblings = false;
+          all_interior = all_interior && cc.interior;
+        }
+        if (all_siblings) {
+          out.push_back({parent, all_interior});
+          i += 4;
+          merged = true;
+          continue;
+        }
+      }
+      out.push_back((*cells)[i]);
+      ++i;
+    }
+    *cells = std::move(out);
+  }
+}
+
+std::vector<CoveringCell> ReferenceCovering(const geo::Polygon& polygon,
+                                            int max_level) {
+  std::vector<CoveringCell> result;
+  const geo::Rect bounds = polygon.Bounds();
+  if (bounds.IsEmpty()) return result;
+
+  std::priority_queue<Candidate> queue;
+  CellId seed = SmallestEnclosingCell(bounds);
+  if (seed.level() > max_level) seed = seed.Parent(max_level);
+  queue.push({seed});
+
+  while (!queue.empty()) {
+    const CellId c = queue.top().cell;
+    queue.pop();
+    const bool contained = polygon.ContainsRect(c.ToRect());
+    if (contained || c.level() >= max_level) {
+      result.push_back({c, contained});
+      continue;
+    }
+    for (const CellId& child : c.Children()) {
+      if (polygon.IntersectsRect(child.ToRect())) {
+        queue.push({child});
+      }
+    }
+  }
+
+  Canonicalize(&result);
+  return result;
+}
+
+/// Covers `polygon` with both coverers, writing the production covering
+/// into the reused `*scratch`, and reports the first difference.
+::testing::AssertionResult MatchesReference(
+    const geo::Polygon& polygon, int level,
+    std::vector<CoveringCell>* scratch) {
+  GetCovering(polygon, level, scratch);
+  const std::vector<CoveringCell> want = ReferenceCovering(polygon, level);
+  const size_t n = std::min(scratch->size(), want.size());
+  for (size_t i = 0; i < n; ++i) {
+    if ((*scratch)[i] != want[i]) {
+      return ::testing::AssertionFailure()
+             << "level " << level << ": cell " << i << " is "
+             << (*scratch)[i].cell << (*scratch)[i].interior
+             << ", reference has " << want[i].cell << want[i].interior;
+    }
+  }
+  if (scratch->size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "level " << level << ": " << scratch->size()
+           << " cells, reference has " << want.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Lat/lng query polygons from every workload generator, projected onto
+/// the unit square the way the engine projects them, checked against the
+/// reference at levels 8-20.
+class CovererOracleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    raw_ = new storage::PointTable(workload::GenTaxi(20000, 29));
+    storage::ExtractOptions options;
+    options.clean_bounds = workload::NycBounds();
+    data_ = new storage::SortedDataset(
+        storage::SortedDataset::Extract(*raw_, options));
+  }
+  static void TearDownTestSuite() {
+    delete data_;
+    delete raw_;
+  }
+
+  static void ExpectAllLevelsMatch(const std::vector<geo::Polygon>& polygons,
+                                   const std::string& generator) {
+    ASSERT_FALSE(polygons.empty());
+    std::vector<CoveringCell> scratch;
+    for (size_t i = 0; i < polygons.size(); ++i) {
+      const geo::Polygon unit = data_->projection().ToUnit(polygons[i]);
+      for (int level = 8; level <= 20; ++level) {
+        ASSERT_TRUE(MatchesReference(unit, level, &scratch))
+            << generator << " polygon " << i;
+      }
+    }
+  }
+
+  static storage::PointTable* raw_;
+  static storage::SortedDataset* data_;
+};
+
+storage::PointTable* CovererOracleTest::raw_ = nullptr;
+storage::SortedDataset* CovererOracleTest::data_ = nullptr;
+
+TEST_F(CovererOracleTest, Neighborhoods) {
+  ExpectAllLevelsMatch(workload::Neighborhoods(*raw_, 100, 5), "neighborhood");
+}
+
+TEST_F(CovererOracleTest, TilingPolygons) {
+  ExpectAllLevelsMatch(
+      workload::TilingPolygons(workload::NycBounds(), 8, 10, 0.3, 7), "tile");
+}
+
+TEST_F(CovererOracleTest, RandomRectangles) {
+  ExpectAllLevelsMatch(
+      workload::RandomRectangles(workload::NycBounds(), 100, 13), "rectangle");
+}
+
+TEST_F(CovererOracleTest, SelectivityPolygons) {
+  std::vector<geo::Polygon> polygons;
+  for (const double fraction : {0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.3,
+                                0.5, 0.7, 0.9}) {
+    polygons.push_back(workload::SelectivityPolygon(*data_, fraction));
+  }
+  ExpectAllLevelsMatch(polygons, "32-gon");
+}
+
+/// Unit-space polygons chosen to land on the predicates' edge cases: edges
+/// along cell borders, vertices on cell corners, holes, slivers and
+/// self-intersecting rings, at levels 0-14. Apart from the unit square the
+/// shapes are kept small, since a covering's cost grows with its perimeter
+/// times 2^level.
+TEST(CovererOracleAdversarialTest, MatchesReference) {
+  std::vector<geo::Polygon> polygons;
+  polygons.push_back(geo::Polygon::FromRect({{0, 0}, {1, 1}}));
+  // Cell-exact rectangles: unions of whole cells at levels 2-8, plus one
+  // reaching past the unit square.
+  for (const auto& [lo, hi] : std::vector<std::pair<geo::Point, geo::Point>>{
+           {{0.5, 0.5}, {0.75, 0.75}},
+           {{0.25, 0.0}, {0.375, 0.125}},
+           {{0.125, 0.375}, {0.3125, 0.4375}},
+           {{3.0 / 64, 5.0 / 64}, {13.0 / 64, 9.0 / 64}},
+           {{0.5, 0.25}, {0.5 + 1.0 / 256, 0.5}},
+           {{-0.0625, -0.0625}, {0.0625, 0.125}}}) {
+    polygons.push_back(geo::Polygon::FromRect({lo, hi}));
+  }
+  // Polygons with a hole: one with cell-aligned edges, one skewed.
+  geo::Polygon aligned = geo::Polygon::FromRect({{0.5, 0.0}, {0.75, 0.25}});
+  aligned.AddRing({{0.5625, 0.0625}, {0.6875, 0.0625}, {0.6875, 0.1875},
+                   {0.5625, 0.1875}});
+  polygons.push_back(aligned);
+  geo::Polygon skewed{{0.1, 0.62}, {0.3, 0.64}, {0.28, 0.83}, {0.11, 0.8}};
+  skewed.AddRing({{0.16, 0.68}, {0.23, 0.7}, {0.2, 0.76}});
+  polygons.push_back(skewed);
+  // Slivers: a near-degenerate triangle, one lying on a cell border, and a
+  // zero-area triangle.
+  polygons.push_back(
+      geo::Polygon{{0.6, 0.3}, {0.8, 0.3 + 1e-9}, {0.8, 0.3}});
+  polygons.push_back(
+      geo::Polygon{{0.5, 0.5}, {0.7, 0.5}, {0.6, 0.5 + 1e-7}});
+  polygons.push_back(geo::Polygon{{0.8, 0.8}, {0.85, 0.85}, {0.95, 0.95}});
+  // Quads, most of them self-intersecting, with vertices on the 1/64 grid
+  // (corners of level-6 cells) inside a 16x16 window of that grid.
+  std::mt19937_64 rng(64);
+  std::uniform_int_distribution<int> window(0, 48);
+  std::uniform_int_distribution<int> step(0, 16);
+  for (int q = 0; q < 16; ++q) {
+    const int x0 = window(rng);
+    const int y0 = window(rng);
+    geo::Ring ring;
+    for (int v = 0; v < 4; ++v) {
+      ring.push_back({(x0 + step(rng)) / 64.0, (y0 + step(rng)) / 64.0});
+    }
+    polygons.emplace_back(std::move(ring));
+  }
+
+  std::vector<CoveringCell> scratch;
+  for (size_t i = 0; i < polygons.size(); ++i) {
+    for (int level = 0; level <= 14; ++level) {
+      ASSERT_TRUE(MatchesReference(polygons[i], level, &scratch))
+          << "adversarial polygon " << i;
+    }
+  }
+}
+
 TEST(CovererTest, EmptyRegion) {
-  const geo::Polygon empty;
-  const PolygonRegion region(&empty);
-  EXPECT_TRUE(GetCovering(region, CovererOptions{}).empty());
+  std::vector<CoveringCell> covering = {{CellId::Root(), true}};
+  GetCovering(geo::Polygon(), 10, &covering);
+  EXPECT_TRUE(covering.empty());
 }
 
 TEST(CovererTest, WholeSquare) {
-  const geo::Rect all{{0, 0}, {1, 1}};
-  const RectRegion region(all);
-  CovererOptions options;
-  options.max_level = 10;
-  const auto covering = GetCovering(region, options);
+  // A polygon enclosing the unit square: ContainsRect is conservative for a
+  // rectangle touching the polygon's boundary, so the polygon reaches past
+  // the square on every side.
+  const geo::Polygon around = geo::Polygon::FromRect({{-1, -1}, {2, 2}});
+  const auto covering = Cover(around, 10);
   ASSERT_EQ(covering.size(), 1u);
   EXPECT_EQ(covering[0].cell, CellId::Root());
   EXPECT_TRUE(covering[0].interior);
@@ -26,10 +276,7 @@ TEST(CovererTest, WholeSquare) {
 
 TEST(CovererTest, CoveringContainsRegion) {
   const geo::Polygon poly{{0.2, 0.2}, {0.7, 0.3}, {0.6, 0.8}, {0.25, 0.6}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 12;
-  const auto covering = GetCovering(region, options);
+  const auto covering = Cover(poly, 12);
   ASSERT_FALSE(covering.empty());
 
   // Every point of the region must be inside some covering cell.
@@ -51,10 +298,7 @@ TEST(CovererTest, CoveringContainsRegion) {
 
 TEST(CovererTest, CellsAreDisjointAndSorted) {
   const geo::Polygon poly{{0.1, 0.1}, {0.9, 0.15}, {0.5, 0.9}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 11;
-  const auto covering = GetCovering(region, options);
+  const auto covering = Cover(poly, 11);
   for (size_t i = 1; i < covering.size(); ++i) {
     ASSERT_LT(covering[i - 1].cell, covering[i].cell);
     ASSERT_FALSE(covering[i - 1].cell.Intersects(covering[i].cell));
@@ -63,10 +307,7 @@ TEST(CovererTest, CellsAreDisjointAndSorted) {
 
 TEST(CovererTest, InteriorCellsAreInsidePolygon) {
   const geo::Polygon poly{{0.1, 0.1}, {0.9, 0.1}, {0.9, 0.9}, {0.1, 0.9}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 8;
-  const auto covering = GetCovering(region, options);
+  const auto covering = Cover(poly, 8);
   bool any_interior = false;
   for (const CoveringCell& cc : covering) {
     if (cc.interior) {
@@ -78,56 +319,27 @@ TEST(CovererTest, InteriorCellsAreInsidePolygon) {
 }
 
 TEST(CovererTest, BoundaryCellsReachMaxLevel) {
-  // With an unbounded budget, boundary (non-interior) cells are exactly at
-  // max_level — this is what bounds the approximation error.
+  // Boundary (non-interior) cells are emitted at max_level — this is what
+  // bounds the approximation error.
   const geo::Polygon poly{{0.21, 0.2}, {0.8, 0.31}, {0.52, 0.77}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 9;
-  const auto covering = GetCovering(region, options);
+  const int max_level = 9;
+  const auto covering = Cover(poly, max_level);
   for (const CoveringCell& cc : covering) {
     if (!cc.interior) {
-      // Canonicalization may merge four boundary siblings only when all
+      // The on-return merge may fold four boundary siblings only when all
       // four exist, which preserves the error bound; merged boundary cells
       // are still counted via their children. Assert level bound only.
-      ASSERT_LE(cc.cell.level(), options.max_level);
+      ASSERT_LE(cc.cell.level(), max_level);
     }
-    ASSERT_LE(cc.cell.level(), options.max_level);
+    ASSERT_LE(cc.cell.level(), max_level);
   }
-}
-
-TEST(CovererTest, RespectsMinLevel) {
-  const geo::Rect r{{0.4, 0.4}, {0.6, 0.6}};
-  const RectRegion region(r);
-  CovererOptions options;
-  options.min_level = 4;
-  options.max_level = 7;
-  const auto covering = GetCovering(region, options);
-  for (const CoveringCell& cc : covering) {
-    ASSERT_GE(cc.cell.level(), options.min_level);
-    ASSERT_LE(cc.cell.level(), options.max_level);
-  }
-}
-
-TEST(CovererTest, RespectsMaxCellsBudget) {
-  const geo::Polygon poly{{0.12, 0.1}, {0.88, 0.13}, {0.81, 0.9}, {0.2, 0.85}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 18;
-  options.max_cells = 24;
-  const auto covering = GetCovering(region, options);
-  EXPECT_LE(covering.size(), options.max_cells);
-  EXPECT_FALSE(covering.empty());
 }
 
 TEST(CovererTest, FinerLevelReducesArea) {
   const geo::Polygon poly{{0.3, 0.3}, {0.7, 0.35}, {0.6, 0.7}};
-  const PolygonRegion region(&poly);
   double prev_area = 10.0;
   for (const int level : {6, 8, 10, 12}) {
-    CovererOptions options;
-    options.max_level = level;
-    const auto covering = GetCovering(region, options);
+    const auto covering = Cover(poly, level);
     double area = 0.0;
     for (const CoveringCell& cc : covering) {
       area += cc.cell.ToRect().Area();
@@ -140,25 +352,9 @@ TEST(CovererTest, FinerLevelReducesArea) {
 
 TEST(CovererTest, DeterministicOutput) {
   const geo::Polygon poly{{0.2, 0.25}, {0.75, 0.3}, {0.55, 0.8}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 13;
-  const auto a = GetCovering(region, options);
-  const auto b = GetCovering(region, options);
+  const auto a = Cover(poly, 13);
+  const auto b = Cover(poly, 13);
   EXPECT_EQ(a, b);
-}
-
-TEST(CovererTest, GetCoveringCellsMatches) {
-  const geo::Polygon poly{{0.2, 0.25}, {0.75, 0.3}, {0.55, 0.8}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 10;
-  const auto with_flags = GetCovering(region, options);
-  const auto bare = GetCoveringCells(region, options);
-  ASSERT_EQ(with_flags.size(), bare.size());
-  for (size_t i = 0; i < bare.size(); ++i) {
-    EXPECT_EQ(with_flags[i].cell, bare[i]);
-  }
 }
 
 TEST(InteriorRectTest, ContainedInPolygon) {
@@ -199,10 +395,7 @@ TEST_P(CovererPropertyTest, RandomPolygonsCoveredExactly) {
   const geo::Polygon poly = geo::Polygon::RegularNGon(
       {0.3 + 0.4 * uni(rng), 0.3 + 0.4 * uni(rng)}, 0.05 + 0.2 * uni(rng),
       3 + static_cast<int>(uni(rng) * 10), uni(rng) * 6.28);
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 10 + GetParam() % 5;
-  const auto covering = GetCovering(region, options);
+  const auto covering = Cover(poly, 10 + GetParam() % 5);
   ASSERT_FALSE(covering.empty());
   // Superset: covered area >= polygon area, and every covering cell
   // actually intersects the polygon (no spurious cells).
@@ -213,6 +406,31 @@ TEST_P(CovererPropertyTest, RandomPolygonsCoveredExactly) {
         << cc.cell << " does not intersect the polygon";
   }
   ASSERT_GE(area, poly.Area() * (1.0 - 1e-9));
+}
+
+TEST_P(CovererPropertyTest, CovererOutputIsAlreadyNormalized) {
+  std::mt19937_64 rng(GetParam() * 9013);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  const geo::Polygon poly = geo::Polygon::RegularNGon(
+      {0.3 + 0.4 * uni(rng), 0.3 + 0.4 * uni(rng)}, 0.05 + 0.15 * uni(rng),
+      3 + static_cast<int>(rng() % 8), uni(rng));
+  const auto covering = Cover(poly, 9 + GetParam() % 4);
+  ASSERT_FALSE(covering.empty());
+  // Normalized: sorted, disjoint, and no four complete siblings left that
+  // could merge into their parent.
+  for (size_t i = 1; i < covering.size(); ++i) {
+    ASSERT_LT(covering[i - 1].cell, covering[i].cell);
+    ASSERT_FALSE(covering[i - 1].cell.Intersects(covering[i].cell));
+  }
+  for (size_t i = 0; i + 3 < covering.size(); ++i) {
+    const CellId c = covering[i].cell;
+    if (c.level() == 0 || c != c.Parent().Child(0)) continue;
+    bool complete = true;
+    for (int k = 1; k < 4; ++k) {
+      complete = complete && covering[i + k].cell == c.Parent().Child(k);
+    }
+    ASSERT_FALSE(complete) << "four children of " << c.Parent() << " remain";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CovererPropertyTest, ::testing::Range(1, 17));

@@ -25,10 +25,8 @@ TEST_P(ErrorBoundPropertyTest, FalsePositivesAreWithinCellDiagonal) {
   const geo::Polygon poly = geo::Polygon::RegularNGon(
       {0.35 + 0.3 * uni(rng), 0.35 + 0.3 * uni(rng)}, 0.08 + 0.18 * uni(rng),
       3 + static_cast<int>(uni(rng) * 9), uni(rng) * 6.28);
-  const cell::PolygonRegion region(&poly);
-  cell::CovererOptions options;
-  options.max_level = 8 + GetParam() % 6;
-  const auto covering = cell::GetCovering(region, options);
+  std::vector<cell::CoveringCell> covering;
+  cell::GetCovering(poly, 8 + GetParam() % 6, &covering);
   ASSERT_FALSE(covering.empty());
 
   for (const cell::CoveringCell& cc : covering) {
