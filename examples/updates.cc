@@ -38,10 +38,9 @@ int main() {
   set.EnableCache(core::GeoBlockQC::Options{0.10, /*rebuild_interval=*/64});
 
   // Update-plane policy: buffered new-region tuples merge once a shard
-  // crosses the threshold; merges run on the pool, off the update path.
+  // crosses the threshold; the commit that crosses it runs the merge.
   core::BlockSet::UpdateOptions update_options;
   update_options.pending_rebuild_threshold = 32;
-  update_options.rebuild_pool = &pool;
   set.ConfigureUpdates(update_options);
 
   const auto polygons = workload::Neighborhoods(raw, 8);
@@ -112,11 +111,9 @@ int main() {
 
   // 5. ... and the threshold-triggered merge-rebuild folds them into
   //    fresh shard states (new cell aggregates, no base-row rescan).
-  //    Drain the pool, flush the sub-threshold remainder, and account for
-  //    every tuple exactly once.
-  pool.WaitIdle();
+  //    Flush the sub-threshold remainder and account for every tuple
+  //    exactly once.
   set.FlushPendingUpdates();
-  pool.WaitIdle();
   const uint64_t expect =
       base_rows + applied.applied + frontier.size();
   if (set.CountCovering(everything) != expect) ++mismatches;

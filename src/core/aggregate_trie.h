@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "cell/cell_id.h"
@@ -31,14 +30,14 @@ namespace geoblocks::core {
 ///
 /// The probe API (`Lookup`, `DirectChildren`, `Combine`, `IsCached`) never
 /// mutates the trie, so any number of threads may probe one instance
-/// concurrently *as long as no mutator runs*. The mutators are `Build`,
-/// `ApplyTupleUpdate`, and `ReadFrom` — none of them is safe against
-/// concurrent probes on the *same* instance. The lock-free cached read
-/// path (GeoBlockQC) therefore treats every trie as frozen once published:
-/// mutation happens only on a private instance (a fresh build or a clone),
-/// which is then swapped in behind an atomic `shared_ptr` — readers always
-/// probe an immutable snapshot. `Combine`'s internal scratch is
-/// thread-local, so concurrent probes of a frozen trie are race-free.
+/// concurrently *as long as no mutator runs*. The mutators are `Build` and
+/// `ApplyTupleUpdate` — neither is safe against concurrent probes on the
+/// *same* instance. The lock-free cached read path (GeoBlockQC) therefore
+/// treats every trie as frozen once published: mutation happens only on a
+/// private instance (a fresh build or a clone), which is then swapped in
+/// behind an atomic `shared_ptr` — readers always probe an immutable
+/// snapshot. `Combine`'s internal scratch is thread-local, so concurrent
+/// probes of a frozen trie are race-free.
 class AggregateTrie {
  public:
   struct BuildResult {
@@ -100,12 +99,6 @@ class AggregateTrie {
 
   /// Folds a cached aggregate into an accumulator.
   void Combine(const uint8_t* agg, Accumulator* acc) const;
-
-  /// Persists the trie (root cell, column count, raw arena) so a warmed
-  /// cache survives restarts, matching the paper's in-place storage of the
-  /// AggregateTrie next to the cell aggregates.
-  void WriteTo(std::ostream& out) const;
-  static AggregateTrie ReadFrom(std::istream& in);
 
   /// Integrates a newly arriving tuple into every cached aggregate on the
   /// path from the root to the tuple's cell (Section 5: "update all cached

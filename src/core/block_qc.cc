@@ -2,18 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/thread_pool.h"
-
 namespace geoblocks::core {
-
-GeoBlockQC::~GeoBlockQC() {
-  // Neutralize rebuild tasks still queued on a pool: once `alive` drops
-  // under the gate lock, a queued task locks, sees dead, and skips. A task
-  // already holding the lock keeps `this` valid, because this destructor
-  // cannot pass the lock_guard until the task is done.
-  std::lock_guard<std::mutex> lock(gate_->mu);
-  gate_->alive = false;
-}
 
 QueryResult GeoBlockQC::Select(const geo::Polygon& polygon,
                                const AggregateRequest& request) const {
@@ -117,30 +106,14 @@ void GeoBlockQC::MaybeRebuildAfterQuery() const {
   const uint64_t n =
       queries_since_rebuild_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (n < interval) return;
-  // Exactly one caller per interval crossing wins the reset CAS and owns
+  // Exactly one caller per interval crossing resets the counter and owns
   // the rebuild; everyone else keeps serving queries on the old snapshot.
   uint64_t expected = n;
   if (!queries_since_rebuild_.compare_exchange_strong(
           expected, 0, std::memory_order_relaxed)) {
     return;
   }
-  if (options_.rebuild_pool != nullptr) {
-    // Background hook: hand the rebuild to the pool so no query thread
-    // pays the trie construction. At most one rebuild is in flight; if
-    // one is already queued or running, this interval crossing is simply
-    // absorbed by it. The task holds the gate, not a bare `this`, so a
-    // GeoBlockQC destroyed with rebuilds still queued stays safe.
-    if (gate_->inflight.exchange(true, std::memory_order_acq_rel)) return;
-    options_.rebuild_pool->Submit([this, gate = gate_] {
-      {
-        std::lock_guard<std::mutex> lock(gate->mu);
-        if (gate->alive) RebuildCache();
-      }
-      gate->inflight.store(false, std::memory_order_release);
-    });
-  } else {
-    RebuildCache();
-  }
+  RebuildCache();
 }
 
 void GeoBlockQC::RebuildCache() const {

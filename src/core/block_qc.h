@@ -11,10 +11,6 @@
 #include "core/query_stats.h"
 #include "util/snapshot_cell.h"
 
-namespace geoblocks::util {
-class ThreadPool;
-}  // namespace geoblocks::util
-
 namespace geoblocks::core {
 
 /// Counters describing how the cache served a sequence of queries
@@ -117,9 +113,10 @@ class CacheCounterPlane {
 /// `CommitNewRegionMerge`) serialize among themselves on an internal
 /// mutex that readers never touch; the commit entry points publish the
 /// block state and the trie patch inside one writer critical section,
-/// which is what makes an interval-triggered rebuild racing an update
-/// commit safe (a rebuild sees either the whole commit or none of it —
-/// it can neither lose a batch nor bake one in twice).
+/// which is what makes an interval-triggered rebuild (run inline by the
+/// query that crosses `rebuild_interval`) racing an update commit safe
+/// (a rebuild sees either the whole commit or none of it — it can
+/// neither lose a batch nor bake one in twice).
 ///
 /// What is and is not linearizable: each *query* sees exactly one trie
 /// snapshot and one block-state version, so a single answer is always
@@ -136,20 +133,13 @@ class GeoBlockQC {
     /// aggregate storage (Section 4.3, Figure 18).
     double threshold = 0.05;
     /// Rebuild the trie from current statistics every this many SELECT
-    /// queries; 0 disables automatic rebuilds (use RebuildCache()).
+    /// queries: the query that crosses the interval runs RebuildCache
+    /// inline, after releasing its own read guards, while other readers
+    /// keep serving from the old snapshot. 0 disables automatic rebuilds
+    /// (use RebuildCache()).
     size_t rebuild_interval = 256;
     /// Slot capacity of the lock-free stats table (see QueryStats).
     size_t stats_capacity = QueryStats::kDefaultCapacity;
-    /// When set, interval-triggered rebuilds are submitted to this pool
-    /// instead of running inline on the query thread that won the trigger
-    /// CAS — queries never pay the rebuild latency. The pool must outlive
-    /// the GeoBlockQC. Destroying the GeoBlockQC while rebuilds are queued
-    /// is safe (the tasks turn into no-ops via a shared gate); use
-    /// ThreadPool::WaitIdle when a test or shutdown path wants pending
-    /// rebuilds to have actually published. Update commits need no such
-    /// drain: CommitBlockBatch/CommitNewRegionMerge serialize with queued
-    /// rebuilds on the writer mutex.
-    util::ThreadPool* rebuild_pool = nullptr;
   };
 
   /// @param block   The block to cache (borrowed; must outlive the QC).
@@ -174,11 +164,6 @@ class GeoBlockQC {
   // The cache planes are atomics and a slot table: pin the address.
   GeoBlockQC(const GeoBlockQC&) = delete;
   GeoBlockQC& operator=(const GeoBlockQC&) = delete;
-
-  /// Marks the rebuild gate dead so background rebuilds still queued on a
-  /// pool skip instead of touching freed memory; blocks until a rebuild
-  /// that is already running has finished publishing.
-  ~GeoBlockQC();
 
   /// @return The wrapped block.
   const GeoBlock& block() const { return *block_; }
@@ -339,21 +324,10 @@ class GeoBlockQC {
                        std::span<const uint32_t> subset,
                        const std::vector<size_t>& rejected);
 
-  /// Interval trigger: bumps the per-query epoch counter and, when it
-  /// crosses rebuild_interval, lets exactly one caller win the reset CAS
-  /// and run (or schedule) the rebuild.
+  /// Interval trigger: bumps the per-query counter and, when it crosses
+  /// rebuild_interval, lets exactly one caller reset it and run the
+  /// rebuild inline on its own thread.
   void MaybeRebuildAfterQuery() const;
-
-  /// Lifetime handshake between the GeoBlockQC and rebuild tasks queued on
-  /// a pool: a task locks the gate, and runs only while `alive`. The
-  /// destructor flips `alive` under the same lock, so it both waits out a
-  /// rebuild in flight and neutralizes every task still queued (the gate
-  /// outlives the QC through the tasks' shared_ptr copies).
-  struct RebuildGate {
-    std::mutex mu;
-    bool alive = true;
-    std::atomic<bool> inflight{false};
-  };
 
   const GeoBlock* block_;
   Options options_;
@@ -365,7 +339,6 @@ class GeoBlockQC {
   mutable CacheCounterPlane counters_;
   mutable util::SnapshotCell<AggregateTrie> trie_;
   mutable std::atomic<uint64_t> queries_since_rebuild_{0};
-  std::shared_ptr<RebuildGate> gate_ = std::make_shared<RebuildGate>();
   /// Writer-side only (rebuilds and update propagation); the read path
   /// never acquires it.
   mutable std::mutex writer_mu_;

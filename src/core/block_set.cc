@@ -11,10 +11,9 @@
 namespace geoblocks::core {
 
 BlockSet::~BlockSet() {
-  // Governor entries first: Unregister waits out in-flight evict callbacks,
-  // which hold the per-shard records this destructor is about to drop.
+  // Unregister waits out in-flight evict callbacks, which hold the
+  // per-shard records this destructor is about to drop.
   UnregisterGovernorEntries();
-  NeutralizeWriters();
 }
 
 BlockSet::BlockSet(BlockSet&& other) noexcept
@@ -46,7 +45,6 @@ BlockSet::BlockSet(BlockSet&& other) noexcept
 BlockSet& BlockSet::operator=(BlockSet&& other) noexcept {
   if (this == &other) return *this;
   UnregisterGovernorEntries();
-  NeutralizeWriters();
   level_ = other.level_;
   projection_ = other.projection_;
   blocks_ = std::move(other.blocks_);
@@ -69,17 +67,6 @@ BlockSet& BlockSet::operator=(BlockSet&& other) noexcept {
   read_only_.store(other.read_only_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   return *this;
-}
-
-void BlockSet::NeutralizeWriters() {
-  // Flip every per-shard gate dead: a background merge already inside its
-  // gate finishes first (the lock waits it out); every merge still queued
-  // locks, sees dead, and skips — it holds the gate, never the set.
-  for (const std::shared_ptr<ShardWriter>& w : writers_) {
-    if (w == nullptr) continue;
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->alive = false;
-  }
 }
 
 BlockSet BlockSet::Build(const storage::ShardedDataset& shards,
@@ -521,52 +508,35 @@ void BlockSet::CommitShardBatch(size_t s,
   w.pending_count.store(w.pending.size(), std::memory_order_relaxed);
   if (r.applied > 0 || !r.rejected.empty()) {
     // Sticky: this shard's in-memory state now runs ahead of any mapped
-    // payload (applied tuples immediately; buffered ones at merge time,
-    // possibly on a background task with no path back here), so it must
-    // never be evicted — a re-fault would resurrect the stale payload.
+    // payload (applied tuples immediately; buffered ones once merged), so
+    // it must never be evicted — a re-fault would resurrect the stale
+    // payload.
     residency_[s]->dirty.store(true, std::memory_order_release);
   }
 
+  // The batched rebuild runs right here, still under the writer lock: the
+  // commit that fills the buffer to the threshold pays for the merge.
   const size_t threshold = update_options_.pending_rebuild_threshold;
   if (threshold == 0 || w.pending.size() < threshold) return;
-  if (update_options_.rebuild_pool != nullptr) {
-    // Elect one background merger per shard; later crossings while it is
-    // queued or running are absorbed (it drains whatever is buffered when
-    // it gets the lock). The task holds the shard gate and the stable
-    // per-shard pointers, never the (movable) set.
-    if (w.merge_inflight.exchange(true, std::memory_order_acq_rel)) return;
-    rebuilds->fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<ShardWriter> writer = writers_[s];
-    update_options_.rebuild_pool->Submit([writer, block, qc] {
-      std::lock_guard<std::mutex> task_lock(writer->mu);
-      if (writer->alive) MergePendingLocked(writer.get(), block, qc);
-      // Clear the election *inside* the lock: an updater holds this mutex
-      // when it checks the flag, so inflight==true always means the merge
-      // has not locked yet and will still drain that updater's tuples —
-      // a crossing can never be absorbed by a merge that already ran.
-      writer->merge_inflight.store(false, std::memory_order_release);
-    });
-  } else {
-    rebuilds->fetch_add(1, std::memory_order_relaxed);
-    MergePendingLocked(&w, block, qc);
-  }
+  rebuilds->fetch_add(1, std::memory_order_relaxed);
+  MergePendingLocked(s);
 }
 
-bool BlockSet::MergePendingLocked(ShardWriter* writer, GeoBlock* block,
-                                  GeoBlockQC* qc) {
-  if (writer->pending.empty()) return false;
+bool BlockSet::MergePendingLocked(size_t s) {
+  ShardWriter& w = *writers_[s];
+  if (w.pending.empty()) return false;
   // The batched rebuild for new regions: one linear merge of the sorted
   // layouts (GeoBlock::MergeNewRegionTuples), with the cached ancestor
   // aggregates patched in the same writer critical section when a cache
   // exists.
-  if (qc != nullptr) {
-    qc->CommitNewRegionMerge(block, writer->pending);
+  if (cache_enabled()) {
+    cached_[s]->CommitNewRegionMerge(blocks_[s].get(), w.pending);
   } else {
-    block->MergeNewRegionTuples(writer->pending);
+    blocks_[s]->MergeNewRegionTuples(w.pending);
   }
-  writer->pending.clear();
-  writer->pending.shrink_to_fit();
-  writer->pending_count.store(0, std::memory_order_relaxed);
+  w.pending.clear();
+  w.pending.shrink_to_fit();
+  w.pending_count.store(0, std::memory_order_relaxed);
   return true;
 }
 
@@ -581,8 +551,7 @@ size_t BlockSet::FlushPendingUpdates() {
     // cell). Merging also marks the shard dirty — its state now runs
     // ahead of any mapped payload.
     if (!w.pending.empty()) EnsureResident(s);
-    if (MergePendingLocked(&w, blocks_[s].get(),
-                           cache_enabled() ? cached_[s].get() : nullptr)) {
+    if (MergePendingLocked(s)) {
       residency_[s]->dirty.store(true, std::memory_order_release);
       ++merged;
     }
@@ -723,46 +692,23 @@ void BlockSet::DetachDataset() {
 
 void BlockSet::EnableCache(const GeoBlockQC::Options& options) {
   // Trie governor entries reference the outgoing QCs: drop them before
-  // the QCs die (Unregister waits out an in-flight evict callback).
+  // the QCs die (Unregister waits out an in-flight evict callback). The
+  // payload entries capture only the block, writer and residency records,
+  // which outlive the swap, so they stay registered.
   if (governor_ != nullptr) {
     for (const std::shared_ptr<ShardResidency>& res : residency_) {
-      if (res != nullptr && res->trie_entry != nullptr) {
+      if (res->trie_entry != nullptr) {
         governor_->Unregister(res->trie_entry);
         res->trie_entry = nullptr;
       }
     }
-  }
-  // Re-enabling after updates ran: background merge tasks still queued on
-  // a rebuild pool captured the *outgoing* QCs. Neutralize each shard's
-  // gate (the task locks, sees dead, skips) and migrate its pending
-  // buffer to a fresh writer record before destroying the QCs.
-  for (std::shared_ptr<ShardWriter>& w : writers_) {
-    if (w == nullptr) continue;
-    auto fresh = std::make_shared<ShardWriter>();
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->alive = false;
-      fresh->pending = std::move(w->pending);
-      fresh->pending_count.store(fresh->pending.size(),
-                                 std::memory_order_relaxed);
-    }
-    w = std::move(fresh);
   }
   cached_.clear();
   cached_.reserve(blocks_.size());
   for (const std::unique_ptr<GeoBlock>& b : blocks_) {
     cached_.push_back(std::make_unique<GeoBlockQC>(b.get(), options));
   }
-  // Governed sets re-wire the governor: the payload evict callbacks
-  // captured the OLD writer records (now flipped dead above) and would
-  // refuse every eviction, so they are re-registered against the fresh
-  // writers; the new tries get their own entries.
-  if (governor_ != nullptr) {
-    for (size_t s = 0; s < blocks_.size(); ++s) {
-      RegisterShardEntry(s);
-      RegisterTrieEntry(s);
-    }
-  }
+  for (size_t s = 0; s < blocks_.size(); ++s) RegisterTrieEntry(s);
 }
 
 const GeoBlockQC& BlockSet::cached_shard(size_t i) const {

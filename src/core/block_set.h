@@ -128,9 +128,10 @@ struct QueryBatch {
 /// a ThreadPool) — and readers never block: SELECT/COUNT, cached or not,
 /// run concurrently with updates with no external serialization. Tuples
 /// for new, previously unaggregated regions land in a per-shard pending
-/// buffer; when a buffer crosses UpdateOptions::pending_rebuild_threshold,
-/// one writer is CAS-elected to merge it into a fresh shard state (the
-/// paper's "batched rebuild"), inline or on UpdateOptions::rebuild_pool.
+/// buffer; the commit that makes a buffer reach
+/// UpdateOptions::pending_rebuild_threshold merges it into a fresh shard
+/// state (the paper's "batched rebuild") before releasing the shard's
+/// writer lock.
 ///
 /// Like EnableCache, the update plane holds per-shard pointers: configure
 /// and update a set only in its final resting place (don't move a set
@@ -158,14 +159,13 @@ class BlockSet {
  public:
   BlockSet() = default;
 
-  /// Neutralizes pending-rebuild tasks still queued on a rebuild pool
-  /// (they hold the per-shard writer gates, never the set), then waits out
-  /// any rebuild already inside a gate.
+  /// Unregisters the set's memory-governor entries, waiting out any evict
+  /// callback already running, before the shards they reference go away.
   ~BlockSet();
 
   BlockSet(BlockSet&& other) noexcept;
-  /// Move-assignment neutralizes the target's own writer gates first (as
-  /// the destructor would) before adopting the source's shards.
+  /// Move-assignment unregisters the target's own governor entries first
+  /// (as the destructor would) before adopting the source's shards.
   BlockSet& operator=(BlockSet&& other) noexcept;
   BlockSet(const BlockSet&) = delete;
   BlockSet& operator=(const BlockSet&) = delete;
@@ -290,15 +290,9 @@ class BlockSet {
   /// Configuration of the concurrent write path.
   struct UpdateOptions {
     /// A shard whose pending (new-region) buffer reaches this many tuples
-    /// triggers a batched merge-rebuild of that shard. 0 disables the
-    /// automatic trigger (use FlushPendingUpdates).
+    /// is merge-rebuilt by the commit that filled it, on the updating
+    /// thread. 0 disables the automatic trigger (use FlushPendingUpdates).
     size_t pending_rebuild_threshold = 1024;
-    /// When set, threshold-triggered merges are submitted to this pool
-    /// instead of running on the updating thread — updates never pay the
-    /// merge latency. The pool must outlive the set's update activity;
-    /// destroying the set with merges still queued is safe (the tasks
-    /// neutralize through per-shard gates).
-    util::ThreadPool* rebuild_pool = nullptr;
   };
 
   /// Outcome of one routed batch.
@@ -307,15 +301,15 @@ class BlockSet {
     size_t buffered = 0;   ///< new-region tuples added to pending buffers
     size_t rebuilds = 0;   ///< shard merge-rebuilds triggered by this batch
     size_t pending_after = 0;  ///< pending tuples across shards afterwards
-                               ///< (point-in-time; a background merge may
-                               ///< still be draining a buffer)
+                               ///< (point-in-time; a concurrent batch may
+                               ///< still be filling or merging a buffer)
     /// The batch's monotone change number. With an attached log it is the
     /// WAL record's change number and the batch was durable before this
     /// result was returned; without a log it only orders batches in memory.
     uint64_t change_number = 0;
   };
 
-  /// Sets the pending-buffer policy (threshold, rebuild pool). Call before
+  /// Sets the pending-buffer policy (the merge threshold). Call before
   /// serving updates; not thread-safe against in-flight ApplyBatchUpdate.
   ///
   /// @param options The update-plane configuration.
@@ -347,10 +341,10 @@ class BlockSet {
   SetUpdateResult ApplyBatchUpdate(std::span<const GeoBlock::UpdateTuple> batch,
                                    util::ThreadPool* pool = nullptr);
 
-  /// Merges every shard's pending buffer now, on the calling thread
-  /// (waiting for a background merge of the same shard to finish first).
-  /// After it returns — and any configured rebuild_pool is drained — all
-  /// previously buffered tuples are queryable.
+  /// Merges every shard's pending buffer now, on the calling thread, each
+  /// under its shard's writer lock (so it waits for an in-flight commit of
+  /// the same shard). After it returns, all previously buffered tuples are
+  /// queryable.
   ///
   /// @return Number of shards that had pending tuples merged.
   size_t FlushPendingUpdates();
@@ -432,7 +426,7 @@ class BlockSet {
   /// every point: the manifest replace is atomic, and a crash between the
   /// manifest landing and the log truncating only means replay skips every
   /// record (all ≤ the new manifest's change number). Requires quiesced
-  /// updates (no in-flight ApplyBatchUpdate) and a drained rebuild pool.
+  /// updates (no in-flight ApplyBatchUpdate).
   ///
   /// @param manifest_path Destination manifest file.
   /// @return The checkpointed change number.
@@ -691,25 +685,17 @@ class BlockSet {
     uint64_t num_rows = 0;
   };
 
-  /// Per-shard writer state: the striped commit lock, the pending
-  /// (new-region) buffer it guards, and the lifetime gate background
-  /// merge tasks hold instead of the set. shared_ptr: a queued task
-  /// co-owns the gate, so a set destroyed (alive=false under mu) with
-  /// merges still queued leaves them as safe no-ops.
+  /// Per-shard writer state: the striped commit lock and the pending
+  /// (new-region) buffer it guards. Behind a shared_ptr: the shard's
+  /// governor evict callback captures it, so it must survive set moves.
   struct ShardWriter {
     std::mutex mu;
-    bool alive = true;  ///< guarded by mu; flipped by ~BlockSet
     std::vector<GeoBlock::UpdateTuple> pending;
     /// Relaxed mirror of pending.size(), maintained by writers under mu,
     /// so PendingUpdateCount (and ApplyBatchUpdate's pending_after) read
     /// it without taking a shard lock — an update batch's return latency
     /// must not be gated by an unrelated shard's in-flight merge.
     std::atomic<size_t> pending_count{0};
-    /// At most one background merge per shard is queued or running; an
-    /// updating thread that crosses the threshold while one is in flight
-    /// is absorbed by it (the merge drains whatever is buffered when it
-    /// runs).
-    std::atomic<bool> merge_inflight{false};
   };
 
   /// What a lazily opened set needs to fault a shard payload in later:
@@ -788,15 +774,15 @@ class BlockSet {
   void HydrateShard(size_t s, std::string_view payload,
                     const serialize::SetManifest& m) const;
 
-  /// (Re-)registers shard `s`'s payload entry with the governor. Captures
-  /// the shard's writer record, so EnableCache (which replaces writers)
-  /// re-registers.
+  /// Registers shard `s`'s payload entry with the governor (OpenMapped,
+  /// once per shard). The evict callback captures the shard's block,
+  /// writer and residency records, never the movable set.
   void RegisterShardEntry(size_t s);
   /// Registers shard `s`'s cache trie with the governor (lazy sets with a
-  /// cache only).
+  /// cache only). The caller has dropped any previous trie entry.
   void RegisterTrieEntry(size_t s);
   /// Unregisters every governor entry (waits out in-flight evictions);
-  /// destructor / move-assign / EnableCache teardown.
+  /// destructor / move-assign teardown.
   void UnregisterGovernorEntries();
 
   /// Parses and fully cross-checks shard `s`'s payload against manifest
@@ -824,32 +810,29 @@ class BlockSet {
   void AdoptChangeNumber(uint64_t cn);
 
   /// Commits shard `s`'s slice of the batch — the tuples at the (ascending)
-  /// `subset` indices into `batch` — under its writer lock and handles the
-  /// pending buffer + threshold trigger. Tuples are passed by index, not
-  /// copied: only rejected (new-region) tuples are copied, into the pending
-  /// buffer. Returns through the atomics in ApplyBatchUpdate.
+  /// `subset` indices into `batch` — under its writer lock, buffers the
+  /// rejected (new-region) tuples, and merges the buffer under the same
+  /// lock once it reaches the threshold. Tuples are passed by index, not
+  /// copied: only rejected tuples are copied, into the pending buffer.
+  /// Returns through the atomics in ApplyBatchUpdate.
   void CommitShardBatch(size_t s, std::span<const GeoBlock::UpdateTuple> batch,
                         std::span<const uint32_t> subset,
                         std::atomic<size_t>* applied,
                         std::atomic<size_t>* buffered,
                         std::atomic<size_t>* rebuilds);
 
-  /// Merges `writer`'s pending buffer into a fresh state of `block` (and
-  /// patches `qc`'s trie when non-null). Caller must hold writer->mu.
-  /// Static — background merge tasks capture the stable per-shard pointers
-  /// plus the gate, never the (movable) set itself.
+  /// Merges shard `s`'s pending buffer into a fresh state of its block
+  /// (patching the shard's trie when the cache is enabled) and empties the
+  /// buffer. Caller must hold the shard's writer lock and the shard must
+  /// be resident.
   /// @return True when there was anything to merge.
-  static bool MergePendingLocked(ShardWriter* writer, GeoBlock* block,
-                                 GeoBlockQC* qc);
-
-  /// Flips every writer gate dead (destructor / move-assign teardown).
-  void NeutralizeWriters();
+  bool MergePendingLocked(size_t s);
 
   int level_ = 0;
   geo::Projection projection_;
   // One block per shard. unique_ptr keeps each block's address stable so
-  // the per-shard GeoBlockQCs and queued background merges stay valid
-  // across set moves.
+  // the per-shard GeoBlockQCs and governor callbacks stay valid across set
+  // moves.
   std::vector<std::unique_ptr<GeoBlock>> blocks_;
   // One lock-free GeoBlockQC per shard (unique_ptr: the QC pins its
   // address — it owns atomics and the stats slot table).

@@ -190,10 +190,6 @@ uint64_t BlockSet::shard_fault_count() const {
 void BlockSet::RegisterShardEntry(size_t s) {
   if (governor_ == nullptr) return;
   const std::shared_ptr<ShardResidency> res = residency_[s];
-  if (res->entry != nullptr) {
-    governor_->Unregister(res->entry);
-    res->entry = nullptr;
-  }
   GeoBlock* block = blocks_[s].get();
   const std::shared_ptr<ShardWriter> writer = writers_[s];
   // Callbacks capture the stable per-shard objects (block address, writer
@@ -209,7 +205,6 @@ void BlockSet::RegisterShardEntry(size_t s) {
       [block, writer, res] {
         // Lock order: (governor cb_mu) -> w.mu -> r.mu.
         std::lock_guard<std::mutex> w_lock(writer->mu);
-        if (!writer->alive) return false;  // set torn down or re-wired
         if (writer->pending_count.load(std::memory_order_relaxed) > 0) {
           // Unmerged buffered tuples need the resident state to merge
           // into; evicting now would lose them at merge time.
@@ -231,13 +226,8 @@ void BlockSet::RegisterShardEntry(size_t s) {
 
 void BlockSet::RegisterTrieEntry(size_t s) {
   if (governor_ == nullptr || !cache_enabled()) return;
-  const std::shared_ptr<ShardResidency> res = residency_[s];
-  if (res->trie_entry != nullptr) {
-    governor_->Unregister(res->trie_entry);
-    res->trie_entry = nullptr;
-  }
   const GeoBlockQC* qc = cached_[s].get();
-  res->trie_entry = governor_->Register(
+  residency_[s]->trie_entry = governor_->Register(
       "trie:" + std::to_string(s), [qc] { return qc->TrieBytes(); },
       [qc] {
         // The trie is a pure accelerator over the block state: dropping

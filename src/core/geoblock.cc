@@ -489,18 +489,6 @@ QueryResult GeoBlock::SelectCovering(std::span<const cell::CellId> covering,
   return state->SelectCovering(covering, request);
 }
 
-void GeoBlock::CombineCovering(std::span<const cell::CellId> covering,
-                               Accumulator* acc) const {
-  const util::SnapshotCell<BlockState>::ReadGuard state(*state_);
-  state->CombineCovering(covering, acc);
-}
-
-void GeoBlock::CombineCell(cell::CellId qcell, Accumulator* acc,
-                           size_t* last_idx) const {
-  const util::SnapshotCell<BlockState>::ReadGuard state(*state_);
-  state->CombineCell(qcell, acc, last_idx);
-}
-
 uint64_t GeoBlock::Count(const geo::Polygon& polygon) const {
   const std::vector<cell::CellId> covering = Cover(polygon);
   return CountCovering(covering);

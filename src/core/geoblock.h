@@ -383,26 +383,9 @@ class GeoBlock {
   QueryResult SelectCovering(std::span<const cell::CellId> covering,
                              const AggregateRequest& request) const;
 
-  /// Folds a whole covering into an external accumulator under a single
-  /// pinned state version — the per-shard unit of BlockSet's SELECT fold.
-  ///
-  /// @param covering Covering cells, ascending and disjoint.
-  /// @param acc      Accumulator the contained aggregates are folded into.
-  void CombineCovering(std::span<const cell::CellId> covering,
-                       Accumulator* acc) const;
-
-  /// Inner loop of the SELECT algorithm for one covering cell: locates and
-  /// combines this cell's contained aggregates into `acc`. `last_idx`
-  /// carries the lastAgg position across cells (pass kNoLastAgg initially).
-  /// Pins a state version *per call* — when folding several cells of one
-  /// query, prefer CombineCovering (or a pinned StateSnapshot), which keeps
-  /// the whole covering on one version.
+  /// Initial value of the lastAgg cursor BlockState::CombineCell carries
+  /// across the cells of one covering ("no aggregate visited yet").
   static constexpr size_t kNoLastAgg = static_cast<size_t>(-1);
-  /// @param qcell    One covering cell (clamped to the block level).
-  /// @param acc      Accumulator the contained aggregates are folded into.
-  /// @param last_idx In/out lastAgg cursor shared across covering cells.
-  void CombineCell(cell::CellId qcell, Accumulator* acc,
-                   size_t* last_idx) const;
 
   /// Specialized COUNT query (Listing 2): per covering cell, a range sum
   /// over only the first and last contained cell aggregate.

@@ -1,11 +1,9 @@
 // Implementation of every persistent format in the repo (byte-level spec:
-// docs/FORMAT.md). Three formats share the serialize.h primitives:
+// docs/FORMAT.md). Two formats share the serialize.h primitives:
 //
 //   GeoBlock payload ("GBLK", v2):  level, schema width, projection domain,
 //       key range, global aggregate, parallel cell-aggregate arrays, build
 //       filter (v2; v1 payloads without the filter are still read).
-//   AggregateTrie stream ("GTRI", v1): root cell, schema width, cached
-//       entry count, node arena.
 //   BlockSet container ("GBST", v2): a CRC-checksummed manifest (shard
 //       boundaries, row windows, state row counts, payload table, change
 //       number) followed by one GeoBlock payload per shard, each
@@ -21,7 +19,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/aggregate_trie.h"
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
@@ -177,36 +174,6 @@ GeoBlock GeoBlock::ReadFrom(std::istream& in) {
   }
   block.InstallState(std::move(state));
   return block;
-}
-
-// ---------------------------------------------------------------------------
-// AggregateTrie stream ("GTRI")
-// ---------------------------------------------------------------------------
-
-void AggregateTrie::WriteTo(std::ostream& out) const {
-  serialize::RequireLittleEndianHost();
-  WritePod(out, serialize::kTrieMagic);
-  WritePod(out, serialize::kTrieVersion);
-  WritePod<uint64_t>(out, root_cell_.id());
-  WritePod<uint64_t>(out, num_columns_);
-  WritePod<uint64_t>(out, num_cached_);
-  WriteVector(out, arena_);
-}
-
-AggregateTrie AggregateTrie::ReadFrom(std::istream& in) {
-  serialize::RequireLittleEndianHost();
-  if (ReadPod<uint32_t>(in) != serialize::kTrieMagic) {
-    throw std::runtime_error("geoblocks: not an AggregateTrie stream");
-  }
-  if (ReadPod<uint32_t>(in) != serialize::kTrieVersion) {
-    throw std::runtime_error("geoblocks: unsupported AggregateTrie version");
-  }
-  AggregateTrie trie;
-  trie.root_cell_ = cell::CellId(ReadPod<uint64_t>(in));
-  trie.num_columns_ = ReadPod<uint64_t>(in);
-  trie.num_cached_ = ReadPod<uint64_t>(in);
-  trie.arena_ = ReadVector<uint8_t>(in);
-  return trie;
 }
 
 // ---------------------------------------------------------------------------

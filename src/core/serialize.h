@@ -2,8 +2,8 @@
 
 /// \file serialize.h
 /// The binary (de)serialization toolkit shared by every persistent format in
-/// the repo: GeoBlock shard payloads, AggregateTrie caches, and the BlockSet
-/// container (manifest + shard payloads). The byte-level layout of each
+/// the repo: GeoBlock shard payloads and the BlockSet container (manifest +
+/// shard payloads). The byte-level layout of each
 /// format is specified in docs/FORMAT.md; this header owns the constants and
 /// primitives that document references (magic numbers, format versions, the
 /// checksum definition, and the little-endian plain-old-data encoding).
@@ -31,8 +31,6 @@ namespace geoblocks::core::serialize {
 /// First four bytes of a GeoBlock payload: "GBLK" read as a little-endian
 /// uint32.
 inline constexpr uint32_t kBlockMagic = 0x4B4C4247;
-/// First four bytes of an AggregateTrie stream: "GTRI".
-inline constexpr uint32_t kTrieMagic = 0x49525447;
 /// First four bytes of a BlockSet manifest: "GBST".
 inline constexpr uint32_t kSetMagic = 0x54534247;
 /// First four bytes of an update log (WAL) file: "GWAL".
@@ -45,8 +43,6 @@ inline constexpr uint32_t kWalMagic = 0x4C415747;
 inline constexpr uint32_t kBlockVersion = 2;
 /// Oldest GeoBlock payload version ReadFrom still accepts.
 inline constexpr uint32_t kBlockMinVersion = 1;
-/// Current AggregateTrie stream version.
-inline constexpr uint32_t kTrieVersion = 1;
 /// Current BlockSet manifest version. v2 adds the set's committed change
 /// number, a per-shard state-row array (restoring the exact manifest ↔
 /// payload row cross-check that v1's permissive `>=` had lost), and a

@@ -102,11 +102,13 @@ class InlineTask {
 };
 
 /// A fixed-size worker pool for parallel block builds, batched query
-/// execution, and background cache rebuilds. Scheduling is work-stealing:
-/// every worker owns a bounded ring deque (plus an unbounded spill list for
-/// overflow bursts) that it pops LIFO from the hot end, while idle workers
-/// steal FIFO from the cold end of their peers — so batches mixing tiny and
-/// huge tasks rebalance instead of serializing behind one global queue.
+/// execution, per-shard update commits and cache rebuilds — every engine
+/// use is a ParallelFor that joins before returning. Scheduling is
+/// work-stealing: every worker owns a bounded ring deque (plus an
+/// unbounded spill list for overflow bursts) that it pops LIFO from the
+/// hot end, while idle workers steal FIFO from the cold end of their peers
+/// — so batches mixing tiny and huge tasks rebalance instead of
+/// serializing behind one global queue.
 /// Submission from a pool worker lands in that worker's own deque; external
 /// submitters round-robin. In the steady state (bursts within the ring
 /// capacity, captures within InlineTask::kInlineBytes) submitting and running
@@ -175,10 +177,9 @@ class ThreadPool {
     }
   }
 
-  /// Blocks until no submitted task is queued or running — the hook
-  /// background work (e.g. GeoBlockQC cache rebuilds handed to the pool via
-  /// Options::rebuild_pool) needs before tearing down the objects those
-  /// tasks touch. Tasks submitted *while* waiting extend the wait;
+  /// Blocks until no submitted task is queued or running, so a caller that
+  /// used Submit can join its fire-and-forget tasks before tearing down
+  /// what they touch. Tasks submitted *while* waiting extend the wait;
   /// iterations a ParallelFor caller runs inline are not tracked
   /// (ParallelFor already joins its own work).
   void WaitIdle() {

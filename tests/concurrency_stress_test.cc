@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/block_set.h"
-#include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
 
@@ -295,57 +294,6 @@ TEST_F(ConcurrencyStressTest, MergedCountersAreMonotoneUnderLoad) {
   sampler.join();
 }
 
-TEST_F(ConcurrencyStressTest, BackgroundPoolRebuildKeepsServing) {
-  // The ThreadPool rebuild hook: interval crossings submit the rebuild to
-  // a pool, so no query thread ever pays the trie construction. After the
-  // pool drains, the cache must be warm and answers unchanged.
-  util::ThreadPool pool(2);
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  GeoBlockQC::Options options;
-  options.threshold = 0.10;
-  options.rebuild_interval = 8;
-  options.rebuild_pool = &pool;
-  set.EnableCache(options);
-  const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
-
-  std::vector<QueryResult> want;
-  for (const auto& covering : coverings) {
-    want.push_back(set.SelectCovering(covering, req));
-  }
-
-  std::vector<std::thread> readers;
-  for (size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&, t] {
-      for (size_t r = 0; r < 6; ++r) {
-        for (size_t i = 0; i < coverings.size(); ++i) {
-          const QueryResult got =
-              set.SelectCoveringCached(coverings[i], req);
-          ASSERT_EQ(got.count, want[i].count) << "reader " << t;
-        }
-      }
-    });
-  }
-  for (std::thread& t : readers) t.join();
-  // Drain pending background rebuilds before inspecting (and before the
-  // set goes out of scope — the documented teardown contract).
-  pool.WaitIdle();
-
-  size_t cached = 0;
-  for (size_t s = 0; s < set.num_shards(); ++s) {
-    cached += set.cached_shard(s).trie_snapshot()->num_cached();
-  }
-  EXPECT_GT(cached, 0u) << "background rebuilds never published a snapshot";
-  for (size_t i = 0; i < coverings.size(); ++i) {
-    const QueryResult got = set.SelectCoveringCached(coverings[i], req);
-    ASSERT_EQ(got.count, want[i].count);
-    for (size_t v = 0; v < got.values.size(); ++v) {
-      ASSERT_NEAR(got.values[v], want[i].values[v],
-                  1e-9 * std::abs(want[i].values[v]) + 1e-6);
-    }
-  }
-}
-
 TEST_F(ConcurrencyStressTest, ConcurrentResetNeverCorruptsCounters) {
   // Reset racing with readers: fields may be sampled mid-reset, but once
   // everything quiesces a final reset + sequential pass must account
@@ -591,12 +539,10 @@ TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
   // publish while readers hammer the cached path. Readers assert nothing
   // about mid-flight values (routing may lag a merge by design) — the pin
   // is race-freedom plus exact post-quiesce accounting.
-  util::ThreadPool pool(2);
   BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
   set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/32});
   BlockSet::UpdateOptions update_options;
   update_options.pending_rebuild_threshold = 8;
-  update_options.rebuild_pool = &pool;
   set.ConfigureUpdates(update_options);
   const AggregateRequest req = Request();
   const auto coverings = CoverAll(set);
@@ -635,11 +581,9 @@ TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
   writer.join();
   for (std::thread& t : readers) t.join();
 
-  // Quiesce: drain background merges, flush what remains, then the total
-  // must account for every tuple exactly once.
-  pool.WaitIdle();
+  // Quiesce: flush what remains, then the total must account for every
+  // tuple exactly once.
   set.FlushPendingUpdates();
-  pool.WaitIdle();
   const std::vector<cell::CellId> all{cell::CellId::Root()};
   EXPECT_EQ(set.CountCovering(all), data_->num_rows() + total);
   EXPECT_EQ(set.PendingUpdateCount(), 0u);

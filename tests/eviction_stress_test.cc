@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -30,6 +31,7 @@ using core::AggregateRequest;
 using core::BlockSet;
 using core::BlockSetOptions;
 using core::GeoBlock;
+using core::GeoBlockQC;
 using core::LazyOpenOptions;
 using core::MemoryGovernor;
 using core::QueryResult;
@@ -213,6 +215,95 @@ TEST_F(EvictionStressTest, BufferedPendingTuplesAlsoRefuseEviction) {
   EXPECT_GT(gov.stats().refusals, 0u);
   EXPECT_GT(mapped.FlushPendingUpdates(), 0u);
   EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 16);
+}
+
+TEST_F(EvictionStressTest, GovernedCachedSetMatchesEagerAndKeepsDirtyShards) {
+  const BlockSet oracle = Eager();
+  const AggregateRequest req = Request();
+  const std::vector<cell::CellId> all{cell::CellId::Root()};
+  std::vector<std::vector<cell::CellId>> coverings;
+  for (const geo::Polygon& poly : *polygons_) {
+    coverings.push_back(oracle.Cover(poly));
+  }
+  coverings.push_back(all);  // touches every shard, so the budget binds
+  std::vector<QueryResult> expected;
+  for (const auto& covering : coverings) {
+    expected.push_back(oracle.SelectCovering(covering, req));
+  }
+
+  // The resident footprint with every payload faulted in.
+  size_t footprint = 0;
+  {
+    MemoryGovernor probe(MemoryGovernor::Options{0});
+    LazyOpenOptions probe_options;
+    probe_options.governor = &probe;
+    const BlockSet warm = BlockSet::OpenMapped(path_, probe_options);
+    (void)warm.CountCovering(all);
+    footprint = probe.resident_bytes();
+  }
+  ASSERT_GT(footprint, 0u);
+
+  MemoryGovernor gov(MemoryGovernor::Options{footprint / 2});
+  LazyOpenOptions options;
+  options.governor = &gov;
+  BlockSet mapped = BlockSet::OpenMapped(path_, options);
+  mapped.EnableCache(GeoBlockQC::Options{0.25, /*rebuild_interval=*/8});
+  EXPECT_EQ(gov.stats().entries, 2 * kShards)
+      << "one payload entry and one trie entry per shard";
+
+  const auto check_answers = [&](const char* phase) {
+    for (size_t i = 0; i < coverings.size(); ++i) {
+      const QueryResult got = mapped.SelectCoveringCached(coverings[i], req);
+      ASSERT_EQ(got.count, expected[i].count) << phase << " query " << i;
+      ASSERT_EQ(got.values.size(), expected[i].values.size());
+      for (size_t v = 0; v < got.values.size(); ++v) {
+        ASSERT_NEAR(got.values[v], expected[i].values[v],
+                    1e-9 * std::abs(expected[i].values[v]) + 1e-6)
+            << phase << " query " << i << " value " << v;
+      }
+    }
+  };
+  check_answers("cold");
+  mapped.RebuildCaches();
+  check_answers("rebuilt");
+  EXPECT_EQ(gov.stats().entries, 2 * kShards);
+  EXPECT_GT(gov.stats().evictions, 0u)
+      << "a budget below the footprint must evict";
+
+  // Dirty one shard with in-cell tuples; from then on no budget pressure
+  // may evict it, while its clean neighbours keep cycling.
+  const size_t dirty = kShards / 2;
+  const auto& cells = oracle.shard(dirty).cells();
+  ASSERT_FALSE(cells.empty());
+  std::vector<GeoBlock::UpdateTuple> batch;
+  std::mt19937_64 rng(29);
+  for (int i = 0; i < 16; ++i) {
+    GeoBlock::UpdateTuple t;
+    t.location = (*data_)->projection().FromUnit(
+        cell::CellId(cells[rng() % cells.size()]).CenterPoint());
+    t.values.assign((*data_)->num_columns(), 2.0);
+    batch.push_back(std::move(t));
+  }
+  const auto result = mapped.ApplyBatchUpdate(batch);
+  ASSERT_EQ(result.applied, batch.size());
+  ASSERT_TRUE(mapped.shard_resident(dirty));
+
+  const uint64_t evictions_before = gov.stats().evictions;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& covering : coverings) {
+      (void)mapped.SelectCoveringCached(covering, req);
+      ASSERT_TRUE(mapped.shard_resident(dirty)) << "round " << round;
+    }
+    mapped.RebuildCaches();
+  }
+  gov.set_budget_bytes(1);
+  gov.EnsureBudget();
+  EXPECT_TRUE(mapped.shard_resident(dirty))
+      << "a dirty shard was evicted — acknowledged updates were at risk";
+  EXPECT_GT(gov.stats().evictions, evictions_before)
+      << "clean shards must still evict";
+  EXPECT_EQ(mapped.SelectCoveringCached(all, req).count,
+            (*data_)->num_rows() + batch.size());
 }
 
 TEST_F(EvictionStressTest, ConcurrentReadersVsBudgetThrash) {

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/aggregate_trie.h"
 #include "core/geoblock.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -102,39 +101,6 @@ TEST_F(SerializeTest, EmptyBlockRoundTrip) {
   EXPECT_EQ(loaded.level(), 17);
 }
 
-TEST_F(SerializeTest, TrieRoundTrip) {
-  AggregateTrie trie;
-  std::vector<cell::CellId> ranked;
-  for (size_t i = 0; i < block_->num_cells(); i += 50) {
-    ranked.push_back(cell::CellId(block_->cells()[i]).Parent(12));
-  }
-  trie.Build(*block_, ranked, size_t{1} << 22);
-  ASSERT_GT(trie.num_cached(), 0u);
-
-  std::stringstream stream;
-  trie.WriteTo(stream);
-  const AggregateTrie loaded = AggregateTrie::ReadFrom(stream);
-  EXPECT_EQ(loaded.num_cached(), trie.num_cached());
-  EXPECT_EQ(loaded.root_cell(), trie.root_cell());
-  EXPECT_EQ(loaded.MemoryBytes(), trie.MemoryBytes());
-  AggregateRequest req;
-  req.Add(AggFn::kCount);
-  req.Add(AggFn::kSum, 0);
-  for (const cell::CellId& c : ranked) {
-    const auto a = trie.Lookup(c);
-    const auto b = loaded.Lookup(c);
-    ASSERT_EQ(a.node_exists, b.node_exists);
-    ASSERT_EQ(a.agg != nullptr, b.agg != nullptr);
-    if (a.agg != nullptr) {
-      Accumulator acc_a(&req);
-      Accumulator acc_b(&req);
-      trie.Combine(a.agg, &acc_a);
-      loaded.Combine(b.agg, &acc_b);
-      ASSERT_EQ(acc_a.Finish().values, acc_b.Finish().values);
-    }
-  }
-}
-
 TEST_F(SerializeTest, FilterSurvivesRoundTrip) {
   // Payload v2 (docs/FORMAT.md) appends the build filter so refinement of a
   // re-attached block aggregates exactly the rows the original build did.
@@ -220,8 +186,6 @@ TEST_F(SerializeTest, DeserializedBlockRefinesAfterAttach) {
 TEST_F(SerializeTest, RejectsGarbage) {
   std::stringstream garbage("not a geoblock at all");
   EXPECT_THROW(GeoBlock::ReadFrom(garbage), std::runtime_error);
-  std::stringstream garbage2("nor an aggregate trie");
-  EXPECT_THROW(AggregateTrie::ReadFrom(garbage2), std::runtime_error);
 }
 
 TEST_F(SerializeTest, RejectsTruncatedStream) {
@@ -230,12 +194,6 @@ TEST_F(SerializeTest, RejectsTruncatedStream) {
   const std::string full = stream.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(GeoBlock::ReadFrom(truncated), std::runtime_error);
-}
-
-TEST_F(SerializeTest, RejectsWrongMagicAcrossTypes) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  EXPECT_THROW(AggregateTrie::ReadFrom(stream), std::runtime_error);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "storage/sharded_dataset.h"
-#include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
 
@@ -417,25 +416,6 @@ TEST_F(BlockSetUpdateTest, ThresholdTriggersInlineMergeRebuild) {
             data_->num_rows() + 40 - result.pending_after);
   set_.FlushPendingUpdates();
   EXPECT_EQ(set_.CountCovering(all), data_->num_rows() + 40);
-}
-
-TEST_F(BlockSetUpdateTest, ThresholdMergeOnRebuildPool) {
-  util::ThreadPool pool(2);
-  BlockSet::UpdateOptions options;
-  options.pending_rebuild_threshold = 4;
-  options.rebuild_pool = &pool;
-  set_.ConfigureUpdates(options);
-
-  const auto fresh = NewRegionBatch(32, 7);
-  const auto result = set_.ApplyBatchUpdate(fresh);
-  EXPECT_EQ(result.buffered, 32u);
-  // Background merges: drain the pool, then everything queued must have
-  // merged (crossings while a merge was queued are absorbed by it).
-  pool.WaitIdle();
-  set_.FlushPendingUpdates();
-  const std::vector<cell::CellId> all{cell::CellId::Root()};
-  EXPECT_EQ(set_.CountCovering(all), data_->num_rows() + 32);
-  EXPECT_EQ(set_.PendingUpdateCount(), 0u);
 }
 
 TEST_F(BlockSetUpdateTest, CachedAnswersStayConsistentAfterCommits) {
