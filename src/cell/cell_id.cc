@@ -44,10 +44,7 @@ geo::Rect CellId::ToRect() const {
   uint32_t j = 0;
   uint32_t size = 0;
   ToIJ(&i, &j, &size);
-  const double inv = 1.0 / static_cast<double>(kHilbertSide);
-  return geo::Rect{{i * inv, j * inv},
-                   {(i + static_cast<double>(size)) * inv,
-                    (j + static_cast<double>(size)) * inv}};
+  return CellSquare{i, j, size}.ToRect();
 }
 
 geo::Point CellId::CenterPoint() const { return ToRect().Center(); }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "geo/point.h"
 #include "geo/rect.h"
@@ -152,5 +153,52 @@ class CellId {
 inline std::ostream& operator<<(std::ostream& os, const CellId& c) {
   return os << c.ToString();
 }
+
+/// A cell's square on the level-30 leaf grid together with the orientation
+/// of the Hilbert curve inside it. A child's square then follows in O(1),
+/// where CellId::ToIJ decodes all 30 levels of the id; the coverer carries
+/// one down its descent.
+struct CellSquare {
+  uint32_t i = 0;
+  uint32_t j = 0;
+  uint32_t size = uint32_t{1} << CellId::kMaxLevel;
+  /// Bit 0: the curve's i and j are swapped; bit 1: both are complemented.
+  /// These are the two transforms of the Hilbert Rotate step, and they
+  /// commute, so composing them is an xor.
+  uint32_t orientation = 0;
+
+  /// The square of `cell`, stepped down its ChildPosition() path.
+  static CellSquare Of(CellId cell) {
+    CellSquare square;
+    for (int l = 1; l <= cell.level(); ++l) {
+      square = square.Child(cell.Parent(l).ChildPosition());
+    }
+    return square;
+  }
+
+  /// The square of the k-th child (Hilbert order, as CellId::Child). Digit
+  /// k names the quadrant (k >> 1, (k ^ k >> 1) & 1) in the curve's frame;
+  /// undoing the orientation maps it to grid coordinates.
+  CellSquare Child(int k) const {
+    const uint32_t complement = orientation >> 1;
+    uint32_t di = (static_cast<uint32_t>(k) >> 1) ^ complement;
+    uint32_t dj = ((static_cast<uint32_t>(k) ^ (k >> 1)) & 1) ^ complement;
+    if (orientation & 1) std::swap(di, dj);
+    // Quadrant 0 swaps the frame; quadrant 3 swaps and complements it.
+    static constexpr uint32_t kTurn[4] = {1, 0, 0, 3};
+    const uint32_t half = size >> 1;
+    return {i + di * half, j + dj * half, half, orientation ^ kTurn[k]};
+  }
+
+  /// Geometric extent in unit-square coordinates (CellId::ToRect's
+  /// arithmetic: every coordinate is a dyadic rational, so exact).
+  geo::Rect ToRect() const {
+    const double inv =
+        1.0 / static_cast<double>(uint32_t{1} << CellId::kMaxLevel);
+    return geo::Rect{{i * inv, j * inv},
+                     {(i + static_cast<double>(size)) * inv,
+                      (j + static_cast<double>(size)) * inv}};
+  }
+};
 
 }  // namespace geoblocks::cell

@@ -26,17 +26,31 @@ struct CoveringCell {
 ///
 /// Descends depth-first from the smallest cell enclosing the polygon's
 /// bounds (capped at `max_level`), visiting children in `Child(0..3)` order,
-/// which is ascending cell id. A cell the polygon contains
-/// (`Polygon::ContainsRect`) is emitted as an interior cell; a boundary cell
-/// is emitted at `max_level`; otherwise each child that may intersect the
-/// polygon (`Polygon::IntersectsRect`) is descended into. When a cell
-/// returns with its four children emitted as single cells, they are
-/// replaced by the cell itself, interior only if all four were.
+/// which is ascending cell id. A cell the polygon contains is emitted as an
+/// interior cell; a boundary cell is emitted at `max_level`; otherwise each
+/// child that intersects the polygon is descended into. When a cell returns
+/// with its four children emitted as single cells, they are replaced by the
+/// cell itself, interior only if all four were.
+///
+/// Every decision equals `Polygon::IntersectsRect` / `ContainsRect` on the
+/// cell's rect, reached more cheaply:
+///  - Each visited cell carries the list of ring edges that touch its closed
+///    rect (`geo::SegmentIntersectsRect`), and a child tests only its
+///    parent's list. A non-empty list means the cell intersects the polygon
+///    and is not contained.
+///  - A cell with an empty list is decided by `Polygon::Contains` on its
+///    four corners: it intersects if any corner is inside, and is contained
+///    if all four are (each also within the polygon's bounds).
+///  - Each cell carries its leaf-grid square and the Hilbert orientation
+///    inside it (`CellSquare`), so a child's rect costs O(1) instead of a
+///    30-level id decode.
 ///
 /// `*out` is cleared and refilled sorted by cell id and canonical (no four
-/// complete siblings). Recursion runs on the call stack and merging happens
-/// in place, so once `*out` has the capacity for a covering the call makes
-/// no heap allocation.
+/// complete siblings). `max_level` is clamped to [0, CellId::kMaxLevel].
+/// Recursion runs on the call stack, merging happens in place, and the
+/// edge lists live on one thread-local stack, so once `*out` has the
+/// capacity for a covering and the thread has covered a polygon at least
+/// as large, the call makes no heap allocation.
 ///
 /// @param polygon   Query polygon in unit-square coordinates.
 /// @param max_level Finest cell level the covering may use.

@@ -4,6 +4,7 @@
 #include <map>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/scan_kernels.h"
@@ -286,6 +287,12 @@ void GeoBlock::PublishState(std::shared_ptr<const BlockState> state) {
 
 GeoBlock GeoBlock::Build(storage::DatasetView data,
                          const BlockOptions& options) {
+  if (options.level < 0 || options.level > cell::CellId::kMaxLevel) {
+    throw std::invalid_argument(
+        "BlockOptions::level must be in [0, " +
+        std::to_string(cell::CellId::kMaxLevel) + "], got " +
+        std::to_string(options.level));
+  }
   GeoBlock block;
   block.data_ = std::move(data);
   block.filter_ = options.filter;

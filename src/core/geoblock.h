@@ -257,6 +257,8 @@ class GeoBlock {
   /// @param data    Window of sorted rows to aggregate.
   /// @param options Grid level and filter predicates for the build pass.
   /// @return The built block.
+  /// @throws std::invalid_argument if options.level is outside
+  ///     [0, CellId::kMaxLevel].
   static GeoBlock Build(storage::DatasetView data, const BlockOptions& options);
 
   /// Convenience overload over a whole, caller-owned dataset: the block
@@ -530,8 +532,9 @@ class GeoBlock {
   ///
   /// @param in Source stream (open in binary mode).
   /// @return The loaded, self-contained block (empty DatasetView).
-  /// @throws std::runtime_error on bad magic, an unsupported version,
-  ///     truncation, or inconsistent array lengths.
+  /// @throws std::runtime_error on bad magic, an unsupported version, a
+  ///     level outside [0, CellId::kMaxLevel], truncation, or inconsistent
+  ///     array lengths.
   static GeoBlock ReadFrom(std::istream& in);
 
   /// WriteTo for an explicitly pinned state version: BlockSet::WriteTo

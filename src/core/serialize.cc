@@ -139,6 +139,10 @@ GeoBlock GeoBlock::ReadFrom(std::istream& in) {
   GeoBlock block;
   auto state = std::make_shared<BlockState>();
   state->header.level = ReadPod<int32_t>(in);
+  if (state->header.level < 0 ||
+      state->header.level > cell::CellId::kMaxLevel) {
+    throw std::runtime_error("geoblocks: GeoBlock level out of range");
+  }
   block.level_ = state->header.level;
   block.num_columns_ = ReadPod<uint64_t>(in);
   state->num_columns = block.num_columns_;

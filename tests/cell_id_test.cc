@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "cell/cell_id.h"
 
@@ -215,6 +217,54 @@ TEST(CellIdTest, ToStringFormat) {
 TEST(CellIdTest, LsbForLevel) {
   EXPECT_EQ(CellId::LsbForLevel(CellId::kMaxLevel), 1u);
   EXPECT_EQ(CellId::LsbForLevel(0), uint64_t{1} << 60);
+}
+
+::testing::AssertionResult SameRect(const geo::Rect& got,
+                                    const geo::Rect& want) {
+  // Bit-for-bit: the coverer's predicates see exactly ToRect's doubles.
+  if (got.min.x == want.min.x && got.min.y == want.min.y &&
+      got.max.x == want.max.x && got.max.y == want.max.y) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << got << " vs " << want;
+}
+
+TEST(CellIdTest, SquareChildMatchesToRectToLevel6) {
+  // Every cell from the root to level 6, reached by stepping the square.
+  std::vector<std::pair<CellId, CellSquare>> level{
+      {CellId::Root(), CellSquare{}}};
+  ASSERT_TRUE(SameRect(CellSquare{}.ToRect(), CellId::Root().ToRect()));
+  for (int l = 1; l <= 6; ++l) {
+    std::vector<std::pair<CellId, CellSquare>> next;
+    for (const auto& [cell, square] : level) {
+      for (int k = 0; k < 4; ++k) {
+        const CellSquare child = square.Child(k);
+        ASSERT_TRUE(SameRect(child.ToRect(), cell.Child(k).ToRect()))
+            << cell.Child(k);
+        next.push_back({cell.Child(k), child});
+      }
+    }
+    level = std::move(next);
+  }
+  EXPECT_EQ(level.size(), size_t{1} << 12);
+}
+
+TEST(CellIdTest, SquareChildMatchesToRectOnRandomPaths) {
+  std::mt19937_64 rng(30);
+  for (int path = 0; path < 10000; ++path) {
+    CellId cell = CellId::Root();
+    CellSquare square;
+    for (int l = 1; l <= CellId::kMaxLevel; ++l) {
+      const int k = static_cast<int>(rng() % 4);
+      cell = cell.Child(k);
+      square = square.Child(k);
+      ASSERT_TRUE(SameRect(square.ToRect(), cell.ToRect())) << cell;
+    }
+    // The seed walk reproduces the square of any cell on the path.
+    const CellId seed = cell.Parent(static_cast<int>(rng() % 31));
+    ASSERT_TRUE(SameRect(CellSquare::Of(seed).ToRect(), seed.ToRect()))
+        << seed;
+  }
 }
 
 class CellIdLevelTest : public ::testing::TestWithParam<int> {};

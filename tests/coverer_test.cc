@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <random>
 #include <string>
@@ -255,6 +256,73 @@ TEST(CovererOracleAdversarialTest, MatchesReference) {
           << "adversarial polygon " << i;
     }
   }
+}
+
+/// Shapes where an edge-list coverer could part from the reference: many
+/// edges per cell, several holes, edges passing within one ulp of the
+/// dyadic corners and borders of cells at levels 15-20, and a polygon
+/// reaching past the unit square, so the descent starts at Root().
+TEST(CovererOracleAdversarialTest, EdgeListCornerCases) {
+  std::vector<CoveringCell> scratch;
+  const auto expect_levels = [&](const std::vector<geo::Polygon>& polygons,
+                                 int lo, int hi, const std::string& what) {
+    for (size_t i = 0; i < polygons.size(); ++i) {
+      for (int level = lo; level <= hi; ++level) {
+        ASSERT_TRUE(MatchesReference(polygons[i], level, &scratch))
+            << what << " " << i;
+      }
+    }
+  };
+
+  expect_levels({geo::Polygon::RegularNGon({0.3, 0.7}, 0.01, 256, 0.1),
+                 geo::Polygon::RegularNGon({0.625, 0.375}, 0.0625, 256)},
+                0, 14, "256-gon");
+
+  geo::Polygon holes = geo::Polygon::FromRect({{0.25, 0.25}, {0.3125, 0.3}});
+  holes.AddRing({{0.26, 0.26}, {0.27, 0.26}, {0.27, 0.27}, {0.26, 0.27}});
+  holes.AddRing({{0.28, 0.255}, {0.3, 0.26}, {0.29, 0.28}});
+  holes.AddRing({{0.265, 0.28125}, {0.28125, 0.28125}, {0.28125, 0.296875},
+                 {0.265, 0.29}});
+  expect_levels({holes}, 0, 15, "three holes");
+
+  // For each level L, a triangle with one edge through the level-L cell
+  // corner c, exactly or with an endpoint moved one ulp either way, and a
+  // triangle with one edge one ulp off the cell border through c.
+  std::vector<geo::Polygon> near_corners;
+  for (int level = 15; level <= 20; ++level) {
+    const double h = std::ldexp(1.0, -level);
+    // Odd multiples of h: a corner at level L and every finer level only.
+    const geo::Point c{((411 << (level - 10)) + 1) * h,
+                       ((733 << (level - 10)) + 1) * h};
+    for (const double toward : {0.0, 2.0, -2.0}) {
+      geo::Point q{c.x + 3 * h, c.y + 2 * h};
+      if (toward != 0.0) q.x = std::nextafter(q.x, toward);
+      near_corners.push_back(geo::Polygon{
+          {c.x - 3 * h, c.y - 2 * h}, q, {c.x - 3 * h, c.y + 4 * h}});
+      const double y = toward == 0.0 ? c.y : std::nextafter(c.y, toward);
+      near_corners.push_back(geo::Polygon{
+          {c.x - 2 * h, y}, {c.x + 5 * h, y}, {c.x + h, c.y - 3 * h}});
+    }
+  }
+  expect_levels(near_corners, 15, 20, "near-corner triangle");
+
+  // Raw vertices outside the unit square: a thin wedge across it.
+  const geo::Polygon outside{{-0.3, 0.40}, {1.3, 0.42}, {1.3, 0.45}};
+  GetCovering(outside, 0, &scratch);
+  ASSERT_EQ(scratch.size(), 1u);
+  EXPECT_EQ(scratch[0].cell, CellId::Root());
+  expect_levels({outside}, 0, 12, "outside");
+}
+
+TEST(CovererTest, LevelsPastTheLeafClampToLevel30) {
+  // Child() of a leaf is the leaf, so an unclamped descent past level 30
+  // would never end.
+  const geo::Polygon tiny{{0.3, 0.3}, {0.3 + 1e-7, 0.3}, {0.3, 0.3 + 2e-7}};
+  const auto leaf = Cover(tiny, CellId::kMaxLevel);
+  ASSERT_FALSE(leaf.empty());
+  EXPECT_EQ(Cover(tiny, 31), leaf);
+  EXPECT_EQ(Cover(tiny, 40), leaf);
+  EXPECT_EQ(Cover(tiny, -3), Cover(tiny, 0));
 }
 
 TEST(CovererTest, EmptyRegion) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "core/geoblock.h"
 #include "workload/datagen.h"
@@ -88,6 +89,18 @@ TEST_F(GeoBlockTest, BuildBasics) {
   EXPECT_EQ(total, data_->num_rows());
   EXPECT_EQ(block.header().min_cell, block.cells().front());
   EXPECT_EQ(block.header().max_cell, block.cells().back());
+}
+
+TEST_F(GeoBlockTest, BuildRejectsLevelOutOfRange) {
+  // Past level 30 CellId::Child returns the leaf itself, so a block that
+  // fine could never be covered.
+  EXPECT_THROW(GeoBlock::Build(*data_, BlockOptions{31, {}}),
+               std::invalid_argument);
+  EXPECT_THROW(GeoBlock::Build(*data_, BlockOptions{-1, {}}),
+               std::invalid_argument);
+  EXPECT_EQ(GeoBlock::Build(*data_, BlockOptions{cell::CellId::kMaxLevel, {}})
+                .level(),
+            cell::CellId::kMaxLevel);
 }
 
 TEST_F(GeoBlockTest, OffsetsAreCumulativeCounts) {

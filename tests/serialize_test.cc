@@ -166,6 +166,19 @@ TEST_F(SerializeTest, RejectsFutureVersion) {
   EXPECT_THROW(GeoBlock::ReadFrom(future_stream), std::runtime_error);
 }
 
+TEST_F(SerializeTest, RejectsLevelOutOfRange) {
+  // The level is the i32 after the magic and the version. A payload whose
+  // level no coverer can reach must not load, whatever its checksum says.
+  std::stringstream stream;
+  block_->WriteTo(stream);
+  std::string bytes = stream.str();
+  for (const int32_t level : {31, -1}) {
+    std::memcpy(bytes.data() + 8, &level, 4);
+    std::stringstream corrupt(bytes);
+    EXPECT_THROW(GeoBlock::ReadFrom(corrupt), std::runtime_error) << level;
+  }
+}
+
 TEST_F(SerializeTest, DeserializedBlockRefinesAfterAttach) {
   std::stringstream stream;
   block_->WriteTo(stream);
