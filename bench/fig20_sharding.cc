@@ -106,7 +106,7 @@ void Run() {
               static_cast<unsigned long long>(mismatches));
 
   // (b) Batched SELECT throughput. Repeat the workload to give the pool
-  // enough queries to amortize fan-out overhead.
+  // enough queries to amortize task overhead.
   constexpr size_t kRepeats = 20;
   std::vector<geo::Polygon> repeated;
   repeated.reserve(wl.size() * kRepeats);
@@ -133,14 +133,25 @@ void Run() {
                 bench_util::TablePrinter::Fmt(
                     1000.0 * static_cast<double>(repeated.size()) / serial_ms,
                     0)});
+  // Oracle for the batched seam: every batched answer must equal the
+  // sequential Select bit for bit, at every pool size.
+  std::vector<core::QueryResult> sequential;
+  sequential.reserve(repeated.size());
+  for (const geo::Polygon& poly : repeated) {
+    sequential.push_back(set.Select(poly, req));
+  }
+  uint64_t batch_mismatches = 0;
   for (const size_t threads : thread_counts) {
     util::ThreadPool pool(threads);
     timer.Restart();
     const auto results = set.ExecuteBatch(batch, &pool);
     const double ms = timer.ElapsedMs();
-    double sink = 0.0;
-    for (const auto& r : results) sink += static_cast<double>(r.count);
-    if (sink < 0) std::printf("impossible\n");
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (results[i].count != sequential[i].count ||
+          results[i].values != sequential[i].values) {
+        ++batch_mismatches;
+      }
+    }
     query.AddRow(
         {std::to_string(threads), bench_util::TablePrinter::Fmt(ms, 1),
          bench_util::TablePrinter::Fmt(serial_ms / ms, 2),
@@ -150,6 +161,8 @@ void Run() {
   std::printf("\n(b) batched SELECT, %zu queries (%zu aggregates)\n",
               repeated.size(), req.size());
   query.Print();
+  std::printf("batch vs sequential value mismatches: %llu\n",
+              static_cast<unsigned long long>(batch_mismatches));
 
   // (e) Persistence: cold build from base rows vs load from the persisted
   // manifest + payloads (docs/FORMAT.md). Loading skips the extract scan

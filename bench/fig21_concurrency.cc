@@ -122,7 +122,8 @@ void Run() {
     set.OverlappingShards(covering, &shards);
     for (const size_t s : shards) {
       std::lock_guard<std::mutex> lock(*shard_mu[s]);
-      set.cached_shard(s).CombineCovering(covering, &acc);
+      const core::GeoBlockQC& qc = set.cached_shard(s);
+      qc.CombineCovering(*qc.block().StateSnapshot(), covering, &acc);
     }
     return acc.Finish();
   };

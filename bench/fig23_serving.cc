@@ -199,16 +199,12 @@ void Run() {
     server::QueryServer server(&set, options);
     server.Start();
 
-    // The serial oracle: the server executes through the batched seam,
-    // which is bitwise reproducible across batch compositions, so a
-    // singleton QueryBatch pins each polygon's exact answer.
+    // The serial oracle: the server's batched seam folds each query
+    // exactly like Select, so sequential Select pins each exact answer.
     std::vector<core::QueryResult> expected;
     std::vector<uint64_t> expected_counts;
     for (const geo::Polygon& poly : env.neighborhoods) {
-      core::QueryBatch qb;
-      qb.polygons = {&poly};
-      qb.request = &req;
-      expected.push_back(set.ExecuteBatch(qb, nullptr).front());
+      expected.push_back(set.Select(poly, req));
       expected_counts.push_back(set.Count(poly));
     }
 
@@ -352,14 +348,11 @@ void Run() {
       }
     }
 
-    // Oracle for the degraded state: singleton batches over the frozen set.
+    // Oracle for the degraded state: sequential Select over the frozen set.
     std::vector<core::QueryResult> expected;
     std::vector<uint64_t> expected_counts;
     for (const geo::Polygon& poly : env.neighborhoods) {
-      core::QueryBatch qb;
-      qb.polygons = {&poly};
-      qb.request = &req;
-      expected.push_back(set.ExecuteBatch(qb, nullptr).front());
+      expected.push_back(set.Select(poly, req));
       expected_counts.push_back(set.Count(poly));
     }
 

@@ -55,20 +55,17 @@ int main() {
   server::Client a = server::Client::Connect(server.port(), tenant_a);
   std::printf("ping: %s\n", a.Ping("hello").c_str());
 
-  // SELECT over the wire is bit-identical to the in-process query: the
-  // protocol round-trips doubles exactly and the server executes through
-  // the same batched seam for every composition.
+  // SELECT over the wire is bit-identical to the in-process Select: the
+  // protocol round-trips doubles exactly and the server's batched seam
+  // folds each query exactly like Select.
   const auto polygons = workload::Neighborhoods(raw, 4);
   core::AggregateRequest request;
   request.Add(core::AggFn::kCount);
   request.Add(core::AggFn::kSum, 0);
   uint64_t mismatches = 0;
-  core::QueryBatch qb;
   for (const geo::Polygon& poly : polygons) {
     const core::QueryResult served = a.Select(poly, request);
-    qb.polygons = {&poly};
-    qb.request = &request;
-    const core::QueryResult local = set.ExecuteBatch(qb, nullptr).front();
+    const core::QueryResult local = set.Select(poly, request);
     if (served.count != local.count || served.values != local.values) {
       ++mismatches;
     }

@@ -164,28 +164,6 @@ class Accumulator {
     }
   }
 
-  /// Folds in another accumulator over the *same* request (used to merge
-  /// per-shard partial results). Values are still raw at this point (kAvg
-  /// holds the running sum), so merging commutes with Finish().
-  void Merge(const Accumulator& o) {
-    count_ += o.count_;
-    double* v = values();
-    const double* ov = o.values();
-    for (size_t s = 0; s < num_specs_; ++s) {
-      switch (request_->specs()[s].fn) {
-        case AggFn::kCount: break;
-        case AggFn::kSum:
-        case AggFn::kAvg: v[s] += ov[s]; break;
-        case AggFn::kMin:
-          if (ov[s] < v[s]) v[s] = ov[s];
-          break;
-        case AggFn::kMax:
-          if (ov[s] > v[s]) v[s] = ov[s];
-          break;
-      }
-    }
-  }
-
   /// Finalizes into a caller-owned result, reusing `out->values`' capacity:
   /// a warmed result object makes finishing allocation-free (the reason the
   /// *Into query variants exist). Bit-identical to Finish().
@@ -223,8 +201,7 @@ class Accumulator {
 
   /// The running values: inline for requests of up to kInlineSpecs
   /// aggregates, heap-backed beyond. Recomputed on access (no stored
-  /// pointer), so the implicitly defined copy/move members stay correct —
-  /// ExecuteBatch fill-constructs vectors of partial accumulators.
+  /// pointer), so the implicitly defined copy/move members stay correct.
   double* values() {
     return num_specs_ <= kInlineSpecs ? inline_values_
                                       : overflow_values_.data();

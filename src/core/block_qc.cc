@@ -14,31 +14,28 @@ QueryResult GeoBlockQC::SelectCovering(
     std::span<const cell::CellId> covering,
     const AggregateRequest& request) const {
   Accumulator acc(&request);
-  CombineCovering(covering, &acc);
+  // An owning pin, not a ReadGuard: the fold may run an inline rebuild,
+  // which waits on writer_mu_ — held by any commit that is itself waiting
+  // out the grace period of a guard this thread would still hold.
+  CombineCovering(*block_->StateSnapshot(), covering, &acc);
   return acc.Finish();
 }
 
-bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
+void GeoBlockQC::CombineCovering(const BlockState& state,
+                                 std::span<const cell::CellId> covering,
                                  Accumulator* acc_out) const {
   {
-    // Two epoch guards per query: the whole covering is answered from a
-    // single frozen trie *and* a single block-state version — cache hits
-    // and base-algorithm fallbacks read a mutually consistent pair, which
-    // a concurrent update commit cannot retire until the guards release.
+    // One trie snapshot per call, paired with the caller's pinned state:
+    // cache hits and base-algorithm fallbacks read one trie and one block
+    // state version, which concurrent publishes cannot retire underneath.
     const util::SnapshotCell<AggregateTrie>::ReadGuard trie(trie_);
-    const util::SnapshotCell<BlockState>::ReadGuard state(
-        block_->state_cell());
-    // Evicted shard: fold nothing — a still-populated trie could answer
-    // full hits, but partial hits would fall back to the (empty)
-    // tombstone and silently lose rows. The caller re-faults and retries.
-    if (state->evicted) return false;
     Accumulator& acc = *acc_out;
     size_t last_idx = GeoBlock::kNoLastAgg;
     for (cell::CellId qcell : covering) {
       if (qcell.level() > block_->level()) {
         qcell = qcell.Parent(block_->level());
       }
-      if (!state->MayOverlap(qcell)) continue;
+      if (!state.MayOverlap(qcell)) continue;
       // Track workload statistics for every query cell that intersects the
       // GeoBlock (Section 3.6). A single relaxed atomic increment.
       stats_.Record(qcell);
@@ -49,7 +46,7 @@ bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
       const AggregateTrie::Probe probe = trie->Lookup(qcell);
       if (!probe.node_exists) {
         counters_.AddMiss();
-        state->CombineCell(qcell, &acc, &last_idx);
+        state.CombineCell(qcell, &acc, &last_idx);
         continue;
       }
       if (probe.agg != nullptr) {
@@ -67,7 +64,7 @@ bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
       }
       if (!any_cached || qcell.level() >= block_->level()) {
         counters_.AddMiss();
-        state->CombineCell(qcell, &acc, &last_idx);
+        state.CombineCell(qcell, &acc, &last_idx);
         continue;
       }
       counters_.AddPartialHit();
@@ -77,15 +74,14 @@ bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
         if (children[k].agg != nullptr) {
           trie->Combine(children[k].agg, &acc);
         } else {
-          state->CombineCell(child, &acc, &child_last_idx);
+          state.CombineCell(child, &acc, &child_last_idx);
         }
       }
     }
   }
-  // Outside the guards: an inline rebuild must not wait for its own
+  // Outside the trie guard: an inline rebuild must not wait for its own
   // reader lease to drain.
   MaybeRebuildAfterQuery();
-  return true;
 }
 
 size_t GeoBlockQC::DropTrie() const {

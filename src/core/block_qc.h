@@ -101,10 +101,11 @@ class CacheCounterPlane {
 ///   tables: `Record` and the counter bumps are single atomic increments
 ///   with no allocation.
 /// - **Block-state plane.** The wrapped GeoBlock's aggregate state is
-///   itself MVCC (an immutable BlockState behind a SnapshotCell); a query
-///   pins one trie snapshot *and* one block-state version, so cache hits
-///   and base-algorithm fallbacks within a query read a mutually
-///   consistent pair even while update commits publish successors.
+///   itself MVCC (an immutable BlockState behind a SnapshotCell). The
+///   caller pins one block-state version (BlockSet::ResidentState, or
+///   `SelectCovering` itself) and `CombineCovering` pins one trie snapshot
+///   beside it, so cache hits and base-algorithm fallbacks within a query
+///   read one fixed pair even while update commits publish successors.
 ///
 /// `Select`/`SelectCovering`/`CombineCovering`/`Count` are therefore
 /// `const` and safe to call from any number of threads concurrently, with
@@ -118,12 +119,13 @@ class CacheCounterPlane {
 /// (a rebuild sees either the whole commit or none of it — it can
 /// neither lose a batch nor bake one in twice).
 ///
-/// What is and is not linearizable: each *query* sees exactly one trie
-/// snapshot and one block-state version, so a single answer is always
-/// internally consistent; across queries the snapshots may advance at any
-/// point, and during a commit's window between the state publish and the
-/// trie publish a query may combine the new state with the old trie —
-/// counts land between the pre- and post-batch values, never outside.
+/// What is and is not linearizable: each *query* folds exactly one trie
+/// snapshot and one block-state version; across queries the snapshots may
+/// advance at any point. The state is pinned before the trie, so a commit
+/// publishing in between pairs the old state with the new trie, and a
+/// query inside a commit's window between the state publish and the trie
+/// publish pairs the new state with the old trie. Either mix keeps counts
+/// between the pre- and post-batch values, never outside.
 /// Counters and stats are exact but only point-in-time-ish when observed
 /// mid-flight (see CacheCounterPlane).
 class GeoBlockQC {
@@ -216,21 +218,16 @@ class GeoBlockQC {
   /// Core of the adapted SELECT: combines the covering into an external
   /// accumulator instead of finishing a result. Lets a sharded engine fold
   /// several cached blocks into one query answer (BlockSet). Loads the
-  /// trie snapshot exactly once, so one call is internally consistent.
+  /// trie snapshot exactly once and falls back to `state` for every cell
+  /// the trie does not answer.
   ///
-  /// Memory governance: when the pinned block state is an eviction
-  /// tombstone (the shard was dropped back to "mapped, not materialized"
-  /// between the caller's fault-in and this pin), the call folds NOTHING
-  /// — not even trie hits, since partial hits would mix cached aggregates
-  /// with an empty base state — and returns false so the caller can
-  /// re-materialize and retry. Callers without a fault-in path (plain
-  /// non-lazy sets, direct QC use) always get true.
-  ///
+  /// @param state    A pinned, materialized version of the wrapped block's
+  ///     state (never an eviction tombstone: BlockSet::ResidentState
+  ///     guarantees that on lazy sets).
   /// @param covering Covering cells, ascending and disjoint.
   /// @param acc      Accumulator the aggregates are folded into.
-  /// @return False iff the block state was an eviction tombstone (nothing
-  ///     was folded into `acc`).
-  bool CombineCovering(std::span<const cell::CellId> covering,
+  void CombineCovering(const BlockState& state,
+                       std::span<const cell::CellId> covering,
                        Accumulator* acc) const;
 
   /// COUNT uses the unmodified base algorithm (no noticeable speedup is

@@ -100,14 +100,9 @@ BlockSet BlockSet::Build(const storage::ShardedDataset& shards,
   set.total_rows_ = shards.total_rows();
   set.dataset_attached_ = true;
 
-  const auto build_one = [&](size_t i) {
+  util::ParallelFor(pool, k, [&](size_t i) {
     *set.blocks_[i] = GeoBlock::Build(shards.shard(i), options.block);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(k, build_one);
-  } else {
-    for (size_t i = 0; i < k; ++i) build_one(i);
-  }
+  });
   return set;
 }
 
@@ -271,79 +266,22 @@ uint64_t BlockSet::CountCovering(
 
 std::vector<QueryResult> BlockSet::ExecuteBatch(const QueryBatch& batch,
                                                 util::ThreadPool* pool) const {
-  const AggregateRequest& request = *batch.request;
-  const size_t q = batch.size();
-  std::vector<QueryResult> results(q);
-  if (q == 0) return results;
-
-  // Phase 1: cover all polygons (independent, parallel).
-  std::vector<std::vector<cell::CellId>> coverings(q);
-  const auto cover_one = [&](size_t i) {
-    coverings[i] = Cover(*batch.polygons[i]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(q, cover_one);
-  } else {
-    for (size_t i = 0; i < q; ++i) cover_one(i);
-  }
-
-  // Phase 2: one task per (query, overlapping shard). Partial accumulators
-  // are pre-allocated per task and merged in a fixed order afterwards, so
-  // the result never depends on scheduling.
-  struct Part {
-    size_t query;
-    size_t shard;
-  };
-  std::vector<Part> parts;
-  std::vector<size_t> first_part(q + 1, 0);
-  std::vector<size_t> shards;
-  for (size_t i = 0; i < q; ++i) {
-    first_part[i] = parts.size();
-    OverlappingShards(coverings[i], &shards);
-    for (const size_t s : shards) {
-      parts.push_back({i, s});
-    }
-  }
-  first_part[q] = parts.size();
-
-  std::vector<Accumulator> partials(parts.size(), Accumulator(&request));
-  const auto run_part = [&](size_t p) {
-    const Part& part = parts[p];
-    // Admission-time fault-in: the pool worker that admits this (query,
-    // shard) task pays a cold shard's materialization, so cold shards
-    // hydrate in parallel across the work-stealing pool.
-    ResidentState(part.shard, /*rebalance=*/true)
-        ->CombineCovering(coverings[part.query], &partials[p]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(parts.size(), run_part);
-  } else {
-    for (size_t p = 0; p < parts.size(); ++p) run_part(p);
-  }
-
-  // Phase 3: deterministic merge — per query, shards in ascending order
-  // (parts were emitted that way).
-  for (size_t i = 0; i < q; ++i) {
-    Accumulator acc(&request);
-    for (size_t p = first_part[i]; p < first_part[i + 1]; ++p) {
-      acc.Merge(partials[p]);
-    }
-    results[i] = acc.Finish();
-  }
+  // One task per query, each exactly Select — the same covering, routing
+  // and ascending shard fold — so a batched answer is bit-identical to the
+  // sequential one, whatever the pool.
+  std::vector<QueryResult> results(batch.size());
+  util::ParallelFor(pool, batch.size(), [&](size_t i) {
+    results[i] = Select(*batch.polygons[i], *batch.request);
+  });
   return results;
 }
 
 std::vector<uint64_t> BlockSet::CountBatch(
     std::span<const geo::Polygon* const> polygons,
     util::ThreadPool* pool) const {
-  const size_t q = polygons.size();
-  std::vector<uint64_t> results(q, 0);
-  const auto count_one = [&](size_t i) { results[i] = Count(*polygons[i]); };
-  if (pool != nullptr) {
-    pool->ParallelFor(q, count_one);
-  } else {
-    for (size_t i = 0; i < q; ++i) count_one(i);
-  }
+  std::vector<uint64_t> results(polygons.size(), 0);
+  util::ParallelFor(pool, polygons.size(),
+                    [&](size_t i) { results[i] = Count(*polygons[i]); });
   return results;
 }
 
@@ -454,16 +392,11 @@ BlockSet::SetUpdateResult BlockSet::CommitRouted(
   std::atomic<size_t> applied{0};
   std::atomic<size_t> buffered{0};
   std::atomic<size_t> rebuilds{0};
-  const auto commit_one = [&](size_t i) {
+  util::ParallelFor(pool, busy.size(), [&](size_t i) {
     const size_t s = busy[i];
     CommitShardBatch(s, batch, per_shard[s], &applied, &buffered,
                      &rebuilds);
-  };
-  if (pool != nullptr && scratch.busy.size() > 1) {
-    pool->ParallelFor(scratch.busy.size(), commit_one);
-  } else {
-    for (size_t i = 0; i < scratch.busy.size(); ++i) commit_one(i);
-  }
+  });
 
   result.applied = applied.load(std::memory_order_relaxed);
   result.buffered = buffered.load(std::memory_order_relaxed);
@@ -742,46 +675,26 @@ void BlockSet::SelectCoveringCachedInto(std::span<const cell::CellId> covering,
   thread_local std::vector<size_t> shards;
   OverlappingShards(covering, &shards);
   Accumulator acc(&request);
-  // Lock-free fold: each shard's CombineCovering loads that shard's trie
-  // snapshot and block-state version once and probes them without any
-  // mutex (GeoBlockQC concurrency model). Shards are visited in ascending
-  // order, so the fold stays bit-identical to a serialized execution over
-  // the same snapshots. With the cache disabled the same fold runs against
-  // the pinned resident states (identical to SelectCovering).
-  if (cache_enabled()) {
-    for (const size_t s : shards) {
-      if (cached_[s]->CombineCovering(covering, &acc)) continue;
-      // Cold mapped shard: the cached fold refuses to answer over a
-      // tombstone (returns false having folded nothing). Fault the shard
-      // in and retry; if eviction keeps winning the race, fold straight
-      // from the pinned state we just materialized — it is guaranteed
-      // non-tombstone, so correctness never depends on winning a race.
-      bool folded = false;
-      for (int attempt = 0; attempt < 2 && !folded; ++attempt) {
-        const std::shared_ptr<const BlockState> pinned =
-            ResidentState(s, /*rebalance=*/true);
-        folded = cached_[s]->CombineCovering(covering, &acc);
-        if (!folded && attempt == 1) {
-          pinned->CombineCovering(covering, &acc);
-          folded = true;
-        }
-      }
-    }
-  } else {
-    for (const size_t s : shards) {
-      ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
+  // SelectCovering's fold, with each shard's trie probed first when the
+  // cache is on: ResidentState pins a never-tombstone state (faulting a
+  // cold shard in), and GeoBlockQC::CombineCovering pairs it with one
+  // lock-free trie snapshot. Shards ascend, so the fold stays
+  // bit-identical to a serialized execution over the same snapshots.
+  for (const size_t s : shards) {
+    const std::shared_ptr<const BlockState> state =
+        ResidentState(s, /*rebalance=*/true);
+    if (cache_enabled()) {
+      cached_[s]->CombineCovering(*state, covering, &acc);
+    } else {
+      state->CombineCovering(covering, &acc);
     }
   }
   acc.FinishInto(out);
 }
 
 void BlockSet::RebuildCaches(util::ThreadPool* pool) {
-  const auto rebuild_one = [this](size_t i) { cached_[i]->RebuildCache(); };
-  if (pool != nullptr) {
-    pool->ParallelFor(cached_.size(), rebuild_one);
-  } else {
-    for (size_t i = 0; i < cached_.size(); ++i) rebuild_one(i);
-  }
+  util::ParallelFor(pool, cached_.size(),
+                    [this](size_t i) { cached_[i]->RebuildCache(); });
 }
 
 CacheCounters BlockSet::MergedCacheCounters() const {

@@ -80,7 +80,8 @@ struct BlockSetOptions {
 };
 
 /// A batch of SELECT queries: many polygons evaluated under one aggregate
-/// request. The unit of admission for the batched execution path.
+/// request — the unit the server coalesces an epoch's SELECTs into. Each
+/// query still runs on its own (BlockSet::ExecuteBatch).
 struct QueryBatch {
   std::vector<const geo::Polygon*> polygons;
   const AggregateRequest* request = nullptr;
@@ -185,6 +186,8 @@ class BlockSet {
   /// @param options Block configuration shared by every shard.
   /// @param pool    Optional pool for the parallel build; null builds inline.
   /// @return The built set, in the *attached* state.
+  /// @throws std::invalid_argument as GeoBlock::Build does (e.g. a level
+  ///     outside [0, 30]), pooled or inline.
   static BlockSet Build(const storage::ShardedDataset& shards,
                         const BlockSetOptions& options,
                         util::ThreadPool* pool = nullptr);
@@ -264,19 +267,20 @@ class BlockSet {
   /// @return Number of tuples in covered cells.
   uint64_t CountCovering(std::span<const cell::CellId> covering) const;
 
-  /// Batched SELECT: covers all polygons, then runs one task per
-  /// (query, overlapping shard) pair on the pool and merges the partial
-  /// accumulators in shard order. Results are deterministic regardless of
-  /// scheduling: partials are merged in a fixed order. `batch.request`
-  /// must be non-null. With a null pool the batch runs inline.
+  /// Batched SELECT: one pool task per query, each exactly
+  /// `Select(*batch.polygons[i], *batch.request)`, so every result is
+  /// bit-identical to the sequential answer whatever the pool size or
+  /// schedule. `batch.request` must be non-null. An exception from any
+  /// query (e.g. ShardFaultError) reaches the caller after the batch
+  /// joins.
   ///
   /// @param batch Queries plus their shared request.
-  /// @param pool  Optional pool for the fan-out; null runs inline.
+  /// @param pool  Optional pool for the per-query tasks; null runs inline.
   /// @return One QueryResult per batch query, in batch order.
   std::vector<QueryResult> ExecuteBatch(const QueryBatch& batch,
                                         util::ThreadPool* pool) const;
 
-  /// Batched COUNT over the same fan-out scheme.
+  /// Batched COUNT: one pool task per polygon, each exactly `Count`.
   ///
   /// @param polygons Query polygons (borrowed).
   /// @param pool     Optional pool; null runs inline.
@@ -601,9 +605,9 @@ class BlockSet {
 
   /// SELECT through the per-shard caches (falls back to SelectCovering
   /// when the cache is disabled). `const`, lock-free, and thread-safe;
-  /// the covering and shard-routing *result* vectors live in reused
-  /// thread-local buffers (the coverer's internal working set still
-  /// allocates transiently while computing a covering).
+  /// the covering and shard-routing vectors live in reused thread-local
+  /// buffers, so once warm the one allocation left per call is
+  /// Projection::ToUnit's unit-space copy of the polygon.
   ///
   /// @param polygon Query polygon.
   /// @param request Aggregates to extract.

@@ -532,7 +532,7 @@ template <typename T>
 std::shared_ptr<std::vector<T>> CloneReusing(
     std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src) {
   std::shared_ptr<std::vector<T>> out;
-  if (*slot != nullptr && slot->use_count() == 1) {
+  if (SoleOwner(*slot)) {
     out = std::const_pointer_cast<std::vector<T>>(std::move(*slot));
     *out = src;  // copy-assign: reuses capacity when it suffices
   } else {

@@ -151,6 +151,19 @@ struct BlockState {
   size_t CellAggregateBytes() const;
 };
 
+/// True iff `p` is the only reference to its object, with acquire
+/// ordering: use_count() alone is a relaxed load, which does not order the
+/// other holders' last reads (a reader dropping its StateSnapshot pin)
+/// before the caller reuses the object. Copying `p` increments the same
+/// counter with an acq_rel RMW, which synchronizes with every earlier
+/// holder's release decrement.
+template <typename T>
+bool SoleOwner(const std::shared_ptr<T>& p) {
+  if (p == nullptr || p.use_count() != 1) return false;
+  const std::shared_ptr<T> sync = p;
+  return true;
+}
+
 /// Writer-side recycling pool for retired BlockState versions. Every update
 /// commit clones the touched aggregate arrays; without reuse the steady
 /// state allocates (and frees) one BlockState plus four or five large
@@ -158,8 +171,8 @@ struct BlockState {
 /// retired version here once its grace period has drained; the next commit
 /// takes it back — control block, state node, and the member arrays' heap
 /// buffers included — via const_pointer_cast, which is sound because a
-/// use_count()==1 reference is provably the only one (nobody else can copy
-/// a shared_ptr they don't hold).
+/// SoleOwner reference is provably the only one (nobody else can copy a
+/// shared_ptr they don't hold).
 ///
 /// All entry points are writer-side (commits to one block are externally
 /// serialized, and the retire hook runs inside the writer's Publish), so no
@@ -182,7 +195,7 @@ class StateArena {
     while (!spares_.empty()) {
       std::shared_ptr<const BlockState> s = std::move(spares_.back());
       spares_.pop_back();
-      if (s.use_count() == 1) {
+      if (SoleOwner(s)) {
         return std::const_pointer_cast<BlockState>(std::move(s));
       }
     }

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -194,6 +195,10 @@ class ThreadPool {
   /// helps drain the deques while waiting, so a ParallelFor issued from
   /// inside a pool worker makes progress instead of deadlocking (its
   /// sub-tasks may be executed by other blocked callers or by itself).
+  /// An exception thrown by any iteration is rethrown on the caller once
+  /// every iteration has finished (queued tasks hold `fn` by reference, so
+  /// the join always completes first); when several throw, the first one
+  /// caught wins. The inline cases (n == 1, one thread) simply propagate.
   template <typename Fn>
   void ParallelFor(size_t n, const Fn& fn) {
     if (n == 0) return;
@@ -205,21 +210,34 @@ class ThreadPool {
       std::mutex mu;
       std::condition_variable done;
       size_t remaining;
+      std::exception_ptr error;  ///< first iteration exception, if any
+      void Record(std::exception_ptr e) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (error == nullptr) error = std::move(e);
+      }
     };
     auto join = std::make_shared<Join>();
     join->remaining = n - 1;
     for (size_t i = 1; i < n; ++i) {
       Submit([&fn, i, join] {
-        fn(i);
+        try {
+          fn(i);
+        } catch (...) {
+          join->Record(std::current_exception());
+        }
         std::lock_guard<std::mutex> lock(join->mu);
         if (--join->remaining == 0) join->done.notify_all();
       });
     }
-    fn(0);
+    try {
+      fn(0);
+    } catch (...) {
+      join->Record(std::current_exception());
+    }
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(join->mu);
-        if (join->remaining == 0) return;
+        if (join->remaining == 0) break;
       }
       // Help with queued work (ours or anyone's — tasks are independent)
       // while iterations are still in flight; otherwise wait briefly. The
@@ -231,6 +249,7 @@ class ThreadPool {
                             [&join] { return join->remaining == 0; });
       }
     }
+    if (join->error != nullptr) std::rethrow_exception(join->error);
   }
 
  private:
@@ -367,5 +386,17 @@ class ThreadPool {
   std::condition_variable wake_;
   std::condition_variable idle_;
 };
+
+/// `pool->ParallelFor(n, fn)`, or a plain inline loop when `pool` is null:
+/// the one fork every optional-pool entry point shares, so an iteration's
+/// exception reaches the caller the same way on either path.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
 
 }  // namespace geoblocks::util

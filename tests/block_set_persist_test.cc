@@ -188,8 +188,7 @@ TEST_F(BlockSetPersistTest, ReserializationIsByteIdentical) {
 
 TEST_F(BlockSetPersistTest, LoadedSetSupportsBatchAndCachePaths) {
   // Each execution path must answer bit-identically to the same path on
-  // the pre-save set (batch-vs-sequential is only near-equal by contract,
-  // so compare like with like).
+  // the pre-save set.
   BlockSet set = BuildSet(4);
   BlockSet loaded = Deserialized(Serialized(set));
   const AggregateRequest req = Request();

@@ -203,6 +203,17 @@ TEST_F(BlockSetTest, ShardedResultsBitIdenticalToSingleBlock) {
   }
 }
 
+TEST_F(BlockSetTest, PooledBuildRethrowsBlockErrorOnCaller) {
+  // Every shard's GeoBlock::Build rejects level 31 on a pool worker; the
+  // typed error must reach the caller instead of terminating the process.
+  util::ThreadPool pool(4);
+  const storage::ShardedDataset sharded = Shard(4);
+  EXPECT_THROW(BlockSet::Build(sharded, BlockSetOptions{{31, {}}}, &pool),
+               std::invalid_argument);
+  EXPECT_THROW(BlockSet::Build(sharded, BlockSetOptions{{31, {}}}),
+               std::invalid_argument);
+}
+
 TEST_F(BlockSetTest, CoarseAlignmentCreatesEmptyShardsButStaysCorrect) {
   // Aligning at a very coarse level collapses most boundary candidates
   // onto the same cell start, leaving later shards empty. Results must be

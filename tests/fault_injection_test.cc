@@ -12,6 +12,8 @@
 //     Status::kReadOnly (the failing epoch itself gets kInternal: its
 //     outcome is genuinely unknown), reads stay bit-identical to the
 //     oracle, PING v2 reports degraded health, STATS exposes the mode.
+//     A corrupt mapped shard turns the reads routed to it into kInternal
+//     on a pooled server, while every other read and PING keep serving.
 //
 //  3. Chaos matrix — {pwrite ENOSPC, pwrite EIO, fsync EIO} × concurrent
 //     retrying writers: after the WAL dies and the server crashes,
@@ -38,12 +40,14 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cell/cell_id.h"
 #include "core/block_set.h"
+#include "core/serialize.h"
 #include "io/update_log.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -293,10 +297,7 @@ TEST_F(FaultInjectionTest, DegradedServerServesReadsAndReportsHealth) {
   req.Add(AggFn::kSum, 0);
   for (size_t p = 0; p < polygons_->size(); ++p) {
     const QueryResult got = client.Select((*polygons_)[p], req);
-    core::QueryBatch qb;
-    qb.polygons = {&(*polygons_)[p]};
-    qb.request = &req;
-    const QueryResult want = oracle.ExecuteBatch(qb, nullptr).front();
+    const QueryResult want = oracle.Select((*polygons_)[p], req);
     ASSERT_EQ(got.count, want.count) << "polygon " << p;
     ASSERT_EQ(got.values, want.values) << "polygon " << p;
     ASSERT_EQ(client.Count((*polygons_)[p]), oracle.Count((*polygons_)[p]));
@@ -311,6 +312,124 @@ TEST_F(FaultInjectionTest, DegradedServerServesReadsAndReportsHealth) {
   server.Stop();
   ::unlink(manifest_path.c_str());
   ::unlink(wal_path.c_str());
+}
+
+TEST_F(FaultInjectionTest, CorruptMappedShardAnswersInternalAndStaysContained) {
+  const std::string path = ::testing::TempDir() + "fault_corrupt.gbst";
+  (void)WriteManifest(path);
+  const BlockSet eager = BuildSet();
+  // Flip one byte in shard 2's payload: the manifest stays intact, so
+  // OpenMapped succeeds and the damage surfaces when a read faults it in.
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::string bytes = std::move(buf).str();
+    std::istringstream manifest(bytes, std::ios::binary);
+    const core::serialize::SetManifest m =
+        core::serialize::ReadSetManifest(manifest);
+    ASSERT_GT(m.payload_sizes[2], 0u);
+    bytes[m.manifest_bytes + m.payload_offsets[2] + m.payload_sizes[2] / 2] ^=
+        0x5A;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  // One polygon strictly inside a cell of each shard: it covers that cell
+  // alone, so it routes to that shard only, even by manifest boundaries.
+  std::vector<geo::Polygon> by_shard;
+  for (size_t s = 0; s < eager.num_shards(); ++s) {
+    const std::vector<uint64_t>& cells = eager.shard(s).cells();
+    ASSERT_FALSE(cells.empty());
+    const geo::Rect r = cell::CellId(cells[cells.size() / 2]).ToRect();
+    const double dx = (r.max.x - r.min.x) / 4;
+    const double dy = (r.max.y - r.min.y) / 4;
+    by_shard.push_back(geo::Polygon::FromRect(eager.projection().FromUnit(
+        geo::Rect{{r.min.x + dx, r.min.y + dy},
+                  {r.max.x - dx, r.max.y - dy}})));
+  }
+
+  BlockSet mapped = BlockSet::OpenMapped(path);
+  ServerOptions options;
+  options.pool = pool_;
+  // Parks the batcher on one epoch while `park` is set, so a burst can
+  // queue up behind it and execute as one epoch.
+  std::mutex park_mu;
+  std::condition_variable park_cv;
+  bool park = false;
+  std::atomic<int> parked{0};
+  options.batch_hook = [&] {
+    std::unique_lock<std::mutex> lock(park_mu);
+    if (!park) return;
+    parked.fetch_add(1);
+    park_cv.wait(lock, [&] { return !park; });
+  };
+  QueryServer server(&mapped, options);
+  server.Start();
+  Client client = Client::Connect(server.port());
+  AggregateRequest req;
+  req.Add(AggFn::kCount);
+  req.Add(AggFn::kSum, 0);
+  req.Add(AggFn::kAvg, 1);
+
+  for (int round = 0; round < 2; ++round) {
+    for (size_t s = 0; s < by_shard.size(); ++s) {
+      const geo::Polygon& poly = by_shard[s];
+      if (s == 2) {
+        try {
+          (void)client.Select(poly, req);
+          FAIL() << "a SELECT over the corrupt shard must fail";
+        } catch (const server::ServerError& e) {
+          EXPECT_EQ(e.status, Status::kInternal);
+        }
+        try {
+          (void)client.Count(poly);
+          FAIL() << "a COUNT over the corrupt shard must fail";
+        } catch (const server::ServerError& e) {
+          EXPECT_EQ(e.status, Status::kInternal);
+        }
+        continue;
+      }
+      const QueryResult got = client.Select(poly, req);
+      const QueryResult want = eager.Select(poly, req);
+      EXPECT_GT(want.count, 0u) << "shard " << s;
+      EXPECT_EQ(got.count, want.count) << "shard " << s;
+      EXPECT_EQ(got.values, want.values) << "shard " << s;
+      EXPECT_EQ(client.Count(poly), eager.Count(poly)) << "shard " << s;
+    }
+    EXPECT_EQ(client.Ping("alive"), "alive");
+  }
+
+  // A burst of shard-2 reads queued behind a parked epoch executes as one
+  // pooled ExecuteBatch and one pooled CountBatch, so the faults are thrown
+  // on pool workers: every burst request still answers kInternal.
+  constexpr uint64_t kBurst = 4;
+  {
+    std::lock_guard<std::mutex> lock(park_mu);
+    park = true;
+  }
+  client.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
+  while (parked.load() == 0) std::this_thread::yield();
+  for (uint64_t j = 0; j < kBurst; ++j) {
+    client.SendBytes(server::EncodeSelect(0, 2 + 2 * j, by_shard[2], req));
+    client.SendBytes(server::EncodeCount(0, 3 + 2 * j, by_shard[2]));
+  }
+  while (server.stats().queue_depth < 2 * kBurst) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lock(park_mu);
+    park = false;
+  }
+  park_cv.notify_all();
+  for (uint64_t j = 0; j < 1 + 2 * kBurst; ++j) {
+    server::Response resp;
+    ASSERT_TRUE(client.ReadResponse(&resp));
+    EXPECT_EQ(resp.status, resp.cookie == 1 ? Status::kOk : Status::kInternal)
+        << "cookie " << resp.cookie;
+  }
+  EXPECT_EQ(client.Ping("still-alive"), "still-alive");
+
+  server.Stop();
+  EXPECT_FALSE(mapped.shard_resident(2));
+  ::unlink(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "io/update_log.h"
 #include "storage/sharded_dataset.h"
 #include "util/io_shim.h"
+#include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
 
@@ -135,6 +136,33 @@ class LazyLoadTest : public ::testing::Test {
     return {cell::CellId(cells[cells.size() / 2])};
   }
 
+  /// A polygon strictly inside shard `s`'s middle cell (the cell of
+  /// ShardCovering), so it covers that cell alone and routes to shard `s`
+  /// only — even by manifest boundaries, before any hull is known.
+  static geo::Polygon ShardPolygon(const BlockSet& eager, size_t s) {
+    const geo::Rect r = ShardCovering(eager, s).front().ToRect();
+    const double dx = (r.max.x - r.min.x) / 4;
+    const double dy = (r.max.y - r.min.y) / 4;
+    return geo::Polygon::FromRect(eager.projection().FromUnit(geo::Rect{
+        {r.min.x + dx, r.min.y + dy}, {r.max.x - dx, r.max.y - dy}}));
+  }
+
+  /// Flips one byte in the middle of shard `s`'s payload in the file at
+  /// path_; the manifest stays intact, so OpenMapped still succeeds.
+  void CorruptShardPayload(size_t s) const {
+    std::string bytes = ReadFileBytes();
+    core::serialize::SetManifest m;
+    {
+      std::istringstream in(bytes, std::ios::binary);
+      m = core::serialize::ReadSetManifest(in);
+    }
+    ASSERT_GT(m.payload_sizes[s], 0u);
+    bytes[m.manifest_bytes + m.payload_offsets[s] + m.payload_sizes[s] / 2] ^=
+        0x5A;
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
   static storage::PointTable* raw_;
   static std::shared_ptr<const storage::SortedDataset>* data_;
   static std::vector<geo::Polygon>* polygons_;
@@ -224,23 +252,8 @@ TEST_F(LazyLoadTest, CorruptShardPayloadFaultsTypedAndStaysContained) {
   WriteFile(BuildSet(kShards));
   const BlockSet eager = Eager();
 
-  // Flip one byte in shard 2's payload; the manifest stays intact, so
-  // OpenMapped succeeds — the damage must surface at fault time, typed.
-  std::string bytes = ReadFileBytes();
-  core::serialize::SetManifest m;
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    m = core::serialize::ReadSetManifest(in);
-  }
-  ASSERT_GT(m.payload_sizes[2], 0u);
-  const size_t victim =
-      m.manifest_bytes + m.payload_offsets[2] + m.payload_sizes[2] / 2;
-  bytes[victim] ^= 0x5A;
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
+  // The damage must surface at fault time, typed.
+  CorruptShardPayload(2);
   const BlockSet mapped = BlockSet::OpenMapped(path_);
   const AggregateRequest req = Request();
   const auto bad = ShardCovering(eager, 2);
@@ -260,6 +273,50 @@ TEST_F(LazyLoadTest, CorruptShardPayloadFaultsTypedAndStaysContained) {
     EXPECT_EQ(mapped.SelectCovering(good, req).count,
               eager.SelectCovering(good, req).count)
         << "shard " << s;
+  }
+}
+
+TEST_F(LazyLoadTest, PooledBatchesOverCorruptShardThrowTypedAndStayContained) {
+  WriteFile(BuildSet(kShards));
+  const BlockSet eager = Eager();
+  CorruptShardPayload(2);
+  const BlockSet mapped = BlockSet::OpenMapped(path_);
+  std::vector<geo::Polygon> polys;
+  for (size_t s = 0; s < kShards; ++s) polys.push_back(ShardPolygon(eager, s));
+  std::vector<const geo::Polygon*> all;
+  for (const geo::Polygon& p : polys) all.push_back(&p);
+  const std::vector<const geo::Polygon*> good = {&polys[0], &polys[1],
+                                                 &polys[3]};
+  const AggregateRequest req = Request();
+
+  // A query fault on a pool worker reaches the caller as the typed error.
+  util::ThreadPool pool(4);
+  for (int round = 0; round < 2; ++round) {
+    try {
+      (void)mapped.ExecuteBatch(core::QueryBatch{all, &req}, &pool);
+      FAIL() << "a pooled SELECT over the corrupt shard must throw";
+    } catch (const ShardFaultError& e) {
+      EXPECT_EQ(e.shard, 2u);
+    }
+    try {
+      (void)mapped.CountBatch(all, &pool);
+      FAIL() << "a pooled COUNT over the corrupt shard must throw";
+    } catch (const ShardFaultError& e) {
+      EXPECT_EQ(e.shard, 2u);
+    }
+  }
+  EXPECT_FALSE(mapped.shard_resident(2));
+
+  // Shards 0, 1 and 3 keep answering, bit-identically to the eager set.
+  const std::vector<QueryResult> selects =
+      mapped.ExecuteBatch(core::QueryBatch{good, &req}, &pool);
+  const std::vector<uint64_t> counts = mapped.CountBatch(good, &pool);
+  for (size_t j = 0; j < good.size(); ++j) {
+    const QueryResult want = eager.Select(*good[j], req);
+    EXPECT_GT(want.count, 0u) << "query " << j;
+    EXPECT_EQ(selects[j].count, want.count) << "query " << j;
+    EXPECT_EQ(selects[j].values, want.values) << "query " << j;
+    EXPECT_EQ(counts[j], eager.Count(*good[j])) << "query " << j;
   }
 }
 

@@ -105,13 +105,17 @@ BlockSet* QueryBatchTest::set_ = nullptr;
 std::vector<geo::Polygon>* QueryBatchTest::polygons_ = nullptr;
 
 TEST_F(QueryBatchTest, BatchMatchesSequentialSelect) {
-  util::ThreadPool pool(4);
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool4(4);
   const AggregateRequest req = Request();
   const QueryBatch batch = QueryBatch::Of(*polygons_, &req);
-  const std::vector<QueryResult> results = set_->ExecuteBatch(batch, &pool);
-  ASSERT_EQ(results.size(), polygons_->size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ExpectNear(results[i], set_->Select((*polygons_)[i], req), "batch");
+  std::vector<QueryResult> want;
+  for (const geo::Polygon& poly : *polygons_) {
+    want.push_back(set_->Select(poly, req));
+  }
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool1, &pool4}) {
+    ExpectExactlyEqual(set_->ExecuteBatch(batch, pool), want);
   }
 }
 
@@ -124,8 +128,8 @@ TEST_F(QueryBatchTest, BatchIsDeterministicAcrossRunsAndPoolSizes) {
   const auto run1 = set_->ExecuteBatch(batch, &pool1);
   const auto run4a = set_->ExecuteBatch(batch, &pool4);
   const auto run4b = set_->ExecuteBatch(batch, &pool4);
-  // Partial merge order is fixed, so results are bitwise reproducible no
-  // matter how the tasks were scheduled.
+  // Every query folds exactly like Select, so results are bitwise
+  // reproducible no matter how the tasks were scheduled.
   ExpectExactlyEqual(inline_run, run1);
   ExpectExactlyEqual(run1, run4a);
   ExpectExactlyEqual(run4a, run4b);

@@ -173,19 +173,14 @@ TEST_F(ServerServingTest, ConcurrentReadsAreBitIdenticalToSerialOracle) {
   server.Start();
 
   // Precompute every expected answer serially against the oracle. The
-  // server executes through the batched seam, whose merge order differs
-  // from sequential Select by last-bit rounding — but is bitwise
-  // reproducible across batch compositions and pool sizes
-  // (query_batch_test pins this), so a singleton batch is the oracle.
+  // server's batched seam folds each query exactly like Select, so the
+  // served answers must match sequential Select bit for bit.
   const std::vector<AggregateRequest> reqs = Requests();
   std::vector<std::vector<QueryResult>> expected(polygons_->size());
   std::vector<uint64_t> expected_counts(polygons_->size());
   for (size_t p = 0; p < polygons_->size(); ++p) {
     for (const AggregateRequest& req : reqs) {
-      core::QueryBatch qb;
-      qb.polygons = {&(*polygons_)[p]};
-      qb.request = &req;
-      expected[p].push_back(oracle.ExecuteBatch(qb, nullptr).front());
+      expected[p].push_back(oracle.Select((*polygons_)[p], req));
     }
     expected_counts[p] = oracle.Count((*polygons_)[p]);
   }
@@ -369,8 +364,8 @@ TEST_F(ServerServingTest, AcknowledgedUpdatesSurviveCrashAndRestart) {
 }
 
 TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
-  // A lazily opened set behind the server: queries through the wire pay
-  // admission-time fault-in on the pool, answers match the eager oracle,
+  // A lazily opened set behind the server: queries through the wire fault
+  // shards in on the pool, answers match the eager oracle bit for bit,
   // and STATS surfaces the governor's memory.* keys (docs/PROTOCOL.md).
   const std::string path =
       ::testing::TempDir() + "server_serving_mapped.gbst";
@@ -402,16 +397,9 @@ TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
       const QueryResult got = client.Select(poly, reqs[2]);
       const QueryResult want = eager.Select(poly, reqs[2]);
       ASSERT_EQ(want.count, got.count);
-      // Select computes its covering against the set's routing state; a
-      // cold mapped shard routes through the conservative boundary
-      // fallback, so the fold order (not the point membership) can
-      // differ from the eager set. Counts are exact; values are
-      // compared to relative tolerance like the cached path. Bit
-      // identity on shared coverings is gated in LazyLoadTest.
       ASSERT_EQ(want.values.size(), got.values.size());
       for (size_t v = 0; v < want.values.size(); ++v) {
-        const double tol = 1e-9 * std::max(1.0, std::abs(want.values[v]));
-        ASSERT_NEAR(want.values[v], got.values[v], tol)
+        ASSERT_EQ(want.values[v], got.values[v])
             << "served lazy answer diverged from the eager oracle";
       }
     }

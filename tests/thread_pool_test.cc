@@ -2,8 +2,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -71,6 +75,53 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
     pool.ParallelFor(4, [&](size_t) { ++count; });
   });
   EXPECT_EQ(count.load(), 16);
+}
+
+TEST(ThreadPoolTest, IterationExceptionIsRethrownOnCallerAfterJoin) {
+  // Every iteration waits until all have started, so iterations 1..3
+  // provably run on workers while the caller runs 0. Index `bad` then
+  // throws — on a worker (2) or on the caller (0) — while the others are
+  // still running: the original exception must reach the caller only
+  // after every other index finished, and the pool keeps serving.
+  util::ThreadPool pool(4);
+  constexpr size_t kN = 4;
+  for (const size_t bad : {size_t{2}, size_t{0}}) {
+    std::vector<std::atomic<int>> started(kN);
+    std::vector<std::atomic<int>> finished(kN);
+    std::atomic<size_t> running{0};
+    try {
+      pool.ParallelFor(kN, [&](size_t i) {
+        ++started[i];
+        running.fetch_add(1);
+        while (running.load() < kN) std::this_thread::yield();
+        if (i == bad) throw std::out_of_range("index " + std::to_string(i));
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ++finished[i];
+      });
+      FAIL() << "the iteration exception must reach the caller";
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string(e.what()), "index " + std::to_string(bad));
+    }
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(started[i].load(), 1) << "bad " << bad << ", index " << i;
+      EXPECT_EQ(finished[i].load(), i == bad ? 0 : 1)
+          << "bad " << bad << ", index " << i;
+    }
+    std::atomic<int> count{0};
+    pool.ParallelFor(64, [&](size_t) { ++count; });
+    EXPECT_EQ(count.load(), 64);
+  }
+}
+
+TEST(ThreadPoolTest, NullPoolParallelForRunsInlineAndPropagates) {
+  std::vector<size_t> order;
+  util::ParallelFor(nullptr, 4, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_THROW(util::ParallelFor(nullptr, 4,
+                                 [](size_t i) {
+                                   if (i == 2) throw std::out_of_range("2");
+                                 }),
+               std::out_of_range);
 }
 
 TEST(ThreadPoolTest, WorkStealingRebalancesSkewedTasks) {
