@@ -276,15 +276,6 @@ std::vector<QueryResult> BlockSet::ExecuteBatch(const QueryBatch& batch,
   return results;
 }
 
-std::vector<uint64_t> BlockSet::CountBatch(
-    std::span<const geo::Polygon* const> polygons,
-    util::ThreadPool* pool) const {
-  std::vector<uint64_t> results(polygons.size(), 0);
-  util::ParallelFor(pool, polygons.size(),
-                    [&](size_t i) { results[i] = Count(*polygons[i]); });
-  return results;
-}
-
 // ---------------------------------------------------------------------------
 // The update plane
 // ---------------------------------------------------------------------------

@@ -80,8 +80,7 @@ struct BlockSetOptions {
 };
 
 /// A batch of SELECT queries: many polygons evaluated under one aggregate
-/// request — the unit the server coalesces an epoch's SELECTs into. Each
-/// query still runs on its own (BlockSet::ExecuteBatch).
+/// request. Each query still runs on its own (BlockSet::ExecuteBatch).
 struct QueryBatch {
   std::vector<const geo::Polygon*> polygons;
   const AggregateRequest* request = nullptr;
@@ -267,27 +266,19 @@ class BlockSet {
   /// @return Number of tuples in covered cells.
   uint64_t CountCovering(std::span<const cell::CellId> covering) const;
 
-  /// Batched SELECT: one pool task per query, each exactly
+  /// Batched SELECT: one ParallelFor iteration per query, each exactly
   /// `Select(*batch.polygons[i], *batch.request)`, so every result is
   /// bit-identical to the sequential answer whatever the pool size or
   /// schedule. `batch.request` must be non-null. An exception from any
   /// query (e.g. ShardFaultError) reaches the caller after the batch
-  /// joins.
+  /// joins and fails the whole batch; a caller that must contain one
+  /// query's fault (the server) calls Select per query instead.
   ///
   /// @param batch Queries plus their shared request.
   /// @param pool  Optional pool for the per-query tasks; null runs inline.
   /// @return One QueryResult per batch query, in batch order.
   std::vector<QueryResult> ExecuteBatch(const QueryBatch& batch,
                                         util::ThreadPool* pool) const;
-
-  /// Batched COUNT: one pool task per polygon, each exactly `Count`.
-  ///
-  /// @param polygons Query polygons (borrowed).
-  /// @param pool     Optional pool; null runs inline.
-  /// @return One count per polygon, in input order.
-  std::vector<uint64_t> CountBatch(
-      std::span<const geo::Polygon* const> polygons,
-      util::ThreadPool* pool) const;
 
   /// -- Update plane --------------------------------------------------------
 

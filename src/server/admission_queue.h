@@ -5,8 +5,9 @@
 /// batcher: producers TryPush decoded requests (a full queue is a typed
 /// Status::kBusy rejection — backpressure is explicit, never a silent
 /// drop), and the single batcher thread drains up to `max` requests at a
-/// time, which is the coalescing seam — everything drained together is a
-/// candidate for one QueryBatch / ApplyBatchUpdate (see server.cc).
+/// time, which is the epoch seam — everything drained together executes
+/// as one epoch: one ParallelFor over its reads, one ApplyBatchUpdate
+/// (see server.cc).
 ///
 /// Close() stops admission but lets the batcher drain what was already
 /// admitted (graceful Stop); CloseAndDiscard() drops the backlog on the

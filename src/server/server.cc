@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -422,31 +421,18 @@ void QueryServer::ExecuteEpoch(std::vector<PendingRequest>& batch) {
     }
   }
 
-  std::vector<size_t> count_idx;
+  std::vector<size_t> read_idx;
   std::vector<size_t> update_idx;
-  // SELECTs coalesce per aggregate-request signature: QueryBatch shares
-  // one AggregateRequest across its polygons, so only requests asking for
-  // the same aggregates can ride one batch.
-  std::map<std::string, std::vector<size_t>> select_groups;
   for (size_t i = 0; i < batch.size(); ++i) {
     if (expired[i]) continue;
     switch (batch[i].opcode) {
+      case Opcode::kSelect:
       case Opcode::kCount:
-        count_idx.push_back(i);
+        read_idx.push_back(i);
         break;
       case Opcode::kUpdate:
         update_idx.push_back(i);
         break;
-      case Opcode::kSelect: {
-        std::string key;
-        for (const core::AggSpec& spec : batch[i].aggregates.specs()) {
-          key.push_back(static_cast<char>(spec.fn));
-          key.append(reinterpret_cast<const char*>(&spec.column),
-                     sizeof(spec.column));
-        }
-        select_groups[key].push_back(i);
-        break;
-      }
       default:
         break;  // unreachable: only query/update opcodes are admitted
     }
@@ -460,45 +446,42 @@ void QueryServer::ExecuteEpoch(std::vector<PendingRequest>& batch) {
     WriteResponse(p.conn, status, p.cookie, payload);
   };
 
-  if (!count_idx.empty()) {
-    std::vector<const geo::Polygon*> polygons;
-    polygons.reserve(count_idx.size());
-    for (const size_t i : count_idx) polygons.push_back(&batch[i].polygon);
+  // Every read is exactly the sequential Select / Count, one pool
+  // iteration each under its own try/catch, so a read that faults (e.g.
+  // on a corrupt shard) fails only itself. Responses are written here on
+  // the batcher thread once the reads joined.
+  std::vector<Status> read_status(read_idx.size(), Status::kInternal);
+  std::vector<std::string> read_payload(read_idx.size());
+  util::ParallelFor(options_.pool, read_idx.size(), [&](size_t j) {
+    const PendingRequest& p = batch[read_idx[j]];
     try {
-      const std::vector<uint64_t> counts =
-          set_->CountBatch(polygons, options_.pool);
-      counts_executed_.fetch_add(count_idx.size(),
-                                 std::memory_order_relaxed);
-      for (size_t j = 0; j < count_idx.size(); ++j) {
-        finish(batch[count_idx[j]], Status::kOk,
-               EncodeCountResult(counts[j]));
+      if (p.opcode == Opcode::kCount) {
+        read_payload[j] = EncodeCountResult(set_->Count(p.polygon));
+      } else {
+        const core::QueryResult q = set_->Select(p.polygon, p.aggregates);
+        SelectResult r;
+        r.count = q.count;
+        r.values = q.values;
+        read_payload[j] = EncodeSelectResult(r);
       }
+      read_status[j] = Status::kOk;
     } catch (const std::exception&) {
-      for (const size_t i : count_idx) {
-        finish(batch[i], Status::kInternal, {});
-      }
+    }
+  });
+  for (size_t j = 0; j < read_idx.size(); ++j) {
+    if (read_status[j] == Status::kOk &&
+        batch[read_idx[j]].opcode == Opcode::kSelect) {
+      select_groups_.fetch_add(1, std::memory_order_relaxed);
+      break;
     }
   }
-
-  for (const auto& [key, idx] : select_groups) {
-    core::QueryBatch qb;
-    qb.polygons.reserve(idx.size());
-    for (const size_t i : idx) qb.polygons.push_back(&batch[i].polygon);
-    qb.request = &batch[idx.front()].aggregates;
-    try {
-      const std::vector<core::QueryResult> results =
-          set_->ExecuteBatch(qb, options_.pool);
-      selects_executed_.fetch_add(idx.size(), std::memory_order_relaxed);
-      select_groups_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t j = 0; j < idx.size(); ++j) {
-        SelectResult r;
-        r.count = results[j].count;
-        r.values = results[j].values;
-        finish(batch[idx[j]], Status::kOk, EncodeSelectResult(r));
-      }
-    } catch (const std::exception&) {
-      for (const size_t i : idx) finish(batch[i], Status::kInternal, {});
+  for (size_t j = 0; j < read_idx.size(); ++j) {
+    const PendingRequest& p = batch[read_idx[j]];
+    if (read_status[j] == Status::kOk) {
+      (p.opcode == Opcode::kCount ? counts_executed_ : selects_executed_)
+          .fetch_add(1, std::memory_order_relaxed);
     }
+    finish(p, read_status[j], read_payload[j]);
   }
 
   if (!update_idx.empty()) {

@@ -7,9 +7,9 @@
 /// (server/protocol.h), passes SELECT / COUNT / UPDATE requests through
 /// per-tenant QoS (server/qos.h) into a bounded admission queue
 /// (server/admission_queue.h); a single batcher thread drains the queue
-/// and coalesces what it finds into the engine's batched seams — one
-/// QueryBatch per distinct aggregate request, one CountBatch, one
-/// ApplyBatchUpdate per drain — executed on the work-stealing ThreadPool.
+/// and executes what it finds as one epoch — every SELECT / COUNT as its
+/// own Select / Count call in one ParallelFor on the fork-join ThreadPool
+/// (a faulting read fails only itself), then one ApplyBatchUpdate.
 /// PING and STATS are answered inline by the reader thread (health checks
 /// and audits must work even when the tenant is throttled or the queue is
 /// full, so they bypass QoS and admission).
@@ -75,7 +75,7 @@ struct ServerOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Per-tenant rate limiting / grey-listing policy.
   QosOptions qos;
-  /// Execution pool for the coalesced batches (null executes inline on
+  /// Execution pool for an epoch's reads (null executes them inline on
   /// the batcher thread). Must outlive the server.
   util::ThreadPool* pool = nullptr;
   /// Test hook: when set, the batcher calls it before executing each
@@ -128,7 +128,7 @@ struct ServerStats {
   uint64_t counts_executed = 0;
   uint64_t updates_executed = 0;   ///< UPDATE requests answered OK
   uint64_t update_tuples = 0;      ///< tuples committed through the wire
-  uint64_t select_groups = 0;      ///< QueryBatches formed (coalescing meter)
+  uint64_t select_groups = 0;      ///< epochs that executed a SELECT
   uint64_t queue_depth = 0;        ///< point-in-time backlog
   uint64_t connections_reaped = 0; ///< closed by idle/read/write deadline
   uint64_t requests_timed_out = 0; ///< answered kTimeout (deadline expired)
@@ -182,8 +182,8 @@ class QueryServer {
   struct Connection;
 
   /// One admitted request parked in the queue between its reader thread
-  /// and the batcher. Owns its decoded payload; QueryBatch borrows
-  /// pointers into the drained vector (stable while the epoch executes).
+  /// and the batcher. Owns its decoded payload; the epoch's reads refer
+  /// into the drained vector (stable while the epoch executes).
   struct PendingRequest {
     Opcode opcode = Opcode::kPing;
     uint32_t tenant = 0;
@@ -208,9 +208,9 @@ class QueryServer {
   /// must close (schema-invalid request).
   bool Dispatch(const std::shared_ptr<Connection>& conn, Request&& request);
 
-  /// Executes one drained batch epoch: coalesced counts, per-request-
-  /// signature QueryBatches, and one ApplyBatchUpdate, then writes every
-  /// response.
+  /// Executes one drained batch epoch: every SELECT / COUNT as its own
+  /// Select / Count in one ParallelFor, then one ApplyBatchUpdate, and
+  /// writes every response on the batcher thread.
   void ExecuteEpoch(std::vector<PendingRequest>& batch);
 
   /// Writes a response frame to `conn` (serialized per connection;

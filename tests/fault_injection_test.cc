@@ -13,7 +13,8 @@
 //     outcome is genuinely unknown), reads stay bit-identical to the
 //     oracle, PING v2 reports degraded health, STATS exposes the mode.
 //     A corrupt mapped shard turns the reads routed to it into kInternal
-//     on a pooled server, while every other read and PING keep serving.
+//     on a pooled server, while every other read — even one executed in
+//     the same epoch — and PING keep serving.
 //
 //  3. Chaos matrix — {pwrite ENOSPC, pwrite EIO, fsync EIO} × concurrent
 //     retrying writers: after the WAL dies and the server crashes,
@@ -157,6 +158,76 @@ class FaultInjectionTest : public ::testing::Test {
     pristine.WriteTo(out);
     return pristine.CountCovering(kAll);
   }
+
+  /// Writes the pristine build to `path` with one byte of `shard`'s
+  /// payload flipped: the manifest stays intact, so OpenMapped succeeds and
+  /// the damage surfaces when a read faults the shard in.
+  static void WriteCorruptManifest(const std::string& path, size_t shard) {
+    (void)WriteManifest(path);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::string bytes = std::move(buf).str();
+    std::istringstream manifest(bytes, std::ios::binary);
+    const core::serialize::SetManifest m =
+        core::serialize::ReadSetManifest(manifest);
+    ASSERT_GT(m.payload_sizes[shard], 0u);
+    bytes[m.manifest_bytes + m.payload_offsets[shard] +
+          m.payload_sizes[shard] / 2] ^= 0x5A;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// One polygon strictly inside a cell of each shard of `set`: it covers
+  /// that cell alone, so it routes to that shard only, even by manifest
+  /// boundaries.
+  static std::vector<geo::Polygon> ShardInteriorPolygons(const BlockSet& set) {
+    std::vector<geo::Polygon> by_shard;
+    for (size_t s = 0; s < set.num_shards(); ++s) {
+      const std::vector<uint64_t>& cells = set.shard(s).cells();
+      if (cells.empty()) {
+        ADD_FAILURE() << "shard " << s << " has no cells";
+        return {};
+      }
+      const geo::Rect r = cell::CellId(cells[cells.size() / 2]).ToRect();
+      const double dx = (r.max.x - r.min.x) / 4;
+      const double dy = (r.max.y - r.min.y) / 4;
+      by_shard.push_back(geo::Polygon::FromRect(set.projection().FromUnit(
+          geo::Rect{{r.min.x + dx, r.min.y + dy},
+                    {r.max.x - dx, r.max.y - dy}})));
+    }
+    return by_shard;
+  }
+
+  /// A batch_hook that parks the batcher on one epoch while held, so the
+  /// requests queued behind it execute together as the next epoch.
+  struct BatcherPark {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool hold = false;
+    std::atomic<int> parked{0};
+
+    void Hook() {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!hold) return;
+      parked.fetch_add(1);
+      cv.wait(lock, [&] { return !hold; });
+    }
+    void Hold() {
+      std::lock_guard<std::mutex> lock(mu);
+      hold = true;
+    }
+    void AwaitParked() {
+      while (parked.load() == 0) std::this_thread::yield();
+    }
+    void Release() {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        hold = false;
+      }
+      cv.notify_all();
+    }
+  };
 
   static uint64_t StatsValue(
       const std::vector<std::pair<std::string, uint64_t>>& stats,
@@ -316,53 +387,16 @@ TEST_F(FaultInjectionTest, DegradedServerServesReadsAndReportsHealth) {
 
 TEST_F(FaultInjectionTest, CorruptMappedShardAnswersInternalAndStaysContained) {
   const std::string path = ::testing::TempDir() + "fault_corrupt.gbst";
-  (void)WriteManifest(path);
+  ASSERT_NO_FATAL_FAILURE(WriteCorruptManifest(path, 2));
   const BlockSet eager = BuildSet();
-  // Flip one byte in shard 2's payload: the manifest stays intact, so
-  // OpenMapped succeeds and the damage surfaces when a read faults it in.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = std::move(buf).str();
-    std::istringstream manifest(bytes, std::ios::binary);
-    const core::serialize::SetManifest m =
-        core::serialize::ReadSetManifest(manifest);
-    ASSERT_GT(m.payload_sizes[2], 0u);
-    bytes[m.manifest_bytes + m.payload_offsets[2] + m.payload_sizes[2] / 2] ^=
-        0x5A;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  // One polygon strictly inside a cell of each shard: it covers that cell
-  // alone, so it routes to that shard only, even by manifest boundaries.
-  std::vector<geo::Polygon> by_shard;
-  for (size_t s = 0; s < eager.num_shards(); ++s) {
-    const std::vector<uint64_t>& cells = eager.shard(s).cells();
-    ASSERT_FALSE(cells.empty());
-    const geo::Rect r = cell::CellId(cells[cells.size() / 2]).ToRect();
-    const double dx = (r.max.x - r.min.x) / 4;
-    const double dy = (r.max.y - r.min.y) / 4;
-    by_shard.push_back(geo::Polygon::FromRect(eager.projection().FromUnit(
-        geo::Rect{{r.min.x + dx, r.min.y + dy},
-                  {r.max.x - dx, r.max.y - dy}})));
-  }
+  const std::vector<geo::Polygon> by_shard = ShardInteriorPolygons(eager);
+  ASSERT_EQ(by_shard.size(), eager.num_shards());
 
   BlockSet mapped = BlockSet::OpenMapped(path);
   ServerOptions options;
   options.pool = pool_;
-  // Parks the batcher on one epoch while `park` is set, so a burst can
-  // queue up behind it and execute as one epoch.
-  std::mutex park_mu;
-  std::condition_variable park_cv;
-  bool park = false;
-  std::atomic<int> parked{0};
-  options.batch_hook = [&] {
-    std::unique_lock<std::mutex> lock(park_mu);
-    if (!park) return;
-    parked.fetch_add(1);
-    park_cv.wait(lock, [&] { return !park; });
-  };
+  BatcherPark park;
+  options.batch_hook = [&park] { park.Hook(); };
   QueryServer server(&mapped, options);
   server.Start();
   Client client = Client::Connect(server.port());
@@ -400,25 +434,18 @@ TEST_F(FaultInjectionTest, CorruptMappedShardAnswersInternalAndStaysContained) {
   }
 
   // A burst of shard-2 reads queued behind a parked epoch executes as one
-  // pooled ExecuteBatch and one pooled CountBatch, so the faults are thrown
-  // on pool workers: every burst request still answers kInternal.
+  // pooled epoch, so the faults are thrown on pool workers: every burst
+  // request still answers kInternal.
   constexpr uint64_t kBurst = 4;
-  {
-    std::lock_guard<std::mutex> lock(park_mu);
-    park = true;
-  }
+  park.Hold();
   client.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
-  while (parked.load() == 0) std::this_thread::yield();
+  park.AwaitParked();
   for (uint64_t j = 0; j < kBurst; ++j) {
     client.SendBytes(server::EncodeSelect(0, 2 + 2 * j, by_shard[2], req));
     client.SendBytes(server::EncodeCount(0, 3 + 2 * j, by_shard[2]));
   }
   while (server.stats().queue_depth < 2 * kBurst) std::this_thread::yield();
-  {
-    std::lock_guard<std::mutex> lock(park_mu);
-    park = false;
-  }
-  park_cv.notify_all();
+  park.Release();
   for (uint64_t j = 0; j < 1 + 2 * kBurst; ++j) {
     server::Response resp;
     ASSERT_TRUE(client.ReadResponse(&resp));
@@ -429,6 +456,65 @@ TEST_F(FaultInjectionTest, CorruptMappedShardAnswersInternalAndStaysContained) {
 
   server.Stop();
   EXPECT_FALSE(mapped.shard_resident(2));
+  ::unlink(path.c_str());
+}
+
+TEST_F(FaultInjectionTest, FaultingReadFailsOnlyItselfInItsEpoch) {
+  const std::string path = ::testing::TempDir() + "fault_mixed_epoch.gbst";
+  ASSERT_NO_FATAL_FAILURE(WriteCorruptManifest(path, 2));
+  const BlockSet eager = BuildSet();
+  const std::vector<geo::Polygon> by_shard = ShardInteriorPolygons(eager);
+  ASSERT_EQ(by_shard.size(), eager.num_shards());
+
+  BlockSet mapped = BlockSet::OpenMapped(path);
+  ServerOptions options;
+  options.pool = pool_;
+  BatcherPark park;
+  options.batch_hook = [&park] { park.Hook(); };
+  QueryServer server(&mapped, options);
+  server.Start();
+  Client client = Client::Connect(server.port());
+  AggregateRequest req;
+  req.Add(AggFn::kCount);
+  req.Add(AggFn::kSum, 0);
+
+  // A SELECT and a COUNT for healthy shard 0 and the same pair for corrupt
+  // shard 2, all under one aggregate request, queued behind a parked epoch
+  // so the four reads execute as one epoch. The shard-2 faults must fail
+  // only the shard-2 pair.
+  park.Hold();
+  client.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
+  park.AwaitParked();
+  client.SendBytes(server::EncodeSelect(0, 2, by_shard[0], req));
+  client.SendBytes(server::EncodeCount(0, 3, by_shard[0]));
+  client.SendBytes(server::EncodeSelect(0, 4, by_shard[2], req));
+  client.SendBytes(server::EncodeCount(0, 5, by_shard[2]));
+  while (server.stats().queue_depth < 4) std::this_thread::yield();
+  park.Release();
+
+  const QueryResult want = eager.Select(by_shard[0], req);
+  const uint64_t want_count = eager.Count(by_shard[0]);
+  EXPECT_GT(want.count, 0u);
+  for (int j = 0; j < 5; ++j) {
+    server::Response resp;
+    ASSERT_TRUE(client.ReadResponse(&resp));
+    if (resp.cookie == 2) {
+      ASSERT_EQ(resp.status, Status::kOk);
+      const server::SelectResult got =
+          server::DecodeSelectResult(resp.payload);
+      EXPECT_EQ(got.count, want.count);
+      EXPECT_EQ(got.values, want.values);
+    } else if (resp.cookie == 1 || resp.cookie == 3) {
+      ASSERT_EQ(resp.status, Status::kOk) << "cookie " << resp.cookie;
+      EXPECT_EQ(server::DecodeCountResult(resp.payload), want_count);
+    } else {
+      EXPECT_EQ(resp.status, Status::kInternal) << "cookie " << resp.cookie;
+    }
+  }
+
+  server.Stop();
+  // The parked COUNT, then the four reads together: two epochs.
+  EXPECT_EQ(server.stats().batches_executed, 2u);
   ::unlink(path.c_str());
 }
 

@@ -299,7 +299,8 @@ TEST_F(LazyLoadTest, PooledBatchesOverCorruptShardThrowTypedAndStayContained) {
       EXPECT_EQ(e.shard, 2u);
     }
     try {
-      (void)mapped.CountBatch(all, &pool);
+      util::ParallelFor(&pool, all.size(),
+                        [&](size_t i) { (void)mapped.Count(*all[i]); });
       FAIL() << "a pooled COUNT over the corrupt shard must throw";
     } catch (const ShardFaultError& e) {
       EXPECT_EQ(e.shard, 2u);
@@ -310,7 +311,9 @@ TEST_F(LazyLoadTest, PooledBatchesOverCorruptShardThrowTypedAndStayContained) {
   // Shards 0, 1 and 3 keep answering, bit-identically to the eager set.
   const std::vector<QueryResult> selects =
       mapped.ExecuteBatch(core::QueryBatch{good, &req}, &pool);
-  const std::vector<uint64_t> counts = mapped.CountBatch(good, &pool);
+  std::vector<uint64_t> counts(good.size());
+  util::ParallelFor(&pool, good.size(),
+                    [&](size_t i) { counts[i] = mapped.Count(*good[i]); });
   for (size_t j = 0; j < good.size(); ++j) {
     const QueryResult want = eager.Select(*good[j], req);
     EXPECT_GT(want.count, 0u) << "query " << j;

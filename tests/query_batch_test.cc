@@ -135,21 +135,10 @@ TEST_F(QueryBatchTest, BatchIsDeterministicAcrossRunsAndPoolSizes) {
   ExpectExactlyEqual(run4a, run4b);
 }
 
-TEST_F(QueryBatchTest, CountBatchMatchesSequentialCount) {
-  util::ThreadPool pool(4);
-  std::vector<const geo::Polygon*> polys;
-  for (const geo::Polygon& p : *polygons_) polys.push_back(&p);
-  const std::vector<uint64_t> counts = set_->CountBatch(polys, &pool);
-  ASSERT_EQ(counts.size(), polys.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i], set_->Count(*polys[i])) << "query " << i;
-  }
-}
-
 TEST_F(QueryBatchTest, ConcurrentMixedWorkloadIsDeterministic) {
-  // Several client threads issue batched SELECTs and COUNTs against one
-  // BlockSet while sharing one pool; every thread must observe identical
-  // results.
+  // Several client threads issue batched SELECTs and pooled COUNTs against
+  // one BlockSet while sharing one pool; every thread must observe
+  // identical results.
   util::ThreadPool pool(4);
   const AggregateRequest req = Request();
   const QueryBatch batch = QueryBatch::Of(*polygons_, &req);
@@ -158,7 +147,8 @@ TEST_F(QueryBatchTest, ConcurrentMixedWorkloadIsDeterministic) {
 
   const std::vector<QueryResult> want_select =
       set_->ExecuteBatch(batch, nullptr);
-  const std::vector<uint64_t> want_count = set_->CountBatch(polys, nullptr);
+  std::vector<uint64_t> want_count;
+  for (const geo::Polygon* p : polys) want_count.push_back(set_->Count(*p));
 
   constexpr size_t kClients = 4;
   constexpr size_t kRounds = 3;
@@ -169,7 +159,11 @@ TEST_F(QueryBatchTest, ConcurrentMixedWorkloadIsDeterministic) {
     clients.emplace_back([&, t] {
       for (size_t r = 0; r < kRounds; ++r) {
         selects[t].push_back(set_->ExecuteBatch(batch, &pool));
-        counts[t].push_back(set_->CountBatch(polys, &pool));
+        std::vector<uint64_t> round(polys.size());
+        util::ParallelFor(&pool, polys.size(), [&](size_t i) {
+          round[i] = set_->Count(*polys[i]);
+        });
+        counts[t].push_back(std::move(round));
       }
     });
   }

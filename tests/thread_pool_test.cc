@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -13,7 +12,7 @@
 #include "util/thread_pool.h"
 
 // Count every global heap allocation in this test binary so the pool's
-// zero-allocation submit path is checkable. Counting is always on; tests
+// zero-allocation ParallelFor is checkable. Counting is always on; tests
 // read the counter around a measured window.
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -67,8 +66,8 @@ TEST(ThreadPoolTest, SingleThreadedPoolRunsInline) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
-  // The blocked outer iterations help drain the queue, so nesting must
-  // make progress even when every worker is itself inside a ParallelFor.
+  // Each inner caller claims its own job's indices, so nesting must make
+  // progress even when every worker is itself inside a ParallelFor.
   util::ThreadPool pool(2);
   std::atomic<int> count{0};
   pool.ParallelFor(4, [&](size_t) {
@@ -78,11 +77,12 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
 }
 
 TEST(ThreadPoolTest, IterationExceptionIsRethrownOnCallerAfterJoin) {
-  // Every iteration waits until all have started, so iterations 1..3
-  // provably run on workers while the caller runs 0. Index `bad` then
-  // throws — on a worker (2) or on the caller (0) — while the others are
-  // still running: the original exception must reach the caller only
-  // after every other index finished, and the pool keeps serving.
+  // Every iteration waits until all have started, so the four indices
+  // provably run at once on four different threads (the caller and
+  // workers, whichever claims which). Index `bad` (2, then 0) then throws
+  // while the others are still running: the original exception must reach
+  // the caller only after every other index finished, and the pool keeps
+  // serving.
   util::ThreadPool pool(4);
   constexpr size_t kN = 4;
   for (const size_t bad : {size_t{2}, size_t{0}}) {
@@ -124,85 +124,50 @@ TEST(ThreadPoolTest, NullPoolParallelForRunsInlineAndPropagates) {
                std::out_of_range);
 }
 
-TEST(ThreadPoolTest, WorkStealingRebalancesSkewedTasks) {
-  // External submission round-robins across the per-worker deques, so with
-  // a stride-of-num_threads skew exactly one deque receives every heavy
-  // task. The other workers must steal from it or the batch serializes.
+TEST(ThreadPoolTest, ParallelForDoesNotAllocate) {
+  // The job lives on the caller's stack and indices come from one shared
+  // counter, so a warm ParallelFor performs no heap allocation.
   util::ThreadPool pool(4);
-  constexpr size_t kTasks = 400;
   std::atomic<uint64_t> ran{0};
-  std::atomic<uint64_t> work{0};
-  for (size_t i = 0; i < kTasks; ++i) {
-    const bool heavy = (i % pool.num_threads()) == 0;
-    pool.Submit([&ran, &work, heavy] {
-      uint64_t acc = 0;
-      const uint64_t spins = heavy ? 50000 : 16;
-      for (uint64_t s = 0; s < spins; ++s) acc += s * s + 1;
-      work.fetch_add(acc, std::memory_order_relaxed);
+  const auto run = [&] {
+    pool.ParallelFor(128, [&ran](size_t) {
       ran.fetch_add(1, std::memory_order_relaxed);
     });
-  }
-  pool.WaitIdle();
-  // WaitIdle soundness: every submitted task has fully run by now.
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_GT(work.load(), 0u);
-  EXPECT_GT(pool.steal_count(), 0u);
-}
-
-TEST(ThreadPoolTest, WaitIdleCoversTasksSubmittedWhileDraining) {
-  util::ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&count, &pool] {
-        // Tasks submitted from inside a task (land on the worker's own
-        // deque) must still be drained before WaitIdle returns.
-        pool.Submit([&count] { count.fetch_add(1); });
-        count.fetch_add(1);
-      });
-    }
-    pool.WaitIdle();
-  }
-  EXPECT_EQ(count.load(), 50 * 32 * 2);
-}
-
-TEST(ThreadPoolTest, SubmitDoesNotAllocatePerTask) {
-  util::ThreadPool pool(2);
-  std::atomic<uint64_t> ran{0};
-  const auto burst = [&] {
-    // Bursts stay well under the per-worker ring capacity so nothing
-    // spills; captures (one pointer) fit InlineTask's inline storage.
-    for (int i = 0; i < 128; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.WaitIdle();
   };
   // Warm up lazy one-time allocations (thread bring-up, libc internals).
-  burst();
-  burst();
+  run();
+  run();
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int round = 0; round < 8; ++round) burst();
+  for (int round = 0; round < 8; ++round) run();
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u) << "steady-state Submit must not allocate";
+  EXPECT_EQ(after - before, 0u) << "a warm ParallelFor must not allocate";
   EXPECT_EQ(ran.load(), 10u * 128u);
 }
 
-TEST(ThreadPoolTest, OversizedCapturesFallBackToHeap) {
-  // Captures beyond InlineTask::kInlineBytes are boxed (correctness over
-  // allocation-freedom for rare fat tasks).
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndexOnce) {
+  // Several external callers share one pool, so several jobs are linked
+  // at once and workers move between them; each call must still run each
+  // of its own indices exactly once and join only its own job.
   util::ThreadPool pool(2);
-  std::array<uint64_t, 16> payload{};
-  for (size_t i = 0; i < payload.size(); ++i) payload[i] = i + 1;
-  std::atomic<uint64_t> sum{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([payload, &sum] {
-      uint64_t s = 0;
-      for (uint64_t v : payload) s += v;
-      sum.fetch_add(s, std::memory_order_relaxed);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kCalls = 200;
+  constexpr size_t kN = 64;
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      std::vector<std::atomic<int>> hits(kN);
+      for (size_t call = 0; call < kCalls; ++call) {
+        for (std::atomic<int>& h : hits) h.store(0);
+        pool.ParallelFor(kN, [&hits](size_t i) { ++hits[i]; });
+        for (const std::atomic<int>& h : hits) {
+          if (h.load() != 1) wrong.fetch_add(1);
+        }
+      }
     });
   }
-  pool.WaitIdle();
-  EXPECT_EQ(sum.load(), 64u * (16u * 17u / 2u));
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 }  // namespace
