@@ -60,6 +60,10 @@ void Run() {
   bench_util::TablePrinter table({"skewed runs", "Block base ms",
                                   "Block skew ms", "BlockQC base ms",
                                   "BlockQC skew ms", "QC adapt ms"});
+  // The first run count whose BlockQC skewed time beats Block's, if any.
+  size_t crossover_runs = 0;
+  double crossover_block_ms = 0.0;
+  double crossover_qc_ms = 0.0;
   for (const size_t runs : {2u, 4u, 8u, 16u}) {
     // Plain Block.
     const double block_base_ms = run_block(block, base_coverings);
@@ -78,6 +82,11 @@ void Run() {
     for (size_t r = 1; r < runs; ++r) {
       qc_skew_ms += run_block(qc, skew_coverings);
     }
+    if (crossover_runs == 0 && qc_skew_ms < block_skew_ms) {
+      crossover_runs = runs;
+      crossover_block_ms = block_skew_ms;
+      crossover_qc_ms = qc_skew_ms;
+    }
     table.AddRow({std::to_string(runs),
                   bench_util::TablePrinter::Fmt(block_base_ms),
                   bench_util::TablePrinter::Fmt(block_skew_ms),
@@ -86,11 +95,19 @@ void Run() {
                   bench_util::TablePrinter::Fmt(adapt_ms)});
   }
   table.Print();
+  if (crossover_runs == 0) {
+    std::printf("\nverdict: BlockQC's skewed time is not below Block's at any "
+                "run count measured (2-16)\n");
+  } else {
+    std::printf("\nverdict: BlockQC's skewed time first drops below Block's "
+                "at %zu skewed runs (%.2f ms vs %.2f ms)\n",
+                crossover_runs, crossover_qc_ms, crossover_block_ms);
+  }
   PaperNote(
-      "after about four skewed runs the cached aggregates start to pay "
-      "off and BlockQC pulls ahead on the skewed part, while the base "
-      "part stays nearly constant and slightly favors Block (trie probe "
-      "overhead).");
+      "after about four skewed runs the cached aggregates start to pay off "
+      "and BlockQC pulls ahead on the skewed part, while the base part stays "
+      "nearly constant and slightly favors Block (trie probe overhead). The "
+      "verdict line above is what this run measured.");
 }
 
 }  // namespace

@@ -65,8 +65,8 @@ class Coverer {
   /// Pushes the edges of stack entries [begin, end) that touch the closed
   /// `rect`, and decides the cell as Polygon::IntersectsRect (returned) and
   /// ContainsRect (`*contained`) would. A touching edge makes both answers
-  /// plain. With none, no vertex lies in the cell either (its edges would
-  /// touch it), so the predicates are down to their corner tests.
+  /// plain. With none, the polygon's boundary misses the cell, so every
+  /// point of the cell has the same containment and one corner decides.
   bool Clip(const geo::Rect& rect, size_t begin, size_t end,
             bool* contained) {
     const size_t first = stack_.size();
@@ -77,15 +77,8 @@ class Coverer {
         stack_.push_back(edge);
       }
     }
-    *contained = false;
-    if (stack_.size() > first) return true;
-    if (!polygon_.Bounds().Intersects(rect)) return false;
-    int inside = 0;
-    for (const geo::Point& corner : rect.Corners()) {
-      inside += polygon_.Contains(corner) ? 1 : 0;
-    }
-    *contained = inside == 4 && polygon_.Bounds().Contains(rect);
-    return inside > 0;
+    *contained = stack_.size() == first && polygon_.Contains(rect.min);
+    return stack_.size() > first || *contained;
   }
 
   /// Emits the covering of the polygon within `cell` (square `square`,

@@ -33,14 +33,15 @@ struct CoveringCell {
 /// cell itself, interior only if all four were.
 ///
 /// Every decision equals `Polygon::IntersectsRect` / `ContainsRect` on the
-/// cell's rect, reached more cheaply:
+/// cell's rect, reached more cheaply; all of them rest on the exact
+/// `geo::Orient`, so the shortcuts below are exact too:
 ///  - Each visited cell carries the list of ring edges that touch its closed
 ///    rect (`geo::SegmentIntersectsRect`), and a child tests only its
 ///    parent's list. A non-empty list means the cell intersects the polygon
 ///    and is not contained.
-///  - A cell with an empty list is decided by `Polygon::Contains` on its
-///    four corners: it intersects if any corner is inside, and is contained
-///    if all four are (each also within the polygon's bounds).
+///  - A cell with an empty list does not meet the polygon's boundary, so all
+///    its points share one containment: one even-odd parity test of one
+///    corner (`Polygon::Contains`) decides both answers.
 ///  - Each cell carries its leaf-grid square and the Hilbert orientation
 ///    inside it (`CellSquare`), so a child's rect costs O(1) instead of a
 ///    30-level id decode.

@@ -227,8 +227,8 @@ class BlockSet {
   /// @return Sorted, disjoint covering cells no finer than level().
   std::vector<cell::CellId> Cover(const geo::Polygon& polygon) const;
   /// Allocation-reusing variant: clears and refills `*out`, keeping its
-  /// capacity (see CoverPolygonInto). Once warm, the one allocation left
-  /// per call is Projection::ToUnit's unit-space copy of the polygon.
+  /// capacity (see CoverPolygonInto). Once warm, the call does not
+  /// allocate.
   ///
   /// @param polygon Query polygon in lat/lng coordinates.
   /// @param out     Receives the sorted, disjoint covering cells.
@@ -597,8 +597,8 @@ class BlockSet {
   /// SELECT through the per-shard caches (falls back to SelectCovering
   /// when the cache is disabled). `const`, lock-free, and thread-safe;
   /// the covering and shard-routing vectors live in reused thread-local
-  /// buffers, so once warm the one allocation left per call is
-  /// Projection::ToUnit's unit-space copy of the polygon.
+  /// buffers (the covering too, see CoverInto), so once warm the call
+  /// does not allocate.
   ///
   /// @param polygon Query polygon.
   /// @param request Aggregates to extract.

@@ -474,8 +474,10 @@ std::vector<cell::CellId> CoverPolygon(const geo::Projection& projection,
 void CoverPolygonInto(const geo::Projection& projection, int level,
                       const geo::Polygon& polygon,
                       std::vector<cell::CellId>* out) {
+  thread_local geo::Polygon unit;
   thread_local std::vector<cell::CoveringCell> covering;
-  cell::GetCovering(projection.ToUnit(polygon), level, &covering);
+  projection.ToUnit(polygon, &unit);
+  cell::GetCovering(unit, level, &covering);
   out->clear();
   for (const cell::CoveringCell& cc : covering) out->push_back(cc.cell);
 }

@@ -52,9 +52,10 @@ std::vector<cell::CellId> CoverPolygon(const geo::Projection& projection,
 
 /// Allocation-reusing variant of CoverPolygon: clears and refills `*out`,
 /// keeping its capacity (for thread-local scratch buffers on query paths).
-/// The coverer writes into a thread-local scratch vector, so once that and
-/// `*out` are warm the one allocation left per call is the unit-space copy
-/// of the polygon made by Projection::ToUnit.
+/// The polygon is projected into a thread-local unit-space polygon and
+/// covered into a thread-local scratch vector, so once those and `*out` are
+/// warm (the thread has covered a polygon with as many rings, each at least
+/// as long) the call does not allocate.
 ///
 /// @param projection Mapping from lat/lng onto the unit square.
 /// @param level      Finest cell level the covering may use.

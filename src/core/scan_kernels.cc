@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 
+#include "geo/segment.h"
+
 #if (defined(__x86_64__) || defined(_M_X64)) && !defined(GEOBLOCKS_NO_SIMD)
 #define GEOBLOCKS_SCAN_SIMD 1
 #include <immintrin.h>
@@ -42,9 +44,9 @@ inline void FoldLanes(const double mn[4], const double mx[4],
 
 // Per-point containment identical to
 // polygon.Contains(projection.ToUnit(point)): same clamped projection, same
-// bounds test, same OnSegment and ray-crossing arithmetic. Continuing past a
-// boundary edge instead of early-returning cannot change the answer — extra
-// parity flips are ORed away by the boundary flag.
+// bounds test, and the same exact geo::Orient deciding each edge that can
+// matter, one the point straddles (a ray crossing) or lies in the box of (a
+// boundary hit).
 inline bool PointInPolygonScalar(double x, double y, const UnitTransform& t,
                                  const PreparedPolygon& poly) {
   const double px = ClampUnit((x - t.min_x) / t.width);
@@ -53,23 +55,21 @@ inline bool PointInPolygonScalar(double x, double y, const UnitTransform& t,
         py >= poly.bounds.min.y && py <= poly.bounds.max.y)) {
     return false;
   }
-  bool boundary = false;
   bool inside = false;
   const size_t num_edges = poly.ax.size();
   for (size_t e = 0; e < num_edges; ++e) {
-    const double ax = poly.ax[e], ay = poly.ay[e];
-    const double bx = poly.bx[e], by = poly.by[e];
-    const double cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax);
-    if (cross == 0.0 && px >= poly.lox[e] && px <= poly.hix[e] &&
-        py >= poly.loy[e] && py <= poly.hiy[e]) {
-      boundary = true;
+    const bool b_above = poly.by[e] > py;
+    const bool straddle = b_above != (poly.ay[e] > py);
+    if (!straddle && !(px >= poly.lox[e] && px <= poly.hix[e] &&
+                       py >= poly.loy[e] && py <= poly.hiy[e])) {
+      continue;
     }
-    if ((by > py) != (ay > py)) {
-      const double x_cross = bx + (py - by) * (ax - bx) / (ay - by);
-      if (x_cross > px) inside = !inside;
-    }
+    const int o = geo::Orient({poly.ax[e], poly.ay[e]},
+                              {poly.bx[e], poly.by[e]}, {px, py});
+    if (o == 0) return true;
+    if (straddle && (b_above ? o > 0 : o < 0)) inside = !inside;
   }
-  return boundary || inside;
+  return inside;
 }
 
 // ---------------------------------------------------------------------------
@@ -285,6 +285,8 @@ uint64_t CountPolygonHitsSse2(const double* xs, const double* ys, size_t n,
   const __m128d vbmaxx = _mm_set1_pd(polygon.bounds.max.x);
   const __m128d vbminy = _mm_set1_pd(polygon.bounds.min.y);
   const __m128d vbmaxy = _mm_set1_pd(polygon.bounds.max.y);
+  const __m128d vsign = _mm_set1_pd(-0.0);
+  const __m128d vbound = _mm_set1_pd(geo::kOrientErrBound);
   uint64_t hits = 0;
   size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -300,31 +302,49 @@ uint64_t CountPolygonHitsSse2(const double* xs, const double* ys, size_t n,
     if (_mm_movemask_pd(inb) == 0) continue;
     __m128d boundary = _mm_setzero_pd();
     __m128d inside = _mm_setzero_pd();
+    __m128d unsure = _mm_setzero_pd();
     for (size_t e = 0; e < num_edges; ++e) {
       const __m128d eax = _mm_set1_pd(polygon.ax[e]);
       const __m128d eay = _mm_set1_pd(polygon.ay[e]);
       const __m128d ebx = _mm_set1_pd(polygon.bx[e]);
       const __m128d eby = _mm_set1_pd(polygon.by[e]);
-      const __m128d cross = _mm_sub_pd(
-          _mm_mul_pd(_mm_sub_pd(ebx, eax), _mm_sub_pd(py, eay)),
-          _mm_mul_pd(_mm_sub_pd(eby, eay), _mm_sub_pd(px, eax)));
+      const __m128d l = _mm_mul_pd(_mm_sub_pd(ebx, eax), _mm_sub_pd(py, eay));
+      const __m128d r = _mm_mul_pd(_mm_sub_pd(eby, eay), _mm_sub_pd(px, eax));
+      const __m128d cross = _mm_sub_pd(l, r);
+      // geo::Orient's float filter per lane (geo::kOrientErrBound); a lane
+      // it cannot decide is recounted below by the scalar exact path.
+      unsure = _mm_or_pd(
+          unsure,
+          _mm_cmplt_pd(_mm_andnot_pd(vsign, cross),
+                       _mm_mul_pd(vbound, _mm_add_pd(_mm_andnot_pd(vsign, l),
+                                                     _mm_andnot_pd(vsign, r)))));
       __m128d onseg = _mm_cmpeq_pd(cross, vzero);
       onseg = _mm_and_pd(onseg, _mm_cmpge_pd(px, _mm_set1_pd(polygon.lox[e])));
       onseg = _mm_and_pd(onseg, _mm_cmple_pd(px, _mm_set1_pd(polygon.hix[e])));
       onseg = _mm_and_pd(onseg, _mm_cmpge_pd(py, _mm_set1_pd(polygon.loy[e])));
       onseg = _mm_and_pd(onseg, _mm_cmple_pd(py, _mm_set1_pd(polygon.hiy[e])));
       boundary = _mm_or_pd(boundary, onseg);
-      const __m128d straddle =
-          _mm_xor_pd(_mm_cmpgt_pd(eby, py), _mm_cmpgt_pd(eay, py));
-      const __m128d x_cross = _mm_add_pd(
-          ebx, _mm_div_pd(_mm_mul_pd(_mm_sub_pd(py, eby), _mm_sub_pd(eax, ebx)),
-                          _mm_sub_pd(eay, eby)));
-      inside = _mm_xor_pd(
-          inside, _mm_and_pd(straddle, _mm_cmpgt_pd(x_cross, px)));
+      // A straddled edge is crossed when the point lies strictly left of it
+      // directed upward: cross > 0 with b the upper end, cross < 0 with a.
+      // `misses` marks the other lanes. A cross of 0 on a straddled edge is
+      // a boundary hit, which wins whatever the parity.
+      const __m128d b_above = _mm_cmpgt_pd(eby, py);
+      const __m128d straddle = _mm_xor_pd(b_above, _mm_cmpgt_pd(eay, py));
+      const __m128d misses = _mm_xor_pd(_mm_cmpgt_pd(cross, vzero), b_above);
+      inside = _mm_xor_pd(inside, _mm_andnot_pd(misses, straddle));
     }
-    const __m128d in = _mm_and_pd(inb, _mm_or_pd(boundary, inside));
+    const int in_mask =
+        _mm_movemask_pd(_mm_and_pd(inb, _mm_or_pd(boundary, inside)));
+    const int unsure_mask = _mm_movemask_pd(_mm_and_pd(inb, unsure));
     hits += static_cast<uint64_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm_movemask_pd(in))));
+        __builtin_popcount(static_cast<unsigned>(in_mask & ~unsure_mask)));
+    for (int k = 0; k < 2; ++k) {
+      if ((unsure_mask >> k & 1) != 0) {
+        hits += PointInPolygonScalar(xs[i + k], ys[i + k], transform, polygon)
+                    ? 1
+                    : 0;
+      }
+    }
   }
   for (; i < n; ++i) {
     hits += PointInPolygonScalar(xs[i], ys[i], transform, polygon) ? 1 : 0;
@@ -430,6 +450,8 @@ __attribute__((target("avx2"))) uint64_t CountPolygonHitsAvx2(
   const __m256d vbmaxx = _mm256_set1_pd(polygon.bounds.max.x);
   const __m256d vbminy = _mm256_set1_pd(polygon.bounds.min.y);
   const __m256d vbmaxy = _mm256_set1_pd(polygon.bounds.max.y);
+  const __m256d vsign = _mm256_set1_pd(-0.0);
+  const __m256d vbound = _mm256_set1_pd(geo::kOrientErrBound);
   uint64_t hits = 0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -451,6 +473,7 @@ __attribute__((target("avx2"))) uint64_t CountPolygonHitsAvx2(
     if (_mm256_movemask_pd(inb) == 0) continue;
     __m256d boundary = _mm256_setzero_pd();
     __m256d inside = _mm256_setzero_pd();
+    __m256d unsure = _mm256_setzero_pd();
     for (size_t e = 0; e < num_edges; ++e) {
       // An edge whose y-interval no lane's py touches contributes neither a
       // boundary hit (needs loy <= py <= hiy) nor a crossing-parity flip
@@ -466,9 +489,21 @@ __attribute__((target("avx2"))) uint64_t CountPolygonHitsAvx2(
       const __m256d eay = _mm256_set1_pd(polygon.ay[e]);
       const __m256d ebx = _mm256_set1_pd(polygon.bx[e]);
       const __m256d eby = _mm256_set1_pd(polygon.by[e]);
-      const __m256d cross = _mm256_sub_pd(
-          _mm256_mul_pd(_mm256_sub_pd(ebx, eax), _mm256_sub_pd(py, eay)),
-          _mm256_mul_pd(_mm256_sub_pd(eby, eay), _mm256_sub_pd(px, eax)));
+      const __m256d l =
+          _mm256_mul_pd(_mm256_sub_pd(ebx, eax), _mm256_sub_pd(py, eay));
+      const __m256d r =
+          _mm256_mul_pd(_mm256_sub_pd(eby, eay), _mm256_sub_pd(px, eax));
+      const __m256d cross = _mm256_sub_pd(l, r);
+      // geo::Orient's float filter per lane (geo::kOrientErrBound); a lane
+      // it cannot decide is recounted below by the scalar exact path.
+      unsure = _mm256_or_pd(
+          unsure,
+          _mm256_cmp_pd(
+              _mm256_andnot_pd(vsign, cross),
+              _mm256_mul_pd(vbound,
+                            _mm256_add_pd(_mm256_andnot_pd(vsign, l),
+                                          _mm256_andnot_pd(vsign, r))),
+              _CMP_LT_OQ));
       __m256d onseg = _mm256_cmp_pd(cross, vzero, _CMP_EQ_OQ);
       onseg = _mm256_and_pd(
           onseg, _mm256_cmp_pd(px, _mm256_set1_pd(polygon.lox[e]), _CMP_GE_OQ));
@@ -476,20 +511,26 @@ __attribute__((target("avx2"))) uint64_t CountPolygonHitsAvx2(
           onseg, _mm256_cmp_pd(px, _mm256_set1_pd(polygon.hix[e]), _CMP_LE_OQ));
       onseg = _mm256_and_pd(onseg, touches);
       boundary = _mm256_or_pd(boundary, onseg);
-      const __m256d straddle = _mm256_xor_pd(
-          _mm256_cmp_pd(eby, py, _CMP_GT_OQ), _mm256_cmp_pd(eay, py, _CMP_GT_OQ));
-      const __m256d x_cross = _mm256_add_pd(
-          ebx,
-          _mm256_div_pd(_mm256_mul_pd(_mm256_sub_pd(py, eby),
-                                      _mm256_sub_pd(eax, ebx)),
-                        _mm256_sub_pd(eay, eby)));
-      inside = _mm256_xor_pd(
-          inside,
-          _mm256_and_pd(straddle, _mm256_cmp_pd(x_cross, px, _CMP_GT_OQ)));
+      // Crossed when strictly left of the upward edge, as in the SSE2 loop.
+      const __m256d b_above = _mm256_cmp_pd(eby, py, _CMP_GT_OQ);
+      const __m256d straddle =
+          _mm256_xor_pd(b_above, _mm256_cmp_pd(eay, py, _CMP_GT_OQ));
+      const __m256d misses =
+          _mm256_xor_pd(_mm256_cmp_pd(cross, vzero, _CMP_GT_OQ), b_above);
+      inside = _mm256_xor_pd(inside, _mm256_andnot_pd(misses, straddle));
     }
-    const __m256d in = _mm256_and_pd(inb, _mm256_or_pd(boundary, inside));
+    const int in_mask =
+        _mm256_movemask_pd(_mm256_and_pd(inb, _mm256_or_pd(boundary, inside)));
+    const int unsure_mask = _mm256_movemask_pd(_mm256_and_pd(inb, unsure));
     hits += static_cast<uint64_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(in))));
+        __builtin_popcount(static_cast<unsigned>(in_mask & ~unsure_mask)));
+    for (int k = 0; k < 4; ++k) {
+      if ((unsure_mask >> k & 1) != 0) {
+        hits += PointInPolygonScalar(xs[i + k], ys[i + k], transform, polygon)
+                    ? 1
+                    : 0;
+      }
+    }
   }
   for (; i < n; ++i) {
     hits += PointInPolygonScalar(xs[i], ys[i], transform, polygon) ? 1 : 0;

@@ -94,8 +94,9 @@ struct KernelTable {
                                   size_t n, ColumnAggregate* out);
 
   /// Number of points (xs[i], ys[i]) whose unit-square projection under
-  /// `transform` lies inside `polygon` (boundary inclusive, even-odd rule) —
-  /// the residual-cell refinement scan.
+  /// `transform` lies inside `polygon` (boundary inclusive, even-odd rule,
+  /// exact: each point's answer is `geo::Polygon::Contains`'s) — the
+  /// residual-cell refinement scan.
   uint64_t (*count_polygon_hits)(const double* xs, const double* ys, size_t n,
                                  const UnitTransform& transform,
                                  const PreparedPolygon& polygon);

@@ -27,10 +27,4 @@ inline std::ostream& operator<<(std::ostream& os, const Point& p) {
   return os << "(" << p.x << ", " << p.y << ")";
 }
 
-/// Cross product of (b - a) x (c - a). Positive when c lies to the left of
-/// the directed segment a -> b.
-inline double Cross(const Point& a, const Point& b, const Point& c) {
-  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-}
-
 }  // namespace geoblocks::geo

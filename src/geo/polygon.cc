@@ -18,18 +18,24 @@ void Polygon::AddRing(Ring ring) {
 
 bool Polygon::Contains(const Point& p) const {
   if (rings_.empty() || !bounds_.Contains(p)) return false;
-  // Even-odd ray casting with a horizontal ray to +infinity. Boundary points
-  // are detected explicitly so they always count as inside.
+  // Even-odd ray casting with a horizontal ray to +infinity, decided by the
+  // exact Orient alone. An edge is crossed when it straddles the ray's line
+  // half-open (one endpoint strictly above p) and p lies strictly left of
+  // the edge directed upward. An Orient of 0 inside the edge's box puts p on
+  // the boundary, which counts as inside.
   bool inside = false;
   for (const Ring& ring : rings_) {
     const size_t n = ring.size();
     for (size_t i = 0, j = n - 1; i < n; j = i++) {
       const Point& a = ring[j];
       const Point& b = ring[i];
-      if (OnSegment(Segment{a, b}, p)) return true;
-      if ((b.y > p.y) != (a.y > p.y)) {
-        const double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);
-        if (x_cross > p.x) inside = !inside;
+      const bool b_above = b.y > p.y;
+      if (b_above != (a.y > p.y)) {
+        const int o = Orient(a, b, p);
+        if (o == 0) return true;
+        if (b_above ? o > 0 : o < 0) inside = !inside;
+      } else if (OnSegment(Segment{a, b}, p)) {
+        return true;
       }
     }
   }

@@ -35,17 +35,19 @@ class Polygon {
   /// Bounding rectangle of all rings.
   const Rect& Bounds() const { return bounds_; }
 
-  /// Even-odd point containment. Points exactly on the boundary count as
-  /// inside.
+  /// Even-odd point containment, exact: every edge is decided by
+  /// `geo::Orient`, so no rounding moves a point across an edge. Points
+  /// exactly on the boundary count as inside.
   bool Contains(const Point& p) const;
 
-  /// True when the closed rectangle is fully inside the polygon: all four
-  /// corners are contained and no polygon edge crosses the rectangle.
-  /// Conservative for rectangles touching the polygon boundary (may return
-  /// false); never returns true for a rectangle not fully contained.
+  /// True when all four corners of the closed rectangle are contained and
+  /// no polygon edge touches it (exact). A rectangle touching the boundary
+  /// is therefore rejected even when it lies inside; one this accepts is
+  /// always fully contained.
   bool ContainsRect(const Rect& r) const;
 
-  /// True when polygon and closed rectangle share at least one point.
+  /// True when polygon and closed rectangle share at least one point
+  /// (exact).
   bool IntersectsRect(const Rect& r) const;
 
   /// Signed area of the outer ring minus hole areas (shoelace formula,
@@ -57,6 +59,25 @@ class Polygon {
   /// error: every false-positive point of a covering is within the cell
   /// diagonal of the polygon outline (paper Section 3.2).
   double DistanceToOutline(const Point& p) const;
+
+  /// Makes this polygon `source` with every vertex mapped through `f`,
+  /// refilling the ring vectors it already holds: once it has held as many
+  /// rings, each with at least as many vertices, the call does not allocate.
+  template <typename F>
+  void AssignMapped(const Polygon& source, F f) {
+    rings_.resize(source.rings_.size());
+    bounds_ = Rect::Empty();
+    num_vertices_ = source.num_vertices_;
+    for (size_t k = 0; k < rings_.size(); ++k) {
+      Ring& ring = rings_[k];
+      ring.clear();
+      ring.reserve(source.rings_[k].size());
+      for (const Point& p : source.rings_[k]) {
+        ring.push_back(f(p));
+        bounds_.AddPoint(ring.back());
+      }
+    }
+  }
 
   /// Convenience: an axis-aligned rectangle as a 4-vertex polygon.
   static Polygon FromRect(const Rect& r);

@@ -52,13 +52,14 @@ class Projection {
   /// Projects every vertex of a polygon into the unit square.
   Polygon ToUnit(const Polygon& poly) const {
     Polygon out;
-    for (const Ring& ring : poly.rings()) {
-      Ring projected;
-      projected.reserve(ring.size());
-      for (const Point& p : ring) projected.push_back(ToUnit(p));
-      out.AddRing(std::move(projected));
-    }
+    ToUnit(poly, &out);
     return out;
+  }
+
+  /// As above, into `*out`, reusing its ring storage (see
+  /// Polygon::AssignMapped): a warm `*out` makes this allocation-free.
+  void ToUnit(const Polygon& poly, Polygon* out) const {
+    out->AssignMapped(poly, [this](const Point& p) { return ToUnit(p); });
   }
 
   /// Approximate meters spanned by one unit of x at latitude `lat` (degrees)

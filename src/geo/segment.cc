@@ -1,30 +1,84 @@
 #include "geo/segment.h"
 
 #include <algorithm>
+#include <cmath>
+
+// Built with -ffp-contract=off (CMakeLists.txt): the filter's error bound
+// and TwoSum both assume every product and sum is rounded on its own.
 
 namespace geoblocks::geo {
 
 namespace {
 
-int Sign(double v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
+/// x + y = sum + err exactly (Knuth's TwoSum).
+inline void TwoSum(double x, double y, double* sum, double* err) {
+  const double s = x + y;
+  const double bv = s - x;
+  const double av = s - bv;
+  *sum = s;
+  *err = (x - av) + (y - bv);
+}
+
+/// Adds `v` to the nonoverlapping expansion e[0..n), ordered by increasing
+/// magnitude, in place; returns the new length. Shewchuk's Grow-Expansion
+/// with zero elimination, so the last component carries the sum's sign.
+inline int GrowExpansion(double* e, int n, double v) {
+  int m = 0;
+  for (int i = 0; i < n; ++i) {
+    double err = 0.0;
+    TwoSum(v, e[i], &v, &err);
+    if (err != 0.0) e[m++] = err;
+  }
+  if (v != 0.0) e[m++] = v;
+  return m;
+}
+
+/// Exact sign of a.x*b.y - a.y*b.x + b.x*c.y - b.y*c.x + c.x*a.y - c.y*a.x,
+/// which expands (b - a) x (c - a), from six exact products (TwoProduct by
+/// std::fma) summed into one expansion.
+int OrientExact(const Point& a, const Point& b, const Point& c) {
+  const double factors[6][2] = {{a.x, b.y},  {-a.y, b.x}, {b.x, c.y},
+                                {-b.y, c.x}, {c.x, a.y},  {-c.y, a.x}};
+  double e[12];
+  int n = 0;
+  for (const auto& [u, v] : factors) {
+    const double p = u * v;
+    n = GrowExpansion(e, n, std::fma(u, v, -p));
+    n = GrowExpansion(e, n, p);
+  }
+  if (n == 0) return 0;
+  return e[n - 1] > 0 ? 1 : -1;
+}
+
+/// Orient with the differences from `a` already taken: dx, dy span the
+/// segment a -> b, ex, ey run from `a` to the tested point `c`.
+inline int OrientFrom(const Point& a, const Point& b, const Point& c,
+                      double dx, double dy, double ex, double ey) {
+  const double l = dx * ey;
+  const double r = dy * ex;
+  const double det = l - r;
+  if (std::abs(det) >= kOrientErrBound * (std::abs(l) + std::abs(r))) {
+    return (det > 0) - (det < 0);
+  }
+  return OrientExact(a, b, c);
+}
 
 }  // namespace
 
+int Orient(const Point& a, const Point& b, const Point& c) {
+  return OrientFrom(a, b, c, b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y);
+}
+
 bool OnSegment(const Segment& s, const Point& p) {
-  if (Cross(s.a, s.b, p) != 0.0) return false;
-  return p.x >= std::min(s.a.x, s.b.x) && p.x <= std::max(s.a.x, s.b.x) &&
-         p.y >= std::min(s.a.y, s.b.y) && p.y <= std::max(s.a.y, s.b.y);
+  return s.Bounds().Contains(p) && Orient(s.a, s.b, p) == 0;
 }
 
 bool SegmentsIntersect(const Segment& s1, const Segment& s2) {
-  const int d1 = Sign(Cross(s2.a, s2.b, s1.a));
-  const int d2 = Sign(Cross(s2.a, s2.b, s1.b));
-  const int d3 = Sign(Cross(s1.a, s1.b, s2.a));
-  const int d4 = Sign(Cross(s1.a, s1.b, s2.b));
-  if (((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-      ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0))) {
-    return true;
-  }
+  const int d1 = Orient(s2.a, s2.b, s1.a);
+  const int d2 = Orient(s2.a, s2.b, s1.b);
+  const int d3 = Orient(s1.a, s1.b, s2.a);
+  const int d4 = Orient(s1.a, s1.b, s2.b);
+  if (d1 * d2 < 0 && d3 * d4 < 0) return true;
   if (d1 == 0 && OnSegment(s2, s1.a)) return true;
   if (d2 == 0 && OnSegment(s2, s1.b)) return true;
   if (d3 == 0 && OnSegment(s1, s2.a)) return true;
@@ -33,15 +87,24 @@ bool SegmentsIntersect(const Segment& s1, const Segment& s2) {
 }
 
 bool SegmentIntersectsRect(const Segment& s, const Rect& r) {
-  if (r.IsEmpty()) return false;
-  if (r.Contains(s.a) || r.Contains(s.b)) return true;
+  // Separating axes: the two box axes, then the segment's normal, along
+  // which the segment projects to one value and the rect to the spread of
+  // its corners.
   if (!r.Intersects(s.Bounds())) return false;
-  const auto corners = r.Corners();
-  for (int i = 0; i < 4; ++i) {
-    const Segment edge{corners[i], corners[(i + 1) % 4]};
-    if (SegmentsIntersect(s, edge)) return true;
-  }
-  return false;
+  const Point& a = s.a;
+  const double dx = s.b.x - a.x;
+  const double dy = s.b.y - a.y;
+  const double ex0 = r.min.x - a.x;
+  const double ex1 = r.max.x - a.x;
+  const double ey0 = r.min.y - a.y;
+  const double ey1 = r.max.y - a.y;
+  const int o0 = OrientFrom(a, s.b, r.min, dx, dy, ex0, ey0);
+  if (o0 == 0) return true;
+  const int o1 = OrientFrom(a, s.b, {r.max.x, r.min.y}, dx, dy, ex1, ey0);
+  if (o1 != o0) return true;
+  const int o2 = OrientFrom(a, s.b, r.max, dx, dy, ex1, ey1);
+  if (o2 != o0) return true;
+  return OrientFrom(a, s.b, {r.min.x, r.max.y}, dx, dy, ex0, ey1) != o0;
 }
 
 }  // namespace geoblocks::geo

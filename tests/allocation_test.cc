@@ -151,7 +151,7 @@ TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {
 TEST_F(AllocationTest, CovererIntoWarmVectorIsAllocationFree) {
   // The unit-space coverer recurses on the call stack and merges siblings
   // in place, so writing into a vector that already has the capacity makes
-  // no heap allocation. (CoverInto adds Projection::ToUnit's copy.)
+  // no heap allocation.
   const auto polygons = workload::Neighborhoods(raw_, 4, 11);
   ASSERT_FALSE(polygons.empty());
   std::vector<geo::Polygon> units;
@@ -176,30 +176,24 @@ TEST_F(AllocationTest, CovererIntoWarmVectorIsAllocationFree) {
   EXPECT_EQ(covering, want);
 }
 
-TEST_F(AllocationTest, CoverIntoAllocatesOnlyTheUnitPolygon) {
-  // BlockSet::CoverInto = Projection::ToUnit + the coverer into a
-  // thread-local scratch + a copy into the caller's vector; once both
-  // vectors are warm, ToUnit's copy of the polygon is all that allocates.
+TEST_F(AllocationTest, CoverIntoSteadyStateIsAllocationFree) {
+  // BlockSet::CoverInto = Projection::ToUnit into a thread-local polygon +
+  // the coverer into a thread-local scratch + a copy into the caller's
+  // vector; once all three are warm nothing allocates.
   const auto polygons = workload::Neighborhoods(raw_, 4, 11);
   ASSERT_FALSE(polygons.empty());
   std::vector<cell::CellId> covering;
   for (const geo::Polygon& p : polygons) set_.CoverInto(p, &covering);
+  const std::vector<cell::CellId> want = covering;
+  ASSERT_FALSE(want.empty());
 
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (const geo::Polygon& p : polygons) {
-    const geo::Polygon unit = data_->projection().ToUnit(p);
-    ASSERT_FALSE(unit.IsEmpty());
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 50; ++i) {
+    for (const geo::Polygon& p : polygons) set_.CoverInto(p, &covering);
   }
-  const uint64_t to_unit = g_allocations.load(std::memory_order_relaxed) -
-                           before;
-  ASSERT_GT(to_unit, 0u);
-
-  before = g_allocations.load(std::memory_order_relaxed);
-  for (const geo::Polygon& p : polygons) set_.CoverInto(p, &covering);
-  const uint64_t cover_into =
-      g_allocations.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(cover_into, to_unit)
-      << "CoverInto must allocate only Projection::ToUnit's polygon copy";
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "steady-state CoverInto must not allocate";
+  EXPECT_EQ(covering, want);
 }
 
 TEST_F(AllocationTest, CommitFastPathSteadyStateIsAllocationFree) {

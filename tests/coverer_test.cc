@@ -314,6 +314,49 @@ TEST(CovererOracleAdversarialTest, EdgeListCornerCases) {
   expect_levels({outside}, 0, 12, "outside");
 }
 
+/// Seeded random triangles at levels 15-20, each with one edge through a
+/// cell corner of that level, exactly or with an endpoint one ulp off in x
+/// or y, so the coverer's one-corner decision meets edges at rounding
+/// distance from the corner it tests.
+TEST(CovererOracleAdversarialTest, SeededNearCornerFuzz) {
+  std::mt19937_64 rng(1517);
+  std::uniform_int_distribution<int> corner(1 << 10, (1 << 11) - 1);
+  std::uniform_int_distribution<int> offset(-4, 4);
+  std::uniform_int_distribution<int> stretch(1, 3);
+  std::uniform_int_distribution<int> nudge(0, 4);
+  std::vector<CoveringCell> scratch;
+  for (int level = 15; level <= 20; ++level) {
+    const double h = std::ldexp(1.0, -level);
+    for (int t = 0; t < 40; ++t) {
+      // A corner of a level-`level` cell (odd multiples of h, so of no
+      // coarser cell), an edge p -> q through it and an apex r.
+      const int ci = (corner(rng) << (level - 11)) | 1;
+      const int cj = (corner(rng) << (level - 11)) | 1;
+      const geo::Point c{ci * h, cj * h};
+      int dx = offset(rng);
+      const int dy = offset(rng);
+      if (dx == 0 && dy == 0) dx = 1;
+      const int m = stretch(rng);
+      const geo::Point p{c.x + dx * h, c.y + dy * h};
+      geo::Point q{c.x - m * dx * h, c.y - m * dy * h};
+      switch (nudge(rng)) {
+        case 1: q.x = std::nextafter(q.x, 2.0); break;
+        case 2: q.x = std::nextafter(q.x, -1.0); break;
+        case 3: q.y = std::nextafter(q.y, 2.0); break;
+        case 4: q.y = std::nextafter(q.y, -1.0); break;
+        default: break;
+      }
+      const geo::Point r{c.x + offset(rng) * h - dy * h,
+                         c.y + offset(rng) * h + dx * h};
+      const geo::Polygon triangle{p, q, r};
+      for (int max_level = level - 1; max_level <= level + 2; ++max_level) {
+        ASSERT_TRUE(MatchesReference(triangle, max_level, &scratch))
+            << "level " << level << " triangle " << t;
+      }
+    }
+  }
+}
+
 TEST(CovererTest, LevelsPastTheLeafClampToLevel30) {
   // Child() of a leaf is the leaf, so an unclamped descent past level 30
   // would never end.

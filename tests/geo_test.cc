@@ -13,12 +13,6 @@ TEST(PointTest, Distance) {
   EXPECT_DOUBLE_EQ((Point{1, 1}.DistanceTo({1, 1})), 0.0);
 }
 
-TEST(PointTest, Cross) {
-  EXPECT_GT(Cross({0, 0}, {1, 0}, {0, 1}), 0.0);   // left turn
-  EXPECT_LT(Cross({0, 0}, {1, 0}, {0, -1}), 0.0);  // right turn
-  EXPECT_EQ(Cross({0, 0}, {1, 1}, {2, 2}), 0.0);   // collinear
-}
-
 TEST(RectTest, EmptyBehaviour) {
   const Rect empty = Rect::Empty();
   EXPECT_TRUE(empty.IsEmpty());

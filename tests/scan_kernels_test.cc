@@ -234,6 +234,64 @@ TEST(ScanKernelsTest, PolygonHitsMatchPolygonContains) {
                                                   xs.size(), transform, empty),
               0u);
   }
+
+  // Points on edges and one ulp off them, under the unit domain's identity
+  // projection so each lands exactly where it was computed: the float
+  // cross product cannot decide these, so lanes take the exact path. Every
+  // window of four consecutive points (each point in every lane position)
+  // must count what Contains counts.
+  const geo::Projection identity(geo::Rect{{0.0, 0.0}, {1.0, 1.0}});
+  const UnitTransform unit_transform = UnitTransform::From(identity);
+  geo::Polygon near = geo::Polygon{{0.1, 0.2},       {0.7, 0.13},
+                                   {0.9, 0.9},       {0.3, 0.8},
+                                   {0.3, 0.5},       {0.1 + 1e-9, 0.45}};
+  near.AddRing({{0.5, 0.4}, {0.6, 0.55}, {0.45, 0.6}});
+  const PreparedPolygon near_prepared = PreparedPolygon::From(near);
+  std::vector<double> nx, ny;
+  std::uniform_real_distribution<double> fraction(0.0, 1.0);
+  for (const geo::Ring& ring : near.rings()) {
+    const size_t m = ring.size();
+    for (size_t i = 0, j = m - 1; i < m; j = i++) {
+      const geo::Point& a = ring[j];
+      const geo::Point& b = ring[i];
+      for (const double t : {0.0, 0.5, 0.25, fraction(rng), fraction(rng)}) {
+        const geo::Point on{a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)};
+        for (const geo::Point& p :
+             {on, geo::Point{std::nextafter(on.x, 2.0), on.y},
+              geo::Point{std::nextafter(on.x, -1.0), on.y},
+              geo::Point{on.x, std::nextafter(on.y, 2.0)},
+              geo::Point{on.x, std::nextafter(on.y, -1.0)}}) {
+          nx.push_back(p.x);
+          ny.push_back(p.y);
+        }
+      }
+    }
+  }
+  std::vector<int> contained(nx.size());
+  int on_or_in = 0;
+  for (size_t i = 0; i < nx.size(); ++i) {
+    contained[i] = near.Contains({nx[i], ny[i]}) ? 1 : 0;
+    on_or_in += contained[i];
+  }
+  EXPECT_GT(on_or_in, 0);
+  EXPECT_LT(on_or_in, static_cast<int>(nx.size()));
+  std::vector<DispatchLevel> all_levels = SimdLevels();
+  all_levels.push_back(DispatchLevel::kScalar);
+  for (DispatchLevel level : all_levels) {
+    const KernelTable& kernels = KernelsAt(level);
+    for (size_t i = 0; i + 4 <= nx.size(); ++i) {
+      const uint64_t want = static_cast<uint64_t>(
+          contained[i] + contained[i + 1] + contained[i + 2] + contained[i + 3]);
+      ASSERT_EQ(kernels.count_polygon_hits(nx.data() + i, ny.data() + i, 4,
+                                           unit_transform, near_prepared),
+                want)
+          << ToString(level) << " window at " << i;
+    }
+    EXPECT_EQ(kernels.count_polygon_hits(nx.data(), ny.data(), nx.size(),
+                                         unit_transform, near_prepared),
+              static_cast<uint64_t>(on_or_in))
+        << ToString(level);
+  }
 }
 
 TEST(ScanKernelsTest, SumCountsParity) {
