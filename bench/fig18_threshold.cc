@@ -2,6 +2,8 @@
 // as a fraction of the cell aggregates) on workload runtime and cache hit
 // rate; also reports the average trie lookup time (the paper quotes
 // 58-81 ns).
+#include <algorithm>
+
 #include "bench/common.h"
 
 namespace geoblocks::bench {
@@ -25,8 +27,13 @@ void Run() {
   bench_util::TablePrinter table({"threshold", "base ms", "skew ms",
                                   "hit rate base", "hit rate skew",
                                   "cached cells", "lookup ns"});
-  for (const double threshold :
-       {0.0025, 0.01, 0.02, 0.05, 0.10, 0.25, 0.50, 1.0}) {
+  const std::vector<double> thresholds = {0.0025, 0.01, 0.02, 0.05,
+                                          0.10,   0.25, 0.50, 1.0};
+  // One entry per threshold, for the verdict.
+  std::vector<double> base_rates;
+  std::vector<double> skew_rates;
+  std::vector<double> lookup_times;
+  for (const double threshold : thresholds) {
     core::GeoBlockQC qc(&block, {threshold, 0});
     // Warm-up pass: run the whole workload once to gather statistics, then
     // build the cache.
@@ -78,6 +85,9 @@ void Run() {
         lookup_timer.ElapsedMs() * 1e6 / static_cast<double>(lookups);
     if (probe_sink == UINT64_MAX) std::printf("impossible\n");
 
+    base_rates.push_back(base_hits);
+    skew_rates.push_back(skew_hits);
+    lookup_times.push_back(lookup_ns);
     table.AddRow({bench_util::TablePrinter::Fmt(100.0 * threshold, 2) + "%",
                   bench_util::TablePrinter::Fmt(base_ms),
                   bench_util::TablePrinter::Fmt(skew_ms),
@@ -87,12 +97,35 @@ void Run() {
                   bench_util::TablePrinter::Fmt(lookup_ns, 1)});
   }
   table.Print();
-  PaperNote(
-      "the skewed part is cached almost immediately (hit rate ~100% by a "
-      "~5% threshold) while the base hit rate grows roughly linearly with "
-      "the cache size; past the point where everything queried is cached "
-      "(~50%) more cache brings no further speedup. Lookups stay in the "
-      "tens of nanoseconds (paper: 58-81 ns).");
+
+  const size_t reach = static_cast<size_t>(
+      std::find_if(skew_rates.begin(), skew_rates.end(),
+                   [](double rate) { return rate >= 0.9; }) -
+      skew_rates.begin());
+  if (reach == skew_rates.size()) {
+    std::printf("\nverdict: the skewed hit rate stays below 90%% at every "
+                "threshold measured (0.25-100%%)\n");
+  } else {
+    std::printf("\nverdict: the skewed hit rate first reaches 90%% at a "
+                "%.2f%% threshold (%.1f%%)\n",
+                100.0 * thresholds[reach], 100.0 * skew_rates[reach]);
+  }
+  const size_t drop = static_cast<size_t>(
+      std::is_sorted_until(base_rates.begin(), base_rates.end()) -
+      base_rates.begin());
+  if (drop == base_rates.size()) {
+    std::printf("verdict: the base hit rate is non-decreasing in the "
+                "threshold\n");
+  } else {
+    std::printf("verdict: the base hit rate drops from %.1f%% to %.1f%% "
+                "between the %.2f%% and %.2f%% thresholds\n",
+                100.0 * base_rates[drop - 1], 100.0 * base_rates[drop],
+                100.0 * thresholds[drop - 1], 100.0 * thresholds[drop]);
+  }
+  const auto [fastest, slowest] =
+      std::minmax_element(lookup_times.begin(), lookup_times.end());
+  std::printf("verdict: trie lookups took %.1f-%.1f ns (paper: 58-81 ns)\n",
+              *fastest, *slowest);
 }
 
 }  // namespace

@@ -26,12 +26,38 @@ CellId SmallestEnclosingCell(const geo::Rect& bounds) {
   return CellId::Root();
 }
 
+/// Whether `e` counts in Polygon::Contains's ray parity of a point at
+/// height `y` whose Orient against `e` is `sign`: the edge straddles the
+/// line y half-open (one endpoint strictly above) and the point lies
+/// strictly left of it directed upward.
+inline bool RayCrosses(const geo::Segment& e, double y, int sign) {
+  const bool b_above = e.b.y > y;
+  return b_above != (e.a.y > y) && (b_above ? sign > 0 : sign < 0);
+}
+
+/// The side of `e`'s line (+1 left, -1 right) of a point whose Orient
+/// against `e` is `sign`, nudged by (+d, +eps) with eps << d: on the line,
+/// the nudge's cross product with the edge, dx * eps - dy * d, decides.
+inline int NudgedSide(const geo::Segment& e, int sign) {
+  if (sign != 0) return sign;
+  if (e.b.y != e.a.y) return e.b.y > e.a.y ? -1 : 1;
+  return e.b.x > e.a.x ? 1 : -1;
+}
+
+/// One entry of a cell's edge list: an edge index, and which of the cell's
+/// four quadrants (bit qx + 2 qy) the edge touches, filled in when the cell
+/// is split.
+struct Entry {
+  uint32_t edge;
+  uint32_t quadrants;
+};
+
 /// Per-thread scratch, kept warm across calls: the polygon's edges, and one
-/// stack of edge indices holding the edge list of every cell on the current
-/// descent path, each above its parent's and popped on return.
+/// stack holding the edge list of every cell on the current descent path,
+/// each above its parent's and popped on return.
 struct Scratch {
   std::vector<geo::Segment> edges;
-  std::vector<uint32_t> stack;
+  std::vector<Entry> stack;
 };
 
 class Coverer {
@@ -46,60 +72,116 @@ class Coverer {
 
   void Run(CellId seed) {
     // The same segments, in the same direction, as the polygon's own
-    // predicates test. The seed's parent list is every edge.
+    // predicates test.
     edges_.clear();
     stack_.clear();
     for (const geo::Ring& ring : polygon_.rings()) {
       for (size_t i = 0, j = ring.size() - 1; i < ring.size(); j = i++) {
-        stack_.push_back(static_cast<uint32_t>(edges_.size()));
         edges_.push_back(geo::Segment{ring[j], ring[i]});
       }
     }
+    // The one full parity: the seed's min corner against every edge.
     const CellSquare square = CellSquare::Of(seed);
-    bool contained = false;
-    Clip(square.ToRect(), 0, edges_.size(), &contained);
-    Cover(seed, square, contained, edges_.size(), stack_.size());
+    const geo::Rect rect = square.ToRect();
+    bool parity = false;
+    for (uint32_t e = 0; e < edges_.size(); ++e) {
+      const geo::Segment& edge = edges_[e];
+      parity ^= RayCrosses(edge, rect.min.y,
+                           geo::Orient(edge.a, edge.b, rect.min));
+      if (geo::SegmentIntersectsRect(edge, rect)) stack_.push_back({e, 0});
+    }
+    Visit(seed, square, parity, 0, stack_.size());
   }
 
  private:
-  /// Pushes the edges of stack entries [begin, end) that touch the closed
-  /// `rect`, and decides the cell as Polygon::IntersectsRect (returned) and
-  /// ContainsRect (`*contained`) would. A touching edge makes both answers
-  /// plain. With none, the polygon's boundary misses the cell, so every
-  /// point of the cell has the same containment and one corner decides.
-  bool Clip(const geo::Rect& rect, size_t begin, size_t end,
-            bool* contained) {
-    const size_t first = stack_.size();
-    for (size_t e = begin; e < end; ++e) {
-      // push_back may reallocate the stack: read it by position.
-      const uint32_t edge = stack_[e];
-      if (geo::SegmentIntersectsRect(edges_[edge], rect)) {
-        stack_.push_back(edge);
-      }
+  /// Emits the covering of the polygon within `cell` (square `square`) in
+  /// ascending cell id order. Stack entries [begin, end) list the edges
+  /// touching the cell's closed rect, and `parity` is the ray parity P of
+  /// its min corner. With no edge the boundary misses the cell, so its
+  /// corner is off the boundary, where P is Polygon::Contains, and every
+  /// point of the cell shares that containment. With edges the cell
+  /// intersects the polygon and is not contained.
+  void Visit(CellId cell, const CellSquare& square, bool parity, size_t begin,
+             size_t end) {
+    if (begin == end) {
+      if (parity) out_->push_back({cell, true});
+    } else if (cell.level() >= max_level_) {
+      out_->push_back({cell, false});
+    } else {
+      Split(cell, square, parity, begin, end);
     }
-    *contained = stack_.size() == first && polygon_.Contains(rect.min);
-    return stack_.size() > first || *contained;
   }
 
-  /// Emits the covering of the polygon within `cell` (square `square`,
-  /// `contained` its ContainsRect) in ascending cell id order, merging four
-  /// just-emitted children back into `cell`. Stack entries [begin, end) list
-  /// the edges touching the cell's closed rect; a child tests only those.
-  void Cover(CellId cell, const CellSquare& square, bool contained,
-             size_t begin, size_t end) {
-    if (contained || cell.level() >= max_level_) {
-      out_->push_back({cell, contained});
-      return;
+  /// Visits the four children of `cell`, then merges them back into `cell`
+  /// when all four were emitted whole. One pass over the cell's edges reads
+  /// the exact Orient signs at the 3x3 lattice of the children's corners,
+  /// and from them both each child's edge list and each child's corner
+  /// parity: only an edge touching this cell's closed rect can separate two
+  /// points of it, so the edges listed here carry every flip of P.
+  void Split(CellId cell, const CellSquare& square, bool parity, size_t begin,
+             size_t end) {
+    const geo::Rect rect = square.ToRect();
+    const geo::Point mid =
+        CellSquare{square.i, square.j, square.size >> 1}.ToRect().max;
+    const double xs[3] = {rect.min.x, mid.x, rect.max.x};
+    const double ys[3] = {rect.min.y, mid.y, rect.max.y};
+    // Flips of P along the bottom row, up the left column and along the
+    // middle row, between the children's min corners.
+    bool row0 = false;
+    bool column = false;
+    bool row1 = false;
+    for (size_t e = begin; e < end; ++e) {
+      const geo::Segment& edge = edges_[stack_[e].edge];
+      int8_t signs[3][3];
+      geo::OrientLattice(edge, xs, ys, signs);
+      // A row's points share the straddle test, so P flips where exactly
+      // one of them is left of the edge.
+      row0 ^= RayCrosses(edge, ys[0], signs[0][0]) !=
+              RayCrosses(edge, ys[0], signs[0][1]);
+      row1 ^= RayCrosses(edge, ys[1], signs[1][0]) !=
+              RayCrosses(edge, ys[1], signs[1][1]);
+      // Up the column, P is the parity of the points nudged by (+d, +eps):
+      // it flips where the edge crosses the nudged column, its endpoints on
+      // opposite sides of x = xs[0] + d and the nudged points on opposite
+      // sides of its line.
+      column ^= (edge.a.x <= xs[0]) != (edge.b.x <= xs[0]) &&
+                NudgedSide(edge, signs[0][0]) != NudgedSide(edge, signs[1][0]);
+      // SegmentIntersectsRect per quadrant: boxes overlap, and the four
+      // corners are not all strictly on one side.
+      const bool spans_x[2] = {std::min(edge.a.x, edge.b.x) <= xs[1],
+                               std::max(edge.a.x, edge.b.x) >= xs[1]};
+      const bool spans_y[2] = {std::min(edge.a.y, edge.b.y) <= ys[1],
+                               std::max(edge.a.y, edge.b.y) >= ys[1]};
+      uint32_t quadrants = 0;
+      for (int qy = 0; qy < 2; ++qy) {
+        for (int qx = 0; qx < 2; ++qx) {
+          const int s = signs[qy][qx];
+          if (spans_x[qx] && spans_y[qy] &&
+              (s == 0 || signs[qy][qx + 1] != s || signs[qy + 1][qx] != s ||
+               signs[qy + 1][qx + 1] != s)) {
+            quadrants |= 1u << (qx + 2 * qy);
+          }
+        }
+      }
+      stack_[e].quadrants = quadrants;
     }
+    const bool quadrant_parity[4] = {parity, parity != row0, parity != column,
+                                     parity != (column != row1)};
+
     const size_t first = out_->size();
     for (int k = 0; k < 4; ++k) {
       const CellSquare child_square = square.Child(k);
+      const int q = (child_square.i != square.i ? 1 : 0) +
+                    (child_square.j != square.j ? 2 : 0);
       const size_t child_begin = stack_.size();
-      bool child_contained = false;
-      if (Clip(child_square.ToRect(), begin, end, &child_contained)) {
-        Cover(cell.Child(k), child_square, child_contained, child_begin,
-              stack_.size());
+      for (size_t e = begin; e < end; ++e) {
+        // push_back may reallocate the stack: read it by position.
+        if (stack_[e].quadrants >> q & 1) {
+          stack_.push_back({stack_[e].edge, 0});
+        }
       }
+      Visit(cell.Child(k), child_square, quadrant_parity[q], child_begin,
+            stack_.size());
       stack_.resize(child_begin);
     }
     if (out_->size() != first + 4) return;
@@ -116,7 +198,7 @@ class Coverer {
   const geo::Polygon& polygon_;
   const int max_level_;
   std::vector<geo::Segment>& edges_;
-  std::vector<uint32_t>& stack_;
+  std::vector<Entry>& stack_;
   std::vector<CoveringCell>* out_;
 };
 

@@ -36,12 +36,26 @@ struct CoveringCell {
 /// cell's rect, reached more cheaply; all of them rest on the exact
 /// `geo::Orient`, so the shortcuts below are exact too:
 ///  - Each visited cell carries the list of ring edges that touch its closed
-///    rect (`geo::SegmentIntersectsRect`), and a child tests only its
-///    parent's list. A non-empty list means the cell intersects the polygon
-///    and is not contained.
-///  - A cell with an empty list does not meet the polygon's boundary, so all
-///    its points share one containment: one even-odd parity test of one
-///    corner (`Polygon::Contains`) decides both answers.
+///    rect. The seed tests every edge (`geo::SegmentIntersectsRect`); a cell
+///    being split reads each listed edge's Orient signs at the 3x3 lattice
+///    of its children's corners (`geo::OrientLattice`), and a child lists
+///    the edges SegmentIntersectsRect would accept from those signs. A
+///    non-empty list means the cell intersects the polygon and is not
+///    contained.
+///  - Each visited cell also carries P, the even-odd ray parity of its min
+///    corner under Polygon::Contains's rule without the on-boundary return.
+///    A cell with an empty list does not meet the boundary, so its corner
+///    is off it, P equals Contains there, and P decides both answers. A
+///    child's P is its parent's, flipped by the parent's listed edges:
+///    along a row where the edge straddles it half-open and exactly one of
+///    the two points is strictly left of it directed upward; up the left
+///    column where the edge crosses the column nudged by (+d, +eps), eps
+///    << d (endpoints on opposite sides of x, one on x counting as left;
+///    nudged points on opposite sides of its line, a point on the line
+///    taking side -sign(dy), or sign(dx) for a horizontal edge). An edge
+///    missing the parent's closed rect cannot separate two of its points,
+///    so no other edge flips P. Only the seed's P is a full parity over
+///    every edge; the descent never calls Polygon::Contains.
 ///  - Each cell carries its leaf-grid square and the Hilbert orientation
 ///    inside it (`CellSquare`), so a child's rect costs O(1) instead of a
 ///    30-level id decode.

@@ -50,17 +50,22 @@ int OrientExact(const Point& a, const Point& b, const Point& c) {
   return e[n - 1] > 0 ? 1 : -1;
 }
 
-/// Orient with the differences from `a` already taken: dx, dy span the
-/// segment a -> b, ex, ey run from `a` to the tested point `c`.
-inline int OrientFrom(const Point& a, const Point& b, const Point& c,
-                      double dx, double dy, double ex, double ey) {
-  const double l = dx * ey;
-  const double r = dy * ex;
+/// Orient(a, b, c) from the filter's two products l = dx * ey and
+/// r = dy * ex, where dx, dy span the segment a -> b and ex, ey run from
+/// `a` to the tested point `c`.
+inline int OrientFromProducts(const Point& a, const Point& b, const Point& c,
+                              double l, double r) {
   const double det = l - r;
   if (std::abs(det) >= kOrientErrBound * (std::abs(l) + std::abs(r))) {
     return (det > 0) - (det < 0);
   }
   return OrientExact(a, b, c);
+}
+
+/// Orient with the differences from `a` already taken.
+inline int OrientFrom(const Point& a, const Point& b, const Point& c,
+                      double dx, double dy, double ex, double ey) {
+  return OrientFromProducts(a, b, c, dx * ey, dy * ex);
 }
 
 }  // namespace
@@ -105,6 +110,22 @@ bool SegmentIntersectsRect(const Segment& s, const Rect& r) {
   const int o2 = OrientFrom(a, s.b, r.max, dx, dy, ex1, ey1);
   if (o2 != o0) return true;
   return OrientFrom(a, s.b, {r.min.x, r.max.y}, dx, dy, ex0, ey1) != o0;
+}
+
+void OrientLattice(const Segment& s, const double (&xs)[3],
+                   const double (&ys)[3], int8_t (&signs)[3][3]) {
+  const Point& a = s.a;
+  const double dx = s.b.x - a.x;
+  const double dy = s.b.y - a.y;
+  double r[3];
+  for (int i = 0; i < 3; ++i) r[i] = dy * (xs[i] - a.x);
+  for (int j = 0; j < 3; ++j) {
+    const double l = dx * (ys[j] - a.y);
+    for (int i = 0; i < 3; ++i) {
+      signs[j][i] = static_cast<int8_t>(
+          OrientFromProducts(a, s.b, {xs[i], ys[j]}, l, r[i]));
+    }
+  }
 }
 
 }  // namespace geoblocks::geo

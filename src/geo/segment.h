@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+
 #include "geo/point.h"
 #include "geo/rect.h"
 
@@ -44,5 +46,11 @@ bool SegmentsIntersect(const Segment& s1, const Segment& s2);
 /// bounding boxes overlap and the rectangle's four corners are not all
 /// strictly on one side of the segment's line (exact, by Orient).
 bool SegmentIntersectsRect(const Segment& s, const Rect& r);
+
+/// Orient(s.a, s.b, {xs[i], ys[j]}) into signs[j][i] for the 3x3 lattice
+/// xs x ys, with the filter's differences and products shared across it:
+/// six products instead of eighteen. Exact, as Orient.
+void OrientLattice(const Segment& s, const double (&xs)[3],
+                   const double (&ys)[3], int8_t (&signs)[3][3]);
 
 }  // namespace geoblocks::geo

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <queue>
 #include <random>
@@ -352,6 +353,87 @@ TEST(CovererOracleAdversarialTest, SeededNearCornerFuzz) {
       for (int max_level = level - 1; max_level <= level + 2; ++max_level) {
         ASSERT_TRUE(MatchesReference(triangle, max_level, &scratch))
             << "level " << level << " triangle " << t;
+      }
+    }
+  }
+}
+
+/// Seeded polygons with every vertex on the corner lattice of level-L
+/// cells, L = 15-20, inside an 8x8 window of them aligned to a level L-3
+/// cell, covered at levels L-2..L+2. Horizontal and vertical edges run
+/// along cell sides, slope +-1 and +-2 edges pass through cell corners,
+/// vertices sit on the window's corner, where the descent's seed cell often
+/// starts, and rings have holes or cross themselves: every case the
+/// coverer's row and nudged column parity rules have to get exactly right.
+TEST(CovererOracleAdversarialTest, SeededLatticeFuzz) {
+  std::mt19937_64 rng(2217);
+  const auto draw = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<CoveringCell> scratch;
+  for (int level = 15; level <= 20; ++level) {
+    const double h = std::ldexp(1.0, -level);
+    for (int t = 0; t < 24; ++t) {
+      // Window origins: multiples of 8 cells, anywhere in the unit square.
+      const int bi = 8 * draw(0, (1 << (level - 3)) - 2);
+      const int bj = 8 * draw(0, (1 << (level - 3)) - 2);
+      const auto at = [&](int x, int y) {
+        return geo::Point{(bi + x) * h, (bj + y) * h};
+      };
+      // A random lattice point of [x_lo, x_hi] x [y_lo, y_hi], x drawn
+      // first (function arguments have no evaluation order).
+      const auto point = [&](int x_lo, int x_hi, int y_lo, int y_hi) {
+        const int x = draw(x_lo, x_hi);
+        return at(x, draw(y_lo, y_hi));
+      };
+      // Three distinct sorted lattice values in [0, 8].
+      const auto three = [&]() {
+        std::array<int, 3> v{};
+        do {
+          v = {draw(0, 8), draw(0, 8), draw(0, 8)};
+          std::sort(v.begin(), v.end());
+        } while (v[0] == v[1] || v[1] == v[2]);
+        return v;
+      };
+      std::vector<geo::Polygon> polygons;
+      // Rectilinear: an L shape.
+      const auto xs = three();
+      const auto ys = three();
+      polygons.push_back(geo::Polygon{
+          at(xs[0], ys[0]), at(xs[2], ys[0]), at(xs[2], ys[1]),
+          at(xs[1], ys[1]), at(xs[1], ys[2]), at(xs[0], ys[2])});
+      // Diagonals through cell corners: a diamond of slope +-1 edges and a
+      // triangle with slope +-2 sides from the window's corner.
+      const int r = draw(1, 4);
+      const int cx = draw(r, 8 - r);
+      const int cy = draw(r, 8 - r);
+      polygons.push_back(geo::Polygon{at(cx - r, cy), at(cx, cy - r),
+                                      at(cx + r, cy), at(cx, cy + r)});
+      const int k = draw(1, 4);
+      polygons.push_back(geo::Polygon{at(0, 0), at(k, 2 * k), at(2 * k, 0)});
+      // A vertex on the window's corner with its neighbours above and to
+      // the right, so the corner is the polygon's bounds minimum.
+      polygons.push_back(
+          geo::Polygon{at(0, 0), point(1, 8, 0, 7), point(0, 7, 1, 8)});
+      // Random rings, mostly self-intersecting, and a bowtie.
+      geo::Ring ring;
+      for (int v = draw(3, 6); v > 0; --v) ring.push_back(point(0, 8, 0, 8));
+      polygons.emplace_back(std::move(ring));
+      polygons.push_back(geo::Polygon{at(xs[0], ys[0]), at(xs[2], ys[2]),
+                                      at(xs[2], ys[0]), at(xs[0], ys[2])});
+      // A rectangle with a lattice triangle hole that may touch its sides.
+      geo::Polygon holed =
+          geo::Polygon::FromRect({at(xs[0], ys[0]), at(xs[2], ys[2])});
+      holed.AddRing({point(xs[0], xs[2], ys[0], ys[2]),
+                     point(xs[0], xs[2], ys[0], ys[2]),
+                     point(xs[0], xs[2], ys[0], ys[2])});
+      polygons.push_back(holed);
+
+      for (size_t i = 0; i < polygons.size(); ++i) {
+        for (int max_level = level - 2; max_level <= level + 2; ++max_level) {
+          ASSERT_TRUE(MatchesReference(polygons[i], max_level, &scratch))
+              << "level " << level << " window " << t << " polygon " << i;
+        }
       }
     }
   }

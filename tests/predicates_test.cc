@@ -155,6 +155,46 @@ TEST(OrientTest, ExactOnDyadicCollinearTriples) {
   }
 }
 
+/// OrientLattice against the oracle on the corner lattices the coverer
+/// asks about: a 3x3 lattice of dyadic cell corners at levels 12-20 and
+/// segments through one of its points, exactly or with an endpoint nudged
+/// up to two ulps, so many signs are 0 or decided by the exact fallback.
+TEST(OrientTest, LatticeMatchesInt128AtCellCorners) {
+  std::mt19937_64 rng(1990);
+  std::uniform_int_distribution<int> level(12, 20);
+  std::uniform_int_distribution<int> index(0, 2);
+  std::uniform_int_distribution<int> offset(-4, 4);
+  std::uniform_int_distribution<int> nudge(-2, 2);
+  int zeros = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int l = level(rng);
+    const double h = std::ldexp(1.0, -l);
+    std::uniform_int_distribution<int> cell(1 << (l - 7), (1 << l) - 8);
+    const double x0 = cell(rng) * h;
+    const double y0 = cell(rng) * h;
+    const double xs[3] = {x0, x0 + h, x0 + 2 * h};
+    const double ys[3] = {y0, y0 + h, y0 + 2 * h};
+    const Point through{xs[index(rng)], ys[index(rng)]};
+    const Point d{offset(rng) * h / 2, offset(rng) * h / 2};
+    const Point a{through.x + d.x, through.y + d.y};
+    Point b{through.x - 2 * d.x, through.y - 2 * d.y};
+    for (int k = nudge(rng); k != 0; k += k > 0 ? -1 : 1) {
+      b.x = std::nextafter(b.x, k > 0 ? 2.0 : 0.0);
+    }
+    int8_t signs[3][3];
+    OrientLattice(Segment{a, b}, xs, ys, signs);
+    for (int j = 0; j < 3; ++j) {
+      for (int i = 0; i < 3; ++i) {
+        const int want = OracleOrient(a, b, {xs[i], ys[j]});
+        ASSERT_EQ(signs[j][i], want)
+            << a << " " << b << " at " << i << "," << j << " trial " << trial;
+        zeros += want == 0;
+      }
+    }
+  }
+  EXPECT_GT(zeros, 0) << "no segment passed exactly through a lattice point";
+}
+
 /// The "three holes" polygon of CovererOracleAdversarialTest: the level-12
 /// cell below lies outside the third hole, with the hole's upper edge
 /// passing within rounding distance of its lower-right corner. The float
