@@ -1,8 +1,8 @@
 // Updates: the MVCC write plane end to end — build the sharded engine,
 // stream in-cell update batches through the shard-routed commit path while
-// cached queries keep serving, push new-region tuples into the pending
-// buffers, and watch the threshold trigger the batched merge-rebuild
-// (Section 5 of the paper, lifted to the concurrent BlockSet).
+// cached queries keep serving, then commit new-region tuples, whose commit
+// merges their new cells into the sorted layout (Section 5 of the paper,
+// lifted to the concurrent BlockSet).
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -37,12 +37,6 @@ int main() {
                             &pool);
   set.EnableCache(core::GeoBlockQC::Options{0.10, /*rebuild_interval=*/64});
 
-  // Update-plane policy: buffered new-region tuples merge once a shard
-  // crosses the threshold; the commit that crosses it runs the merge.
-  core::BlockSet::UpdateOptions update_options;
-  update_options.pending_rebuild_threshold = 32;
-  set.ConfigureUpdates(update_options);
-
   const auto polygons = workload::Neighborhoods(raw, 8);
   core::AggregateRequest request;
   request.Add(core::AggFn::kCount);
@@ -67,8 +61,7 @@ int main() {
     in_cell.push_back(std::move(t));
   }
   const auto applied = set.ApplyBatchUpdate(in_cell, &pool);
-  std::printf("in-cell batch: applied=%zu buffered=%zu\n", applied.applied,
-              applied.buffered);
+  std::printf("in-cell batch: applied=%zu\n", applied.applied);
 
   // 3. Queries see the whole batch.
   uint64_t mismatches = 0;
@@ -85,8 +78,10 @@ int main() {
     }
   }
 
-  // 4. New-region tuples: no cell aggregate covers them yet, so they land
-  //    in the per-shard pending buffers...
+  // 4. New-region tuples: no cell aggregate covers them yet, so their
+  //    commit merges a new cell aggregate per cell into the shard's sorted
+  //    layout (no base-row rescan). Every tuple is queryable as soon as
+  //    the call returns.
   std::vector<core::GeoBlock::UpdateTuple> frontier;
   while (frontier.size() < 200) {
     const double x = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
@@ -103,25 +98,12 @@ int main() {
     t.values.assign(data->num_columns(), 2.0);
     frontier.push_back(std::move(t));
   }
-  const auto buffered = set.ApplyBatchUpdate(frontier, &pool);
-  std::printf(
-      "new-region batch: buffered=%zu, threshold-triggered rebuilds=%zu, "
-      "pending after=%zu\n",
-      buffered.buffered, buffered.rebuilds, buffered.pending_after);
-
-  // 5. ... and the threshold-triggered merge-rebuild folds them into
-  //    fresh shard states (new cell aggregates, no base-row rescan).
-  //    Flush the sub-threshold remainder and account for every tuple
-  //    exactly once.
-  set.FlushPendingUpdates();
-  const uint64_t expect =
-      base_rows + applied.applied + frontier.size();
-  if (set.CountCovering(everything) != expect) ++mismatches;
-  if (set.PendingUpdateCount() != 0) ++mismatches;
-  std::printf("after rebuild: pending=%zu, total count=%llu (expected "
-              "%llu)\n",
-              set.PendingUpdateCount(),
-              static_cast<unsigned long long>(set.CountCovering(everything)),
+  set.ApplyBatchUpdate(frontier, &pool);
+  const uint64_t expect = base_rows + applied.applied + frontier.size();
+  const uint64_t total = set.CountCovering(everything);
+  if (total != expect) ++mismatches;
+  std::printf("new-region batch: total count=%llu (expected %llu)\n",
+              static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(expect));
 
   std::printf("update mismatches: %llu\n",

@@ -42,7 +42,6 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
 
       // Adapted query algorithm (Figure 8): probe the cache first and
       // resort to the base algorithm only when necessary.
-      counters_.AddProbe();
       const AggregateTrie::Probe probe = trie->Lookup(qcell);
       if (!probe.node_exists) {
         counters_.AddMiss();
@@ -120,7 +119,7 @@ void GeoBlockQC::RebuildCache() const {
   // previous trie is safe here.
   const AggregateTrie* prev = trie_.WriterPeek();
   // Pin the block state *inside* the writer critical section: update
-  // commits (CommitBlockBatch / CommitNewRegionMerge) publish their state
+  // commits (CommitBlockBatch) publish their state
   // and trie patch under the same mutex, so the version seen here is
   // always whole-commit consistent with `prev` — a rebuild can neither
   // lose a committed batch nor let one be applied twice.
@@ -136,8 +135,7 @@ void GeoBlockQC::RebuildCache() const {
 }
 
 void GeoBlockQC::PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
-                                 std::span<const uint32_t> subset,
-                                 const std::vector<size_t>& rejected) {
+                                 std::span<const uint32_t> subset) {
   // An empty trie (cache enabled but nothing cached yet) makes every
   // tuple walk a no-op: skip the clone, epoch flip, and grace period —
   // the published snapshot would be bit-identical.
@@ -155,20 +153,12 @@ void GeoBlockQC::PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
     patched = std::make_shared<AggregateTrie>(*trie_.WriterPeek());
   }
   spare_trie_.reset();
-  // Iterate the effective tuples: the routed subset (ascending batch
-  // indices) when one is given, the whole batch otherwise. `rejected`
-  // holds ascending batch indices in the same order, so one cursor skips
-  // them.
+  // Iterate the committed tuples: the routed subset (ascending batch
+  // indices) when one is given, the whole batch otherwise. Cached
+  // ancestors of a new cell absorb its tuples like any other.
   const size_t m = subset.empty() ? batch.size() : subset.size();
-  size_t next_rejected = 0;
   for (size_t j = 0; j < m; ++j) {
     const size_t b = subset.empty() ? j : subset[j];
-    // Skip tuples the block rejected (new regions require a merge, which
-    // patches the cache through CommitNewRegionMerge when it happens).
-    if (next_rejected < rejected.size() && rejected[next_rejected] == b) {
-      ++next_rejected;
-      continue;
-    }
     const cell::CellId leaf = cell::CellId::FromPoint(
         block_->projection().ToUnit(batch[b].location));
     patched->ApplyTupleUpdate(leaf, batch[b].values.data());
@@ -190,23 +180,8 @@ GeoBlock::UpdateResult GeoBlockQC::CommitBlockBatch(
   // unit. Readers are never blocked: both publishes are epoch swaps.
   std::lock_guard<std::mutex> lock(writer_mu_);
   const GeoBlock::UpdateResult result = block->ApplyBatchUpdate(batch, subset);
-  if (result.applied > 0) PatchTrieLocked(batch, subset, result.rejected);
+  if (result.applied > 0) PatchTrieLocked(batch, subset);
   return result;
-}
-
-size_t GeoBlockQC::CommitNewRegionMerge(
-    GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch) {
-  if (block != block_) {
-    throw std::invalid_argument(
-        "GeoBlockQC::CommitNewRegionMerge: block is not the wrapped block");
-  }
-  if (batch.empty()) return 0;
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const size_t new_cells = block->MergeNewRegionTuples(batch);
-  // Every tuple is applied by a merge; cached ancestor aggregates of the
-  // new cells absorb them one ApplyTupleUpdate walk each.
-  PatchTrieLocked(batch, {}, {});
-  return new_cells;
 }
 
 }  // namespace geoblocks::core

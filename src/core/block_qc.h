@@ -32,22 +32,17 @@ struct CacheCounters {
   }
 };
 
-/// The live cache counters: one relaxed atomic per field, so the read path
+/// The live cache counters: one relaxed atomic per outcome, so the read path
 /// bumps them with plain `fetch_add`s — no locks, no contention beyond the
-/// cache line. `Snapshot` merges them into a CacheCounters value that is
-/// *point-in-time-ish*: each field is internally exact (relaxed increments
-/// never lose updates) and monotone between resets, but the four fields
-/// are read one after another, so a snapshot taken mid-query may be off by
-/// the increments that landed between the loads (e.g. probes one ahead of
-/// full_hits + partial_hits + misses). Once queries quiesce, the identity
-/// probes == full_hits + partial_hits + misses is exact — provided no
-/// Reset raced a still-in-flight query (a reset landing mid-query zeroes
-/// some of that query's increments but not others, skewing the identity
-/// until the next reset).
+/// cache line. Every probe ends in exactly one outcome, so `probes` is not
+/// counted but derived: `Snapshot` returns probes = full_hits +
+/// partial_hits + misses. The snapshot is *point-in-time-ish*: each field is
+/// internally exact (relaxed increments never lose updates) and monotone
+/// between resets, but the fields are read one after another, so a snapshot
+/// taken mid-query may miss increments that landed between the loads.
 class CacheCounterPlane {
  public:
   /// Relaxed-increment entry points used by the lock-free read path.
-  void AddProbe() { probes_.fetch_add(1, std::memory_order_relaxed); }
   void AddFullHit() { full_hits_.fetch_add(1, std::memory_order_relaxed); }
   void AddPartialHit() {
     partial_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -57,24 +52,22 @@ class CacheCounterPlane {
   /// @return A point-in-time-ish value snapshot (see class comment).
   CacheCounters Snapshot() const {
     CacheCounters c;
-    c.probes = probes_.load(std::memory_order_relaxed);
     c.full_hits = full_hits_.load(std::memory_order_relaxed);
     c.partial_hits = partial_hits_.load(std::memory_order_relaxed);
     c.misses = misses_.load(std::memory_order_relaxed);
+    c.probes = c.full_hits + c.partial_hits + c.misses;
     return c;
   }
 
   /// Zeroes every counter. Safe concurrently with readers and recorders;
   /// increments racing with the reset may land before or after it.
   void Reset() {
-    probes_.store(0, std::memory_order_relaxed);
     full_hits_.store(0, std::memory_order_relaxed);
     partial_hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> full_hits_{0};
   std::atomic<uint64_t> partial_hits_{0};
   std::atomic<uint64_t> misses_{0};
@@ -110,10 +103,10 @@ class CacheCounterPlane {
 /// `Select`/`SelectCovering`/`CombineCovering`/`Count` are therefore
 /// `const` and safe to call from any number of threads concurrently, with
 /// results bit-identical to a mutex-guarded execution of the same snapshot
-/// sequence. Writers (`RebuildCache`, `CommitBlockBatch`,
-/// `CommitNewRegionMerge`) serialize among themselves on an internal
-/// mutex that readers never touch; the commit entry points publish the
-/// block state and the trie patch inside one writer critical section,
+/// sequence. Writers (`RebuildCache`, `CommitBlockBatch`, `DropTrie`)
+/// serialize among themselves on an internal mutex that readers never
+/// touch; the commit publishes the block state and the trie patch inside
+/// one writer critical section,
 /// which is what makes an interval-triggered rebuild (run inline by the
 /// query that crosses `rebuild_interval`) racing an update commit safe
 /// (a rebuild sees either the whole commit or none of it — it can
@@ -251,7 +244,7 @@ class GeoBlockQC {
 
   /// One-shot MVCC commit of an update batch against block *and* cache
   /// (Section 5): applies `batch` to `block` (clone-patch-publish of its
-  /// BlockState) and mirrors the applied tuples into a patched trie
+  /// BlockState) and mirrors the same tuples into a patched trie
   /// snapshot (copy-on-write: readers see the whole batch or none of it),
   /// all inside the writer critical section. Safe concurrently with any
   /// number of readers and with interval-triggered rebuilds; this is the
@@ -264,25 +257,12 @@ class GeoBlockQC {
   /// @param batch  The arriving tuples.
   /// @param subset Optional ascending indices into `batch` selecting the
   ///     tuples to commit (a shard's routed slice); empty means the whole
-  ///     batch. Rejected indices in the result are batch indices either way.
+  ///     batch.
   /// @return The block's UpdateResult for the batch.
   /// @throws std::invalid_argument when `block` is not the wrapped block.
   GeoBlock::UpdateResult CommitBlockBatch(
       GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch,
       std::span<const uint32_t> subset = {});
-
-  /// One-shot MVCC commit of a new-region merge (the batched rebuild for
-  /// tuples ApplyBatchUpdate rejected): merges `batch` into a fresh block
-  /// state via GeoBlock::MergeNewRegionTuples and patches every cached
-  /// ancestor aggregate in a cloned trie, inside one writer critical
-  /// section. Safe concurrently with readers and rebuilds.
-  ///
-  /// @param block The wrapped block.
-  /// @param batch The (previously rejected) tuples to merge.
-  /// @return Number of new cell aggregates created.
-  /// @throws std::invalid_argument when `block` is not the wrapped block.
-  size_t CommitNewRegionMerge(GeoBlock* block,
-                              std::span<const GeoBlock::UpdateTuple> batch);
 
   /// Cache budget in bytes implied by the threshold.
   ///
@@ -313,13 +293,11 @@ class GeoBlockQC {
 
  private:
   /// Clones the published trie (into the recycled spare when one is
-  /// available), patches it with the batch's effective tuples — `subset`
-  /// order when non-empty, whole batch otherwise — skipping the rejected
-  /// batch indices, and publishes the patched snapshot. Must hold
-  /// writer_mu_.
+  /// available), patches it with the committed tuples — `subset` order
+  /// when non-empty, whole batch otherwise — and publishes the patched
+  /// snapshot. Must hold writer_mu_.
   void PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
-                       std::span<const uint32_t> subset,
-                       const std::vector<size_t>& rejected);
+                       std::span<const uint32_t> subset);
 
   /// Interval trigger: bumps the per-query counter and, when it crosses
   /// rebuild_interval, lets exactly one caller reset it and run the

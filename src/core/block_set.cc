@@ -22,7 +22,6 @@ BlockSet::BlockSet(BlockSet&& other) noexcept
       blocks_(std::move(other.blocks_)),
       cached_(std::move(other.cached_)),
       writers_(std::move(other.writers_)),
-      update_options_(other.update_options_),
       align_level_(other.align_level_),
       total_rows_(other.total_rows_),
       boundaries_(std::move(other.boundaries_)),
@@ -50,7 +49,6 @@ BlockSet& BlockSet::operator=(BlockSet&& other) noexcept {
   blocks_ = std::move(other.blocks_);
   cached_ = std::move(other.cached_);
   writers_ = std::move(other.writers_);
-  update_options_ = other.update_options_;
   align_level_ = other.align_level_;
   total_rows_ = other.total_rows_;
   boundaries_ = std::move(other.boundaries_);
@@ -290,7 +288,6 @@ BlockSet::SetUpdateResult BlockSet::ApplyBatchUpdate(
   }
   if (batch.empty()) {
     SetUpdateResult result;
-    result.pending_after = PendingUpdateCount();
     result.change_number = change_number();
     return result;
   }
@@ -342,16 +339,14 @@ void BlockSet::AdoptChangeNumber(uint64_t cn) {
 BlockSet::SetUpdateResult BlockSet::CommitRouted(
     std::span<const GeoBlock::UpdateTuple> batch, util::ThreadPool* pool) {
   const size_t k = blocks_.size();
-  SetUpdateResult result;
 
   // Phase 1: route every tuple to its shard by Hilbert key against the
   // manifest boundaries — the same rule the partitioner cut the data with,
   // so a tuple lands in the shard whose block covers (or will cover) its
   // cell. Routing reads only immutable fields; no locks. Tuples are routed
   // by *index*, not copied — copying an UpdateTuple allocates (its values
-  // vector), so copies happen only on the rejection slow path. The scratch
-  // is thread-local: its capacity survives across batches, making the
-  // steady-state route allocation-free.
+  // vector). The scratch is thread-local: its capacity survives across
+  // batches, making the steady-state route allocation-free.
   struct RouteScratch {
     std::vector<std::vector<uint32_t>> per_shard;  ///< batch indices
     std::vector<size_t> busy;                      ///< shards with tuples
@@ -381,34 +376,25 @@ BlockSet::SetUpdateResult BlockSet::CommitRouted(
   std::vector<std::vector<uint32_t>>& per_shard = scratch.per_shard;
   std::vector<size_t>& busy = scratch.busy;
   std::atomic<size_t> applied{0};
-  std::atomic<size_t> buffered{0};
-  std::atomic<size_t> rebuilds{0};
   util::ParallelFor(pool, busy.size(), [&](size_t i) {
     const size_t s = busy[i];
-    CommitShardBatch(s, batch, per_shard[s], &applied, &buffered,
-                     &rebuilds);
+    applied.fetch_add(CommitShardBatch(s, batch, per_shard[s]),
+                      std::memory_order_relaxed);
   });
 
+  SetUpdateResult result;
   result.applied = applied.load(std::memory_order_relaxed);
-  result.buffered = buffered.load(std::memory_order_relaxed);
-  result.rebuilds = rebuilds.load(std::memory_order_relaxed);
-  result.pending_after = PendingUpdateCount();
   return result;
 }
 
-void BlockSet::CommitShardBatch(size_t s,
-                                std::span<const GeoBlock::UpdateTuple> batch,
-                                std::span<const uint32_t> subset,
-                                std::atomic<size_t>* applied,
-                                std::atomic<size_t>* buffered,
-                                std::atomic<size_t>* rebuilds) {
-  ShardWriter& w = *writers_[s];
+size_t BlockSet::CommitShardBatch(size_t s,
+                                  std::span<const GeoBlock::UpdateTuple> batch,
+                                  std::span<const uint32_t> subset) {
   GeoBlock* block = blocks_[s].get();
   GeoBlockQC* qc = cache_enabled() ? cached_[s].get() : nullptr;
-  std::lock_guard<std::mutex> lock(w.mu);
-  // The commit must patch a materialized state — applying a batch to a
-  // tombstone would reject every tuple into pending, and the eventual
-  // merge would then build a state holding ONLY those tuples (data loss).
+  std::lock_guard<std::mutex> lock(writers_[s]->mu);
+  // The commit must patch a materialized state — a commit against a
+  // tombstone would build a state holding ONLY this batch (data loss).
   // On a cold mapped shard the fault-in here is bookkeeping-only (no
   // EnsureBudget while holding a shard lock — another shard's evict
   // callback could be waiting on ours); the budget transiently overshoots
@@ -418,79 +404,17 @@ void BlockSet::CommitShardBatch(size_t s,
   // run as one writer critical section (GeoBlockQC::CommitBlockBatch), so
   // an interval-triggered trie rebuild can never interleave half a commit.
   // The shard reads its tuples straight out of the caller's batch through
-  // the subset indices; rejected indices come back as batch indices.
+  // the subset indices.
   const GeoBlock::UpdateResult r =
       qc != nullptr ? qc->CommitBlockBatch(block, batch, subset)
                     : block->ApplyBatchUpdate(batch, subset);
-  applied->fetch_add(r.applied, std::memory_order_relaxed);
-  buffered->fetch_add(r.rejected.size(), std::memory_order_relaxed);
-  for (const size_t idx : r.rejected) {
-    // The one place a tuple is copied (allocating its values vector): the
-    // new-region slow path, off the steady-state commit.
-    w.pending.push_back(batch[idx]);
-  }
-  w.pending_count.store(w.pending.size(), std::memory_order_relaxed);
-  if (r.applied > 0 || !r.rejected.empty()) {
+  if (r.applied > 0) {
     // Sticky: this shard's in-memory state now runs ahead of any mapped
-    // payload (applied tuples immediately; buffered ones once merged), so
-    // it must never be evicted — a re-fault would resurrect the stale
-    // payload.
+    // payload, so it must never be evicted — a re-fault would resurrect
+    // the stale payload.
     residency_[s]->dirty.store(true, std::memory_order_release);
   }
-
-  // The batched rebuild runs right here, still under the writer lock: the
-  // commit that fills the buffer to the threshold pays for the merge.
-  const size_t threshold = update_options_.pending_rebuild_threshold;
-  if (threshold == 0 || w.pending.size() < threshold) return;
-  rebuilds->fetch_add(1, std::memory_order_relaxed);
-  MergePendingLocked(s);
-}
-
-bool BlockSet::MergePendingLocked(size_t s) {
-  ShardWriter& w = *writers_[s];
-  if (w.pending.empty()) return false;
-  // The batched rebuild for new regions: one linear merge of the sorted
-  // layouts (GeoBlock::MergeNewRegionTuples), with the cached ancestor
-  // aggregates patched in the same writer critical section when a cache
-  // exists.
-  if (cache_enabled()) {
-    cached_[s]->CommitNewRegionMerge(blocks_[s].get(), w.pending);
-  } else {
-    blocks_[s]->MergeNewRegionTuples(w.pending);
-  }
-  w.pending.clear();
-  w.pending.shrink_to_fit();
-  w.pending_count.store(0, std::memory_order_relaxed);
-  return true;
-}
-
-size_t BlockSet::FlushPendingUpdates() {
-  size_t merged = 0;
-  for (size_t s = 0; s < writers_.size(); ++s) {
-    ShardWriter& w = *writers_[s];
-    std::lock_guard<std::mutex> lock(w.mu);
-    // A lazily opened set can hold file-restored pending tuples for a
-    // shard that never materialized: merge into the real state, never
-    // into a tombstone (which would drop every previously aggregated
-    // cell). Merging also marks the shard dirty — its state now runs
-    // ahead of any mapped payload.
-    if (!w.pending.empty()) EnsureResident(s);
-    if (MergePendingLocked(s)) {
-      residency_[s]->dirty.store(true, std::memory_order_release);
-      ++merged;
-    }
-  }
-  return merged;
-}
-
-size_t BlockSet::PendingUpdateCount() const {
-  // Lock-free sum of the per-shard mirrors: never blocks on a shard whose
-  // merge-rebuild is holding its writer lock. Point-in-time by nature.
-  size_t pending = 0;
-  for (const std::shared_ptr<ShardWriter>& w : writers_) {
-    pending += w->pending_count.load(std::memory_order_relaxed);
-  }
-  return pending;
+  return r.applied;
 }
 
 // ---------------------------------------------------------------------------

@@ -126,12 +126,10 @@ struct QueryBatch {
 /// patched in the same writer critical section. Writers stripe across
 /// shards — commits to different shards proceed in parallel (optionally on
 /// a ThreadPool) — and readers never block: SELECT/COUNT, cached or not,
-/// run concurrently with updates with no external serialization. Tuples
-/// for new, previously unaggregated regions land in a per-shard pending
-/// buffer; the commit that makes a buffer reach
-/// UpdateOptions::pending_rebuild_threshold merges it into a fresh shard
-/// state (the paper's "batched rebuild") before releasing the shard's
-/// writer lock.
+/// run concurrently with updates with no external serialization. A tuple
+/// for a new, previously unaggregated region gets its cell aggregate in the
+/// same commit (GeoBlock::ApplyBatchUpdate), so every tuple of a batch is
+/// queryable once the call returns.
 ///
 /// Like EnableCache, the update plane holds per-shard pointers: configure
 /// and update a set only in its final resting place (don't move a set
@@ -282,43 +280,21 @@ class BlockSet {
 
   /// -- Update plane --------------------------------------------------------
 
-  /// Configuration of the concurrent write path.
-  struct UpdateOptions {
-    /// A shard whose pending (new-region) buffer reaches this many tuples
-    /// is merge-rebuilt by the commit that filled it, on the updating
-    /// thread. 0 disables the automatic trigger (use FlushPendingUpdates).
-    size_t pending_rebuild_threshold = 1024;
-  };
-
   /// Outcome of one routed batch.
   struct SetUpdateResult {
-    size_t applied = 0;    ///< tuples merged into existing cell aggregates
-    size_t buffered = 0;   ///< new-region tuples added to pending buffers
-    size_t rebuilds = 0;   ///< shard merge-rebuilds triggered by this batch
-    size_t pending_after = 0;  ///< pending tuples across shards afterwards
-                               ///< (point-in-time; a concurrent batch may
-                               ///< still be filling or merging a buffer)
+    size_t applied = 0;  ///< tuples committed to shard states
     /// The batch's monotone change number. With an attached log it is the
     /// WAL record's change number and the batch was durable before this
     /// result was returned; without a log it only orders batches in memory.
     uint64_t change_number = 0;
   };
 
-  /// Sets the pending-buffer policy (the merge threshold). Call before
-  /// serving updates; not thread-safe against in-flight ApplyBatchUpdate.
-  ///
-  /// @param options The update-plane configuration.
-  void ConfigureUpdates(const UpdateOptions& options) {
-    update_options_ = options;
-  }
-
   /// Integrates newly arriving tuples into the sharded view (Section 5,
   /// lifted to the shard level): tuples are routed to their shard by
   /// Hilbert key via the manifest boundaries, each shard's sub-batch
   /// commits under that shard's writer lock (block state and cache trie
-  /// publish as one logical unit per shard), and tuples for new regions
-  /// accumulate in the shard's pending buffer until the threshold triggers
-  /// a batched merge-rebuild.
+  /// publish as one logical unit per shard). Tuples for new regions create
+  /// their cell aggregates in that same commit.
   ///
   /// Safe concurrently with every `const` read path — Select/Count,
   /// SelectCached/SelectCoveringCached, batched execution — with no
@@ -330,22 +306,11 @@ class BlockSet {
   ///
   /// @param batch The arriving tuples (routed by location).
   /// @param pool  Optional pool for the per-shard commit fan-out.
-  /// @return Applied/buffered counts plus rebuild activity.
+  /// @return The committed tuple count and the batch's change number.
   /// @throws std::logic_error on a default-constructed set, which has no
   ///     manifest metadata to route tuples by.
   SetUpdateResult ApplyBatchUpdate(std::span<const GeoBlock::UpdateTuple> batch,
                                    util::ThreadPool* pool = nullptr);
-
-  /// Merges every shard's pending buffer now, on the calling thread, each
-  /// under its shard's writer lock (so it waits for an in-flight commit of
-  /// the same shard). After it returns, all previously buffered tuples are
-  /// queryable.
-  ///
-  /// @return Number of shards that had pending tuples merged.
-  size_t FlushPendingUpdates();
-
-  /// @return Total new-region tuples currently buffered across shards.
-  size_t PendingUpdateCount() const;
 
   /// -- Durability (docs/ARCHITECTURE.md "Durability") ----------------------
 
@@ -415,8 +380,8 @@ class BlockSet {
                              io::UpdateLog* log);
 
   /// Durably checkpoints the set: serializes the full state (WriteTo —
-  /// including pending buffers and the change number) to `manifest_path`
-  /// atomically (temp file + fsync + rename), then truncates the attached
+  /// including the change number) to `manifest_path` atomically (temp
+  /// file + fsync + rename), then truncates the attached
   /// log up to the checkpointed change number. Crash-ordering is safe at
   /// every point: the manifest replace is atomic, and a crash between the
   /// manifest landing and the log truncating only means replay skips every
@@ -435,10 +400,10 @@ class BlockSet {
   /// format version, shard count, alignment level, the committed change
   /// number, per-shard Hilbert-key boundaries, (offset, num_rows) row
   /// windows and post-update state row counts, payload byte offsets and
-  /// checksums) followed by each shard's GeoBlock payload and a checksummed
-  /// pending-updates section holding every still-buffered new-region tuple
-  /// — buffered tuples survive save → load verbatim. The byte-level layout
-  /// is specified in docs/FORMAT.md. Writing is deterministic: the same
+  /// checksums) followed by each shard's GeoBlock payload and an empty
+  /// checksummed pending-updates section (every committed tuple already
+  /// lives in a shard payload). The byte-level layout is specified in
+  /// docs/FORMAT.md. Writing is deterministic: the same
   /// set always produces identical bytes. The optional query cache
   /// (EnableCache) is not persisted.
   ///
@@ -454,7 +419,9 @@ class BlockSet {
   /// answer bit-identically to the set that was saved, without the base
   /// rows; refinement throws until AttachDataset re-binds the dataset.
   /// Every manifest field and every shard payload is checksum-verified
-  /// before use, so corrupt or truncated input fails cleanly.
+  /// before use, so corrupt or truncated input fails cleanly. Tuples in a
+  /// non-empty pending section (written by an older version) are
+  /// committed to their shards at load, which marks those shards dirty.
   ///
   /// @param in Source stream (open in binary mode).
   /// @return The loaded set, in the *detached* state.
@@ -474,11 +441,12 @@ class BlockSet {
   /// first route to it — bytes touched at open are O(manifest + shard 0 +
   /// pending), not O(file). Shard 0 is materialized eagerly (it carries
   /// the level/projection/schema every other shard is validated against,
-  /// and the pending section needs the schema width to decode).
+  /// and the pending section needs the schema width to decode); a
+  /// non-empty pending section is committed at open as ReadFrom does.
   ///
   /// The loaded set is detached, answers every query path bit-identically
   /// to ReadFrom of the same file, and accepts updates; shards touched by
-  /// an update (or holding pending tuples) become non-evictable, because
+  /// an update become non-evictable, because
   /// their in-memory state has diverged from the mapped payload. With a
   /// governor, faulted payloads and cache tries are evicted back to
   /// "mapped, not materialized" when the byte budget is exceeded; eviction
@@ -638,10 +606,7 @@ class BlockSet {
   /// Sum of the per-shard cache counters. Safe to call concurrently with
   /// readers: each field is exact and monotone between resets, but fields
   /// are sampled one after another, so a merge taken mid-query is
-  /// point-in-time-ish (probes may run ahead of hits + misses); once
-  /// queries quiesce the identity probes == full + partial + misses is
-  /// exact, provided no reset raced a still-in-flight query (see
-  /// CacheCounterPlane).
+  /// point-in-time-ish (see CacheCounterPlane).
   ///
   /// @return Merged counter snapshot.
   CacheCounters MergedCacheCounters() const;
@@ -680,17 +645,11 @@ class BlockSet {
     uint64_t num_rows = 0;
   };
 
-  /// Per-shard writer state: the striped commit lock and the pending
-  /// (new-region) buffer it guards. Behind a shared_ptr: the shard's
-  /// governor evict callback captures it, so it must survive set moves.
+  /// Per-shard writer state: the striped commit lock. Behind a
+  /// shared_ptr: the shard's governor evict callback captures it, so it
+  /// must survive set moves.
   struct ShardWriter {
     std::mutex mu;
-    std::vector<GeoBlock::UpdateTuple> pending;
-    /// Relaxed mirror of pending.size(), maintained by writers under mu,
-    /// so PendingUpdateCount (and ApplyBatchUpdate's pending_after) read
-    /// it without taking a shard lock — an update batch's return latency
-    /// must not be gated by an unrelated shard's in-flight merge.
-    std::atomic<size_t> pending_count{0};
   };
 
   /// What a lazily opened set needs to fault a shard payload in later:
@@ -728,7 +687,7 @@ class BlockSet {
     /// shard that could answer). Once true, the published hull is precise
     /// and stays so across evictions (EvictState keeps the atomics).
     std::atomic<bool> hull_known;
-    /// Sticky: set on the first committed update or pending merge.
+    /// Sticky: set on the first committed update.
     /// A dirty shard is never evicted — its in-memory state has diverged
     /// from the mapped payload, and after a Checkpoint the mapping is
     /// stale outright, so a re-fault would resurrect old data.
@@ -788,9 +747,10 @@ class BlockSet {
                                     const serialize::SetManifest& m,
                                     size_t s, const GeoBlock* reference);
 
-  /// Checksums and decodes the pending-updates section into the per-shard
-  /// writer buffers. Defined in serialize.cc.
-  void RestorePendingTuples(std::string_view pending_section,
+  /// Checksums and decodes a pending-updates section (non-empty only in
+  /// files written before commits created new cells inline) and commits
+  /// its tuples through CommitRouted. Defined in serialize.cc.
+  void CommitPendingSection(std::string_view pending_section,
                             uint32_t expected_crc);
 
   /// The memory half of ApplyBatchUpdate: routes `batch` to shards and
@@ -805,23 +765,12 @@ class BlockSet {
   void AdoptChangeNumber(uint64_t cn);
 
   /// Commits shard `s`'s slice of the batch — the tuples at the (ascending)
-  /// `subset` indices into `batch` — under its writer lock, buffers the
-  /// rejected (new-region) tuples, and merges the buffer under the same
-  /// lock once it reaches the threshold. Tuples are passed by index, not
-  /// copied: only rejected tuples are copied, into the pending buffer.
-  /// Returns through the atomics in ApplyBatchUpdate.
-  void CommitShardBatch(size_t s, std::span<const GeoBlock::UpdateTuple> batch,
-                        std::span<const uint32_t> subset,
-                        std::atomic<size_t>* applied,
-                        std::atomic<size_t>* buffered,
-                        std::atomic<size_t>* rebuilds);
-
-  /// Merges shard `s`'s pending buffer into a fresh state of its block
-  /// (patching the shard's trie when the cache is enabled) and empties the
-  /// buffer. Caller must hold the shard's writer lock and the shard must
-  /// be resident.
-  /// @return True when there was anything to merge.
-  bool MergePendingLocked(size_t s);
+  /// `subset` indices into `batch`, passed by index, never copied — under
+  /// its writer lock and marks the shard dirty.
+  /// @return Number of tuples committed.
+  size_t CommitShardBatch(size_t s,
+                          std::span<const GeoBlock::UpdateTuple> batch,
+                          std::span<const uint32_t> subset);
 
   int level_ = 0;
   geo::Projection projection_;
@@ -832,9 +781,8 @@ class BlockSet {
   // One lock-free GeoBlockQC per shard (unique_ptr: the QC pins its
   // address — it owns atomics and the stats slot table).
   std::vector<std::unique_ptr<GeoBlockQC>> cached_;
-  // The update plane: one writer record per shard plus the shared policy.
+  // The update plane: one writer record per shard.
   std::vector<std::shared_ptr<ShardWriter>> writers_;
-  UpdateOptions update_options_;
 
   // Manifest metadata (persisted by WriteTo, validated by AttachDataset).
   int align_level_ = -1;

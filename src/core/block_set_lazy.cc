@@ -96,15 +96,15 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
   set.level_ = set.blocks_[0]->level();
   set.projection_ = set.blocks_[0]->projection();
 
-  // The pending section is restored eagerly, exactly like ReadFrom:
-  // buffered tuples must be queryable-after-merge without depending on
-  // which shards ever fault in.
+  // The pending section is committed eagerly, exactly like ReadFrom: its
+  // tuples must not depend on which shards ever fault in. Committing faults
+  // the receiving shards in and marks them dirty.
   std::string scratch;
   const std::string_view pending =
       ReadFileBytes(set.source_->file, set.source_->shim,
                     m.manifest_bytes + m.payload_bytes, m.pending_bytes,
                     &scratch);
-  set.RestorePendingTuples(pending, m.pending_crc);
+  set.CommitPendingSection(pending, m.pending_crc);
 
   for (size_t i = 0; i < set.num_shards(); ++i) set.RegisterShardEntry(i);
   return set;
@@ -205,11 +205,6 @@ void BlockSet::RegisterShardEntry(size_t s) {
       [block, writer, res] {
         // Lock order: (governor cb_mu) -> w.mu -> r.mu.
         std::lock_guard<std::mutex> w_lock(writer->mu);
-        if (writer->pending_count.load(std::memory_order_relaxed) > 0) {
-          // Unmerged buffered tuples need the resident state to merge
-          // into; evicting now would lose them at merge time.
-          return false;
-        }
         if (res->dirty.load(std::memory_order_acquire)) {
           // The in-memory state diverged from the mapped payload (or the
           // mapping went stale after a checkpoint): a re-fault would

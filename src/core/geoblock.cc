@@ -1,7 +1,6 @@
 #include "core/geoblock.h"
 
 #include <algorithm>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -520,27 +519,57 @@ AggregateVector GeoBlock::AggregateForCell(cell::CellId cell) const {
 
 namespace {
 
-/// One classified in-cell tuple of an update batch.
+/// One classified tuple of an update batch.
 struct UpdateHit {
   size_t idx;  ///< cell-aggregate index the tuple lands in
   size_t b;    ///< batch index
   uint64_t key;
 };
 
-/// Clones `src` into the shared_ptr sitting in `*slot` when that array is
-/// sole-owned (a recycled version's private clone — its heap buffer and
-/// control block are reused), else into a fresh allocation. Clears `*slot`.
+/// The sole-owned vector sitting in `*slot` (a recycled version's private
+/// array — its heap buffer and control block are reused), else a fresh
+/// one; its contents are unspecified. Clears `*slot`.
 template <typename T>
-std::shared_ptr<std::vector<T>> CloneReusing(
-    std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src) {
+std::shared_ptr<std::vector<T>> TakeReusing(
+    std::shared_ptr<const std::vector<T>>* slot) {
   std::shared_ptr<std::vector<T>> out;
   if (SoleOwner(*slot)) {
     out = std::const_pointer_cast<std::vector<T>>(std::move(*slot));
-    *out = src;  // copy-assign: reuses capacity when it suffices
   } else {
-    out = std::make_shared<std::vector<T>>(src);
+    out = std::make_shared<std::vector<T>>();
   }
   slot->reset();
+  return out;
+}
+
+/// Clones `src` into the array TakeReusing hands out (copy-assignment
+/// reuses its capacity when it suffices).
+template <typename T>
+std::shared_ptr<std::vector<T>> CloneReusing(
+    std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src) {
+  std::shared_ptr<std::vector<T>> out = TakeReusing(slot);
+  *out = src;
+  return out;
+}
+
+/// Copies `src`, rows of `width` entries, into the array TakeReusing hands
+/// out, inserting a row of `fill` before old row p for each p in the
+/// ascending `at` (a repeated p inserts several rows).
+template <typename T>
+std::shared_ptr<std::vector<T>> MergeReusing(
+    std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src,
+    size_t width, std::span<const size_t> at, const T& fill) {
+  std::shared_ptr<std::vector<T>> out = TakeReusing(slot);
+  out->clear();
+  out->reserve(src.size() + at.size() * width);
+  size_t from = 0;
+  for (const size_t p : at) {
+    out->insert(out->end(), src.begin() + from * width,
+                src.begin() + p * width);
+    out->insert(out->end(), width, fill);
+    from = p;
+  }
+  out->insert(out->end(), src.begin() + from * width, src.end());
   return out;
 }
 
@@ -548,59 +577,93 @@ std::shared_ptr<std::vector<T>> CloneReusing(
 
 GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
     std::span<const UpdateTuple> batch, std::span<const uint32_t> subset) {
-  UpdateResult result;
   // Writers are externally serialized, so the raw current version is
   // stable for the whole commit.
   const BlockState* cur = CurrentState();
   const std::vector<uint64_t>& ids = *cur->cells;
   const uint64_t lsb = cell::CellId::LsbForLevel(level_);
+  const auto cell_of = [lsb](uint64_t key) { return (key & (~lsb + 1)) | lsb; };
 
-  // Pass 1: classify the batch against the (frozen) cell layout. The
-  // scratch is thread-local — its capacity survives across commits, so the
-  // steady state never allocates here (writers to different blocks on one
-  // thread share the scratch; its contents are per-call).
+  // Pass 1: classify the batch against the (frozen) cell layout. A tuple
+  // whose grid cell has no aggregate yet lands before index `pos` and
+  // collects its cell in `fresh`. The scratch is thread-local — its
+  // capacity survives across commits, so the steady state never allocates
+  // here (writers to different blocks on one thread share the scratch; its
+  // contents are per-call).
   thread_local std::vector<UpdateHit> hits;
+  thread_local std::vector<uint64_t> fresh;
+  thread_local std::vector<size_t> at;
   hits.clear();
+  fresh.clear();
   const size_t m = subset.empty() ? batch.size() : subset.size();
   for (size_t j = 0; j < m; ++j) {
     const size_t b = subset.empty() ? j : subset[j];
     const uint64_t key =
         cell::CellId::FromPoint(projection_.ToUnit(batch[b].location)).id();
-    const uint64_t cell_id = (key & (~lsb + 1)) | lsb;
+    const uint64_t cell_id = cell_of(key);
     const size_t pos =
         kernels::LowerBoundU64(ids.data(), ids.size(), cell_id);
-    if (pos == ids.size() || ids[pos] != cell_id) {
-      // New, previously unaggregated region: the sorted layout has no slot
-      // for it (Section 5 — requires a rebuild, ideally batched; see
-      // MergeNewRegionTuples and BlockSet's pending buffer).
-      result.rejected.push_back(b);
-      continue;
-    }
+    if (pos == ids.size() || ids[pos] != cell_id) fresh.push_back(cell_id);
     hits.push_back({pos, b, key});
   }
-  // Early exit: an all-rejected (or empty) batch publishes nothing — not
-  // even the offsets prefix-sum is recomputed, and the state pointer is
-  // bit-identically unchanged.
-  if (hits.empty()) return result;
-  result.applied = hits.size();
+  // An empty batch publishes nothing: the state pointer is unchanged.
+  if (hits.empty()) return {};
 
-  // Pass 2: clone only the touched arrays. The cell-id array is never
-  // touched by an in-place patch and is shared with the predecessor; the
-  // base-data view is not part of the state at all. The successor node and
-  // its clones come out of the arena — in the steady state this whole pass
-  // reuses the allocations of the version retired two commits ago.
+  // Pass 2: the successor's arrays. The successor node and its arrays come
+  // out of the arena — in the steady state this reuses the allocations of
+  // the version the previous commit retired.
   std::shared_ptr<BlockState> next = arena_->Acquire();
   next->header = cur->header;
   next->num_columns = num_columns_;
   // A recycled spare may be a retired eviction tombstone; successors are
   // always real, materialized versions.
   next->evicted = false;
-  auto counts = CloneReusing(&next->counts, *cur->counts);
-  auto min_keys = CloneReusing(&next->min_keys, *cur->min_keys);
-  auto max_keys = CloneReusing(&next->max_keys, *cur->max_keys);
-  auto column_aggs = CloneReusing(&next->column_aggs, *cur->column_aggs);
-  auto offsets = CloneReusing(&next->offsets, *cur->offsets);
-  next->cells = cur->cells;
+  std::shared_ptr<std::vector<uint32_t>> counts;
+  std::shared_ptr<std::vector<uint64_t>> min_keys;
+  std::shared_ptr<std::vector<uint64_t>> max_keys;
+  std::shared_ptr<std::vector<ColumnAggregate>> column_aggs;
+  if (fresh.empty()) {
+    // Every tuple hits an existing cell: clone only the touched arrays. The
+    // cell-id array is shared with the predecessor.
+    counts = CloneReusing(&next->counts, *cur->counts);
+    min_keys = CloneReusing(&next->min_keys, *cur->min_keys);
+    max_keys = CloneReusing(&next->max_keys, *cur->max_keys);
+    column_aggs = CloneReusing(&next->column_aggs, *cur->column_aggs);
+    next->cells = cur->cells;
+  } else {
+    // New cells (Section 5's rebuild): one linear merge of the sorted
+    // layout with an empty slot per new cell, no base-row rescan. The
+    // tuples then fold into their slots exactly like in-cell tuples.
+    std::sort(fresh.begin(), fresh.end());
+    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+    at.clear();
+    for (const uint64_t c : fresh) {
+      at.push_back(kernels::LowerBoundU64(ids.data(), ids.size(), c));
+    }
+    auto cells = MergeReusing(&next->cells, ids, 1, at, uint64_t{0});
+    for (size_t k = 0; k < fresh.size(); ++k) (*cells)[at[k] + k] = fresh[k];
+    counts = MergeReusing(&next->counts, *cur->counts, 1, at, uint32_t{0});
+    min_keys =
+        MergeReusing(&next->min_keys, *cur->min_keys, 1, at, ~uint64_t{0});
+    max_keys = MergeReusing(&next->max_keys, *cur->max_keys, 1, at,
+                            uint64_t{0});
+    column_aggs = MergeReusing(&next->column_aggs, *cur->column_aggs,
+                               num_columns_, at, ColumnAggregate{});
+    // Each slot moves up by the number of new cells sorted before it.
+    for (UpdateHit& h : hits) {
+      h.idx += static_cast<size_t>(
+          std::lower_bound(fresh.begin(), fresh.end(), cell_of(h.key)) -
+          fresh.begin());
+    }
+    next->header.min_cell = cells->front();
+    next->header.max_cell = cells->back();
+    next->cells = std::move(cells);
+  }
+  auto offsets = TakeReusing(&next->offsets);
+
+  // Pass 3: fold every tuple into its slot with ColumnAggregate::Add, in
+  // batch order — never a pre-summed partial — so a batch is bit-identical
+  // to its tuples committed one at a time, and routed shards to one block.
   for (const UpdateHit& h : hits) {
     const UpdateTuple& tuple = batch[h.b];
     ++(*counts)[h.idx];
@@ -614,9 +677,10 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
     }
   }
   // Restore the prefix-sum invariant of the offsets in one pass.
-  offsets->resize(ids.size());
+  const size_t n = next->cells->size();
+  offsets->resize(n);
   uint32_t running = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     (*offsets)[i] = running;
     running += (*counts)[i];
   }
@@ -627,108 +691,7 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
   next->offsets = std::move(offsets);
 
   PublishState(std::move(next));
-  return result;
-}
-
-size_t GeoBlock::MergeNewRegionTuples(std::span<const UpdateTuple> batch) {
-  if (batch.empty()) return 0;
-  const BlockState* cur = CurrentState();
-  const uint64_t lsb = cell::CellId::LsbForLevel(level_);
-
-  // Stage the batch as its own tiny sorted cell-aggregate layout. Within a
-  // cell, tuples fold in batch order, so a serial re-application of the
-  // same batches produces bit-identical sums.
-  struct Partial {
-    uint32_t count = 0;
-    uint64_t min_key = ~uint64_t{0};
-    uint64_t max_key = 0;
-    std::vector<ColumnAggregate> cols;
-  };
-  std::map<uint64_t, Partial> incoming;
-  AggregateVector batch_global(num_columns_);
-  for (const UpdateTuple& tuple : batch) {
-    const uint64_t key =
-        cell::CellId::FromPoint(projection_.ToUnit(tuple.location)).id();
-    const uint64_t cell_id = (key & (~lsb + 1)) | lsb;
-    Partial& p = incoming[cell_id];
-    if (p.cols.empty()) p.cols.resize(num_columns_);
-    ++p.count;
-    p.min_key = std::min(p.min_key, key);
-    p.max_key = std::max(p.max_key, key);
-    ++batch_global.count;
-    for (size_t c = 0; c < num_columns_; ++c) {
-      p.cols[c].Add(tuple.values[c]);
-      batch_global.columns[c].Add(tuple.values[c]);
-    }
-  }
-
-  // One linear merge of the two sorted layouts — the paper's "batched
-  // rebuild" without rescanning any base row.
-  StateBuilder b;
-  b.header.level = level_;
-  b.num_columns = num_columns_;
-  b.header.global = cur->header.global;
-  b.header.global.Merge(batch_global);
-  const size_t n = cur->num_cells();
-  const size_t total = n + incoming.size();
-  b.cells.reserve(total);
-  b.offsets.reserve(total);
-  b.counts.reserve(total);
-  b.min_keys.reserve(total);
-  b.max_keys.reserve(total);
-  b.column_aggs.reserve(total * num_columns_);
-
-  size_t new_cells = 0;
-  size_t i = 0;
-  auto it = incoming.begin();
-  const auto append_existing = [&](size_t idx) {
-    b.cells.push_back((*cur->cells)[idx]);
-    b.counts.push_back((*cur->counts)[idx]);
-    b.min_keys.push_back((*cur->min_keys)[idx]);
-    b.max_keys.push_back((*cur->max_keys)[idx]);
-    const ColumnAggregate* cols = cur->cell_columns(idx);
-    b.column_aggs.insert(b.column_aggs.end(), cols, cols + num_columns_);
-  };
-  while (i < n || it != incoming.end()) {
-    if (it == incoming.end() ||
-        (i < n && (*cur->cells)[i] < it->first)) {
-      append_existing(i++);
-      continue;
-    }
-    if (i < n && (*cur->cells)[i] == it->first) {
-      // The cell exists by now (created by an earlier merge after the
-      // tuples were buffered): fold the partial in place.
-      append_existing(i++);
-      const size_t idx = b.cells.size() - 1;
-      b.counts[idx] += it->second.count;
-      b.min_keys[idx] = std::min(b.min_keys[idx], it->second.min_key);
-      b.max_keys[idx] = std::max(b.max_keys[idx], it->second.max_key);
-      ColumnAggregate* dst = b.column_aggs.data() + idx * num_columns_;
-      for (size_t c = 0; c < num_columns_; ++c) {
-        dst[c].Merge(it->second.cols[c]);
-      }
-      ++it;
-      continue;
-    }
-    // Genuinely new cell aggregate.
-    b.cells.push_back(it->first);
-    b.counts.push_back(it->second.count);
-    b.min_keys.push_back(it->second.min_key);
-    b.max_keys.push_back(it->second.max_key);
-    b.column_aggs.insert(b.column_aggs.end(), it->second.cols.begin(),
-                         it->second.cols.end());
-    ++new_cells;
-    ++it;
-  }
-  b.offsets.resize(b.cells.size());
-  uint32_t running = 0;
-  for (size_t j = 0; j < b.cells.size(); ++j) {
-    b.offsets[j] = running;
-    running += b.counts[j];
-  }
-
-  PublishState(b.Finish());
-  return new_cells;
+  return {hits.size()};
 }
 
 // ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ bool SoleOwner(const std::shared_ptr<T>& p) {
   return true;
 }
 
-/// Writer-side recycling pool for retired BlockState versions. Every update
+/// Writer-side recycling slot for retired BlockState versions. Every update
 /// commit clones the touched aggregate arrays; without reuse the steady
 /// state allocates (and frees) one BlockState plus four or five large
 /// vectors per commit. The block's SnapshotCell retire hook hands each
@@ -173,44 +173,38 @@ bool SoleOwner(const std::shared_ptr<T>& p) {
 /// takes it back — control block, state node, and the member arrays' heap
 /// buffers included — via const_pointer_cast, which is sound because a
 /// SoleOwner reference is provably the only one (nobody else can copy a
-/// shared_ptr they don't hold).
+/// shared_ptr they don't hold). One commit retires one version, so one
+/// slot suffices, and it bounds the bytes parked outside MemoryBytes and
+/// the governor's charge to one retired version per block.
 ///
 /// All entry points are writer-side (commits to one block are externally
 /// serialized, and the retire hook runs inside the writer's Publish), so no
 /// internal locking is needed.
 class StateArena {
  public:
-  StateArena() { spares_.reserve(kMaxSpares); }
-
-  /// Offers a retired version for reuse. Versions still pinned by a
-  /// StateSnapshot holder (use_count > 1) are dropped, not recycled.
+  /// Offers a retired version for reuse, replacing any older spare.
+  /// Versions still pinned by a StateSnapshot holder (use_count > 1) are
+  /// dropped, not recycled.
   void Recycle(std::shared_ptr<const BlockState> state) {
-    if (state.use_count() == 1 && spares_.size() < kMaxSpares) {
-      spares_.push_back(std::move(state));
-    }
+    if (state.use_count() == 1) spare_ = std::move(state);
   }
 
-  /// A mutable state node for the next commit: a recycled version when one
-  /// is free (its member arrays keep their heap buffers), else a fresh one.
+  /// A mutable state node for the next commit: the recycled version when
+  /// it is free (its member arrays keep their heap buffers), else a fresh
+  /// one.
   std::shared_ptr<BlockState> Acquire() {
-    while (!spares_.empty()) {
-      std::shared_ptr<const BlockState> s = std::move(spares_.back());
-      spares_.pop_back();
-      if (SoleOwner(s)) {
-        return std::const_pointer_cast<BlockState>(std::move(s));
-      }
-    }
+    std::shared_ptr<const BlockState> s = std::move(spare_);
+    if (SoleOwner(s)) return std::const_pointer_cast<BlockState>(std::move(s));
     return std::make_shared<BlockState>();
   }
 
-  /// Drops every spare. Eviction calls this after unpublishing a shard:
-  /// the point of evicting is reclaiming bytes, and a retired multi-
-  /// megabyte version parked here as a spare would defeat it.
-  void Clear() { spares_.clear(); }
+  /// Drops the spare. Eviction calls this after unpublishing a shard: the
+  /// point of evicting is reclaiming bytes, and a retired multi-megabyte
+  /// version parked here would defeat it.
+  void Clear() { spare_.reset(); }
 
  private:
-  static constexpr size_t kMaxSpares = 4;
-  std::vector<std::shared_ptr<const BlockState>> spares_;
+  std::shared_ptr<const BlockState> spare_;
 };
 
 /// A GeoBlock: a materialized view over geospatial point data that stores
@@ -227,8 +221,8 @@ class StateArena {
 /// The aggregate arrays and the global header live in an immutable,
 /// refcounted BlockState published through a util::SnapshotCell. Query
 /// entry points pin exactly one state version per call, so SELECT/COUNT
-/// are `const`, lock-free, and safe concurrently with `ApplyBatchUpdate`
-/// and `MergeNewRegionTuples` — writers commit a cloned-and-patched
+/// are `const`, lock-free, and safe concurrently with `ApplyBatchUpdate` —
+/// writers commit a cloned-and-patched
 /// successor with one epoch swap and never block readers. Writers must be
 /// serialized externally (BlockSet's per-shard commit locks, or a single
 /// updating thread). `StateSnapshot()` hands out an owning reference whose
@@ -425,7 +419,7 @@ class GeoBlock {
   /// Constant-time pre-check: can `cell` overlap this block at all?
   /// Lock-free — reads the routing atomics, not the state — so BlockSet's
   /// shard routing never pins a snapshot. The three loads are individually
-  /// atomic; a reader racing a MergeNewRegionTuples commit may see a
+  /// atomic; a reader racing a commit that adds cells may see a
   /// partially advanced range, which routing tolerates (the fold of a
   /// wrongly included shard contributes nothing; a wrongly excluded shard
   /// can only hide cells newer than the reader's view).
@@ -463,34 +457,33 @@ class GeoBlock {
 
   /// Outcome of a batch update.
   struct UpdateResult {
-    size_t applied = 0;                 ///< tuples merged into existing cells
-    std::vector<size_t> rejected;       ///< batch indices (into the full
-                                        ///< batch span, even under a subset)
-                                        ///< for new, previously unaggregated
-                                        ///< regions (the caller must rebuild
-                                        ///< to cover them)
+    size_t applied = 0;  ///< tuples committed (every tuple of the slice)
   };
 
-  /// Integrates newly arriving tuples (Section 5): a tuple whose grid cell
-  /// already has a cell aggregate updates that aggregate (and the global
-  /// header); tuples for new regions are rejected, as covering them
-  /// requires rebuilding the sorted aggregate layout (MergeNewRegionTuples
-  /// is that rebuild, batched). Offsets are fixed in a single pass over the
-  /// patched version, so COUNT range sums stay exact.
+  /// Integrates newly arriving tuples (Section 5) in one commit: a tuple
+  /// whose grid cell already has a cell aggregate updates that aggregate
+  /// (and the global header); a tuple for a new region gets a fresh cell
+  /// aggregate, slotted into the sorted layout by one linear merge (the
+  /// paper's rebuild for new cells, with no base-row rescan). Every tuple
+  /// folds into its cell with ColumnAggregate::Add in batch order, so a
+  /// batch is bit-identical to its tuples committed one at a time. Offsets
+  /// are fixed in a single pass over the patched version, so COUNT range
+  /// sums stay exact.
   ///
   /// MVCC commit: the current state is cloned (only the touched arrays —
-  /// the cell-id array is shared, and the base-data view is never copied),
-  /// patched with the whole batch, and published with one epoch swap.
-  /// Readers concurrently pinning snapshots see the pre-batch or the
-  /// post-batch version, never a torn one. An all-rejected (or empty)
-  /// batch publishes nothing — the state pointer is unchanged. Writers
-  /// must be externally serialized (BlockSet's per-shard commit locks).
+  /// an all-in-cell batch shares the cell-id array, and the base-data view
+  /// is never copied), patched with the whole batch, and published with
+  /// one epoch swap; the routing range atomics advance with it. Readers
+  /// concurrently pinning snapshots see the pre-batch or the post-batch
+  /// version, never a torn one. An empty batch publishes nothing — the
+  /// state pointer is unchanged. Writers must be externally serialized
+  /// (BlockSet's per-shard commit locks).
   ///
   /// Note: updates apply to the materialized view only; the block
   /// intentionally diverges from its (historical) base data, mirroring the
   /// paper's design where updates patch the aggregate layout.
   ///
-  /// The commit fast path is allocation-free in the steady state: the
+  /// The all-in-cell commit is allocation-free in the steady state: the
   /// classification scratch is thread-local, and the successor state —
   /// node, control block, and cloned arrays — is recycled from retired
   /// versions through the block's StateArena.
@@ -499,22 +492,10 @@ class GeoBlock {
   /// @param subset Optional ascending indices into `batch` selecting the
   ///     tuples this block should commit (a sharded caller routes one batch
   ///     to many blocks without copying tuples). Empty means the whole
-  ///     batch. Rejected indices are always indices into `batch`.
-  /// @return Count of applied tuples plus the rejected batch indices.
+  ///     batch.
+  /// @return Count of committed tuples.
   UpdateResult ApplyBatchUpdate(std::span<const UpdateTuple> batch,
                                 std::span<const uint32_t> subset = {});
-
-  /// The batched rebuild for new regions (Section 5: new cells "require a
-  /// rebuild, ideally batched"): merges `batch` into a fresh state version,
-  /// creating cell aggregates for previously unaggregated cells, in one
-  /// linear merge of the sorted layouts — no base-row rescan. Every tuple
-  /// is applied (tuples whose cell meanwhile exists fold in place). The
-  /// successor is published like ApplyBatchUpdate's; the routing range
-  /// atomics advance with it. Writers must be externally serialized.
-  ///
-  /// @param batch The (previously rejected) tuples to merge.
-  /// @return Number of new cell aggregates created.
-  size_t MergeNewRegionTuples(std::span<const UpdateTuple> batch);
 
   /// Bytes used by the cell aggregates (the reference size for the cache's
   /// aggregate threshold, Section 4.3). Pins the current version; safe

@@ -59,7 +59,7 @@ void MemoryGovernor::EnsureBudget() {
     candidates = entries_;
   }
   // Refresh every charge first: sizes drift between scans (trie rebuilds
-  // grow, merges shrink) and stale charges would mis-rank victims.
+  // grow, commits add cells) and stale charges would mis-rank victims.
   for (const EntryHandle& e : candidates) UpdateCharge(e);
 
   if (resident_.load(std::memory_order_relaxed) > budget &&

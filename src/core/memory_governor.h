@@ -22,9 +22,9 @@
 /// the owner's SnapshotCell (tombstone publish + grace period + retire),
 /// so pinned readers keep answering from the state they hold; the
 /// callback refuses (returns false) when the resource is not cleanly
-/// reconstructible — a shard with buffered PendingUpdates or updates
-/// applied since materialization (unflushed relative to the mapped
-/// manifest). Refusals are skipped for the rest of the scan and counted.
+/// reconstructible — a dirty shard, one that committed updates since
+/// materialization (its state runs ahead of the mapped manifest).
+/// Refusals are skipped for the rest of the scan and counted.
 ///
 /// Locking: the governor's own mutex only guards the entry list; evict
 /// callbacks run OUTSIDE it (they take shard writer + residency locks and

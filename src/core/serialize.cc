@@ -8,14 +8,14 @@
 //       boundaries, row windows, state row counts, payload table, change
 //       number) followed by one GeoBlock payload per shard, each
 //       individually checksummed, then a checksummed pending-updates
-//       section holding still-buffered new-region tuples.
+//       section (written empty; a reader commits any tuples an older
+//       writer left there).
 //
 // The WAL ("GWAL") lives in io/update_log.cc; it shares the update-tuple
 // codec (core/update_codec.h) with the pending section here.
 #include "core/serialize.h"
 
 #include <cstring>
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -210,7 +210,8 @@ GeoBlock GeoBlock::ReadFrom(std::istream& in) {
 //
 // Manifest size: 64 + 52*K bytes. Shard payloads follow back to back, then
 // the pending-updates section: per shard in order, u64 tuple count followed
-// by that many encoded update tuples (core/update_codec.h).
+// by that many encoded update tuples (core/update_codec.h). The writer
+// always writes K zero counts.
 
 void BlockSet::WriteTo(std::ostream& out) const {
   serialize::RequireLittleEndianHost();
@@ -241,22 +242,9 @@ void BlockSet::WriteTo(std::ostream& out) const {
     state_rows.push_back(state->header.global.count);
   }
 
-  // The pending-updates section: every still-buffered new-region tuple,
-  // per shard in order, so buffered tuples survive save → load verbatim
-  // instead of silently vanishing below the rebuild threshold.
-  std::string pending_section;
-  for (size_t i = 0; i < k; ++i) {
-    uint64_t count = 0;
-    const size_t count_pos = pending_section.size();
-    pending_section.append(sizeof(uint64_t), '\0');
-    {
-      ShardWriter& w = *writers_[i];
-      std::lock_guard<std::mutex> lock(w.mu);
-      count = w.pending.size();
-      serialize::EncodeUpdateTuples(&pending_section, w.pending);
-    }
-    std::memcpy(pending_section.data() + count_pos, &count, sizeof(count));
-  }
+  // The pending-updates section is always empty (K zero counts): every
+  // committed tuple, new-region ones included, lives in a shard payload.
+  const std::string pending_section(k * sizeof(uint64_t), '\0');
 
   std::ostringstream manifest(std::ios::binary);
   WritePod(manifest, serialize::kSetMagic);
@@ -498,7 +486,7 @@ void BlockSet::HydrateShard(size_t s, std::string_view payload,
   res.resident.store(true, std::memory_order_release);
 }
 
-void BlockSet::RestorePendingTuples(std::string_view pending_section,
+void BlockSet::CommitPendingSection(std::string_view pending_section,
                                     uint32_t expected_crc) {
   if (serialize::Crc32(pending_section) != expected_crc) {
     throw std::runtime_error(
@@ -506,6 +494,7 @@ void BlockSet::RestorePendingTuples(std::string_view pending_section,
   }
   size_t pending_pos = 0;
   const size_t num_columns = blocks_.front()->num_columns();
+  std::vector<GeoBlock::UpdateTuple> tuples;
   for (size_t i = 0; i < blocks_.size(); ++i) {
     if (pending_section.size() - pending_pos < 8) {
       throw std::runtime_error(
@@ -514,23 +503,24 @@ void BlockSet::RestorePendingTuples(std::string_view pending_section,
     uint64_t count;
     std::memcpy(&count, pending_section.data() + pending_pos, 8);
     pending_pos += 8;
-    auto tuples =
-        serialize::DecodeUpdateTuples(pending_section, &pending_pos, count);
-    for (const GeoBlock::UpdateTuple& t : tuples) {
+    for (GeoBlock::UpdateTuple& t :
+         serialize::DecodeUpdateTuples(pending_section, &pending_pos, count)) {
       if (t.values.size() != num_columns) {
         throw std::runtime_error(
             "geoblocks: BlockSet pending tuple width does not match the "
             "schema");
       }
+      tuples.push_back(std::move(t));
     }
-    ShardWriter& w = *writers_[i];
-    w.pending_count.store(tuples.size(), std::memory_order_relaxed);
-    w.pending = std::move(tuples);
   }
   if (pending_pos != pending_section.size()) {
     throw std::runtime_error(
         "geoblocks: BlockSet pending section has trailing bytes");
   }
+  // An older writer buffered these tuples per shard, in shard order, each
+  // routed by the same boundaries CommitRouted uses: routing the
+  // concatenation hands every shard its own tuples in their saved order.
+  if (!tuples.empty()) CommitRouted(tuples, nullptr);
 }
 
 BlockSet BlockSet::ReadFrom(std::istream& in) {
@@ -557,8 +547,8 @@ BlockSet BlockSet::ReadFrom(std::istream& in) {
   set.level_ = set.blocks_.front()->level();
   set.projection_ = set.blocks_.front()->projection();
 
-  // Pending-updates section: checksum, then restore each shard's buffered
-  // new-region tuples exactly as they were saved.
+  // Pending-updates section: checksum, then commit any tuples an older
+  // writer left buffered there.
   std::string pending_section(m.pending_bytes, '\0');
   in.read(pending_section.data(),
           static_cast<std::streamsize>(pending_section.size()));
@@ -566,7 +556,7 @@ BlockSet BlockSet::ReadFrom(std::istream& in) {
     throw std::runtime_error(
         "geoblocks: truncated BlockSet pending section");
   }
-  set.RestorePendingTuples(pending_section, m.pending_crc);
+  set.CommitPendingSection(pending_section, m.pending_crc);
   return set;
 }
 

@@ -46,8 +46,8 @@ inline constexpr uint32_t kBlockMinVersion = 1;
 /// Current BlockSet manifest version. v2 adds the set's committed change
 /// number, a per-shard state-row array (restoring the exact manifest ↔
 /// payload row cross-check that v1's permissive `>=` had lost), and a
-/// persisted pending-updates section so buffered new-region tuples survive
-/// save → load instead of silently vanishing.
+/// pending-updates section (written empty; a reader commits any tuples it
+/// holds).
 inline constexpr uint32_t kSetVersion = 2;
 /// Current update-log (WAL) file version.
 inline constexpr uint32_t kWalVersion = 1;

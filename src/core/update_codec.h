@@ -3,7 +3,8 @@
 /// \file update_codec.h
 /// The wire encoding of update tuples, shared by the two places an update
 /// batch persists: WAL record payloads (io/update_log) and the manifest's
-/// pending-updates section (BlockSet v2, core/serialize). One codec keeps
+/// pending-updates section (BlockSet v2, core/serialize; written empty,
+/// decoded from older files). One codec keeps
 /// the two formats byte-compatible; the layout is specified in
 /// docs/FORMAT.md (§Update tuples).
 ///

@@ -83,7 +83,7 @@ class AllocationTest : public ::testing::Test {
   }
 
   /// Tuples located inside already-populated cells of both shards: the
-  /// commit fast path (no rejections, no pending buffering).
+  /// commit fast path (no new cells, so the cell-id array is shared).
   std::vector<GeoBlock::UpdateTuple> InCellBatch(size_t count,
                                                  uint64_t seed) const {
     std::mt19937_64 rng(seed);
@@ -204,13 +204,14 @@ TEST_F(AllocationTest, CommitFastPathSteadyStateIsAllocationFree) {
   WarmCache(covering, req);
 
   const auto batch = InCellBatch(64, 7);
+  const size_t cells = set_.num_cells();
   // Warm: the per-block state arenas and per-shard trie spares fill over
   // the first few commits (each publish retires the predecessor into its
   // recycler), and the routing/classify thread-locals reach capacity.
   for (int i = 0; i < 8; ++i) {
     (void)set_.ApplyBatchUpdate(batch);
   }
-  ASSERT_EQ(set_.PendingUpdateCount(), 0u) << "batch must be in-cell only";
+  ASSERT_EQ(set_.num_cells(), cells) << "batch must be in-cell only";
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   size_t applied = 0;
@@ -233,10 +234,11 @@ TEST_F(AllocationTest, UncachedCommitFastPathIsAllocationFreeToo) {
   // GeoBlock::ApplyBatchUpdate: the state arena alone must make the
   // clone-patch-publish loop allocation-free.
   const auto batch = InCellBatch(48, 13);
+  const size_t cells = set_.num_cells();
   for (int i = 0; i < 8; ++i) {
     (void)set_.ApplyBatchUpdate(batch);
   }
-  ASSERT_EQ(set_.PendingUpdateCount(), 0u);
+  ASSERT_EQ(set_.num_cells(), cells) << "batch must be in-cell only";
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   size_t applied = 0;

@@ -15,6 +15,7 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/serialize.h"
+#include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -347,7 +348,7 @@ TEST_F(BlockSetPersistTest, RejectsGarbage) {
 }
 
 // --------------------------------------------------------------------------
-// v2 additions: pending buffers, change number, exact state-row cross-check
+// v2 additions: pending section, change number, exact state-row cross-check
 // --------------------------------------------------------------------------
 
 /// Tuples located inside cells shard 0 already aggregates.
@@ -368,8 +369,8 @@ std::vector<core::GeoBlock::UpdateTuple> InCellBatchFor(
   return batch;
 }
 
-/// Tuples in distinct cells no shard aggregates yet (new regions): they
-/// land in pending buffers instead of committing into cell aggregates.
+/// Tuples in distinct cells no shard aggregates yet (new regions): each
+/// commit creates their cell aggregates.
 std::vector<core::GeoBlock::UpdateTuple> NewRegionBatchFor(
     const BlockSet& set, const storage::SortedDataset& data, size_t count,
     uint64_t seed) {
@@ -402,30 +403,36 @@ std::vector<core::GeoBlock::UpdateTuple> NewRegionBatchFor(
 }
 
 TEST_F(BlockSetPersistTest, PendingUpdatesSurviveSaveLoad) {
+  // An older writer kept new-region tuples in the pending section; the
+  // reader commits them at load. The file's change number is nonzero, as
+  // any file holding pending tuples had: they came from update batches.
   BlockSet set = BuildSet(4);
-  BlockSet::UpdateOptions uopts;
-  uopts.pending_rebuild_threshold = 0;  // keep everything buffered
-  set.ConfigureUpdates(uopts);
+  set.ApplyBatchUpdate(InCellBatchFor(set, **data_, 10, 4));
   const auto fresh = NewRegionBatchFor(set, **data_, 24, 5);
-  const auto result = set.ApplyBatchUpdate(fresh);
-  ASSERT_EQ(result.buffered, fresh.size());
-  ASSERT_EQ(set.PendingUpdateCount(), fresh.size());
-
-  const std::string bytes = Serialized(set);
+  const std::string bytes =
+      core::testing::SplicePendingSection(Serialized(set), set, fresh);
   BlockSet loaded = Deserialized(bytes);
-  // The regression this pins: buffered tuples below the rebuild threshold
-  // used to vanish on save/load.
-  EXPECT_EQ(loaded.PendingUpdateCount(), fresh.size());
-  // Reserialization determinism holds with pending buffers in play.
-  EXPECT_EQ(Serialized(loaded), bytes);
 
-  // Flushing both sets makes the tuples queryable — and bit-identically.
-  set.FlushPendingUpdates();
-  loaded.FlushPendingUpdates();
-  EXPECT_EQ(loaded.PendingUpdateCount(), 0u);
+  // Committing the same tuples to the saved set gives the same answers,
+  // bit for bit: each shard folds its tuples in their saved order.
+  set.ApplyBatchUpdate(fresh);
   const std::vector<cell::CellId> all{cell::CellId::Root()};
-  EXPECT_EQ(loaded.CountCovering(all), (*data_)->num_rows() + fresh.size());
-  ExpectBitIdenticalAnswers(loaded, set, "flushed pending");
+  EXPECT_EQ(loaded.CountCovering(all),
+            (*data_)->num_rows() + 10 + fresh.size());
+  ExpectBitIdenticalAnswers(loaded, set, "committed pending");
+
+  // The writer leaves the section empty, and the rewritten file reloads
+  // to the same answers and reserializes byte-identically.
+  const std::string again = Serialized(loaded);
+  EXPECT_TRUE(core::testing::PendingSectionIsEmpty(again, 4));
+  const BlockSet reloaded = Deserialized(again);
+  ExpectBitIdenticalAnswers(reloaded, set, "rewritten pending");
+  EXPECT_EQ(Serialized(reloaded), again);
+
+  // The pending CRC still guards the section: flip one tuple byte.
+  std::string corrupt = bytes;
+  corrupt[corrupt.size() - 3] ^= 0x20;
+  EXPECT_THROW(Deserialized(corrupt), std::runtime_error);
 }
 
 TEST_F(BlockSetPersistTest, ChangeNumberRoundTripsAndOrdersBatches) {
@@ -550,7 +557,7 @@ TEST_F(BlockSetPersistTest, ManifestMatchesDocumentedOffsets) {
         << "payload crc " << i;
     payload_start += sizes[i];
   }
-  // Pending section descriptor: with no buffered updates the section is
+  // Pending section descriptor: the writer always writes the section as
   // one u64 zero count per shard, appended after the payload area.
   const uint64_t pending_bytes = u64_at(pos);
   pos += 8;

@@ -340,7 +340,7 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetNeverCorruptsCounters) {
 
 /// Builds update batches for the update-plane stress tests: in-cell tuples
 /// (hit existing aggregates, spread across shards) and new-region tuples
-/// (land in pending buffers and merge-rebuilds).
+/// (their commits merge new cells into the layout).
 class UpdatePlaneStressTest : public ConcurrencyStressTest {
  protected:
   static std::vector<GeoBlock::UpdateTuple> InCellBatch(size_t count,
@@ -534,16 +534,13 @@ TEST_F(UpdatePlaneStressTest, PinnedSnapshotsBitwiseStableDuringCommits) {
 }
 
 TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
-  // Writers push batches mixing in-cell and new-region tuples with a low
-  // pending threshold, so merge-rebuilds (new cells, shifting shard hulls)
-  // publish while readers hammer the cached path. Readers assert nothing
-  // about mid-flight values (routing may lag a merge by design) — the pin
-  // is race-freedom plus exact post-quiesce accounting.
+  // Writers push batches mixing in-cell and new-region tuples, so every
+  // commit merges new cells (shifting shard hulls) while readers hammer
+  // the cached path. Readers assert nothing about mid-flight values
+  // (routing may lag a merge by design) — the pin is race-freedom plus
+  // exact post-quiesce accounting.
   BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
   set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/32});
-  BlockSet::UpdateOptions update_options;
-  update_options.pending_rebuild_threshold = 8;
-  set.ConfigureUpdates(update_options);
   const AggregateRequest req = Request();
   const auto coverings = CoverAll(set);
 
@@ -581,12 +578,9 @@ TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
   writer.join();
   for (std::thread& t : readers) t.join();
 
-  // Quiesce: flush what remains, then the total must account for every
-  // tuple exactly once.
-  set.FlushPendingUpdates();
+  // Quiesce: the total must account for every tuple exactly once.
   const std::vector<cell::CellId> all{cell::CellId::Root()};
   EXPECT_EQ(set.CountCovering(all), data_->num_rows() + total);
-  EXPECT_EQ(set.PendingUpdateCount(), 0u);
 
   // And the cache must have stayed consistent with the merged states.
   for (const auto& covering : coverings) {

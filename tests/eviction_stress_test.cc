@@ -1,5 +1,5 @@
 // Eviction vs readers vs writers: results must be bit-stable across
-// evict/re-fault cycles, dirty shards (buffered or applied updates) must
+// evict/re-fault cycles, dirty shards (updates committed since open) must
 // refuse eviction so no acknowledged write is ever lost, and concurrent
 // readers racing a budget-thrashing evictor (and a writer) must never
 // observe a torn or stale answer. The concurrent cases run under TSan in
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <random>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
+#include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -175,16 +177,10 @@ TEST_F(EvictionStressTest, DirtyShardsRefuseEvictionAfterUpdates) {
 }
 
 TEST_F(EvictionStressTest, BufferedPendingTuplesAlsoRefuseEviction) {
-  MemoryGovernor gov(MemoryGovernor::Options{0});
-  LazyOpenOptions options;
-  options.governor = &gov;
-  BlockSet mapped = BlockSet::OpenMapped(path_, options);
-  BlockSet::UpdateOptions update_options;
-  update_options.pending_rebuild_threshold = 0;  // buffer, never merge
-  mapped.ConfigureUpdates(update_options);
   const BlockSet eager = Eager();
 
-  // New-region tuples: buffered in PendingUpdates, applied nowhere.
+  // New-region tuples buffered in the file's pending section (as an older
+  // writer left them): OpenMapped commits them, dirtying their shards.
   std::vector<GeoBlock::UpdateTuple> fresh;
   std::mt19937_64 rng(13);
   while (fresh.size() < 16) {
@@ -202,18 +198,27 @@ TEST_F(EvictionStressTest, BufferedPendingTuplesAlsoRefuseEviction) {
     t.values.assign((*data_)->num_columns(), 1.0);
     fresh.push_back(std::move(t));
   }
-  const auto result = mapped.ApplyBatchUpdate(fresh);
-  ASSERT_EQ(result.buffered, 16u);
+  {
+    std::ifstream in(path_, std::ios::binary);
+    std::ostringstream file;
+    file << in.rdbuf();
+    const std::string spliced =
+        core::testing::SplicePendingSection(file.str(), eager, fresh);
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(spliced.data(), static_cast<std::streamsize>(spliced.size()));
+  }
+  MemoryGovernor gov(MemoryGovernor::Options{0});
+  LazyOpenOptions options;
+  options.governor = &gov;
+  BlockSet mapped = BlockSet::OpenMapped(path_, options);
 
-  // Fault everything in, then starve the budget: shards holding pending
-  // buffers refuse (a tombstone cannot be merged into), so the flush
-  // still lands every tuple.
+  // Fault everything in, then starve the budget: the shards holding the
+  // committed pending tuples refuse, so every tuple stays counted.
   const std::vector<cell::CellId> all{cell::CellId::Root()};
-  (void)mapped.CountCovering(all);
+  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 16);
   gov.set_budget_bytes(1);
   gov.EnsureBudget();
   EXPECT_GT(gov.stats().refusals, 0u);
-  EXPECT_GT(mapped.FlushPendingUpdates(), 0u);
   EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 16);
 }
 

@@ -1,7 +1,7 @@
 // Lazy loading (BlockSet::OpenMapped): parity with the eager loader,
 // fault-in on first route, typed containment of corrupt payloads and
-// injected I/O errors, pending-buffer restoration, updates against a
-// mapped set, and WAL crash recovery from a mapped checkpoint.
+// injected I/O errors, committing an older file's pending tuples, updates
+// against a mapped set, and WAL crash recovery from a mapped checkpoint.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +20,7 @@
 #include "core/memory_governor.h"
 #include "core/serialize.h"
 #include "io/update_log.h"
+#include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "util/io_shim.h"
 #include "util/thread_pool.h"
@@ -95,6 +96,11 @@ class LazyLoadTest : public ::testing::Test {
   void WriteFile(const BlockSet& set) const {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     set.WriteTo(out);
+  }
+
+  void WriteBytes(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   BlockSet Eager() const {
@@ -351,13 +357,12 @@ TEST_F(LazyLoadTest, InjectedPreadErrorsAreContainedAndRetryable) {
 }
 
 TEST_F(LazyLoadTest, PendingTuplesSurviveMappedOpenAndFlush) {
+  // A file whose pending section holds new-region tuples (an older writer
+  // buffered them there): OpenMapped commits them at open, like ReadFrom,
+  // with no flush step.
   BlockSet built = BuildSet(kShards);
-  BlockSet::UpdateOptions update_options;
-  update_options.pending_rebuild_threshold = 0;  // manual flush only
-  built.ConfigureUpdates(update_options);
-
-  // New-region tuples buffer instead of applying.
   std::vector<GeoBlock::UpdateTuple> fresh;
+  std::vector<bool> receives(kShards, false);
   std::mt19937_64 rng(9);
   while (fresh.size() < 24) {
     const double x = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
@@ -373,19 +378,52 @@ TEST_F(LazyLoadTest, PendingTuplesSurviveMappedOpenAndFlush) {
     t.location = (*data_)->projection().FromUnit(cell.CenterPoint());
     t.values.assign((*data_)->num_columns(), 1.0);
     fresh.push_back(std::move(t));
+    receives[storage::ShardForKey(built.boundaries(), cell.id())] = true;
   }
-  const auto result = built.ApplyBatchUpdate(fresh);
-  ASSERT_EQ(result.buffered, 24u);
-  WriteFile(built);
+  // Any file holding pending tuples came from update batches, so its
+  // change number is nonzero: commit a few in-cell tuples first.
+  std::vector<GeoBlock::UpdateTuple> in_cell(10);
+  for (GeoBlock::UpdateTuple& t : in_cell) {
+    const auto& cells = built.shard(0).cells();
+    t.location = (*data_)->projection().FromUnit(
+        cell::CellId(cells[rng() % cells.size()]).CenterPoint());
+    t.values.assign((*data_)->num_columns(), 1.5);
+  }
+  built.ApplyBatchUpdate(in_cell);
+  std::ostringstream saved(std::ios::binary);
+  built.WriteTo(saved);
+  const std::string bytes =
+      core::testing::SplicePendingSection(saved.str(), built, fresh);
+  WriteBytes(bytes);
 
-  BlockSet mapped = BlockSet::OpenMapped(path_);
-  EXPECT_EQ(mapped.PendingUpdateCount(), 24u);
+  MemoryGovernor gov(MemoryGovernor::Options{0});
+  LazyOpenOptions options;
+  options.governor = &gov;
+  BlockSet mapped = BlockSet::OpenMapped(path_, options);
   const std::vector<cell::CellId> all{cell::CellId::Root()};
-  const uint64_t base = (*data_)->num_rows();
-  EXPECT_EQ(mapped.CountCovering(all), base);
-  EXPECT_GT(mapped.FlushPendingUpdates(), 0u);
-  EXPECT_EQ(mapped.PendingUpdateCount(), 0u);
-  EXPECT_EQ(mapped.CountCovering(all), base + 24);
+  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 10 + 24);
+  built.ApplyBatchUpdate(fresh);
+  ExpectBitIdentical(mapped, built);
+
+  // Every receiving shard is dirty: a starved budget cannot evict it.
+  gov.set_budget_bytes(1);
+  gov.EnsureBudget();
+  EXPECT_GT(gov.stats().refusals, 0u);
+  for (size_t s = 0; s < kShards; ++s) {
+    if (receives[s]) EXPECT_TRUE(mapped.shard_resident(s)) << "shard " << s;
+  }
+  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 10 + 24);
+
+  // The writer leaves the section empty.
+  std::ostringstream again(std::ios::binary);
+  mapped.WriteTo(again);
+  EXPECT_TRUE(core::testing::PendingSectionIsEmpty(again.str(), kShards));
+
+  // The pending CRC still guards the section at open.
+  std::string corrupt = bytes;
+  corrupt[corrupt.size() - 3] ^= 0x20;
+  WriteBytes(corrupt);
+  EXPECT_THROW(BlockSet::OpenMapped(path_), std::runtime_error);
 }
 
 TEST_F(LazyLoadTest, UpdatesAgainstMappedSetMatchEager) {
@@ -412,7 +450,6 @@ TEST_F(LazyLoadTest, UpdatesAgainstMappedSetMatchEager) {
   const auto want = eager.ApplyBatchUpdate(batch);
   const auto got = mapped.ApplyBatchUpdate(batch);
   EXPECT_EQ(want.applied, got.applied);
-  EXPECT_EQ(want.buffered, got.buffered);
   ExpectBitIdentical(mapped, eager);
 }
 

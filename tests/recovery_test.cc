@@ -104,8 +104,8 @@ class RecoveryTest : public ::testing::Test {
   }
 
   /// The deterministic workload: a mix of in-cell updates (commit straight
-  /// into cell aggregates) and new-region tuples (buffer as pending), so
-  /// recovery must reproduce both planes.
+  /// into cell aggregates) and new-region tuples (their commits create
+  /// cells), so recovery must reproduce both kinds of commit.
   static std::vector<Batch> MakeBatches(const BlockSet& set) {
     std::vector<Batch> batches;
     for (size_t i = 0; i < kBatches; ++i) {

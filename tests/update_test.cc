@@ -55,7 +55,6 @@ TEST_F(UpdateTest, AppliedTuplesUpdateCountsAndGlobalHeader) {
   const auto batch = InCellBatch(100, 1);
   const auto result = block_.ApplyBatchUpdate(batch);
   EXPECT_EQ(result.applied, 100u);
-  EXPECT_TRUE(result.rejected.empty());
   EXPECT_EQ(block_.header().global.count, before + 100);
 }
 
@@ -107,27 +106,6 @@ TEST_F(UpdateTest, ValuesAffectAggregates) {
   EXPECT_EQ(block_.cell_columns(0)[0].max, 99999.0);
 }
 
-TEST_F(UpdateTest, NewRegionsAreRejected) {
-  GeoBlock::UpdateTuple t;
-  t.location = {-74.27, 40.49};  // far corner of the domain, surely empty
-  t.values.assign(data_.num_columns(), 1.0);
-  const uint64_t key =
-      cell::CellId::FromPoint(data_.projection().ToUnit(t.location))
-          .Parent(block_.level())
-          .id();
-  const bool cell_exists =
-      std::binary_search(block_.cells().begin(), block_.cells().end(), key);
-  const std::vector<GeoBlock::UpdateTuple> single{t};
-  const auto result = block_.ApplyBatchUpdate(single);
-  if (cell_exists) {
-    EXPECT_EQ(result.applied, 1u);
-  } else {
-    EXPECT_EQ(result.applied, 0u);
-    ASSERT_EQ(result.rejected.size(), 1u);
-    EXPECT_EQ(result.rejected[0], 0u);
-  }
-}
-
 TEST_F(UpdateTest, RejectedTuplesHandledByRebuild) {
   // The paper's recommended path for new regions: rebuild the aggregate
   // layout (cheap, single pass). Simulate by extending the raw data.
@@ -173,32 +151,6 @@ TEST_F(UpdateTest, AdaptiveVersionKeepsCacheConsistent) {
   }
 }
 
-TEST_F(UpdateTest, AllRejectedBatchLeavesStateBitIdentical) {
-  // Regression for the early-exit: a batch in which every tuple lands in a
-  // new region must publish nothing — not even a recomputed offsets array.
-  // MVCC makes "bit-identical" checkable by identity: the state pointer is
-  // unchanged.
-  GeoBlock::UpdateTuple t;
-  t.location = {-74.27, 40.49};  // far corner of the domain, surely empty
-  t.values.assign(data_.num_columns(), 1.0);
-  const uint64_t key =
-      cell::CellId::FromPoint(data_.projection().ToUnit(t.location))
-          .Parent(block_.level())
-          .id();
-  if (std::binary_search(block_.cells().begin(), block_.cells().end(), key)) {
-    GTEST_SKIP() << "corner cell unexpectedly populated";
-  }
-  const auto before = block_.StateSnapshot();
-  const uint64_t retired_before = block_.retired_states();
-  const std::vector<GeoBlock::UpdateTuple> batch{t, t, t};
-  const auto result = block_.ApplyBatchUpdate(batch);
-  EXPECT_EQ(result.applied, 0u);
-  EXPECT_EQ(result.rejected.size(), 3u);
-  const auto after = block_.StateSnapshot();
-  EXPECT_EQ(before.get(), after.get()) << "all-rejected batch published";
-  EXPECT_EQ(block_.retired_states(), retired_before);
-}
-
 TEST_F(UpdateTest, InPlacePatchSharesUntouchedCellArray) {
   // Clone-patch-publish copies only the touched arrays: the cell-id array
   // is untouched by an in-place patch and must be shared, not copied.
@@ -234,7 +186,7 @@ TEST_F(UpdateTest, PinnedSnapshotIsBitwiseStableAcrossUpdates) {
   EXPECT_EQ(block_.CountCovering(all), want_count + 150);
 }
 
-TEST_F(UpdateTest, MergeNewRegionTuplesCreatesCells) {
+TEST_F(UpdateTest, NewRegionTuplesCreateCells) {
   GeoBlock::UpdateTuple t;
   t.location = {-74.27, 40.49};
   t.values.assign(data_.num_columns(), 5.0);
@@ -246,9 +198,10 @@ TEST_F(UpdateTest, MergeNewRegionTuplesCreatesCells) {
     GTEST_SKIP() << "corner cell unexpectedly populated";
   }
   const uint64_t count_before = block_.header().global.count;
+  const size_t cells_before = block_.num_cells();
   const std::vector<GeoBlock::UpdateTuple> batch{t, t};
-  ASSERT_EQ(block_.ApplyBatchUpdate(batch).rejected.size(), 2u);
-  EXPECT_EQ(block_.MergeNewRegionTuples(batch), 1u);  // one new cell, 2 rows
+  EXPECT_EQ(block_.ApplyBatchUpdate(batch).applied, 2u);
+  EXPECT_EQ(block_.num_cells(), cells_before + 1);  // one new cell, 2 rows
 
   // The merged layout keeps every invariant: sorted cells, prefix-sum
   // offsets, updated header hull and global, and the new cell queryable.
@@ -267,13 +220,14 @@ TEST_F(UpdateTest, MergeNewRegionTuplesCreatesCells) {
   const std::vector<cell::CellId> all{cell::CellId::Root()};
   EXPECT_EQ(block_.CountCovering(all), count_before + 2);
 
-  // A re-merge into the now-existing cell folds in place (no new cell).
-  EXPECT_EQ(block_.MergeNewRegionTuples(batch), 0u);
+  // The next commit finds the cell and folds in place (no new cell).
+  EXPECT_EQ(block_.ApplyBatchUpdate(batch).applied, 2u);
+  EXPECT_EQ(block_.num_cells(), cells_before + 1);
   EXPECT_EQ(block_.CountCovering(covering), 4u);
 }
 
-/// BlockSet-level update plane: routing, striped commits, pending buffers,
-/// threshold-triggered merge-rebuilds.
+/// BlockSet-level update plane: routing, striped commits, new-region
+/// commits.
 class BlockSetUpdateTest : public ::testing::Test {
  protected:
   static constexpr int kLevel = 15;
@@ -340,6 +294,41 @@ class BlockSetUpdateTest : public ::testing::Test {
     return batch;
   }
 
+  /// In-cell tuples, each committed twice (a fold through a pre-summed
+  /// partial would round differently from two Adds), interleaved with
+  /// new-region tuples that all route to one shard, half of them sharing a
+  /// cell: the single block takes the merge branch while the other shards
+  /// take the all-in-cell one.
+  std::vector<GeoBlock::UpdateTuple> MixedBatch(uint64_t seed) const {
+    const auto in_cell = InCellBatch(200, seed);
+    std::vector<GeoBlock::UpdateTuple> fresh;
+    size_t target = kShards;
+    std::mt19937_64 rng(seed);
+    for (GeoBlock::UpdateTuple& t : NewRegionBatch(200, seed + 1)) {
+      const uint64_t key =
+          cell::CellId::FromPoint(data_->projection().ToUnit(t.location))
+              .id();
+      const size_t s = storage::ShardForKey(set_.boundaries(), key);
+      if (target == kShards) target = s;
+      if (s != target) continue;
+      for (double& v : t.values) v = static_cast<double>(rng() % 1000) / 10.0;
+      fresh.push_back(t);
+      fresh.push_back(std::move(t));
+      if (fresh.size() == 20) break;
+    }
+    std::vector<GeoBlock::UpdateTuple> batch;
+    size_t next_fresh = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < in_cell.size(); ++i) {
+        batch.push_back(in_cell[i]);
+        if (i % 20 == pass && next_fresh < fresh.size()) {
+          batch.push_back(fresh[next_fresh++]);
+        }
+      }
+    }
+    return batch;
+  }
+
   storage::PointTable raw_;
   std::shared_ptr<storage::SortedDataset> data_;
   storage::ShardedDataset sharded_;
@@ -350,72 +339,88 @@ class BlockSetUpdateTest : public ::testing::Test {
 TEST_F(BlockSetUpdateTest, RoutedUpdatesMatchSingleBlockBitwise) {
   // The PR 1 invariant — sharded answers bit-identical to one block over
   // the same data — must survive the update plane: routing a batch to
-  // shards and applying it to the single block produce the same answers.
-  const auto batch = InCellBatch(400, 3);
-  const auto set_result = set_.ApplyBatchUpdate(batch);
-  const auto single_result = single_.ApplyBatchUpdate(batch);
-  EXPECT_EQ(set_result.applied, single_result.applied);
-  EXPECT_EQ(set_result.buffered, single_result.rejected.size());
-  EXPECT_EQ(set_result.applied, 400u);
-
+  // shards and applying it to the single block produce the same answers,
+  // for an in-cell batch and for a mixed one that creates cells.
   AggregateRequest req;
   req.Add(AggFn::kCount);
   req.Add(AggFn::kSum, 0);
   req.Add(AggFn::kMin, 1);
   req.Add(AggFn::kMax, 2);
   const auto polygons = workload::Neighborhoods(raw_, 20, 9);
-  for (const geo::Polygon& poly : polygons) {
-    const auto covering = set_.Cover(poly);
-    const QueryResult want = single_.SelectCovering(covering, req);
-    const QueryResult got = set_.SelectCovering(covering, req);
+  const std::vector<cell::CellId> all{cell::CellId::Root()};
+  const size_t cells_before = single_.num_cells();
+  for (const auto& batch : {InCellBatch(400, 3), MixedBatch(13)}) {
+    const auto set_result = set_.ApplyBatchUpdate(batch);
+    const auto single_result = single_.ApplyBatchUpdate(batch);
+    EXPECT_EQ(set_result.applied, single_result.applied);
+    EXPECT_EQ(set_result.applied, batch.size());
+
+    for (const geo::Polygon& poly : polygons) {
+      const auto covering = set_.Cover(poly);
+      const QueryResult want = single_.SelectCovering(covering, req);
+      const QueryResult got = set_.SelectCovering(covering, req);
+      ASSERT_EQ(got.count, want.count);
+      ASSERT_EQ(got.values, want.values) << "sharded update diverged";
+      ASSERT_EQ(set_.CountCovering(covering),
+                single_.CountCovering(covering));
+    }
+    const QueryResult want = single_.SelectCovering(all, req);
+    const QueryResult got = set_.SelectCovering(all, req);
     ASSERT_EQ(got.count, want.count);
     ASSERT_EQ(got.values, want.values) << "sharded update diverged";
-    ASSERT_EQ(set_.CountCovering(covering),
-              single_.CountCovering(covering));
   }
+  EXPECT_EQ(single_.num_cells(), cells_before + 10);
+  EXPECT_EQ(set_.num_cells(), single_.num_cells());
 }
 
-TEST_F(BlockSetUpdateTest, NewRegionTuplesBufferUntilThreshold) {
-  BlockSet::UpdateOptions options;
-  options.pending_rebuild_threshold = 0;  // manual flush only
-  set_.ConfigureUpdates(options);
+TEST_F(BlockSetUpdateTest, MixedBatchCommitsLikeItsTuplesOneAtATime) {
+  // A batch folds every tuple into its cell in batch order, whether the
+  // cell exists or the batch creates it: committing it whole and one
+  // tuple per call persist the same bytes.
+  GeoBlock batched = single_;
+  GeoBlock one_by_one = single_;
+  const auto batch = MixedBatch(21);
+  ASSERT_EQ(batched.ApplyBatchUpdate(batch).applied, batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(one_by_one.ApplyBatchUpdate({&batch[i], 1}).applied, 1u);
+  }
+  EXPECT_EQ(batched.num_cells(), single_.num_cells() + 10);
+  std::ostringstream a(std::ios::binary);
+  std::ostringstream b(std::ios::binary);
+  batched.WriteTo(a);
+  one_by_one.WriteTo(b);
+  ASSERT_TRUE(a.str() == b.str()) << "batched commit diverged from per-tuple";
+}
 
-  const auto fresh = NewRegionBatch(24, 5);
-  const auto result = set_.ApplyBatchUpdate(fresh);
-  EXPECT_EQ(result.applied, 0u);
-  EXPECT_EQ(result.buffered, 24u);
-  EXPECT_EQ(result.rebuilds, 0u);
-  EXPECT_EQ(result.pending_after, 24u);
-  EXPECT_EQ(set_.PendingUpdateCount(), 24u);
+TEST_F(BlockSetUpdateTest, NewRegionTuplesAreQueryableOnReturn) {
+  // Acked means visible: the commit that carries a new-region tuple creates
+  // its cell, so every read path counts it as soon as the call returns.
+  set_.EnableCache(GeoBlockQC::Options{0.25, 0});
+  AggregateRequest req;
+  req.Add(AggFn::kCount);
+  const auto polygons = workload::Neighborhoods(raw_, 20, 8);
+  for (const geo::Polygon& poly : polygons) set_.SelectCached(poly, req);
+  set_.RebuildCaches();
 
-  // Buffered tuples are not queryable yet.
-  const std::vector<cell::CellId> all{cell::CellId::Root()};
+  const geo::Polygon everything =
+      geo::Polygon::FromRect(data_->projection().domain());
   const uint64_t base = data_->num_rows();
-  EXPECT_EQ(set_.CountCovering(all), base);
-
-  // The flush merges every buffer; the tuples become queryable.
-  EXPECT_GT(set_.FlushPendingUpdates(), 0u);
-  EXPECT_EQ(set_.PendingUpdateCount(), 0u);
-  EXPECT_EQ(set_.CountCovering(all), base + 24);
-}
-
-TEST_F(BlockSetUpdateTest, ThresholdTriggersInlineMergeRebuild) {
-  BlockSet::UpdateOptions options;
-  options.pending_rebuild_threshold = 4;
-  set_.ConfigureUpdates(options);
-
-  const auto fresh = NewRegionBatch(40, 6);
+  ASSERT_EQ(set_.Count(everything), base);
+  const auto fresh = NewRegionBatch(24, 5);
+  const size_t cells_before = set_.num_cells();
   const auto result = set_.ApplyBatchUpdate(fresh);
-  EXPECT_EQ(result.buffered, 40u);
-  EXPECT_GT(result.rebuilds, 0u);
-  // Every shard that crossed the threshold merged inline; only shards
-  // below it may still buffer.
-  EXPECT_LT(result.pending_after, 40u);
-  const std::vector<cell::CellId> all{cell::CellId::Root()};
-  EXPECT_EQ(set_.CountCovering(all),
-            data_->num_rows() + 40 - result.pending_after);
-  set_.FlushPendingUpdates();
-  EXPECT_EQ(set_.CountCovering(all), data_->num_rows() + 40);
+  EXPECT_EQ(result.applied, 24u);
+  EXPECT_EQ(set_.num_cells(), cells_before + 24);
+  EXPECT_EQ(set_.Select(everything, req).count, base + 24);
+  EXPECT_EQ(set_.Count(everything), base + 24);
+  EXPECT_EQ(set_.SelectCached(everything, req).count, base + 24);
+  for (const GeoBlock::UpdateTuple& t : fresh) {
+    const std::vector<cell::CellId> one{
+        cell::CellId::FromPoint(data_->projection().ToUnit(t.location))
+            .Parent(kLevel)};
+    ASSERT_EQ(set_.CountCovering(one), 1u);
+    ASSERT_EQ(set_.SelectCoveringCached(one, req).count, 1u);
+  }
 }
 
 TEST_F(BlockSetUpdateTest, CachedAnswersStayConsistentAfterCommits) {
@@ -436,14 +441,10 @@ TEST_F(BlockSetUpdateTest, CachedAnswersStayConsistentAfterCommits) {
     set_.RebuildCaches();
   }
 
-  BlockSet::UpdateOptions options;
-  options.pending_rebuild_threshold = 8;
-  set_.ConfigureUpdates(options);
   auto batch = InCellBatch(300, 10);
   const auto fresh = NewRegionBatch(16, 12);
   batch.insert(batch.end(), fresh.begin(), fresh.end());
   set_.ApplyBatchUpdate(batch);
-  set_.FlushPendingUpdates();
 
   // Cache answers must equal base answers after the commits (the trie was
   // patched inside the same critical sections).
