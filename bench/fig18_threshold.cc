@@ -12,7 +12,9 @@ namespace {
 void Run() {
   bench_util::Banner("Figure 18 — impact of the aggregate threshold",
                      "1x base + 4x skewed; hit rates measured separately "
-                     "for the base and skewed parts after cache warm-up.");
+                     "for the base and skewed parts after cache warm-up. A "
+                     "hit rate counts covering cells coarser than the block "
+                     "level only: block-level cells bypass the cache.");
   const TaxiEnv env = TaxiEnv::Create(TaxiPoints());
   const core::GeoBlock block =
       core::GeoBlock::Build(env.data, {kDefaultLevel, {}});

@@ -1,16 +1,17 @@
 #include "core/aggregate_trie.h"
 
 #include <cstring>
-#include <deque>
-#include <unordered_map>
+#include <utility>
 
 namespace geoblocks::core {
 
 namespace {
 
-struct TmpNode {
-  bool has_agg = false;
-  bool has_children = false;
+/// One 4-node child block of the trie under construction (Build phase 1).
+/// Block 0 is a pseudo block whose slot 0 is the root.
+struct PendingBlock {
+  uint32_t child[4] = {};   ///< each slot's own child block; 0 = none
+  uint32_t cached[4] = {};  ///< 1 + index of the slot's cached cell; 0 = none
 };
 
 }  // namespace
@@ -39,51 +40,65 @@ AggregateTrie::BuildResult AggregateTrie::Build(
       cell::CellId(state.header.min_cell),
       cell::CellId(state.header.max_cell));
 
-  // Phase 1: decide the cached set under the budget. Nodes are tracked in a
-  // temporary keyed trie; allocating the children of a node costs one
-  // 4-node block (32 bytes).
-  std::unordered_map<uint64_t, TmpNode> tmp;
-  tmp[root_cell_.id()];  // root node always exists
-  size_t bytes = 8 + kNodeBytes;  // reserved header + root node
-  size_t num_blocks = 0;
+  // Phase 1: decide the cached set under the budget. The trie under
+  // construction mirrors the arena: a table of 4-node child blocks
+  // addressed by index. A candidate descends from the root while child
+  // blocks exist — array loads, no hashing — and every level below the
+  // deepest one reached costs one new 32-byte block.
+  std::vector<PendingBlock> blocks(1);
   std::vector<cell::CellId> cached;
+  size_t bytes = 8 + kNodeBytes;  // reserved header + root node
   for (const cell::CellId& cand : ranked) {
     if (!root_cell_.Contains(cand)) continue;
-    if (tmp.count(cand.id()) && tmp[cand.id()].has_agg) continue;
-    // Cost of the path root -> cand: one block per ancestor that has no
-    // child block yet, plus the aggregate payload.
-    size_t new_blocks = 0;
-    for (int l = root_cell_.level(); l < cand.level(); ++l) {
-      const cell::CellId ancestor = cand.Parent(l);
-      const auto it = tmp.find(ancestor.id());
-      if (it == tmp.end() || !it->second.has_children) ++new_blocks;
+    uint32_t b = 0;
+    int pos = 0;
+    int level = root_cell_.level();
+    while (level < cand.level() && blocks[b].child[pos] != 0) {
+      b = blocks[b].child[pos];
+      ++level;
+      pos = cand.Parent(level).ChildPosition();
     }
+    if (level == cand.level() && blocks[b].cached[pos] != 0) continue;
+    const size_t new_blocks = static_cast<size_t>(cand.level() - level);
     const size_t added = new_blocks * kBlockBytes + AggBytes();
     if (bytes + added > byte_budget) break;  // reserved area is filled
     bytes += added;
-    num_blocks += new_blocks;
-    for (int l = root_cell_.level(); l < cand.level(); ++l) {
-      tmp[cand.Parent(l).id()].has_children = true;
-      tmp[cand.Parent(l + 1).id()];  // ensure the child node exists
+    for (; level < cand.level(); ++level) {
+      const uint32_t nb = static_cast<uint32_t>(blocks.size());
+      blocks[b].child[pos] = nb;
+      blocks.emplace_back();
+      b = nb;
+      pos = cand.Parent(level + 1).ChildPosition();
     }
-    tmp[cand.id()].has_agg = true;
     cached.push_back(cand);
+    blocks[b].cached[pos] = static_cast<uint32_t>(cached.size());
   }
 
-  // Phase 2: serialize. Node blocks are laid out in BFS order directly
-  // after the root; aggregates follow the node region.
-  const size_t node_region_end = 8 + kNodeBytes + num_blocks * kBlockBytes;
+  // Phase 2: serialize in one breadth-first pass over the pending blocks:
+  // child blocks are laid out directly after the root in the order their
+  // parent nodes are visited, and aggregates follow the node region in
+  // the order their nodes are visited.
+  const size_t node_region_end =
+      8 + kNodeBytes + (blocks.size() - 1) * kBlockBytes;
   arena_.assign(node_region_end + cached.size() * AggBytes(), 0);
-
-  size_t next_block = 8 + kNodeBytes;
+  // (pending block, arena offset of its first node); the root is alone in
+  // block 0, at the root offset.
+  std::vector<std::pair<uint32_t, uint32_t>> queue;
+  queue.reserve(blocks.size());
+  queue.emplace_back(0, kRootOffset);
   size_t next_agg = node_region_end;
-  std::deque<std::pair<cell::CellId, uint32_t>> queue;  // (cell, node offset)
-  queue.emplace_back(root_cell_, kRootOffset);
-  while (!queue.empty()) {
-    const auto [cell, offset] = queue.front();
-    queue.pop_front();
-    const TmpNode& node = tmp.at(cell.id());
-    if (node.has_agg) {
+  for (size_t r = 0; r < queue.size(); ++r) {
+    const auto [b, offset] = queue[r];
+    for (int k = 0; k < 4; ++k) {
+      const size_t node = offset + static_cast<size_t>(k) * kNodeBytes;
+      if (blocks[b].child[k] != 0) {
+        const uint32_t block_offset = static_cast<uint32_t>(
+            8 + kNodeBytes + (queue.size() - 1) * kBlockBytes);
+        WriteU32(node, block_offset);
+        queue.emplace_back(blocks[b].child[k], block_offset);
+      }
+      if (blocks[b].cached[k] == 0) continue;
+      const cell::CellId cell = cached[blocks[b].cached[k] - 1];
       uint8_t* dst = arena_.data() + next_agg;
       const uint8_t* prev_agg =
           previous != nullptr ? previous->Lookup(cell).agg : nullptr;
@@ -102,23 +117,11 @@ AggregateTrie::BuildResult AggregateTrie::Build(
           dst += 3 * sizeof(double);
         }
       }
-      WriteU32(offset + 4, static_cast<uint32_t>(next_agg));
+      WriteU32(node + 4, static_cast<uint32_t>(next_agg));
       next_agg += AggBytes();
-      ++num_cached_;
-    }
-    if (node.has_children) {
-      const uint32_t block_offset = static_cast<uint32_t>(next_block);
-      next_block += kBlockBytes;
-      WriteU32(offset, block_offset);
-      for (int k = 0; k < 4; ++k) {
-        const cell::CellId child = cell.Child(k);
-        if (tmp.count(child.id())) {
-          queue.emplace_back(child,
-                             block_offset + static_cast<uint32_t>(k) * 8);
-        }
-      }
     }
   }
+  num_cached_ = cached.size();
 
   return {num_cached_, arena_.size()};
 }

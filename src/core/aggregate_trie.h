@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cell/cell_id.h"
@@ -55,7 +56,9 @@ class AggregateTrie {
   /// makes periodic cache refreshes cheap once the cached set stabilizes.
   /// Taking a BlockState (not a GeoBlock) pins the build to exactly one
   /// MVCC version, so a rebuild racing concurrent update commits still
-  /// produces a trie consistent with a single version.
+  /// produces a trie consistent with a single version. Costs one descent
+  /// of at most the trie depth per candidate (array loads, no hashing)
+  /// plus one breadth-first pass over the allocated child blocks.
   BuildResult Build(const BlockState& state,
                     const std::vector<cell::CellId>& ranked,
                     size_t byte_budget,
@@ -74,6 +77,8 @@ class AggregateTrie {
   size_t num_cached() const { return num_cached_; }
   cell::CellId root_cell() const { return root_cell_; }
   size_t MemoryBytes() const { return arena_.size(); }
+  /// @return The raw arena (layout in the class comment).
+  std::span<const uint8_t> bytes() const { return arena_; }
 
   /// Outcome of locating `cell`'s trie node (first two decision points of
   /// Figure 8).

@@ -36,8 +36,16 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
         qcell = qcell.Parent(block_->level());
       }
       if (!state.MayOverlap(qcell)) continue;
-      // Track workload statistics for every query cell that intersects the
-      // GeoBlock (Section 3.6). A single relaxed atomic increment.
+      // A block-level cell is one stored aggregate: no trie entry can
+      // answer it more cheaply than the base fold, so it is never recorded,
+      // probed or counted, and the trie budget goes to coarser cells.
+      if (qcell.level() == block_->level()) {
+        state.CombineCell(qcell, &acc, &last_idx);
+        continue;
+      }
+      // Track workload statistics for every coarser query cell that
+      // intersects the GeoBlock (Section 3.6): a bounded probe sequence
+      // plus one CAS (first sighting) or one relaxed fetch_add.
       stats_.Record(qcell);
 
       // Adapted query algorithm (Figure 8): probe the cache first and
@@ -61,7 +69,7 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
       for (const auto& info : children) {
         if (info.agg != nullptr) any_cached = true;
       }
-      if (!any_cached || qcell.level() >= block_->level()) {
+      if (!any_cached) {
         counters_.AddMiss();
         state.CombineCell(qcell, &acc, &last_idx);
         continue;

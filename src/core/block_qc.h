@@ -15,9 +15,11 @@ namespace geoblocks::core {
 
 /// Counters describing how the cache served a sequence of queries
 /// (Figure 18 reports the hit rate). A plain value snapshot — the live
-/// counters are the relaxed atomics of CacheCounterPlane.
+/// counters are the relaxed atomics of CacheCounterPlane. Only covering
+/// cells coarser than the block level are probed and counted: block-level
+/// cells bypass the cache (see GeoBlockQC::CombineCovering).
 struct CacheCounters {
-  uint64_t probes = 0;        ///< covering cells probed against the trie
+  uint64_t probes = 0;        ///< coarser covering cells probed in the trie
   uint64_t full_hits = 0;     ///< cells answered entirely from the cache
   uint64_t partial_hits = 0;  ///< cells answered from cached direct children
   uint64_t misses = 0;        ///< cells answered by the base algorithm
@@ -91,8 +93,10 @@ class CacheCounterPlane {
 ///   pointer swap, retiring the old snapshot only after in-flight readers
 ///   drain.
 /// - **Stats plane.** QueryStats and CacheCounterPlane are relaxed-atomic
-///   tables: `Record` and the counter bumps are single atomic increments
-///   with no allocation.
+///   tables: `Record` is a bounded probe sequence plus one CAS or relaxed
+///   `fetch_add`, a counter bump is one relaxed `fetch_add`, and neither
+///   allocates. Both are paid only for covering cells coarser than the
+///   block level.
 /// - **Block-state plane.** The wrapped GeoBlock's aggregate state is
 ///   itself MVCC (an immutable BlockState behind a SnapshotCell). The
 ///   caller pins one block-state version (BlockSet::ResidentState, or
@@ -189,8 +193,9 @@ class GeoBlockQC {
   /// Zeroes the cache counters (safe concurrently with readers).
   void ResetCounters() const { counters_.Reset(); }
 
-  /// Adapted SELECT query: probes the query cache per covering cell and
-  /// falls back to the base algorithm only when necessary. Lock-free and
+  /// Adapted SELECT query: probes the query cache per covering cell
+  /// coarser than the block level and falls back to the base algorithm
+  /// only when necessary. Lock-free and
   /// thread-safe (see the class concurrency model).
   ///
   /// @param polygon Query polygon.
@@ -212,7 +217,10 @@ class GeoBlockQC {
   /// accumulator instead of finishing a result. Lets a sharded engine fold
   /// several cached blocks into one query answer (BlockSet). Loads the
   /// trie snapshot exactly once and falls back to `state` for every cell
-  /// the trie does not answer.
+  /// the trie does not answer. A cell at the block's level (after clamping
+  /// finer cells to it) is one stored aggregate that no trie entry can
+  /// answer more cheaply, so it goes straight to `state`: it is never
+  /// recorded in the stats, probed, counted or cached.
   ///
   /// @param state    A pinned, materialized version of the wrapped block's
   ///     state (never an eviction tombstone: BlockSet::ResidentState

@@ -70,8 +70,12 @@ std::vector<cell::CellId> QueryStats::RankedCells() const {
   for (size_t i = 0; i < capacity_; ++i) {
     const uint64_t key = slots_[i].key.load(std::memory_order_acquire);
     if (key == 0) continue;
+    // Score (own hits + parent hits) with the own hits read from the slot
+    // in hand: a claimed key holds exactly one slot.
     const cell::CellId c(key);
-    entries.push_back({c, Score(c), c.level()});
+    uint32_t score = slots_[i].hits.load(std::memory_order_relaxed);
+    if (c.level() > 0) score += HitsFor(c.Parent());
+    entries.push_back({c, score, c.level()});
   }
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
     if (a.score != b.score) return a.score > b.score;

@@ -13,6 +13,9 @@ namespace geoblocks::core {
 /// Workload statistics used to decide which areas are worth caching
 /// (Section 3.6, "Determining Relevant Aggregates"): for each query cell
 /// that intersects the GeoBlock we track how often it was queried.
+/// GeoBlockQC records only cells coarser than the block level: a
+/// block-level cell is one stored aggregate, which no trie entry can
+/// answer more cheaply, so it is never ranked or cached.
 ///
 /// ## Concurrency model
 ///

@@ -177,12 +177,47 @@ TEST_F(BlockQCTest, StatsAreRecordedPerCoveringCell) {
   const AggregateRequest req = SomeRequest();
   const geo::Polygon& poly = (*polygons_)[1];
   const auto covering = block_->Cover(poly);
-  size_t overlapping = 0;
+  // Only overlapping cells coarser than the block level are recorded and
+  // probed; block-level cells bypass the cache.
+  size_t coarser = 0;
   for (const cell::CellId& c : covering) {
-    if (block_->MayOverlap(c)) ++overlapping;
+    if (c.level() < block_->level() && block_->MayOverlap(c)) ++coarser;
   }
+  ASSERT_GT(coarser, 0u);
+  ASSERT_LT(coarser, covering.size());
   qc.Select(poly, req);
-  EXPECT_EQ(qc.stats().num_distinct_cells(), overlapping);
+  EXPECT_EQ(qc.stats().num_distinct_cells(), coarser);
+  EXPECT_EQ(qc.counters().probes, coarser);
+}
+
+TEST_F(BlockQCTest, BlockLevelCellsBypassTheCache) {
+  // Warm the cache first, so a probe would find a populated trie.
+  GeoBlockQC qc(block_, GeoBlockQC::Options{0.25, 0});
+  const AggregateRequest req = SomeRequest();
+  for (const geo::Polygon& poly : *polygons_) qc.Select(poly, req);
+  qc.RebuildCache();
+  ASSERT_GT(qc.trie_snapshot()->num_cached(), 0u);
+  // Block-level cells were never recorded, so recording one would add a
+  // distinct cell (or a drop).
+  const size_t distinct_before = qc.stats().num_distinct_cells();
+  const uint64_t dropped_before = qc.stats().dropped();
+  qc.ResetCounters();
+  // A covering of block-level cells only, with finer cells mixed in that
+  // clamp to their block-level parents: every cell bypasses the cache.
+  std::vector<cell::CellId> covering;
+  const std::vector<uint64_t>& cells = block_->cells();
+  for (size_t i = 0; i < cells.size(); i += 7) {
+    const cell::CellId c(cells[i]);
+    covering.push_back(i % 3 == 0 ? c.Child(2) : c);
+  }
+  ASSERT_GT(covering.size(), 100u);
+  const QueryResult got = qc.SelectCovering(covering, req);
+  EXPECT_EQ(qc.stats().num_distinct_cells(), distinct_before);
+  EXPECT_EQ(qc.stats().dropped(), dropped_before);
+  EXPECT_EQ(qc.counters().probes, 0u);
+  const QueryResult want = block_->SelectCovering(covering, req);
+  ASSERT_EQ(got.count, want.count);
+  ASSERT_EQ(got.values, want.values);
 }
 
 TEST_F(BlockQCTest, MemoryIncludesTrie) {
