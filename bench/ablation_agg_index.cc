@@ -20,14 +20,15 @@ void Run() {
   const TaxiEnv env = TaxiEnv::Create(TaxiPoints());
   const core::GeoBlock block =
       core::GeoBlock::Build(env.data, {kDefaultLevel, {}});
-  const std::vector<uint64_t>& cells = block.cells();
+  const auto& cells = block.cells();
 
   // Alternative indexes mapping cell id -> aggregate index.
   std::map<uint64_t, uint32_t> map_index;
   for (size_t i = 0; i < cells.size(); ++i) {
     map_index.emplace(cells[i], static_cast<uint32_t>(i));
   }
-  const index::BTree btree = index::BTree::BulkLoad(cells);
+  const index::BTree btree =
+      index::BTree::BulkLoad({cells.begin(), cells.end()});
 
   // Probe keys: the first child at block level of every covering cell of
   // the base workload — the exact probe pattern of Listing 1 line 21.

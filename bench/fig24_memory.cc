@@ -4,10 +4,14 @@
 // first route) under a byte-budgeted MemoryGovernor at 100% / 50% / 10%
 // of the fully-resident footprint. A Zipfian neighborhood workload skews
 // the shard popularity so the LRU/cost policy has something to exploit.
-// Reported per budget:
+// Each budget first runs an untimed warm-up of as many queries as the timed
+// window, so the window measures the settled cache, not the cold start.
+// Reported per budget, over the timed window:
 //
 //   * query throughput and the p99 latency split into fault queries
-//     (paid a shard materialization) vs warm queries,
+//     (paid a shard materialization) vs warm queries, plus the per-fault
+//     p50: a faulted query's time beyond the warm p50, split evenly over
+//     the shards it faulted,
 //   * fault / eviction / refusal counts from the governor,
 //   * steady-state governed bytes vs the budget, and process VmRSS.
 //
@@ -77,6 +81,7 @@ struct Row {
   double qps = 0.0;
   double warm_p99_us = 0.0;
   double fault_p99_us = 0.0;
+  double per_fault_p50_us = 0.0;
   uint64_t rss_kb = 0;
 };
 
@@ -144,7 +149,8 @@ void Run() {
   std::vector<Row> rows;
   bench_util::TablePrinter table({"budget", "faults", "evict", "refuse",
                                   "resident", "qps", "warm p99 us",
-                                  "fault p99 us", "bytes/budget", "rss MB"});
+                                  "fault p99 us", "per-fault p50 us",
+                                  "bytes/budget", "rss MB"});
   for (const size_t pct : {size_t{100}, size_t{50}, size_t{10}}) {
     const uint64_t budget = full_bytes * pct / 100;
     core::MemoryGovernor gov(core::MemoryGovernor::Options{budget});
@@ -154,8 +160,17 @@ void Run() {
 
     std::mt19937_64 rng(12345);
     std::discrete_distribution<size_t> zipf(weights.begin(), weights.end());
+    // Untimed warm-up: the governor settles from "only shard 0 resident".
+    for (size_t q = 0; q < queries; ++q) {
+      const size_t i = zipf(rng);
+      if (!BitIdentical(set.SelectCovering(coverings[i], req), expected[i])) {
+        ++mismatches;
+      }
+    }
+    const core::MemoryGovernor::Stats s0 = gov.stats();
     std::vector<double> warm_us;
     std::vector<double> fault_us;
+    std::vector<uint64_t> faults_in_query;
     bench_util::Timer run_timer;
     for (size_t q = 0; q < queries; ++q) {
       const size_t i = zipf(rng);
@@ -164,22 +179,35 @@ void Run() {
       const core::QueryResult r = set.SelectCovering(coverings[i], req);
       const double us = t.ElapsedUs();
       if (!BitIdentical(r, expected[i])) ++mismatches;
-      (gov.stats().faults > faults_before ? fault_us : warm_us).push_back(us);
+      const uint64_t faulted = gov.stats().faults - faults_before;
+      if (faulted > 0) {
+        fault_us.push_back(us);
+        faults_in_query.push_back(faulted);
+      } else {
+        warm_us.push_back(us);
+      }
     }
     const double run_ms = run_timer.ElapsedMs();
+    const double warm_p50 = Percentile(warm_us, 0.5);
+    std::vector<double> per_fault_us;
+    for (size_t j = 0; j < fault_us.size(); ++j) {
+      per_fault_us.push_back(std::max(0.0, fault_us[j] - warm_p50) /
+                             static_cast<double>(faults_in_query[j]));
+    }
 
     Row row;
     row.budget_pct = pct;
     row.budget_bytes = budget;
     const core::MemoryGovernor::Stats s = gov.stats();
     row.steady_bytes = s.resident_bytes;
-    row.faults = s.faults;
-    row.evictions = s.evictions;
-    row.refusals = s.refusals;
+    row.faults = s.faults - s0.faults;
+    row.evictions = s.evictions - s0.evictions;
+    row.refusals = s.refusals - s0.refusals;
     row.resident_shards = set.resident_shards();
     row.qps = static_cast<double>(queries) / (run_ms / 1000.0);
     row.warm_p99_us = Percentile(warm_us, 0.99);
     row.fault_p99_us = Percentile(fault_us, 0.99);
+    row.per_fault_p50_us = Percentile(per_fault_us, 0.5);
     row.rss_kb = ReadVmRssKb();
     // Steady-state containment: the governed footprint must sit within
     // 1.2x the budget once the workload settles (transient overshoot
@@ -195,6 +223,7 @@ void Run() {
          bench_util::TablePrinter::Fmt(row.qps, 0),
          bench_util::TablePrinter::Fmt(row.warm_p99_us, 1),
          bench_util::TablePrinter::Fmt(row.fault_p99_us, 1),
+         bench_util::TablePrinter::Fmt(row.per_fault_p50_us, 1),
          bench_util::TablePrinter::Fmt(
              budget == 0 ? 0.0
                          : static_cast<double>(row.steady_bytes) /
@@ -204,6 +233,11 @@ void Run() {
              static_cast<double>(row.rss_kb) / 1024.0, 1)});
   }
   table.Print();
+  std::printf("per-fault p50 us:");
+  for (const Row& r : rows) {
+    std::printf(" %zu%%=%.1f", r.budget_pct, r.per_fault_p50_us);
+  }
+  std::printf("\n");
   std::printf("shards: %zu, resident footprint: %llu bytes, queries: %zu\n",
               kShards, static_cast<unsigned long long>(full_bytes), queries);
   std::printf("hardware threads: %u, kernel dispatch: %s, pool type: %s\n",
@@ -239,6 +273,7 @@ void Run() {
          << ", \"resident_shards\": " << r.resident_shards
          << ", \"qps\": " << r.qps << ", \"warm_p99_us\": " << r.warm_p99_us
          << ", \"fault_p99_us\": " << r.fault_p99_us
+         << ", \"per_fault_p50_us\": " << r.per_fault_p50_us
          << ", \"rss_kb\": " << r.rss_kb << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -494,6 +494,14 @@ class BlockSet {
   ///     re-faults after eviction) since open; 0 on an eager set.
   uint64_t shard_fault_count() const;
 
+  /// Shard `s`'s payload bytes inside the mapping of a lazily opened set
+  /// (the bytes a faulted shard's arrays are views of); empty on an eager
+  /// set.
+  ///
+  /// @param s Shard index in [0, num_shards()).
+  /// @return The payload's range of the mapping.
+  std::string_view mapped_payload(size_t s) const;
+
   /// Faults shard `s` in if it is cold, without rebalancing the budget
   /// (bookkeeping-only; the next query-path fault or EnsureBudget trims).
   /// No-op on eager sets.
@@ -656,7 +664,9 @@ class BlockSet {
   /// the mapping plus the manifest that locates and cross-checks every
   /// payload in it. Only OpenMapped creates one. Behind a shared_ptr so
   /// governor evict callbacks (which capture shard state, never the
-  /// movable set) and the set agree on lifetime.
+  /// movable set) and the set agree on lifetime; a faulted shard's arrays
+  /// are views of the mapping and co-own it through this pointer, so a
+  /// pinned state outlives the set safely.
   struct LazySource {
     io::MappedFile file;
     /// Optional fault-injection seam: payload reads go through
@@ -725,7 +735,9 @@ class BlockSet {
   /// shard's configuration on its first hydration only; then marks the
   /// shard resident with a known hull. Caller holds residency_[s]->mu or
   /// owns the set exclusively (ReadFrom). Defined in serialize.cc.
-  void HydrateShard(size_t s, std::string_view payload,
+  /// The decoded arrays are views of `payload`, which `owner` keeps alive.
+  void HydrateShard(size_t s, std::shared_ptr<const void> owner,
+                    std::string_view payload,
                     const serialize::SetManifest& m) const;
 
   /// Registers shard `s`'s payload entry with the governor (OpenMapped,
@@ -743,7 +755,8 @@ class BlockSet {
   /// `m` (CRC, structure, level/schema agreement with `reference`, exact
   /// state-row check). Called only by HydrateShard. Defined in
   /// serialize.cc.
-  static GeoBlock ParseShardPayload(std::string_view payload,
+  static GeoBlock ParseShardPayload(std::shared_ptr<const void> owner,
+                                    std::string_view payload,
                                     const serialize::SetManifest& m,
                                     size_t s, const GeoBlock* reference);
 

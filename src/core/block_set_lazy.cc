@@ -18,6 +18,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -33,18 +34,25 @@ namespace geoblocks::core {
 namespace {
 
 /// One shard-payload (or pending-section) read: a zero-copy view of the
-/// mapping, or — with a shim — a pread loop into `scratch`, which is the
-/// chaos-test seam for injecting fault-time I/O errors (the raw mapping
-/// path can only fail as SIGBUS, which no test harness wants to catch).
+/// mapping, which `file_owner` keeps alive, or — with a shim — a pread loop
+/// into a fresh 8-aligned buffer, which is the chaos-test seam for
+/// injecting fault-time I/O errors (the raw mapping path can only fail as
+/// SIGBUS, which no test harness wants to catch). `*owner` receives what
+/// keeps the returned bytes alive.
 std::string_view ReadFileBytes(const io::MappedFile& file, util::IoShim* shim,
+                               std::shared_ptr<const void> file_owner,
                                uint64_t offset, uint64_t size,
-                               std::string* scratch) {
-  if (shim == nullptr) return file.View(offset, size);
-  scratch->resize(size);
+                               std::shared_ptr<const void>* owner) {
+  if (shim == nullptr) {
+    *owner = std::move(file_owner);
+    return file.View(offset, size);
+  }
+  const std::shared_ptr<char> buffer = serialize::NewPayloadBuffer(size);
+  *owner = buffer;
   uint64_t done = 0;
   while (done < size) {
     const ssize_t n =
-        shim->Pread(file.fd(), scratch->data() + done, size - done,
+        shim->Pread(file.fd(), buffer.get() + done, size - done,
                     static_cast<off_t>(offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -56,7 +64,7 @@ std::string_view ReadFileBytes(const io::MappedFile& file, util::IoShim* shim,
     }
     done += static_cast<uint64_t>(n);
   }
-  return std::string_view(*scratch);
+  return std::string_view(buffer.get(), size);
 }
 
 }  // namespace
@@ -99,11 +107,11 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
   // The pending section is committed eagerly, exactly like ReadFrom: its
   // tuples must not depend on which shards ever fault in. Committing faults
   // the receiving shards in and marks them dirty.
-  std::string scratch;
+  std::shared_ptr<const void> owner;
   const std::string_view pending =
-      ReadFileBytes(set.source_->file, set.source_->shim,
+      ReadFileBytes(set.source_->file, set.source_->shim, set.source_,
                     m.manifest_bytes + m.payload_bytes, m.pending_bytes,
-                    &scratch);
+                    &owner);
   set.CommitPendingSection(pending, m.pending_crc);
 
   for (size_t i = 0; i < set.num_shards(); ++i) set.RegisterShardEntry(i);
@@ -113,13 +121,13 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
 void BlockSet::MaterializeShardLocked(size_t s) const {
   const LazySource& src = *source_;
   const serialize::SetManifest& m = src.manifest;
-  std::string scratch;
   try {
-    HydrateShard(s,
-                 ReadFileBytes(src.file, src.shim,
-                               m.manifest_bytes + m.payload_offsets[s],
-                               m.payload_sizes[s], &scratch),
-                 m);
+    std::shared_ptr<const void> owner;
+    const std::string_view payload =
+        ReadFileBytes(src.file, src.shim, source_,
+                      m.manifest_bytes + m.payload_offsets[s],
+                      m.payload_sizes[s], &owner);
+    HydrateShard(s, std::move(owner), payload, m);
   } catch (const std::exception& e) {
     // Typed containment: the caller learns which shard is damaged; the
     // set stays healthy (this shard stays a tombstone and throws the same
@@ -169,6 +177,13 @@ void BlockSet::EnsureResident(size_t s) const {
   std::lock_guard<std::mutex> lock(residency_[s]->mu);
   if (!blocks_[s]->StateSnapshot()->evicted) return;
   MaterializeShardLocked(s);
+}
+
+std::string_view BlockSet::mapped_payload(size_t s) const {
+  if (source_ == nullptr) return {};
+  const serialize::SetManifest& m = source_->manifest;
+  return source_->file.View(m.manifest_bytes + m.payload_offsets[s],
+                            m.payload_sizes[s]);
 }
 
 size_t BlockSet::resident_shards() const {

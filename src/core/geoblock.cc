@@ -33,18 +33,12 @@ struct StateBuilder {
     auto state = std::make_shared<BlockState>();
     state->header = std::move(header);
     state->num_columns = num_columns;
-    state->cells =
-        std::make_shared<const std::vector<uint64_t>>(std::move(cells));
-    state->offsets =
-        std::make_shared<const std::vector<uint32_t>>(std::move(offsets));
-    state->counts =
-        std::make_shared<const std::vector<uint32_t>>(std::move(counts));
-    state->min_keys =
-        std::make_shared<const std::vector<uint64_t>>(std::move(min_keys));
-    state->max_keys =
-        std::make_shared<const std::vector<uint64_t>>(std::move(max_keys));
-    state->column_aggs = std::make_shared<const std::vector<ColumnAggregate>>(
-        std::move(column_aggs));
+    state->cells = CellArray<uint64_t>(std::move(cells));
+    state->offsets = CellArray<uint32_t>(std::move(offsets));
+    state->counts = CellArray<uint32_t>(std::move(counts));
+    state->min_keys = CellArray<uint64_t>(std::move(min_keys));
+    state->max_keys = CellArray<uint64_t>(std::move(max_keys));
+    state->column_aggs = CellArray<ColumnAggregate>(std::move(column_aggs));
     return state;
   }
 };
@@ -55,16 +49,8 @@ struct StateBuilder {
 // BlockState: the immutable query plane
 // ---------------------------------------------------------------------------
 
-BlockState::BlockState()
-    : cells(std::make_shared<const std::vector<uint64_t>>()),
-      offsets(std::make_shared<const std::vector<uint32_t>>()),
-      counts(std::make_shared<const std::vector<uint32_t>>()),
-      min_keys(std::make_shared<const std::vector<uint64_t>>()),
-      max_keys(std::make_shared<const std::vector<uint64_t>>()),
-      column_aggs(std::make_shared<const std::vector<ColumnAggregate>>()) {}
-
 size_t BlockState::SeekFirst(uint64_t key, size_t last_idx) const {
-  const std::vector<uint64_t>& ids = *cells;
+  const CellArray<uint64_t>& ids = cells;
   // Listing 1: after a match, first try the successor of the last combined
   // aggregate before falling back to binary search.
   if (last_idx != GeoBlock::kNoLastAgg) {
@@ -88,7 +74,7 @@ void BlockState::CombineCell(cell::CellId qcell, Accumulator* acc,
   if (qcell.level() > header.level) qcell = qcell.Parent(header.level);
   // Prune query cells outside [minCell, maxCell] (Listing 1, lines 5-6).
   if (!MayOverlap(qcell)) return;
-  const std::vector<uint64_t>& ids = *cells;
+  const CellArray<uint64_t>& ids = cells;
   const uint64_t first_child = qcell.ChildBegin(header.level).id();
   const uint64_t last_child = qcell.ChildLast(header.level).id();
   const size_t idx = SeekFirst(first_child, *last_idx);
@@ -97,8 +83,8 @@ void BlockState::CombineCell(cell::CellId qcell, Accumulator* acc,
   const size_t end = idx + kernels::UpperBoundU64(ids.data() + idx,
                                                   ids.size() - idx, last_child);
   if (end > idx) {
-    acc->AddCellRange(counts->data() + idx,
-                      column_aggs->data() + idx * num_columns, end - idx,
+    acc->AddCellRange(counts.data() + idx,
+                      column_aggs.data() + idx * num_columns, end - idx,
                       num_columns);
     *last_idx = end - 1;
   }
@@ -121,7 +107,7 @@ QueryResult BlockState::SelectCovering(std::span<const cell::CellId> covering,
 
 uint64_t BlockState::CountCovering(
     std::span<const cell::CellId> covering) const {
-  const std::vector<uint64_t>& ids = *cells;
+  const CellArray<uint64_t>& ids = cells;
   uint64_t result = 0;
   size_t hint = 0;
   for (cell::CellId qcell : covering) {
@@ -142,8 +128,8 @@ uint64_t BlockState::CountCovering(
     if (last_plus_one <= first) continue;
     const size_t last = last_plus_one - 1;
     // Range-sum over offsets (Listing 2, line 11).
-    result += static_cast<uint64_t>((*offsets)[last]) + (*counts)[last] -
-              (*offsets)[first];
+    result += static_cast<uint64_t>(offsets[last]) + counts[last] -
+              offsets[first];
   }
   return result;
 }
@@ -152,13 +138,13 @@ AggregateVector BlockState::AggregateForCell(cell::CellId cell) const {
   AggregateVector agg(num_columns);
   if (cell.level() > header.level) cell = cell.Parent(header.level);
   if (!MayOverlap(cell)) return agg;
-  const std::vector<uint64_t>& ids = *cells;
+  const CellArray<uint64_t>& ids = cells;
   const uint64_t first_child = cell.ChildBegin(header.level).id();
   const uint64_t last_child = cell.ChildLast(header.level).id();
   size_t idx = static_cast<size_t>(
       std::lower_bound(ids.begin(), ids.end(), first_child) - ids.begin());
   while (idx < ids.size() && ids[idx] <= last_child) {
-    agg.count += (*counts)[idx];
+    agg.count += counts[idx];
     const ColumnAggregate* cols = cell_columns(idx);
     for (size_t c = 0; c < num_columns; ++c) agg.columns[c].Merge(cols[c]);
     ++idx;
@@ -167,8 +153,8 @@ AggregateVector BlockState::AggregateForCell(cell::CellId cell) const {
 }
 
 size_t BlockState::CellAggregateBytes() const {
-  return cells->size() * (sizeof(uint64_t) * 3 + sizeof(uint32_t) * 2) +
-         column_aggs->size() * sizeof(ColumnAggregate);
+  return cells.size() * (sizeof(uint64_t) * 3 + sizeof(uint32_t) * 2) +
+         column_aggs.size() * sizeof(ColumnAggregate);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,23 +406,23 @@ GeoBlock GeoBlock::CoarsenTo(int level) const {
   b.num_columns = num_columns_;
   b.header.global = state->header.global;
 
-  const std::vector<uint64_t>& src_cells = *state->cells;
+  const CellArray<uint64_t>& src_cells = state->cells;
   const uint64_t lsb = cell::CellId::LsbForLevel(level);
   uint64_t current_cell = 0;
   for (size_t i = 0; i < src_cells.size(); ++i) {
     const uint64_t parent = (src_cells[i] & (~lsb + 1)) | lsb;
     if (parent != current_cell) {
       b.cells.push_back(parent);
-      b.offsets.push_back((*state->offsets)[i]);
+      b.offsets.push_back(state->offsets[i]);
       b.counts.push_back(0);
-      b.min_keys.push_back((*state->min_keys)[i]);
-      b.max_keys.push_back((*state->max_keys)[i]);
+      b.min_keys.push_back(state->min_keys[i]);
+      b.max_keys.push_back(state->max_keys[i]);
       b.column_aggs.resize(b.column_aggs.size() + num_columns_);
       current_cell = parent;
     }
     const size_t idx = b.cells.size() - 1;
-    b.counts[idx] += (*state->counts)[i];
-    b.max_keys[idx] = (*state->max_keys)[i];
+    b.counts[idx] += state->counts[i];
+    b.max_keys[idx] = state->max_keys[i];
     ColumnAggregate* dst = b.column_aggs.data() + idx * num_columns_;
     const ColumnAggregate* src = state->cell_columns(i);
     for (size_t c = 0; c < num_columns_; ++c) dst[c].Merge(src[c]);
@@ -526,40 +512,25 @@ struct UpdateHit {
   uint64_t key;
 };
 
-/// The sole-owned vector sitting in `*slot` (a recycled version's private
-/// array — its heap buffer and control block are reused), else a fresh
-/// one; its contents are unspecified. Clears `*slot`.
+/// Clones `src` into the vector `slot->TakeVector()` hands out (assign
+/// reuses its capacity when it suffices). The clone is owned even when
+/// `src` is a view of a mapped payload.
 template <typename T>
-std::shared_ptr<std::vector<T>> TakeReusing(
-    std::shared_ptr<const std::vector<T>>* slot) {
-  std::shared_ptr<std::vector<T>> out;
-  if (SoleOwner(*slot)) {
-    out = std::const_pointer_cast<std::vector<T>>(std::move(*slot));
-  } else {
-    out = std::make_shared<std::vector<T>>();
-  }
-  slot->reset();
+std::shared_ptr<std::vector<T>> CloneReusing(CellArray<T>* slot,
+                                             const CellArray<T>& src) {
+  std::shared_ptr<std::vector<T>> out = slot->TakeVector();
+  out->assign(src.begin(), src.end());
   return out;
 }
 
-/// Clones `src` into the array TakeReusing hands out (copy-assignment
-/// reuses its capacity when it suffices).
-template <typename T>
-std::shared_ptr<std::vector<T>> CloneReusing(
-    std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src) {
-  std::shared_ptr<std::vector<T>> out = TakeReusing(slot);
-  *out = src;
-  return out;
-}
-
-/// Copies `src`, rows of `width` entries, into the array TakeReusing hands
-/// out, inserting a row of `fill` before old row p for each p in the
-/// ascending `at` (a repeated p inserts several rows).
+/// Copies `src`, rows of `width` entries, into the vector
+/// `slot->TakeVector()` hands out, inserting a row of `fill` before old row
+/// p for each p in the ascending `at` (a repeated p inserts several rows).
 template <typename T>
 std::shared_ptr<std::vector<T>> MergeReusing(
-    std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src,
-    size_t width, std::span<const size_t> at, const T& fill) {
-  std::shared_ptr<std::vector<T>> out = TakeReusing(slot);
+    CellArray<T>* slot, const CellArray<T>& src, size_t width,
+    std::span<const size_t> at, const T& fill) {
+  std::shared_ptr<std::vector<T>> out = slot->TakeVector();
   out->clear();
   out->reserve(src.size() + at.size() * width);
   size_t from = 0;
@@ -580,7 +551,7 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
   // Writers are externally serialized, so the raw current version is
   // stable for the whole commit.
   const BlockState* cur = CurrentState();
-  const std::vector<uint64_t>& ids = *cur->cells;
+  const CellArray<uint64_t>& ids = cur->cells;
   const uint64_t lsb = cell::CellId::LsbForLevel(level_);
   const auto cell_of = [lsb](uint64_t key) { return (key & (~lsb + 1)) | lsb; };
 
@@ -625,10 +596,10 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
   if (fresh.empty()) {
     // Every tuple hits an existing cell: clone only the touched arrays. The
     // cell-id array is shared with the predecessor.
-    counts = CloneReusing(&next->counts, *cur->counts);
-    min_keys = CloneReusing(&next->min_keys, *cur->min_keys);
-    max_keys = CloneReusing(&next->max_keys, *cur->max_keys);
-    column_aggs = CloneReusing(&next->column_aggs, *cur->column_aggs);
+    counts = CloneReusing(&next->counts, cur->counts);
+    min_keys = CloneReusing(&next->min_keys, cur->min_keys);
+    max_keys = CloneReusing(&next->max_keys, cur->max_keys);
+    column_aggs = CloneReusing(&next->column_aggs, cur->column_aggs);
     next->cells = cur->cells;
   } else {
     // New cells (Section 5's rebuild): one linear merge of the sorted
@@ -642,12 +613,12 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
     }
     auto cells = MergeReusing(&next->cells, ids, 1, at, uint64_t{0});
     for (size_t k = 0; k < fresh.size(); ++k) (*cells)[at[k] + k] = fresh[k];
-    counts = MergeReusing(&next->counts, *cur->counts, 1, at, uint32_t{0});
+    counts = MergeReusing(&next->counts, cur->counts, 1, at, uint32_t{0});
     min_keys =
-        MergeReusing(&next->min_keys, *cur->min_keys, 1, at, ~uint64_t{0});
-    max_keys = MergeReusing(&next->max_keys, *cur->max_keys, 1, at,
-                            uint64_t{0});
-    column_aggs = MergeReusing(&next->column_aggs, *cur->column_aggs,
+        MergeReusing(&next->min_keys, cur->min_keys, 1, at, ~uint64_t{0});
+    max_keys =
+        MergeReusing(&next->max_keys, cur->max_keys, 1, at, uint64_t{0});
+    column_aggs = MergeReusing(&next->column_aggs, cur->column_aggs,
                                num_columns_, at, ColumnAggregate{});
     // Each slot moves up by the number of new cells sorted before it.
     for (UpdateHit& h : hits) {
@@ -657,9 +628,9 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
     }
     next->header.min_cell = cells->front();
     next->header.max_cell = cells->back();
-    next->cells = std::move(cells);
+    next->cells = CellArray<uint64_t>(std::move(cells));
   }
-  auto offsets = TakeReusing(&next->offsets);
+  std::shared_ptr<std::vector<uint32_t>> offsets = next->offsets.TakeVector();
 
   // Pass 3: fold every tuple into its slot with ColumnAggregate::Add, in
   // batch order — never a pre-summed partial — so a batch is bit-identical
@@ -677,18 +648,18 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
     }
   }
   // Restore the prefix-sum invariant of the offsets in one pass.
-  const size_t n = next->cells->size();
+  const size_t n = next->cells.size();
   offsets->resize(n);
   uint32_t running = 0;
   for (size_t i = 0; i < n; ++i) {
     (*offsets)[i] = running;
     running += (*counts)[i];
   }
-  next->counts = std::move(counts);
-  next->min_keys = std::move(min_keys);
-  next->max_keys = std::move(max_keys);
-  next->column_aggs = std::move(column_aggs);
-  next->offsets = std::move(offsets);
+  next->counts = CellArray<uint32_t>(std::move(counts));
+  next->min_keys = CellArray<uint64_t>(std::move(min_keys));
+  next->max_keys = CellArray<uint64_t>(std::move(max_keys));
+  next->column_aggs = CellArray<ColumnAggregate>(std::move(column_aggs));
+  next->offsets = CellArray<uint32_t>(std::move(offsets));
 
   PublishState(std::move(next));
   return {hits.size()};

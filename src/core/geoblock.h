@@ -5,11 +5,13 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "cell/cell_id.h"
 #include "cell/coverer.h"
 #include "core/aggregate.h"
+#include "core/cell_array.h"
 #include "geo/polygon.h"
 #include "geo/projection.h"
 #include "storage/dataset_view.h"
@@ -69,8 +71,8 @@ void CoverPolygonInto(const geo::Projection& projection, int level,
 /// plus the parallel cell-aggregate arrays, frozen at publication time.
 ///
 /// A BlockState is never mutated once published — updates build a successor
-/// (cloning only the arrays they touch; untouched arrays are shared through
-/// their `shared_ptr`s) and swap it in through the block's
+/// (cloning only the arrays they touch; untouched arrays are shared, as
+/// CellArrays are refcounted) and swap it in through the block's
 /// util::SnapshotCell. Readers therefore probe a consistent version with no
 /// locks: every query method on this struct is `const`, touches only the
 /// frozen arrays, and is safe from any number of threads concurrently.
@@ -98,29 +100,29 @@ struct BlockState {
   /// Parallel arrays, one entry per non-empty grid cell, ascending by cell
   /// id. Each array is individually refcounted so a clone-patch-publish
   /// update copies only the arrays it changes (an in-place aggregate patch
-  /// shares `cells`, which it never touches). Never null — empty states
-  /// hold empty vectors.
-  std::shared_ptr<const std::vector<uint64_t>> cells;
-  std::shared_ptr<const std::vector<uint32_t>> offsets;
-  std::shared_ptr<const std::vector<uint32_t>> counts;
-  std::shared_ptr<const std::vector<uint64_t>> min_keys;
-  std::shared_ptr<const std::vector<uint64_t>> max_keys;
-  std::shared_ptr<const std::vector<ColumnAggregate>> column_aggs;
-
-  BlockState();
+  /// shares `cells`, which it never touches). An array owns a heap vector
+  /// (build, update commits) or is a view of the payload the state was
+  /// decoded from (a lazily opened set's mapping, or a read buffer), which
+  /// it keeps alive.
+  CellArray<uint64_t> cells;
+  CellArray<uint32_t> offsets;
+  CellArray<uint32_t> counts;
+  CellArray<uint64_t> min_keys;
+  CellArray<uint64_t> max_keys;
+  CellArray<ColumnAggregate> column_aggs;
 
   /// @return Number of (non-empty) cell aggregates in this version.
-  size_t num_cells() const { return cells->size(); }
+  size_t num_cells() const { return cells.size(); }
 
   /// @param idx Cell-aggregate index.
   /// @return The per-column aggregates of the idx-th cell.
   const ColumnAggregate* cell_columns(size_t idx) const {
-    return column_aggs->data() + idx * num_columns;
+    return column_aggs.data() + idx * num_columns;
   }
 
   /// Constant-time pre-check: can `cell` overlap this state at all?
   bool MayOverlap(cell::CellId cell) const {
-    return !cells->empty() && cell.RangeMax().id() >= header.min_cell &&
+    return !cells.empty() && cell.RangeMax().id() >= header.min_cell &&
            cell.RangeMin().id() <= header.max_cell;
   }
 
@@ -151,19 +153,6 @@ struct BlockState {
   /// Bytes used by the cell aggregates of this version.
   size_t CellAggregateBytes() const;
 };
-
-/// True iff `p` is the only reference to its object, with acquire
-/// ordering: use_count() alone is a relaxed load, which does not order the
-/// other holders' last reads (a reader dropping its StateSnapshot pin)
-/// before the caller reuses the object. Copying `p` increments the same
-/// counter with an acq_rel RMW, which synchronizes with every earlier
-/// holder's release decrement.
-template <typename T>
-bool SoleOwner(const std::shared_ptr<T>& p) {
-  if (p == nullptr || p.use_count() != 1) return false;
-  const std::shared_ptr<T> sync = p;
-  return true;
-}
 
 /// Writer-side recycling slot for retired BlockState versions. Every update
 /// commit clones the touched aggregate arrays; without reuse the steady
@@ -507,10 +496,11 @@ class GeoBlock {
   /// @return Total bytes of the block (header + cell aggregates).
   size_t MemoryBytes() const;
 
-  /// Persists the block in a self-contained binary payload (format v2,
+  /// Persists the block in a self-contained binary payload (format v3,
   /// docs/FORMAT.md: magic, version, level, schema width, projection
   /// domain, key range, global aggregate, the parallel cell-aggregate
-  /// arrays, and the build filter). GeoBlocks are materialized views;
+  /// arrays, and the build filter; every array starts on an 8-byte
+  /// boundary of the payload). GeoBlocks are materialized views;
   /// storing them avoids re-extracting on restart. The payload does not
   /// reference the base data, so a loaded block answers SELECT/COUNT but
   /// cannot refine until data is re-attached (AttachData). The currently
@@ -523,14 +513,31 @@ class GeoBlock {
   ///     little-endian).
   void WriteTo(std::ostream& out) const;
 
-  /// Loads a block written by WriteTo (format v2, or the filter-less v1).
+  /// Loads a block written by WriteTo (format v3, or the older v2 and the
+  /// filter-less v1). The cell arrays are copied out of the stream.
   ///
   /// @param in Source stream (open in binary mode).
   /// @return The loaded, self-contained block (empty DatasetView).
   /// @throws std::runtime_error on bad magic, an unsupported version, a
-  ///     level outside [0, CellId::kMaxLevel], truncation, or inconsistent
-  ///     array lengths.
+  ///     level outside [0, CellId::kMaxLevel], truncation, a non-zero pad
+  ///     byte, or inconsistent array lengths.
   static GeoBlock ReadFrom(std::istream& in);
+
+  /// Decodes the payload at the front of `bytes` without copying it: every
+  /// cell array whose bytes are aligned for its element type is a view of
+  /// `bytes`, which `owner` keeps alive for as long as any state version
+  /// shares the array. A misaligned array is copied; only a v1/v2 payload,
+  /// or bytes not 8-aligned in memory, have them. Validates exactly what
+  /// the stream overload does, with every array length checked against
+  /// the bytes that remain.
+  ///
+  /// @param owner    Keeps `bytes` alive (a mapping, a read buffer).
+  /// @param bytes    The payload, possibly followed by other bytes.
+  /// @param consumed Receives the payload's length in bytes.
+  /// @return The loaded, self-contained block (empty DatasetView).
+  /// @throws std::runtime_error as the stream overload.
+  static GeoBlock ReadFrom(std::shared_ptr<const void> owner,
+                           std::string_view bytes, size_t* consumed);
 
   /// WriteTo for an explicitly pinned state version: BlockSet::WriteTo
   /// pins each shard's state once and serializes exactly that version, so
@@ -579,21 +586,19 @@ class GeoBlock {
 
   // Raw cell-aggregate accessors (tests, serialization, the trie builder —
   // writer-quiesced use only; see the class comment).
-  const std::vector<uint64_t>& cells() const { return *CurrentState()->cells; }
-  const std::vector<uint32_t>& offsets() const {
-    return *CurrentState()->offsets;
+  const CellArray<uint64_t>& cells() const { return CurrentState()->cells; }
+  const CellArray<uint32_t>& offsets() const {
+    return CurrentState()->offsets;
   }
-  const std::vector<uint32_t>& counts() const {
-    return *CurrentState()->counts;
-  }
+  const CellArray<uint32_t>& counts() const { return CurrentState()->counts; }
   const ColumnAggregate* cell_columns(size_t idx) const {
     return CurrentState()->cell_columns(idx);
   }
   uint64_t cell_min_key(size_t idx) const {
-    return (*CurrentState()->min_keys)[idx];
+    return CurrentState()->min_keys[idx];
   }
   uint64_t cell_max_key(size_t idx) const {
-    return (*CurrentState()->max_keys)[idx];
+    return CurrentState()->max_keys[idx];
   }
 
  private:
@@ -607,6 +612,12 @@ class GeoBlock {
 
   /// Publishes an update successor and advances the routing atomics.
   void PublishState(std::shared_ptr<const BlockState> state);
+
+  /// The payload decoder behind both ReadFrom overloads, over a reader
+  /// that either copies arrays out of a stream or aliases them in place.
+  /// Defined in serialize.cc.
+  template <typename Reader>
+  static GeoBlock Decode(Reader& in);
 
   storage::DatasetView data_;
   storage::Filter filter_;

@@ -1,10 +1,11 @@
 // Implementation of every persistent format in the repo (byte-level spec:
 // docs/FORMAT.md). Two formats share the serialize.h primitives:
 //
-//   GeoBlock payload ("GBLK", v2):  level, schema width, projection domain,
+//   GeoBlock payload ("GBLK", v3):  level, schema width, projection domain,
 //       key range, global aggregate, parallel cell-aggregate arrays, build
-//       filter (v2; v1 payloads without the filter are still read).
-//   BlockSet container ("GBST", v2): a CRC-checksummed manifest (shard
+//       filter, every array on an 8-byte boundary of the payload (the
+//       packed v2 and the filter-less v1 are still read).
+//   BlockSet container ("GBST", v3): a CRC-checksummed manifest (shard
 //       boundaries, row windows, state row counts, payload table, change
 //       number) followed by one GeoBlock payload per shard, each
 //       individually checksummed, then a checksummed pending-updates
@@ -15,16 +16,19 @@
 // codec (core/update_codec.h) with the pending section here.
 #include "core/serialize.h"
 
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
 #include "core/scan_kernels.h"
 #include "core/update_codec.h"
-#include "io/mapped_file.h"
 
 namespace geoblocks::core {
 
@@ -40,49 +44,187 @@ uint32_t Crc32(std::string_view bytes) {
 namespace {
 
 using serialize::ReadPod;
-using serialize::ReadVector;
 using serialize::WritePod;
-using serialize::WriteVector;
 
-void WriteAggregateVector(std::ostream& out, const AggregateVector& agg) {
-  WritePod<uint64_t>(out, agg.count);
-  WriteVector(out, agg.columns);
-}
+/// Zero bytes that take a payload position `pos` to the next multiple of 8.
+size_t PadTo8(size_t pos) { return (8 - pos % 8) % 8; }
 
-AggregateVector ReadAggregateVector(std::istream& in) {
-  AggregateVector agg;
-  agg.count = ReadPod<uint64_t>(in);
-  agg.columns = ReadVector<ColumnAggregate>(in);
-  return agg;
-}
-
-void WriteFilter(std::ostream& out, const storage::Filter& filter) {
-  WritePod<uint64_t>(out, filter.predicates().size());
-  for (const storage::Predicate& p : filter.predicates()) {
-    WritePod<int32_t>(out, p.column);
-    WritePod<uint32_t>(out, static_cast<uint32_t>(p.op));
-    WritePod<double>(out, p.value);
+/// Throws unless the `n` bytes at `bytes` are all zero (pad bytes).
+void CheckZero(const char* bytes, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (bytes[i] != 0) {
+      throw std::runtime_error("geoblocks: non-zero pad byte in GeoBlock");
+    }
   }
 }
 
-storage::Filter ReadFilter(std::istream& in, size_t num_columns) {
-  const uint64_t n = ReadPod<uint64_t>(in);
+/// Writes a GBLK payload, counting its bytes so each array can be padded
+/// to an 8-byte boundary of the payload.
+class PayloadWriter {
+ public:
+  explicit PayloadWriter(std::ostream& out) : out_(out) {}
+
+  template <typename T>
+  void Pod(const T& value) {
+    WritePod(out_, value);
+    pos_ += sizeof(T);
+  }
+
+  /// u64 element count, the elements' raw bytes, then zero pad bytes.
+  template <typename T>
+  void Array(std::span<const T> values) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Pod<uint64_t>(values.size());
+    out_.write(reinterpret_cast<const char*>(values.data()),
+               static_cast<std::streamsize>(values.size_bytes()));
+    pos_ += values.size_bytes();
+    Align();
+  }
+
+  void Align() {
+    static constexpr char kZeros[8] = {};
+    const size_t n = PadTo8(pos_);
+    out_.write(kZeros, static_cast<std::streamsize>(n));
+    pos_ += n;
+  }
+
+ private:
+  std::ostream& out_;
+  size_t pos_ = 0;
+};
+
+/// Payload reader over a stream: arrays are copied into owned vectors.
+class StreamReader {
+ public:
+  explicit StreamReader(std::istream& in) : in_(in) {}
+
+  template <typename T>
+  T Pod() {
+    pos_ += sizeof(T);
+    return ReadPod<T>(in_);
+  }
+
+  template <typename T>
+  CellArray<T> Array(uint64_t count) {
+    std::vector<T> values(count);
+    in_.read(reinterpret_cast<char*>(values.data()),
+             static_cast<std::streamsize>(count * sizeof(T)));
+    if (!in_) throw std::runtime_error("geoblocks: truncated stream");
+    pos_ += count * sizeof(T);
+    return CellArray<T>(std::move(values));
+  }
+
+  /// Consumes `n` bytes that must be zero.
+  void Pad(size_t n) {
+    char pad[8] = {};
+    in_.read(pad, static_cast<std::streamsize>(n));
+    if (!in_) throw std::runtime_error("geoblocks: truncated stream");
+    pos_ += n;
+    CheckZero(pad, n);
+  }
+
+  size_t pos() const { return pos_; }
+
+ private:
+  std::istream& in_;
+  size_t pos_ = 0;
+};
+
+/// Payload reader over bytes that `owner` keeps alive: an array whose
+/// bytes are aligned for its element type is a view of them, any other is
+/// copied.
+class ByteReader {
+ public:
+  ByteReader(std::shared_ptr<const void> owner, std::string_view bytes)
+      : owner_(std::move(owner)), bytes_(bytes) {}
+
+  template <typename T>
+  T Pod() {
+    if (bytes_.size() - pos_ < sizeof(T)) {
+      throw std::runtime_error("geoblocks: truncated stream");
+    }
+    T value;
+    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return value;
+  }
+
+  template <typename T>
+  CellArray<T> Array(uint64_t count) {
+    if (count > (bytes_.size() - pos_) / sizeof(T)) {
+      throw std::runtime_error("geoblocks: truncated stream");
+    }
+    const char* at = bytes_.data() + pos_;
+    pos_ += count * sizeof(T);
+    if (count == 0) return CellArray<T>();
+    if (reinterpret_cast<uintptr_t>(at) % alignof(T) == 0) {
+      return CellArray<T>(owner_, reinterpret_cast<const T*>(at), count);
+    }
+    std::vector<T> values(count);
+    std::memcpy(values.data(), at, count * sizeof(T));
+    return CellArray<T>(std::move(values));
+  }
+
+  void Pad(size_t n) {
+    if (bytes_.size() - pos_ < n) {
+      throw std::runtime_error("geoblocks: truncated stream");
+    }
+    CheckZero(bytes_.data() + pos_, n);
+    pos_ += n;
+  }
+
+  size_t pos() const { return pos_; }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  std::string_view bytes_;
+  size_t pos_ = 0;
+};
+
+/// Reads a length-prefixed array; in the aligned (v3) layout the zero pad
+/// after it too.
+template <typename T, typename Reader>
+CellArray<T> ReadArray(Reader& in, bool aligned) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const uint64_t count = in.template Pod<uint64_t>();
+  if (count > serialize::kMaxPayloadBytes / sizeof(T)) {
+    throw std::runtime_error("geoblocks: implausible vector size");
+  }
+  CellArray<T> values = in.template Array<T>(count);
+  if (aligned) in.Pad(PadTo8(in.pos()));
+  return values;
+}
+
+void WriteFilter(PayloadWriter& out, const storage::Filter& filter) {
+  out.Pod<uint64_t>(filter.predicates().size());
+  for (const storage::Predicate& p : filter.predicates()) {
+    out.Pod<int32_t>(p.column);
+    out.Pod<uint32_t>(static_cast<uint32_t>(p.op));
+    out.Pod<double>(p.value);
+  }
+}
+
+template <typename Reader>
+storage::Filter ReadFilter(Reader& in, size_t num_columns) {
+  const uint64_t n = in.template Pod<uint64_t>();
   if (n > serialize::kMaxPayloadBytes / 16) {
     throw std::runtime_error("geoblocks: implausible predicate count");
   }
-  std::vector<storage::Predicate> predicates(n);
-  for (storage::Predicate& p : predicates) {
-    p.column = ReadPod<int32_t>(in);
+  std::vector<storage::Predicate> predicates;
+  for (uint64_t i = 0; i < n; ++i) {
+    storage::Predicate p;
+    p.column = in.template Pod<int32_t>();
     if (p.column < 0 || static_cast<size_t>(p.column) >= num_columns) {
       throw std::runtime_error(
           "geoblocks: filter predicate column out of range");
     }
-    const uint32_t op = ReadPod<uint32_t>(in);
+    const uint32_t op = in.template Pod<uint32_t>();
     if (op > static_cast<uint32_t>(storage::CompareOp::kNe)) {
       throw std::runtime_error("geoblocks: invalid filter operator");
     }
     p.op = static_cast<storage::CompareOp>(op);
-    p.value = ReadPod<double>(in);
+    p.value = in.template Pod<double>();
+    predicates.push_back(p);
   }
   return storage::Filter(std::move(predicates));
 }
@@ -101,82 +243,101 @@ void GeoBlock::WriteTo(std::ostream& out) const {
   WriteStateTo(out, *state);
 }
 
-void GeoBlock::WriteStateTo(std::ostream& out, const BlockState& state_ref)
-    const {
+void GeoBlock::WriteStateTo(std::ostream& out, const BlockState& state) const {
   serialize::RequireLittleEndianHost();
-  const BlockState* state = &state_ref;
-  WritePod(out, serialize::kBlockMagic);
-  WritePod(out, serialize::kBlockVersion);
-  WritePod<int32_t>(out, state->header.level);
-  WritePod<uint64_t>(out, num_columns_);
+  PayloadWriter w(out);
+  w.Pod(serialize::kBlockMagic);
+  w.Pod(serialize::kBlockVersion);
+  w.Pod<int32_t>(state.header.level);
+  w.Align();
+  w.Pod<uint64_t>(num_columns_);
   const geo::Rect domain = projection_.domain();
-  WritePod(out, domain.min.x);
-  WritePod(out, domain.min.y);
-  WritePod(out, domain.max.x);
-  WritePod(out, domain.max.y);
-  WritePod<uint64_t>(out, state->header.min_cell);
-  WritePod<uint64_t>(out, state->header.max_cell);
-  WriteAggregateVector(out, state->header.global);
-  WriteVector(out, *state->cells);
-  WriteVector(out, *state->offsets);
-  WriteVector(out, *state->counts);
-  WriteVector(out, *state->min_keys);
-  WriteVector(out, *state->max_keys);
-  WriteVector(out, *state->column_aggs);
-  WriteFilter(out, filter_);
+  w.Pod(domain.min.x);
+  w.Pod(domain.min.y);
+  w.Pod(domain.max.x);
+  w.Pod(domain.max.y);
+  w.Pod<uint64_t>(state.header.min_cell);
+  w.Pod<uint64_t>(state.header.max_cell);
+  w.Pod<uint64_t>(state.header.global.count);
+  w.Array(std::span<const ColumnAggregate>(state.header.global.columns));
+  w.Array(state.cells.span());
+  w.Array(state.offsets.span());
+  w.Array(state.counts.span());
+  w.Array(state.min_keys.span());
+  w.Array(state.max_keys.span());
+  w.Array(state.column_aggs.span());
+  WriteFilter(w, filter_);
 }
 
-GeoBlock GeoBlock::ReadFrom(std::istream& in) {
+template <typename Reader>
+GeoBlock GeoBlock::Decode(Reader& in) {
   serialize::RequireLittleEndianHost();
-  if (ReadPod<uint32_t>(in) != serialize::kBlockMagic) {
+  if (in.template Pod<uint32_t>() != serialize::kBlockMagic) {
     throw std::runtime_error("geoblocks: not a GeoBlock stream");
   }
-  const uint32_t version = ReadPod<uint32_t>(in);
+  const uint32_t version = in.template Pod<uint32_t>();
   if (version < serialize::kBlockMinVersion ||
       version > serialize::kBlockVersion) {
     throw std::runtime_error("geoblocks: unsupported GeoBlock version");
   }
+  // v3 starts every field after the level, and every array, on an 8-byte
+  // boundary of the payload; v1/v2 are packed.
+  const bool aligned = version >= 3;
   GeoBlock block;
   auto state = std::make_shared<BlockState>();
-  state->header.level = ReadPod<int32_t>(in);
+  state->header.level = in.template Pod<int32_t>();
   if (state->header.level < 0 ||
       state->header.level > cell::CellId::kMaxLevel) {
     throw std::runtime_error("geoblocks: GeoBlock level out of range");
   }
+  if (aligned) in.Pad(PadTo8(in.pos()));
   block.level_ = state->header.level;
-  block.num_columns_ = ReadPod<uint64_t>(in);
+  block.num_columns_ = in.template Pod<uint64_t>();
+  if (block.num_columns_ >
+      serialize::kMaxPayloadBytes / sizeof(ColumnAggregate)) {
+    throw std::runtime_error("geoblocks: implausible GeoBlock schema width");
+  }
   state->num_columns = block.num_columns_;
   geo::Rect domain;
-  domain.min.x = ReadPod<double>(in);
-  domain.min.y = ReadPod<double>(in);
-  domain.max.x = ReadPod<double>(in);
-  domain.max.y = ReadPod<double>(in);
+  domain.min.x = in.template Pod<double>();
+  domain.min.y = in.template Pod<double>();
+  domain.max.x = in.template Pod<double>();
+  domain.max.y = in.template Pod<double>();
   block.projection_ = geo::Projection(domain);
-  state->header.min_cell = ReadPod<uint64_t>(in);
-  state->header.max_cell = ReadPod<uint64_t>(in);
-  state->header.global = ReadAggregateVector(in);
-  state->cells = std::make_shared<const std::vector<uint64_t>>(
-      ReadVector<uint64_t>(in));
-  state->offsets = std::make_shared<const std::vector<uint32_t>>(
-      ReadVector<uint32_t>(in));
-  state->counts = std::make_shared<const std::vector<uint32_t>>(
-      ReadVector<uint32_t>(in));
-  state->min_keys = std::make_shared<const std::vector<uint64_t>>(
-      ReadVector<uint64_t>(in));
-  state->max_keys = std::make_shared<const std::vector<uint64_t>>(
-      ReadVector<uint64_t>(in));
-  state->column_aggs = std::make_shared<const std::vector<ColumnAggregate>>(
-      ReadVector<ColumnAggregate>(in));
-  if (version >= 2) {
-    block.filter_ = ReadFilter(in, block.num_columns_);
-  }
-  const size_t n = state->cells->size();
-  if (state->offsets->size() != n || state->counts->size() != n ||
-      state->min_keys->size() != n || state->max_keys->size() != n ||
-      state->column_aggs->size() != n * block.num_columns_) {
+  state->header.min_cell = in.template Pod<uint64_t>();
+  state->header.max_cell = in.template Pod<uint64_t>();
+  state->header.global.count = in.template Pod<uint64_t>();
+  const CellArray<ColumnAggregate> global =
+      ReadArray<ColumnAggregate>(in, aligned);
+  state->header.global.columns.assign(global.begin(), global.end());
+  state->cells = ReadArray<uint64_t>(in, aligned);
+  state->offsets = ReadArray<uint32_t>(in, aligned);
+  state->counts = ReadArray<uint32_t>(in, aligned);
+  state->min_keys = ReadArray<uint64_t>(in, aligned);
+  state->max_keys = ReadArray<uint64_t>(in, aligned);
+  state->column_aggs = ReadArray<ColumnAggregate>(in, aligned);
+  if (version >= 2) block.filter_ = ReadFilter(in, block.num_columns_);
+  const size_t n = state->cells.size();
+  if (state->header.global.columns.size() != block.num_columns_ ||
+      state->offsets.size() != n || state->counts.size() != n ||
+      state->min_keys.size() != n || state->max_keys.size() != n ||
+      state->column_aggs.size() != n * block.num_columns_) {
     throw std::runtime_error("geoblocks: inconsistent GeoBlock arrays");
   }
   block.InstallState(std::move(state));
+  return block;
+}
+
+GeoBlock GeoBlock::ReadFrom(std::istream& in) {
+  StreamReader reader(in);
+  return Decode(reader);
+}
+
+GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
+                            std::string_view bytes, size_t* consumed) {
+  ByteReader reader(std::move(owner), bytes);
+  GeoBlock block = Decode(reader);
+  *consumed = reader.pos();
   return block;
 }
 
@@ -188,7 +349,7 @@ GeoBlock GeoBlock::ReadFrom(std::istream& in) {
 //
 //   offset            size      field
 //   0                 4         magic "GBST"
-//   4                 4         format version (2)
+//   4                 4         format version (3)
 //   8                 4         flags (reserved, 0)
 //   12                4         align_level (i32)
 //   16                8         shard count K (u64)
@@ -203,12 +364,16 @@ GeoBlock GeoBlock::ReadFrom(std::istream& in) {
 //                               u64), offsets relative to the end of the
 //                               manifest, contiguous
 //   ...               K*4       payload CRC-32s (u32)
+//   ...               4*(K%2)   zero pad: the next field, and the manifest
+//                               end, fall on a multiple of 8
 //   ...               8         pending_bytes (u64): size of the
 //                               pending-updates section after the payloads
 //   ...               4         pending section CRC-32 (u32)
 //   ...               4         manifest CRC-32 over all preceding bytes
 //
-// Manifest size: 64 + 52*K bytes. Shard payloads follow back to back, then
+// Manifest size: serialize::ManifestBytes(K) = 64 + 52*K bytes rounded up
+// to a multiple of 8. Shard payloads (each a multiple of 8 bytes) follow
+// back to back, so each starts 8-aligned in a page-aligned mapping; then
 // the pending-updates section: per shard in order, u64 tuple count followed
 // by that many encoded update tuples (core/update_codec.h). The writer
 // always writes K zero counts.
@@ -269,6 +434,7 @@ void BlockSet::WriteTo(std::ostream& out) const {
   for (const std::string& p : payloads) {
     WritePod<uint32_t>(manifest, serialize::Crc32(p));
   }
+  if (k % 2 == 1) WritePod<uint32_t>(manifest, 0);  // pad
   WritePod<uint64_t>(manifest, pending_section.size());
   WritePod<uint32_t>(manifest, serialize::Crc32(pending_section));
   const std::string manifest_bytes = std::move(manifest).str();
@@ -320,8 +486,7 @@ SetManifest ReadSetManifest(std::istream& in) {
 
   // Read the rest of the manifest and verify its checksum before trusting
   // any field.
-  const size_t rest_bytes =
-      (k + 1) * 8 + k * 16 + k * 8 + k * 16 + k * 4 + 8 + 4 + 4;
+  const size_t rest_bytes = ManifestBytes(k) - sizeof(prefix);
   std::string manifest(sizeof(prefix) + rest_bytes, '\0');
   std::memcpy(manifest.data(), prefix, sizeof(prefix));
   in.read(manifest.data() + sizeof(prefix),
@@ -391,6 +556,12 @@ SetManifest ReadSetManifest(std::istream& in) {
   for (size_t i = 0; i < k; ++i, pos += 4) {
     m.payload_crcs[i] = read_u32_at(pos);
   }
+  if (k % 2 == 1) {
+    if (read_u32_at(pos) != 0) {
+      throw std::runtime_error("geoblocks: non-zero pad in BlockSet manifest");
+    }
+    pos += 4;
+  }
   m.pending_bytes = read_u64_at(pos);
   pos += 8;
   m.pending_crc = read_u32_at(pos);
@@ -403,16 +574,19 @@ SetManifest ReadSetManifest(std::istream& in) {
 
 }  // namespace serialize
 
-GeoBlock BlockSet::ParseShardPayload(std::string_view payload,
+GeoBlock BlockSet::ParseShardPayload(std::shared_ptr<const void> owner,
+                                     std::string_view payload,
                                      const serialize::SetManifest& m,
                                      size_t s, const GeoBlock* reference) {
+  // Every payload byte is verified before any is trusted — also on each
+  // re-fault, since the decoded arrays are views of these very bytes.
   if (serialize::Crc32(payload) != m.payload_crcs[s]) {
     throw std::runtime_error(
         "geoblocks: BlockSet shard payload checksum mismatch");
   }
-  io::ViewStream payload_stream(payload);
-  GeoBlock block = GeoBlock::ReadFrom(payload_stream);
-  if (payload_stream.peek() != std::istream::traits_type::eof()) {
+  size_t consumed = 0;
+  GeoBlock block = GeoBlock::ReadFrom(std::move(owner), payload, &consumed);
+  if (consumed != payload.size()) {
     throw std::runtime_error(
         "geoblocks: BlockSet shard payload has trailing bytes");
   }
@@ -471,7 +645,8 @@ BlockSet BlockSet::FromManifest(const serialize::SetManifest& m) {
   return set;
 }
 
-void BlockSet::HydrateShard(size_t s, std::string_view payload,
+void BlockSet::HydrateShard(size_t s, std::shared_ptr<const void> owner,
+                            std::string_view payload,
                             const serialize::SetManifest& m) const {
   // First hydration adopts the payload's configuration (level, schema,
   // projection, filter) and seeds the routing hull; a re-fault after
@@ -480,7 +655,8 @@ void BlockSet::HydrateShard(size_t s, std::string_view payload,
   ShardResidency& res = *residency_[s];
   const bool first = !res.hull_known.load(std::memory_order_relaxed);
   blocks_[s]->AdoptDeserialized(
-      ParseShardPayload(payload, m, s, s == 0 ? nullptr : blocks_[0].get()),
+      ParseShardPayload(std::move(owner), payload, m, s,
+                        s == 0 ? nullptr : blocks_[0].get()),
       /*adopt_config=*/first);
   res.hull_known.store(true, std::memory_order_release);
   res.resident.store(true, std::memory_order_release);
@@ -532,17 +708,19 @@ BlockSet BlockSet::ReadFrom(std::istream& in) {
   BlockSet set = FromManifest(m);
 
   // Shard payloads, in shard order (shard 0 donates the configuration the
-  // others are cross-checked against): each is read whole and parsed in
-  // isolation, so a payload that lies about its length cannot bleed into
-  // its neighbor.
-  std::string payload;
+  // others are cross-checked against): each is read whole into its own
+  // 8-aligned buffer and parsed in isolation, so a payload that lies about
+  // its length cannot bleed into its neighbor. The shard's arrays are
+  // views of that buffer, which they keep alive.
   for (size_t i = 0; i < m.shard_count; ++i) {
-    payload.resize(m.payload_sizes[i]);
-    in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
+    const std::shared_ptr<char> payload =
+        serialize::NewPayloadBuffer(m.payload_sizes[i]);
+    in.read(payload.get(), static_cast<std::streamsize>(m.payload_sizes[i]));
     if (!in) {
       throw std::runtime_error("geoblocks: truncated BlockSet shard payload");
     }
-    set.HydrateShard(i, payload, m);
+    set.HydrateShard(i, payload,
+                     std::string_view(payload.get(), m.payload_sizes[i]), m);
   }
   set.level_ = set.blocks_.front()->level();
   set.projection_ = set.blocks_.front()->projection();

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
@@ -36,19 +37,23 @@ inline constexpr uint32_t kSetMagic = 0x54534247;
 /// First four bytes of an update log (WAL) file: "GWAL".
 inline constexpr uint32_t kWalMagic = 0x4C415747;
 
-/// Current GeoBlock payload version. v2 appends the block's filter
+/// Current GeoBlock payload version. v3 puts every field after the level,
+/// and every array, on an 8-byte boundary of the payload (zero pad bytes),
+/// so a decoder can use the arrays in place. v2 appended the block's filter
 /// predicates so refinement after BlockSet::AttachDataset re-aggregates
-/// exactly the rows the original build did; v1 payloads (no filter field)
-/// are still read and yield an empty (match-all) filter.
-inline constexpr uint32_t kBlockVersion = 2;
+/// exactly the rows the original build did. v2 and v1 (no filter field,
+/// read as an empty match-all filter) payloads are still read.
+inline constexpr uint32_t kBlockVersion = 3;
 /// Oldest GeoBlock payload version ReadFrom still accepts.
 inline constexpr uint32_t kBlockMinVersion = 1;
-/// Current BlockSet manifest version. v2 adds the set's committed change
-/// number, a per-shard state-row array (restoring the exact manifest ↔
-/// payload row cross-check that v1's permissive `>=` had lost), and a
-/// pending-updates section (written empty; a reader commits any tuples it
-/// holds).
-inline constexpr uint32_t kSetVersion = 2;
+/// Current BlockSet manifest version, the only one a reader accepts. v3
+/// pads the manifest to a multiple of 8 bytes and carries GBLK v3
+/// payloads, so every payload array is aligned in a page-aligned mapping.
+/// v2 added the set's committed change number, a per-shard state-row array
+/// (restoring the exact manifest ↔ payload row cross-check that v1's
+/// permissive `>=` had lost), and a pending-updates section (written
+/// empty; a reader commits any tuples it holds).
+inline constexpr uint32_t kSetVersion = 3;
 /// Current update-log (WAL) file version.
 inline constexpr uint32_t kWalVersion = 1;
 /// Byte size of the WAL file header (docs/FORMAT.md §Update log).
@@ -120,32 +125,13 @@ T ReadPod(std::istream& in) {
   return value;
 }
 
-/// Writes a length-prefixed array: u64 element count, then the elements'
-/// raw bytes back to back.
-template <typename T>
-void WriteVector(std::ostream& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WritePod<uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-/// Reads a length-prefixed array written by WriteVector.
-///
-/// @throws std::runtime_error on truncation or an implausible element count
-///     (more than kMaxPayloadBytes of payload), which indicates corruption.
-template <typename T>
-std::vector<T> ReadVector(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const uint64_t size = ReadPod<uint64_t>(in);
-  if (size > kMaxPayloadBytes / sizeof(T)) {
-    throw std::runtime_error("geoblocks: implausible vector size");
-  }
-  std::vector<T> v(size);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size * sizeof(T)));
-  if (!in) throw std::runtime_error("geoblocks: truncated stream");
-  return v;
+/// A heap buffer for `size` payload bytes, 8-aligned so a decoder can use
+/// its arrays in place; the bytes are uninitialized.
+inline std::shared_ptr<char> NewPayloadBuffer(size_t size) {
+  std::shared_ptr<uint64_t[]> words =
+      std::make_shared_for_overwrite<uint64_t[]>(size / 8 + 1);
+  char* bytes = reinterpret_cast<char*>(words.get());
+  return std::shared_ptr<char>(std::move(words), bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,12 +166,20 @@ struct SetManifest {
   std::vector<uint32_t> payload_crcs;
   uint64_t pending_bytes = 0;
   uint32_t pending_crc = 0;
-  /// Total manifest size including its trailing CRC: 64 + 52 * shard_count.
+  /// Total manifest size including its trailing CRC:
+  /// ManifestBytes(shard_count).
   /// Payload offsets are relative to this position in the stream.
   uint64_t manifest_bytes = 0;
   /// Sum of payload_sizes (the payload region's total extent).
   uint64_t payload_bytes = 0;
 };
+
+/// Byte size of a K-shard BlockSet manifest, its trailing CRC included:
+/// 64 + 52·K bytes of fields plus the zero pad that rounds them up to a
+/// multiple of 8.
+inline constexpr uint64_t ManifestBytes(uint64_t shards) {
+  return (64 + 52 * shards + 7) / 8 * 8;
+}
 
 /// Reads and fully validates a BlockSet manifest from the current stream
 /// position: magic, version, flags, the manifest CRC, ascending boundaries,
@@ -195,7 +189,8 @@ struct SetManifest {
 /// @param in Source stream (open in binary mode).
 /// @return The decoded manifest.
 /// @throws std::runtime_error on truncation, bad magic, an unsupported
-///     version or flags, a checksum mismatch, or structural inconsistency.
+///     version or flags, a checksum mismatch, a non-zero pad, or
+///     structural inconsistency.
 SetManifest ReadSetManifest(std::istream& in);
 
 }  // namespace geoblocks::core::serialize

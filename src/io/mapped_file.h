@@ -12,9 +12,10 @@
 /// the pread path exists to sidestep in tests).
 ///
 /// ViewStream is the zero-copy companion: an std::istream over a borrowed
-/// byte range, so the existing stream-based deserializers (GeoBlock::
-/// ReadFrom and friends) parse straight out of the mapping without an
-/// intermediate std::string copy.
+/// byte range, so the stream-based manifest decoder parses straight out of
+/// the mapping without an intermediate std::string copy. Shard payloads
+/// skip the stream altogether: their arrays are views of the mapping
+/// (GeoBlock::ReadFrom over bytes).
 
 #include <cstddef>
 #include <istream>

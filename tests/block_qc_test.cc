@@ -205,7 +205,7 @@ TEST_F(BlockQCTest, BlockLevelCellsBypassTheCache) {
   // A covering of block-level cells only, with finer cells mixed in that
   // clamp to their block-level parents: every cell bypasses the cache.
   std::vector<cell::CellId> covering;
-  const std::vector<uint64_t>& cells = block_->cells();
+  const auto& cells = block_->cells();
   for (size_t i = 0; i < cells.size(); i += 7) {
     const cell::CellId c(cells[i]);
     covering.push_back(i % 3 == 0 ? c.Child(2) : c);

@@ -15,6 +15,7 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/serialize.h"
+#include "payload_layout.h"
 #include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
@@ -61,6 +62,10 @@ class BlockSetPersistTest : public ::testing::Test {
     req.Add(AggFn::kAvg, 3);
     return req;
   }
+
+  /// Checks a K-shard WriteTo image byte for byte against the manifest
+  /// layout documented in docs/FORMAT.md.
+  void ExpectDocumentedManifest(size_t kShards);
 
   static storage::ShardedDataset Shard(size_t k, int align_level = kLevel) {
     storage::ShardOptions options;
@@ -302,7 +307,7 @@ TEST_F(BlockSetPersistTest, RejectsWrongVersion) {
 TEST_F(BlockSetPersistTest, RejectsFlippedManifestChecksumByte) {
   const BlockSet set = BuildSet(4);
   std::string bytes = Serialized(set);
-  const size_t manifest_size = 64 + 52 * set.num_shards();
+  const size_t manifest_size = core::testing::ManifestBytes(set.num_shards());
   // Flip one byte of the stored manifest CRC.
   bytes[manifest_size - 1] ^= 0x01;
   EXPECT_THROW(Deserialized(bytes), std::runtime_error);
@@ -315,7 +320,7 @@ TEST_F(BlockSetPersistTest, RejectsFlippedManifestChecksumByte) {
 TEST_F(BlockSetPersistTest, RejectsCorruptShardPayload) {
   const BlockSet set = BuildSet(4);
   std::string bytes = Serialized(set);
-  const size_t manifest_size = 64 + 52 * set.num_shards();
+  const size_t manifest_size = core::testing::ManifestBytes(set.num_shards());
   // Flip a byte in the middle of the payload area: the per-shard CRC check
   // must catch it before the payload is parsed.
   bytes[manifest_size + (bytes.size() - manifest_size) / 2] ^= 0x01;
@@ -327,7 +332,8 @@ TEST_F(BlockSetPersistTest, RejectsTruncation) {
   // Truncations everywhere: inside the fixed prefix, inside the manifest
   // arrays, at the payload boundary, and mid-payload.
   for (const size_t keep :
-       {size_t{10}, size_t{40}, size_t{64 + 52 * 4 - 2}, size_t{64 + 52 * 4},
+       {size_t{10}, size_t{40}, core::testing::ManifestBytes(4) - 2,
+        core::testing::ManifestBytes(4),
         bytes.size() / 2, bytes.size() - 1}) {
     ASSERT_LT(keep, bytes.size());
     EXPECT_THROW(Deserialized(bytes.substr(0, keep)), std::runtime_error)
@@ -356,7 +362,7 @@ std::vector<core::GeoBlock::UpdateTuple> InCellBatchFor(
     const BlockSet& set, const storage::SortedDataset& data, size_t count,
     uint64_t seed) {
   std::mt19937_64 rng(seed);
-  const std::vector<uint64_t>& cells = set.shard(0).cells();
+  const auto& cells = set.shard(0).cells();
   std::vector<core::GeoBlock::UpdateTuple> batch;
   for (size_t i = 0; i < count; ++i) {
     const geo::Point unit =
@@ -376,7 +382,7 @@ std::vector<core::GeoBlock::UpdateTuple> NewRegionBatchFor(
     uint64_t seed) {
   std::vector<uint64_t> covered;
   for (size_t s = 0; s < set.num_shards(); ++s) {
-    const std::vector<uint64_t>& cells = set.shard(s).cells();
+    const auto& cells = set.shard(s).cells();
     covered.insert(covered.end(), cells.begin(), cells.end());
   }
   std::sort(covered.begin(), covered.end());
@@ -472,7 +478,7 @@ TEST_F(BlockSetPersistTest, RejectsStateRowManifestMismatch) {
   std::memcpy(&rows, bytes.data() + state_rows_pos, 8);
   rows += 1;
   std::memcpy(bytes.data() + state_rows_pos, &rows, 8);
-  const size_t manifest_size = 64 + 52 * k;
+  const size_t manifest_size = core::testing::ManifestBytes(k);
   const uint32_t crc = core::serialize::Crc32(
       std::string_view(bytes).substr(0, manifest_size - 4));
   std::memcpy(bytes.data() + manifest_size - 4, &crc, 4);
@@ -490,7 +496,14 @@ TEST_F(BlockSetPersistTest, Crc32MatchesKnownAnswer) {
 }
 
 TEST_F(BlockSetPersistTest, ManifestMatchesDocumentedOffsets) {
-  constexpr size_t kShards = 4;
+  // An even and an odd shard count: only the odd one needs the pad.
+  for (const size_t k : {size_t{4}, size_t{5}}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ExpectDocumentedManifest(k);
+  }
+}
+
+void BlockSetPersistTest::ExpectDocumentedManifest(size_t kShards) {
   const storage::ShardedDataset sharded = Shard(kShards);
   const BlockSet set =
       BlockSet::Build(sharded, BlockSetOptions{{kLevel, {}}});
@@ -514,7 +527,7 @@ TEST_F(BlockSetPersistTest, ManifestMatchesDocumentedOffsets) {
 
   // Fixed prefix, exactly as documented in docs/FORMAT.md.
   EXPECT_EQ(u32_at(0), 0x54534247u);  // magic "GBST"
-  EXPECT_EQ(u32_at(4), 2u);           // format version
+  EXPECT_EQ(u32_at(4), 3u);           // format version
   EXPECT_EQ(u32_at(8), 0u);           // flags (reserved)
   EXPECT_EQ(i32_at(12), kLevel);      // align_level
   EXPECT_EQ(u64_at(16), kShards);     // shard count
@@ -540,7 +553,8 @@ TEST_F(BlockSetPersistTest, ManifestMatchesDocumentedOffsets) {
   }
   // Payload table: contiguous (byte_offset, byte_size) pairs that tile the
   // payload area exactly.
-  const size_t manifest_size = 64 + 52 * kShards;
+  const size_t manifest_size = (64 + 52 * kShards + 7) / 8 * 8;
+  EXPECT_EQ(manifest_size % 8, 0u);
   uint64_t expected_offset = 0;
   std::vector<uint64_t> sizes(kShards);
   for (size_t i = 0; i < kShards; ++i, pos += 16) {
@@ -555,8 +569,16 @@ TEST_F(BlockSetPersistTest, ManifestMatchesDocumentedOffsets) {
               core::serialize::Crc32(
                   std::string_view(bytes).substr(payload_start, sizes[i])))
         << "payload crc " << i;
+    EXPECT_EQ(sizes[i] % 8, 0u) << "payload size " << i;
     payload_start += sizes[i];
   }
+  // Zero pad after the CRCs when K is odd, so pending_bytes (and the
+  // manifest end) fall on a multiple of 8.
+  if (kShards % 2 == 1) {
+    EXPECT_EQ(u32_at(pos), 0u) << "manifest pad";
+    pos += 4;
+  }
+  EXPECT_EQ(pos % 8, 0u);
   // Pending section descriptor: the writer always writes the section as
   // one u64 zero count per shard, appended after the payload area.
   const uint64_t pending_bytes = u64_at(pos);
@@ -576,7 +598,83 @@ TEST_F(BlockSetPersistTest, ManifestMatchesDocumentedOffsets) {
                              std::string_view(bytes).substr(0, pos)));
   // Each payload opens with the GeoBlock magic and current version.
   EXPECT_EQ(u32_at(manifest_size), 0x4B4C4247u);  // "GBLK"
-  EXPECT_EQ(u32_at(manifest_size + 4), 2u);
+  EXPECT_EQ(u32_at(manifest_size + 4), 3u);
+}
+
+TEST_F(BlockSetPersistTest, PayloadArraysAre8AlignedForEverySchema) {
+  // GBLK v3 inside GBST v3: every array of every payload starts on an
+  // 8-byte boundary of the file (so of a page-aligned mapping), for any
+  // schema width, with and without a filter, and for odd and even K.
+  for (size_t columns = 1; columns <= 7; ++columns) {
+    storage::PointTable table(storage::Schema{
+        std::vector<std::string>(columns, "c")});
+    for (size_t row = 0; row < 4000; ++row) {
+      std::vector<double> values(columns);
+      for (size_t c = 0; c < columns; ++c) {
+        values[c] = raw_->Value(row, c % raw_->num_columns());
+      }
+      table.AddRow(raw_->Location(row), values);
+    }
+    storage::ExtractOptions extract;
+    extract.clean_bounds = workload::NycBounds();
+    const auto data = std::make_shared<const storage::SortedDataset>(
+        storage::SortedDataset::Extract(table, extract));
+    for (const bool filtered : {false, true}) {
+      storage::Filter filter;
+      if (filtered) filter.Add({0, storage::CompareOp::kGt, 1.0});
+      for (const size_t k : {size_t{4}, size_t{5}}) {
+        SCOPED_TRACE("columns=" + std::to_string(columns) +
+                     " filtered=" + std::to_string(filtered) +
+                     " K=" + std::to_string(k));
+        storage::ShardOptions options;
+        options.num_shards = k;
+        options.align_level = kLevel;
+        const BlockSet set = BlockSet::Build(
+            storage::ShardedDataset::Partition(data, options),
+            BlockSetOptions{{kLevel, filter}});
+        const std::string bytes = Serialized(set);
+        std::istringstream in(bytes, std::ios::binary);
+        const core::serialize::SetManifest m =
+            core::serialize::ReadSetManifest(in);
+        ASSERT_EQ(m.manifest_bytes % 8, 0u);
+        for (size_t s = 0; s < k; ++s) {
+          const size_t start = m.manifest_bytes + m.payload_offsets[s];
+          const std::string_view payload =
+              std::string_view(bytes).substr(start, m.payload_sizes[s]);
+          const core::testing::PayloadLayout layout =
+              core::testing::WalkPayloadV3(payload);
+          ASSERT_EQ(layout.end, payload.size()) << "shard " << s;
+          ASSERT_EQ(layout.array_counts[0], columns) << "shard " << s;
+          for (const size_t at : layout.array_offsets) {
+            EXPECT_EQ((start + at) % 8, 0u) << "shard " << s << " @" << at;
+          }
+          EXPECT_EQ((start + layout.filter_offset) % 8, 0u);
+          for (const size_t at : layout.pad_offsets) {
+            EXPECT_EQ(payload[at], '\0') << "shard " << s << " pad @" << at;
+          }
+        }
+        // The loaders accept it and agree with the built set.
+        const BlockSet loaded = Deserialized(bytes);
+        EXPECT_EQ(loaded.num_cells(), set.num_cells());
+      }
+    }
+  }
+}
+
+TEST_F(BlockSetPersistTest, RejectsVersion2Container) {
+  // GBST accepts only its current version (docs/FORMAT.md §Versioning):
+  // a v2 manifest has no pad and carries packed payloads.
+  std::string bytes = Serialized(BuildSet(5));
+  const uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 4, &v2, 4);
+  try {
+    (void)Deserialized(bytes);
+    FAIL() << "a v2 container must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported BlockSet version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

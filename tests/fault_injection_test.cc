@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -118,7 +119,7 @@ class FaultInjectionTest : public ::testing::Test {
   /// Takes the cell list by value (snapshot it from shard(0).cells()
   /// BEFORE the server starts): GeoBlock accessors use the writer-side
   /// state peek, which must not race the server's batcher thread.
-  static Batch InCellBatch(const std::vector<uint64_t>& cells, size_t count,
+  static Batch InCellBatch(std::span<const uint64_t> cells, size_t count,
                            uint64_t seed) {
     std::mt19937_64 rng(seed);
     Batch batch;
@@ -184,7 +185,7 @@ class FaultInjectionTest : public ::testing::Test {
   static std::vector<geo::Polygon> ShardInteriorPolygons(const BlockSet& set) {
     std::vector<geo::Polygon> by_shard;
     for (size_t s = 0; s < set.num_shards(); ++s) {
-      const std::vector<uint64_t>& cells = set.shard(s).cells();
+      const auto& cells = set.shard(s).cells();
       if (cells.empty()) {
         ADD_FAILURE() << "shard " << s << " has no cells";
         return {};
@@ -271,7 +272,7 @@ TEST_F(FaultInjectionTest, BlockSetEntersStickyReadOnlyOnWalFailure) {
   auto log = UpdateLog::Open(wal_path, log_options);
   BlockSet set = BlockSet::OpenLogged(manifest_path, log.get());
   ASSERT_FALSE(set.read_only());
-  const std::vector<uint64_t> cells = set.shard(0).cells();
+  const core::CellArray<uint64_t> cells = set.shard(0).cells();
 
   // Two updates commit, then the device dies on fsync.
   const Batch b1 = InCellBatch(cells, 8, 1);
@@ -324,7 +325,7 @@ TEST_F(FaultInjectionTest, DegradedServerServesReadsAndReportsHealth) {
   log_options.shim = &shim;
   auto log = UpdateLog::Open(wal_path, log_options);
   BlockSet set = BlockSet::OpenLogged(manifest_path, log.get());
-  const std::vector<uint64_t> cells = set.shard(0).cells();
+  const core::CellArray<uint64_t> cells = set.shard(0).cells();
   ServerOptions options;
   options.pool = pool_;
   QueryServer server(&set, options);
@@ -560,7 +561,7 @@ TEST_F(FaultInjectionTest, ChaosMatrixRecoveryMatchesSerialOracle) {
       }
       auto log = UpdateLog::Open(wal_path, log_options);
       BlockSet set = BlockSet::OpenLogged(manifest_path, log.get());
-      const std::vector<uint64_t> cells = set.shard(0).cells();
+      const core::CellArray<uint64_t> cells = set.shard(0).cells();
       ServerOptions options;
       options.pool = pool_;
       QueryServer server(&set, options);

@@ -2,17 +2,20 @@
 // fault-in on first route, typed containment of corrupt payloads and
 // injected I/O errors, committing an older file's pending tuples, updates
 // against a mapped set, and WAL crash recovery from a mapped checkpoint.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/block_set.h"
@@ -20,6 +23,7 @@
 #include "core/memory_governor.h"
 #include "core/serialize.h"
 #include "io/update_log.h"
+#include "payload_layout.h"
 #include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "util/io_shim.h"
@@ -167,6 +171,39 @@ class LazyLoadTest : public ::testing::Test {
         0x5A;
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Flips one byte of the file at path_ in place (no truncation), so a
+  /// live mapping of the file sees the change.
+  void FlipFileByte(size_t at) const {
+    const int fd = ::open(path_.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    char c = 0;
+    ASSERT_EQ(::pread(fd, &c, 1, static_cast<off_t>(at)), 1);
+    c ^= 0x5A;
+    ASSERT_EQ(::pwrite(fd, &c, 1, static_cast<off_t>(at)), 1);
+    ::close(fd);
+  }
+
+  /// Asserts every byte of `array` lies inside `payload`.
+  template <typename T>
+  static void ExpectInside(const core::CellArray<T>& array,
+                           std::string_view payload, size_t shard) {
+    const char* begin = reinterpret_cast<const char*>(array.begin());
+    const char* end = reinterpret_cast<const char*>(array.end());
+    EXPECT_GE(begin, payload.data()) << "shard " << shard;
+    EXPECT_LE(end, payload.data() + payload.size()) << "shard " << shard;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(begin) % alignof(T), 0u);
+  }
+
+  /// Asserts no byte of `array` lies inside `payload`.
+  template <typename T>
+  static void ExpectOutside(const core::CellArray<T>& array,
+                            std::string_view payload) {
+    const char* begin = reinterpret_cast<const char*>(array.begin());
+    const char* end = reinterpret_cast<const char*>(array.end());
+    EXPECT_TRUE(end <= payload.data() ||
+                begin >= payload.data() + payload.size());
   }
 
   static storage::PointTable* raw_;
@@ -489,6 +526,161 @@ TEST_F(LazyLoadTest, AcknowledgedUpdatesSurviveCrashRecovery) {
   EXPECT_EQ(recovered.CountCovering(all), expected_count);
   EXPECT_EQ(recovered.CountCovering(all),
             (*data_)->num_rows() + batch.size());
+}
+
+// --------------------------------------------------------------------------
+// Faults decode from the mapping: a resident shard's arrays are views of its
+// CRC-verified payload bytes (docs/ARCHITECTURE.md §Memory governance)
+// --------------------------------------------------------------------------
+
+TEST_F(LazyLoadTest, FaultedArraysAliasTheMapping) {
+  WriteFile(BuildSet(kShards));
+  const BlockSet eager = Eager();
+  const BlockSet mapped = BlockSet::OpenMapped(path_);
+  const std::vector<cell::CellId> all{cell::CellId::Root()};
+  EXPECT_EQ(mapped.CountCovering(all), eager.CountCovering(all));
+  for (size_t s = 0; s < kShards; ++s) {
+    ASSERT_TRUE(mapped.shard_resident(s)) << "shard " << s;
+    const std::string_view payload = mapped.mapped_payload(s);
+    ASSERT_FALSE(payload.empty());
+    const std::shared_ptr<const core::BlockState> state =
+        mapped.shard(s).StateSnapshot();
+    ASSERT_GT(state->num_cells(), 0u);
+    ExpectInside(state->cells, payload, s);
+    ExpectInside(state->offsets, payload, s);
+    ExpectInside(state->counts, payload, s);
+    ExpectInside(state->min_keys, payload, s);
+    ExpectInside(state->max_keys, payload, s);
+    ExpectInside(state->column_aggs, payload, s);
+  }
+  EXPECT_TRUE(eager.mapped_payload(0).empty());
+  ExpectBitIdentical(mapped, eager);
+}
+
+TEST_F(LazyLoadTest, FlippedArrayOrPadByteFaultsOnEveryFault) {
+  WriteFile(BuildSet(kShards));
+  const BlockSet eager = Eager();
+  constexpr size_t kShard = 2;
+  const std::string good = ReadFileBytes();
+  core::serialize::SetManifest m;
+  {
+    std::istringstream in(good, std::ios::binary);
+    m = core::serialize::ReadSetManifest(in);
+  }
+  const size_t start = m.manifest_bytes + m.payload_offsets[kShard];
+  const core::testing::PayloadLayout layout = core::testing::WalkPayloadV3(
+      std::string_view(good).substr(start, m.payload_sizes[kShard]));
+  const auto covering = ShardCovering(eager, kShard);
+  const AggregateRequest req = Request();
+  const uint64_t want = eager.SelectCovering(covering, req).count;
+
+  // A byte of the counts array, and the header pad byte at offset 12.
+  for (const size_t at : {start + layout.array_offsets[3] + 1,
+                          start + layout.pad_offsets.front()}) {
+    SCOPED_TRACE("file byte " + std::to_string(at));
+    // First fault.
+    FlipFileByte(at);
+    {
+      const BlockSet mapped = BlockSet::OpenMapped(path_);
+      EXPECT_THROW((void)mapped.SelectCovering(covering, req),
+                   ShardFaultError);
+      EXPECT_FALSE(mapped.shard_resident(kShard));
+    }
+    FlipFileByte(at);
+
+    // Re-fault after eviction: the bytes are verified again, every time.
+    MemoryGovernor gov(MemoryGovernor::Options{0});
+    LazyOpenOptions options;
+    options.governor = &gov;
+    const BlockSet mapped = BlockSet::OpenMapped(path_, options);
+    EXPECT_EQ(mapped.SelectCovering(covering, req).count, want);
+    // Touch shard 0 last: the governor never evicts the most recently
+    // used entry.
+    (void)mapped.SelectCovering(ShardCovering(eager, 0), req);
+    gov.set_budget_bytes(1);
+    gov.EnsureBudget();
+    ASSERT_FALSE(mapped.shard_resident(kShard));
+    FlipFileByte(at);
+    EXPECT_THROW((void)mapped.SelectCovering(covering, req), ShardFaultError);
+    EXPECT_FALSE(mapped.shard_resident(kShard));
+    FlipFileByte(at);
+    gov.set_budget_bytes(0);
+    EXPECT_EQ(mapped.SelectCovering(covering, req).count, want);
+    EXPECT_TRUE(mapped.shard_resident(kShard));
+  }
+}
+
+TEST_F(LazyLoadTest, UpdateToMappedShardOwnsCommittedArrays) {
+  WriteFile(BuildSet(kShards));
+  BlockSet eager = Eager();
+  BlockSet mapped = BlockSet::OpenMapped(path_);
+  constexpr size_t kShard = 1;
+
+  // In-cell tuples for one shard: the commit rewrites every aggregate
+  // array and leaves the cell ids alone.
+  std::vector<GeoBlock::UpdateTuple> batch;
+  std::mt19937_64 rng(29);
+  const auto& cells = eager.shard(kShard).cells();
+  for (size_t i = 0; i < 50; ++i) {
+    GeoBlock::UpdateTuple t;
+    t.location = (*data_)->projection().FromUnit(
+        cell::CellId(cells[rng() % cells.size()]).CenterPoint());
+    t.values.assign((*data_)->num_columns(), 0.0);
+    for (size_t c = 0; c < t.values.size(); ++c) {
+      t.values[c] = static_cast<double>(rng() % 1000) / 8.0;
+    }
+    batch.push_back(std::move(t));
+  }
+  EXPECT_EQ(eager.ApplyBatchUpdate(batch).applied, batch.size());
+  EXPECT_EQ(mapped.ApplyBatchUpdate(batch).applied, batch.size());
+
+  const std::string_view payload = mapped.mapped_payload(kShard);
+  const std::shared_ptr<const core::BlockState> state =
+      mapped.shard(kShard).StateSnapshot();
+  for (const bool owned :
+       {state->offsets.owned(), state->counts.owned(),
+        state->min_keys.owned(), state->max_keys.owned(),
+        state->column_aggs.owned()}) {
+    EXPECT_TRUE(owned);
+  }
+  ExpectOutside(state->counts, payload);
+  ExpectOutside(state->column_aggs, payload);
+  // The unchanged cell ids still share the mapping.
+  EXPECT_FALSE(state->cells.owned());
+  ExpectInside(state->cells, payload, kShard);
+  ExpectBitIdentical(mapped, eager);
+
+  // WriteTo of the mixed state round-trips.
+  std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+  mapped.WriteTo(out);
+  const BlockSet reloaded = BlockSet::ReadFrom(out);
+  ExpectBitIdentical(reloaded, eager);
+}
+
+TEST_F(LazyLoadTest, PinnedStateOutlivesTheSet) {
+  WriteFile(BuildSet(kShards));
+  const BlockSet eager = Eager();
+  constexpr size_t kShard = 3;
+  const auto covering = ShardCovering(eager, kShard);
+  const AggregateRequest req = Request();
+  std::shared_ptr<const core::BlockState> pinned;
+  {
+    const BlockSet mapped = BlockSet::OpenMapped(path_);
+    (void)mapped.SelectCovering(covering, req);
+    pinned = mapped.shard(kShard).StateSnapshot();
+    ASSERT_FALSE(pinned->evicted);
+  }
+  // The set and its file are gone; the pinned state's arrays co-own the
+  // mapping, so it still answers, bit-identically.
+  ::unlink(path_.c_str());
+  const QueryResult want =
+      eager.shard(kShard).StateSnapshot()->SelectCovering(covering, req);
+  const QueryResult got = pinned->SelectCovering(covering, req);
+  EXPECT_GT(want.count, 0u);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(pinned->CountCovering(covering),
+            eager.shard(kShard).StateSnapshot()->CountCovering(covering));
 }
 
 }  // namespace

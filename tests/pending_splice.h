@@ -20,8 +20,11 @@
 
 namespace geoblocks::core::testing {
 
-/// Byte size of a K-shard GBST manifest, its trailing CRC included.
-inline size_t ManifestBytes(size_t shards) { return 64 + 52 * shards; }
+/// Byte size of a K-shard GBST manifest, its trailing CRC included: 64 +
+/// 52·K bytes of fields, zero-padded to a multiple of 8.
+inline size_t ManifestBytes(size_t shards) {
+  return (64 + 52 * shards + 7) / 8 * 8;
+}
 
 /// Replaces the (empty) pending section of `file`, a WriteTo image of
 /// `set`, with `tuples` buffered at the shards the set routes them to, in

@@ -120,7 +120,7 @@ class RecoveryTest : public ::testing::Test {
 
   static Batch InCellBatch(const BlockSet& set, size_t count, uint64_t seed) {
     std::mt19937_64 rng(seed);
-    const std::vector<uint64_t>& cells = set.shard(0).cells();
+    const auto& cells = set.shard(0).cells();
     Batch batch;
     for (size_t i = 0; i < count; ++i) {
       const geo::Point unit =
@@ -138,7 +138,7 @@ class RecoveryTest : public ::testing::Test {
                               uint64_t seed) {
     std::vector<uint64_t> covered;
     for (size_t s = 0; s < set.num_shards(); ++s) {
-      const std::vector<uint64_t>& cells = set.shard(s).cells();
+      const auto& cells = set.shard(s).cells();
       covered.insert(covered.end(), cells.begin(), cells.end());
     }
     std::sort(covered.begin(), covered.end());

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "core/geoblock.h"
+#include "core/serialize.h"
+#include "payload_layout.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
 
@@ -28,6 +31,35 @@ class SerializeTest : public ::testing::Test {
     block_ = nullptr;
     data_ = nullptr;
     raw_ = nullptr;
+  }
+
+  /// The v3 payload WriteTo writes for `block`.
+  static std::string Payload(const GeoBlock& block) {
+    std::stringstream stream;
+    block.WriteTo(stream);
+    return stream.str();
+  }
+
+  /// Asserts `got` holds exactly `want`'s header and cell arrays, bit for
+  /// bit.
+  static void ExpectSameAggregates(const GeoBlock& got, const GeoBlock& want) {
+    ASSERT_EQ(got.level(), want.level());
+    ASSERT_EQ(got.num_columns(), want.num_columns());
+    EXPECT_EQ(got.header().min_cell, want.header().min_cell);
+    EXPECT_EQ(got.header().max_cell, want.header().max_cell);
+    EXPECT_EQ(got.header().global.count, want.header().global.count);
+    EXPECT_EQ(got.cells(), want.cells());
+    EXPECT_EQ(got.offsets(), want.offsets());
+    EXPECT_EQ(got.counts(), want.counts());
+    ASSERT_EQ(got.num_cells(), want.num_cells());
+    for (size_t i = 0; i < got.num_cells(); ++i) {
+      ASSERT_EQ(got.cell_min_key(i), want.cell_min_key(i)) << i;
+      ASSERT_EQ(got.cell_max_key(i), want.cell_max_key(i)) << i;
+      ASSERT_EQ(std::memcmp(got.cell_columns(i), want.cell_columns(i),
+                            got.num_columns() * sizeof(ColumnAggregate)),
+                0)
+          << i;
+    }
   }
 
   static storage::PointTable* raw_;
@@ -118,21 +150,108 @@ TEST_F(SerializeTest, FilterSurvivesRoundTrip) {
 }
 
 TEST_F(SerializeTest, ReadsVersion1PayloadsWithoutFilter) {
-  // A v1 payload is exactly a v2 payload minus the trailing filter field
+  // A v1 payload is the packed v2 layout minus the trailing filter field
   // (the filter was appended, docs/FORMAT.md §Versioning). Down-convert a
   // written stream and check it still loads, with an empty filter.
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  std::string bytes = stream.str();
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, 4);
-  bytes.resize(bytes.size() - sizeof(uint64_t));  // drop the u64 zero-
-                                                  // predicate filter field
-  std::stringstream v1_stream(bytes);
+  std::stringstream v1_stream(testing::PackedPayload(Payload(*block_), 1));
   const GeoBlock loaded = GeoBlock::ReadFrom(v1_stream);
   EXPECT_TRUE(loaded.filter().IsTrue());
   EXPECT_EQ(loaded.num_cells(), block_->num_cells());
   EXPECT_EQ(loaded.header().global.count, block_->header().global.count);
+  ExpectSameAggregates(loaded, *block_);
+}
+
+TEST_F(SerializeTest, ReadsVersion2PayloadsBitIdentically) {
+  // v2 is v3 without the pad bytes; both decoders read it, the aliasing
+  // one copying every array the packing leaves misaligned.
+  storage::Filter filter;
+  filter.Add({2, storage::CompareOp::kLt, 30.0});
+  const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, filter});
+  const std::string v2 = testing::PackedPayload(Payload(block), 2);
+  std::stringstream stream(v2);
+  const GeoBlock from_stream = GeoBlock::ReadFrom(stream);
+  ExpectSameAggregates(from_stream, block);
+  ASSERT_EQ(from_stream.filter().predicates().size(), 1u);
+  EXPECT_EQ(from_stream.filter().predicates()[0].value, 30.0);
+
+  const std::shared_ptr<char> buffer = serialize::NewPayloadBuffer(v2.size());
+  std::memcpy(buffer.get(), v2.data(), v2.size());
+  size_t consumed = 0;
+  const GeoBlock from_bytes = GeoBlock::ReadFrom(
+      buffer, std::string_view(buffer.get(), v2.size()), &consumed);
+  EXPECT_EQ(consumed, v2.size());
+  ExpectSameAggregates(from_bytes, block);
+  EXPECT_EQ(from_bytes.filter().predicates().size(), 1u);
+}
+
+TEST_F(SerializeTest, AliasedDecodeViewsAlignedBytesAndCopiesMisaligned) {
+  const std::string bytes = Payload(*block_);
+  // 8-aligned bytes: every array is a view of the buffer.
+  const std::shared_ptr<char> buffer =
+      serialize::NewPayloadBuffer(bytes.size() + 4);
+  std::memcpy(buffer.get(), bytes.data(), bytes.size());
+  size_t consumed = 0;
+  {
+    const GeoBlock block = GeoBlock::ReadFrom(
+        buffer, std::string_view(buffer.get(), bytes.size()), &consumed);
+    EXPECT_EQ(consumed, bytes.size());
+    ExpectSameAggregates(block, *block_);
+    const std::shared_ptr<const BlockState> state = block.StateSnapshot();
+    const char* lo = buffer.get();
+    const char* hi = lo + bytes.size();
+    for (const void* p :
+         {static_cast<const void*>(state->cells.data()),
+          static_cast<const void*>(state->offsets.data()),
+          static_cast<const void*>(state->counts.data()),
+          static_cast<const void*>(state->min_keys.data()),
+          static_cast<const void*>(state->max_keys.data()),
+          static_cast<const void*>(state->column_aggs.data())}) {
+      EXPECT_GE(static_cast<const char*>(p), lo);
+      EXPECT_LT(static_cast<const char*>(p), hi);
+    }
+    EXPECT_FALSE(state->cells.owned());
+  }
+  // The same bytes 4 bytes off alignment: every 8-byte array is copied,
+  // and the answers do not change.
+  std::memmove(buffer.get() + 4, buffer.get(), bytes.size());
+  const GeoBlock shifted = GeoBlock::ReadFrom(
+      buffer, std::string_view(buffer.get() + 4, bytes.size()), &consumed);
+  EXPECT_EQ(consumed, bytes.size());
+  ExpectSameAggregates(shifted, *block_);
+  const std::shared_ptr<const BlockState> state = shifted.StateSnapshot();
+  EXPECT_TRUE(state->cells.owned());
+  EXPECT_TRUE(state->min_keys.owned());
+  EXPECT_TRUE(state->column_aggs.owned());
+}
+
+TEST_F(SerializeTest, RejectsNonZeroPadBytes) {
+  // A level whose block has an odd cell count, so the u32 arrays are
+  // padded as well as the header.
+  GeoBlock block;
+  for (int level = 15; level > 8 && block.num_cells() % 2 == 0; --level) {
+    block = GeoBlock::Build(*data_, BlockOptions{level, {}});
+  }
+  ASSERT_EQ(block.num_cells() % 2, 1u);
+  const std::string bytes = Payload(block);
+  const testing::PayloadLayout layout = testing::WalkPayloadV3(bytes);
+  ASSERT_EQ(layout.end, bytes.size());
+  ASSERT_EQ(layout.pad_offsets.size(), 4u + 4u + 4u);
+  for (const size_t at : layout.pad_offsets) {
+    std::string corrupt = bytes;
+    corrupt[at] = 0x01;
+    std::stringstream stream(corrupt);
+    EXPECT_THROW(GeoBlock::ReadFrom(stream), std::runtime_error) << at;
+    const std::shared_ptr<char> buffer =
+        serialize::NewPayloadBuffer(corrupt.size());
+    std::memcpy(buffer.get(), corrupt.data(), corrupt.size());
+    size_t consumed = 0;
+    EXPECT_THROW(
+        GeoBlock::ReadFrom(buffer, std::string_view(buffer.get(),
+                                                    corrupt.size()),
+                           &consumed),
+        std::runtime_error)
+        << at;
+  }
 }
 
 TEST_F(SerializeTest, RejectsFilterColumnOutOfRange) {

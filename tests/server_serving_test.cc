@@ -120,7 +120,7 @@ class ServerServingTest : public ::testing::Test {
   static Batch InCellBatch(const BlockSet& set, size_t count,
                            uint64_t seed) {
     std::mt19937_64 rng(seed);
-    const std::vector<uint64_t>& cells = set.shard(0).cells();
+    const auto& cells = set.shard(0).cells();
     Batch batch;
     for (size_t i = 0; i < count; ++i) {
       const geo::Point unit =

@@ -159,10 +159,10 @@ TEST_F(UpdateTest, InPlacePatchSharesUntouchedCellArray) {
   ASSERT_EQ(block_.ApplyBatchUpdate(batch).applied, 20u);
   const auto after = block_.StateSnapshot();
   ASSERT_NE(before.get(), after.get());
-  EXPECT_EQ(before->cells.get(), after->cells.get())
+  EXPECT_EQ(before->cells.data(), after->cells.data())
       << "cell-id array was copied by an in-place patch";
-  EXPECT_NE(before->counts.get(), after->counts.get());
-  EXPECT_NE(before->column_aggs.get(), after->column_aggs.get());
+  EXPECT_NE(before->counts.data(), after->counts.data());
+  EXPECT_NE(before->column_aggs.data(), after->column_aggs.data());
   EXPECT_EQ(block_.retired_states(), 1u);  // the pre-batch version retired
 }
 
