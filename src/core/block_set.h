@@ -494,14 +494,6 @@ class BlockSet {
   ///     re-faults after eviction) since open; 0 on an eager set.
   uint64_t shard_fault_count() const;
 
-  /// Shard `s`'s payload bytes inside the mapping of a lazily opened set
-  /// (the bytes a faulted shard's arrays are views of); empty on an eager
-  /// set.
-  ///
-  /// @param s Shard index in [0, num_shards()).
-  /// @return The payload's range of the mapping.
-  std::string_view mapped_payload(size_t s) const;
-
   /// Faults shard `s` in if it is cold, without rebalancing the budget
   /// (bookkeeping-only; the next query-path fault or EnsureBudget trims).
   /// No-op on eager sets.
@@ -645,6 +637,9 @@ class BlockSet {
                          std::vector<size_t>* out) const;
 
  private:
+  /// Reads internals the public interface does not expose (where a mapped
+  /// shard's payload lies); defined by the tests only.
+  friend class BlockSetTestPeer;
 
   /// One shard's (first row, row count) window into the parent dataset —
   /// the manifest fields AttachDataset uses to re-create the views.

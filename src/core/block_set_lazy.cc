@@ -179,13 +179,6 @@ void BlockSet::EnsureResident(size_t s) const {
   MaterializeShardLocked(s);
 }
 
-std::string_view BlockSet::mapped_payload(size_t s) const {
-  if (source_ == nullptr) return {};
-  const serialize::SetManifest& m = source_->manifest;
-  return source_->file.View(m.manifest_bytes + m.payload_offsets[s],
-                            m.payload_sizes[s]);
-}
-
 size_t BlockSet::resident_shards() const {
   size_t n = 0;
   for (const std::shared_ptr<ShardResidency>& r : residency_) {

@@ -595,12 +595,19 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
   std::shared_ptr<std::vector<ColumnAggregate>> column_aggs;
   if (fresh.empty()) {
     // Every tuple hits an existing cell: clone only the touched arrays. The
-    // cell-id array is shared with the predecessor.
+    // cell-id array is shared with the predecessor once it is owned; a view
+    // of decoded bytes is cloned on this first commit, so no committed
+    // version pins a decode buffer or the mapping.
     counts = CloneReusing(&next->counts, cur->counts);
     min_keys = CloneReusing(&next->min_keys, cur->min_keys);
     max_keys = CloneReusing(&next->max_keys, cur->max_keys);
     column_aggs = CloneReusing(&next->column_aggs, cur->column_aggs);
-    next->cells = cur->cells;
+    if (cur->cells.owned()) {
+      next->cells = cur->cells;
+    } else {
+      next->cells =
+          CellArray<uint64_t>(CloneReusing(&next->cells, cur->cells));
+    }
   } else {
     // New cells (Section 5's rebuild): one linear merge of the sorted
     // layout with an empty slot per new cell, no base-row rescan. The

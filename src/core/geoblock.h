@@ -100,10 +100,10 @@ struct BlockState {
   /// Parallel arrays, one entry per non-empty grid cell, ascending by cell
   /// id. Each array is individually refcounted so a clone-patch-publish
   /// update copies only the arrays it changes (an in-place aggregate patch
-  /// shares `cells`, which it never touches). An array owns a heap vector
-  /// (build, update commits) or is a view of the payload the state was
-  /// decoded from (a lazily opened set's mapping, or a read buffer), which
-  /// it keeps alive.
+  /// shares an owned `cells`, which it never touches). An array owns a heap
+  /// vector (build, update commits) or is a view of the payload the state
+  /// was decoded from (a lazily opened set's mapping, or a read buffer),
+  /// which it keeps alive. Every array of a committed update is owned.
   CellArray<uint64_t> cells;
   CellArray<uint32_t> offsets;
   CellArray<uint32_t> counts;
@@ -173,9 +173,14 @@ class StateArena {
  public:
   /// Offers a retired version for reuse, replacing any older spare.
   /// Versions still pinned by a StateSnapshot holder (use_count > 1) are
-  /// dropped, not recycled.
+  /// dropped, not recycled, and so are decoded versions whose cell ids
+  /// are a view: their arrays have no heap vectors to hand on, and parking
+  /// one would pin the bytes it was decoded from.
   void Recycle(std::shared_ptr<const BlockState> state) {
-    if (state.use_count() == 1) spare_ = std::move(state);
+    if (state.use_count() == 1 &&
+        (state->cells.owned() || state->cells.empty())) {
+      spare_ = std::move(state);
+    }
   }
 
   /// A mutable state node for the next commit: the recycled version when
@@ -513,29 +518,22 @@ class GeoBlock {
   ///     little-endian).
   void WriteTo(std::ostream& out) const;
 
-  /// Loads a block written by WriteTo (format v3, or the older v2 and the
-  /// filter-less v1). The cell arrays are copied out of the stream.
+  /// Loads the block WriteTo wrote (format v3, or the older v2 and the
+  /// filter-less v1) from the front of `bytes`, without copying it: every
+  /// cell array whose bytes are aligned for its element type is a view of
+  /// `bytes`, which `owner` keeps alive for as long as any state version
+  /// shares the array. A misaligned array is copied; only a v1/v2 payload,
+  /// or bytes not 8-aligned in memory, have them. Every array length is
+  /// checked against the bytes that remain.
   ///
-  /// @param in Source stream (open in binary mode).
+  /// @param owner    Keeps `bytes` alive (a mapping, a read buffer such as
+  ///     serialize::NewPayloadBuffer's).
+  /// @param bytes    The payload, possibly followed by other bytes.
+  /// @param consumed Receives the payload's length in bytes.
   /// @return The loaded, self-contained block (empty DatasetView).
   /// @throws std::runtime_error on bad magic, an unsupported version, a
   ///     level outside [0, CellId::kMaxLevel], truncation, a non-zero pad
   ///     byte, or inconsistent array lengths.
-  static GeoBlock ReadFrom(std::istream& in);
-
-  /// Decodes the payload at the front of `bytes` without copying it: every
-  /// cell array whose bytes are aligned for its element type is a view of
-  /// `bytes`, which `owner` keeps alive for as long as any state version
-  /// shares the array. A misaligned array is copied; only a v1/v2 payload,
-  /// or bytes not 8-aligned in memory, have them. Validates exactly what
-  /// the stream overload does, with every array length checked against
-  /// the bytes that remain.
-  ///
-  /// @param owner    Keeps `bytes` alive (a mapping, a read buffer).
-  /// @param bytes    The payload, possibly followed by other bytes.
-  /// @param consumed Receives the payload's length in bytes.
-  /// @return The loaded, self-contained block (empty DatasetView).
-  /// @throws std::runtime_error as the stream overload.
   static GeoBlock ReadFrom(std::shared_ptr<const void> owner,
                            std::string_view bytes, size_t* consumed);
 
@@ -612,12 +610,6 @@ class GeoBlock {
 
   /// Publishes an update successor and advances the routing atomics.
   void PublishState(std::shared_ptr<const BlockState> state);
-
-  /// The payload decoder behind both ReadFrom overloads, over a reader
-  /// that either copies arrays out of a stream or aliases them in place.
-  /// Defined in serialize.cc.
-  template <typename Reader>
-  static GeoBlock Decode(Reader& in);
 
   storage::DatasetView data_;
   storage::Filter filter_;

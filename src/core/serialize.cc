@@ -43,20 +43,10 @@ uint32_t Crc32(std::string_view bytes) {
 
 namespace {
 
-using serialize::ReadPod;
 using serialize::WritePod;
 
 /// Zero bytes that take a payload position `pos` to the next multiple of 8.
 size_t PadTo8(size_t pos) { return (8 - pos % 8) % 8; }
-
-/// Throws unless the `n` bytes at `bytes` are all zero (pad bytes).
-void CheckZero(const char* bytes, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (bytes[i] != 0) {
-      throw std::runtime_error("geoblocks: non-zero pad byte in GeoBlock");
-    }
-  }
-}
 
 /// Writes a GBLK payload, counting its bytes so each array can be padded
 /// to an 8-byte boundary of the payload.
@@ -90,43 +80,6 @@ class PayloadWriter {
 
  private:
   std::ostream& out_;
-  size_t pos_ = 0;
-};
-
-/// Payload reader over a stream: arrays are copied into owned vectors.
-class StreamReader {
- public:
-  explicit StreamReader(std::istream& in) : in_(in) {}
-
-  template <typename T>
-  T Pod() {
-    pos_ += sizeof(T);
-    return ReadPod<T>(in_);
-  }
-
-  template <typename T>
-  CellArray<T> Array(uint64_t count) {
-    std::vector<T> values(count);
-    in_.read(reinterpret_cast<char*>(values.data()),
-             static_cast<std::streamsize>(count * sizeof(T)));
-    if (!in_) throw std::runtime_error("geoblocks: truncated stream");
-    pos_ += count * sizeof(T);
-    return CellArray<T>(std::move(values));
-  }
-
-  /// Consumes `n` bytes that must be zero.
-  void Pad(size_t n) {
-    char pad[8] = {};
-    in_.read(pad, static_cast<std::streamsize>(n));
-    if (!in_) throw std::runtime_error("geoblocks: truncated stream");
-    pos_ += n;
-    CheckZero(pad, n);
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  std::istream& in_;
   size_t pos_ = 0;
 };
 
@@ -165,12 +118,16 @@ class ByteReader {
     return CellArray<T>(std::move(values));
   }
 
+  /// Consumes `n` pad bytes, which must be zero.
   void Pad(size_t n) {
     if (bytes_.size() - pos_ < n) {
       throw std::runtime_error("geoblocks: truncated stream");
     }
-    CheckZero(bytes_.data() + pos_, n);
-    pos_ += n;
+    for (size_t i = 0; i < n; ++i, ++pos_) {
+      if (bytes_[pos_] != 0) {
+        throw std::runtime_error("geoblocks: non-zero pad byte in GeoBlock");
+      }
+    }
   }
 
   size_t pos() const { return pos_; }
@@ -183,14 +140,14 @@ class ByteReader {
 
 /// Reads a length-prefixed array; in the aligned (v3) layout the zero pad
 /// after it too.
-template <typename T, typename Reader>
-CellArray<T> ReadArray(Reader& in, bool aligned) {
+template <typename T>
+CellArray<T> ReadArray(ByteReader& in, bool aligned) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const uint64_t count = in.template Pod<uint64_t>();
+  const uint64_t count = in.Pod<uint64_t>();
   if (count > serialize::kMaxPayloadBytes / sizeof(T)) {
     throw std::runtime_error("geoblocks: implausible vector size");
   }
-  CellArray<T> values = in.template Array<T>(count);
+  CellArray<T> values = in.Array<T>(count);
   if (aligned) in.Pad(PadTo8(in.pos()));
   return values;
 }
@@ -204,26 +161,25 @@ void WriteFilter(PayloadWriter& out, const storage::Filter& filter) {
   }
 }
 
-template <typename Reader>
-storage::Filter ReadFilter(Reader& in, size_t num_columns) {
-  const uint64_t n = in.template Pod<uint64_t>();
+storage::Filter ReadFilter(ByteReader& in, size_t num_columns) {
+  const uint64_t n = in.Pod<uint64_t>();
   if (n > serialize::kMaxPayloadBytes / 16) {
     throw std::runtime_error("geoblocks: implausible predicate count");
   }
   std::vector<storage::Predicate> predicates;
   for (uint64_t i = 0; i < n; ++i) {
     storage::Predicate p;
-    p.column = in.template Pod<int32_t>();
+    p.column = in.Pod<int32_t>();
     if (p.column < 0 || static_cast<size_t>(p.column) >= num_columns) {
       throw std::runtime_error(
           "geoblocks: filter predicate column out of range");
     }
-    const uint32_t op = in.template Pod<uint32_t>();
+    const uint32_t op = in.Pod<uint32_t>();
     if (op > static_cast<uint32_t>(storage::CompareOp::kNe)) {
       throw std::runtime_error("geoblocks: invalid filter operator");
     }
     p.op = static_cast<storage::CompareOp>(op);
-    p.value = in.template Pod<double>();
+    p.value = in.Pod<double>();
     predicates.push_back(p);
   }
   return storage::Filter(std::move(predicates));
@@ -269,13 +225,14 @@ void GeoBlock::WriteStateTo(std::ostream& out, const BlockState& state) const {
   WriteFilter(w, filter_);
 }
 
-template <typename Reader>
-GeoBlock GeoBlock::Decode(Reader& in) {
+GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
+                            std::string_view bytes, size_t* consumed) {
   serialize::RequireLittleEndianHost();
-  if (in.template Pod<uint32_t>() != serialize::kBlockMagic) {
+  ByteReader in(std::move(owner), bytes);
+  if (in.Pod<uint32_t>() != serialize::kBlockMagic) {
     throw std::runtime_error("geoblocks: not a GeoBlock stream");
   }
-  const uint32_t version = in.template Pod<uint32_t>();
+  const uint32_t version = in.Pod<uint32_t>();
   if (version < serialize::kBlockMinVersion ||
       version > serialize::kBlockVersion) {
     throw std::runtime_error("geoblocks: unsupported GeoBlock version");
@@ -285,28 +242,28 @@ GeoBlock GeoBlock::Decode(Reader& in) {
   const bool aligned = version >= 3;
   GeoBlock block;
   auto state = std::make_shared<BlockState>();
-  state->header.level = in.template Pod<int32_t>();
+  state->header.level = in.Pod<int32_t>();
   if (state->header.level < 0 ||
       state->header.level > cell::CellId::kMaxLevel) {
     throw std::runtime_error("geoblocks: GeoBlock level out of range");
   }
   if (aligned) in.Pad(PadTo8(in.pos()));
   block.level_ = state->header.level;
-  block.num_columns_ = in.template Pod<uint64_t>();
+  block.num_columns_ = in.Pod<uint64_t>();
   if (block.num_columns_ >
       serialize::kMaxPayloadBytes / sizeof(ColumnAggregate)) {
     throw std::runtime_error("geoblocks: implausible GeoBlock schema width");
   }
   state->num_columns = block.num_columns_;
   geo::Rect domain;
-  domain.min.x = in.template Pod<double>();
-  domain.min.y = in.template Pod<double>();
-  domain.max.x = in.template Pod<double>();
-  domain.max.y = in.template Pod<double>();
+  domain.min.x = in.Pod<double>();
+  domain.min.y = in.Pod<double>();
+  domain.max.x = in.Pod<double>();
+  domain.max.y = in.Pod<double>();
   block.projection_ = geo::Projection(domain);
-  state->header.min_cell = in.template Pod<uint64_t>();
-  state->header.max_cell = in.template Pod<uint64_t>();
-  state->header.global.count = in.template Pod<uint64_t>();
+  state->header.min_cell = in.Pod<uint64_t>();
+  state->header.max_cell = in.Pod<uint64_t>();
+  state->header.global.count = in.Pod<uint64_t>();
   const CellArray<ColumnAggregate> global =
       ReadArray<ColumnAggregate>(in, aligned);
   state->header.global.columns.assign(global.begin(), global.end());
@@ -325,19 +282,7 @@ GeoBlock GeoBlock::Decode(Reader& in) {
     throw std::runtime_error("geoblocks: inconsistent GeoBlock arrays");
   }
   block.InstallState(std::move(state));
-  return block;
-}
-
-GeoBlock GeoBlock::ReadFrom(std::istream& in) {
-  StreamReader reader(in);
-  return Decode(reader);
-}
-
-GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
-                            std::string_view bytes, size_t* consumed) {
-  ByteReader reader(std::move(owner), bytes);
-  GeoBlock block = Decode(reader);
-  *consumed = reader.pos();
+  *consumed = in.pos();
   return block;
 }
 

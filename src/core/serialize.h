@@ -113,18 +113,6 @@ void WritePod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Reads the raw bytes of a trivially copyable value.
-///
-/// @throws std::runtime_error when the stream ends before sizeof(T) bytes.
-template <typename T>
-T ReadPod(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("geoblocks: truncated stream");
-  return value;
-}
-
 /// A heap buffer for `size` payload bytes, 8-aligned so a decoder can use
 /// its arrays in place; the bytes are uninitialized.
 inline std::shared_ptr<char> NewPayloadBuffer(size_t size) {

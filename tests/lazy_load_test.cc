@@ -32,12 +32,31 @@
 #include "workload/polygen.h"
 
 namespace geoblocks {
+namespace core {
+
+/// Reads BlockSet internals for these tests; BlockSet befriends it.
+class BlockSetTestPeer {
+ public:
+  /// Shard `s`'s payload bytes inside the mapping of a lazily opened set
+  /// (the bytes a faulted shard's arrays are views of); empty on an eager
+  /// set.
+  static std::string_view MappedPayload(const BlockSet& set, size_t s) {
+    if (set.source_ == nullptr) return {};
+    const serialize::SetManifest& m = set.source_->manifest;
+    return set.source_->file.View(m.manifest_bytes + m.payload_offsets[s],
+                                  m.payload_sizes[s]);
+  }
+};
+
+}  // namespace core
+
 namespace {
 
 using core::AggFn;
 using core::AggregateRequest;
 using core::BlockSet;
 using core::BlockSetOptions;
+using core::BlockSetTestPeer;
 using core::GeoBlock;
 using core::LazyOpenOptions;
 using core::MemoryGovernor;
@@ -194,6 +213,16 @@ class LazyLoadTest : public ::testing::Test {
     EXPECT_GE(begin, payload.data()) << "shard " << shard;
     EXPECT_LE(end, payload.data() + payload.size()) << "shard " << shard;
     EXPECT_EQ(reinterpret_cast<uintptr_t>(begin) % alignof(T), 0u);
+  }
+
+  /// Asserts every cell array of `state` owns its bytes.
+  static void ExpectAllOwned(const core::BlockState& state) {
+    EXPECT_TRUE(state.cells.owned());
+    EXPECT_TRUE(state.offsets.owned());
+    EXPECT_TRUE(state.counts.owned());
+    EXPECT_TRUE(state.min_keys.owned());
+    EXPECT_TRUE(state.max_keys.owned());
+    EXPECT_TRUE(state.column_aggs.owned());
   }
 
   /// Asserts no byte of `array` lies inside `payload`.
@@ -541,7 +570,8 @@ TEST_F(LazyLoadTest, FaultedArraysAliasTheMapping) {
   EXPECT_EQ(mapped.CountCovering(all), eager.CountCovering(all));
   for (size_t s = 0; s < kShards; ++s) {
     ASSERT_TRUE(mapped.shard_resident(s)) << "shard " << s;
-    const std::string_view payload = mapped.mapped_payload(s);
+    const std::string_view payload =
+        BlockSetTestPeer::MappedPayload(mapped, s);
     ASSERT_FALSE(payload.empty());
     const std::shared_ptr<const core::BlockState> state =
         mapped.shard(s).StateSnapshot();
@@ -553,7 +583,7 @@ TEST_F(LazyLoadTest, FaultedArraysAliasTheMapping) {
     ExpectInside(state->max_keys, payload, s);
     ExpectInside(state->column_aggs, payload, s);
   }
-  EXPECT_TRUE(eager.mapped_payload(0).empty());
+  EXPECT_TRUE(BlockSetTestPeer::MappedPayload(eager, 0).empty());
   ExpectBitIdentical(mapped, eager);
 }
 
@@ -631,26 +661,29 @@ TEST_F(LazyLoadTest, UpdateToMappedShardOwnsCommittedArrays) {
     }
     batch.push_back(std::move(t));
   }
+  // The eager shard's arrays are views of its load buffer until its first
+  // commit.
+  ASSERT_FALSE(eager.shard(kShard).StateSnapshot()->cells.owned());
+  const size_t cells_before = eager.shard(kShard).num_cells();
   EXPECT_EQ(eager.ApplyBatchUpdate(batch).applied, batch.size());
   EXPECT_EQ(mapped.ApplyBatchUpdate(batch).applied, batch.size());
+  EXPECT_EQ(eager.shard(kShard).num_cells(), cells_before);
 
-  const std::string_view payload = mapped.mapped_payload(kShard);
+  // Every committed array is owned, the unchanged cell ids included: the
+  // first commit copies them out of the mapping, or the eager load buffer,
+  // so neither stays pinned by the updated shard.
+  ExpectAllOwned(*eager.shard(kShard).StateSnapshot());
+  const std::string_view payload =
+      BlockSetTestPeer::MappedPayload(mapped, kShard);
   const std::shared_ptr<const core::BlockState> state =
       mapped.shard(kShard).StateSnapshot();
-  for (const bool owned :
-       {state->offsets.owned(), state->counts.owned(),
-        state->min_keys.owned(), state->max_keys.owned(),
-        state->column_aggs.owned()}) {
-    EXPECT_TRUE(owned);
-  }
+  ExpectAllOwned(*state);
+  ExpectOutside(state->cells, payload);
   ExpectOutside(state->counts, payload);
   ExpectOutside(state->column_aggs, payload);
-  // The unchanged cell ids still share the mapping.
-  EXPECT_FALSE(state->cells.owned());
-  ExpectInside(state->cells, payload, kShard);
   ExpectBitIdentical(mapped, eager);
 
-  // WriteTo of the mixed state round-trips.
+  // WriteTo of the updated set round-trips.
   std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
   mapped.WriteTo(out);
   const BlockSet reloaded = BlockSet::ReadFrom(out);

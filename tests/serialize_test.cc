@@ -4,6 +4,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/geoblock.h"
 #include "core/serialize.h"
@@ -40,6 +42,19 @@ class SerializeTest : public ::testing::Test {
     return stream.str();
   }
 
+  /// Decodes `bytes` from an 8-aligned copy, as the set loaders do, and
+  /// checks the payload spans all of them.
+  static GeoBlock Decode(std::string_view bytes) {
+    const std::shared_ptr<char> buffer =
+        serialize::NewPayloadBuffer(bytes.size());
+    std::memcpy(buffer.get(), bytes.data(), bytes.size());
+    size_t consumed = 0;
+    GeoBlock block = GeoBlock::ReadFrom(
+        buffer, std::string_view(buffer.get(), bytes.size()), &consumed);
+    EXPECT_EQ(consumed, bytes.size());
+    return block;
+  }
+
   /// Asserts `got` holds exactly `want`'s header and cell arrays, bit for
   /// bit.
   static void ExpectSameAggregates(const GeoBlock& got, const GeoBlock& want) {
@@ -72,9 +87,7 @@ storage::SortedDataset* SerializeTest::data_ = nullptr;
 GeoBlock* SerializeTest::block_ = nullptr;
 
 TEST_F(SerializeTest, BlockRoundTripPreservesStructure) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  const GeoBlock loaded = GeoBlock::ReadFrom(stream);
+  const GeoBlock loaded = Decode(Payload(*block_));
   EXPECT_EQ(loaded.level(), block_->level());
   EXPECT_EQ(loaded.num_cells(), block_->num_cells());
   EXPECT_EQ(loaded.num_columns(), block_->num_columns());
@@ -87,9 +100,7 @@ TEST_F(SerializeTest, BlockRoundTripPreservesStructure) {
 }
 
 TEST_F(SerializeTest, LoadedBlockAnswersQueriesIdentically) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  const GeoBlock loaded = GeoBlock::ReadFrom(stream);
+  const GeoBlock loaded = Decode(Payload(*block_));
   AggregateRequest req;
   req.Add(AggFn::kCount);
   req.Add(AggFn::kSum, 0);
@@ -106,9 +117,7 @@ TEST_F(SerializeTest, LoadedBlockAnswersQueriesIdentically) {
 }
 
 TEST_F(SerializeTest, LoadedBlockSupportsUpdatesAndCoarsening) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  GeoBlock loaded = GeoBlock::ReadFrom(stream);
+  GeoBlock loaded = Decode(Payload(*block_));
   // Coarsening works without base data.
   const GeoBlock coarse = loaded.CoarsenTo(12);
   EXPECT_EQ(coarse.header().global.count, loaded.header().global.count);
@@ -126,9 +135,7 @@ TEST_F(SerializeTest, EmptyBlockRoundTrip) {
   const auto empty_data =
       storage::SortedDataset::Extract(empty, storage::ExtractOptions{});
   const GeoBlock block = GeoBlock::Build(empty_data, BlockOptions{17, {}});
-  std::stringstream stream;
-  block.WriteTo(stream);
-  const GeoBlock loaded = GeoBlock::ReadFrom(stream);
+  const GeoBlock loaded = Decode(Payload(block));
   EXPECT_EQ(loaded.num_cells(), 0u);
   EXPECT_EQ(loaded.level(), 17);
 }
@@ -139,9 +146,7 @@ TEST_F(SerializeTest, FilterSurvivesRoundTrip) {
   storage::Filter filter;
   filter.Add({1, storage::CompareOp::kGt, 2.5});
   const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, filter});
-  std::stringstream stream;
-  block.WriteTo(stream);
-  const GeoBlock loaded = GeoBlock::ReadFrom(stream);
+  const GeoBlock loaded = Decode(Payload(block));
   ASSERT_EQ(loaded.filter().predicates().size(), 1u);
   EXPECT_EQ(loaded.filter().predicates()[0].column, 1);
   EXPECT_EQ(loaded.filter().predicates()[0].op, storage::CompareOp::kGt);
@@ -153,8 +158,8 @@ TEST_F(SerializeTest, ReadsVersion1PayloadsWithoutFilter) {
   // A v1 payload is the packed v2 layout minus the trailing filter field
   // (the filter was appended, docs/FORMAT.md §Versioning). Down-convert a
   // written stream and check it still loads, with an empty filter.
-  std::stringstream v1_stream(testing::PackedPayload(Payload(*block_), 1));
-  const GeoBlock loaded = GeoBlock::ReadFrom(v1_stream);
+  const GeoBlock loaded =
+      Decode(testing::PackedPayload(Payload(*block_), 1));
   EXPECT_TRUE(loaded.filter().IsTrue());
   EXPECT_EQ(loaded.num_cells(), block_->num_cells());
   EXPECT_EQ(loaded.header().global.count, block_->header().global.count);
@@ -162,26 +167,15 @@ TEST_F(SerializeTest, ReadsVersion1PayloadsWithoutFilter) {
 }
 
 TEST_F(SerializeTest, ReadsVersion2PayloadsBitIdentically) {
-  // v2 is v3 without the pad bytes; both decoders read it, the aliasing
-  // one copying every array the packing leaves misaligned.
+  // v2 is v3 without the pad bytes; the decoder reads it, copying every
+  // array the packing leaves misaligned.
   storage::Filter filter;
   filter.Add({2, storage::CompareOp::kLt, 30.0});
   const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, filter});
-  const std::string v2 = testing::PackedPayload(Payload(block), 2);
-  std::stringstream stream(v2);
-  const GeoBlock from_stream = GeoBlock::ReadFrom(stream);
-  ExpectSameAggregates(from_stream, block);
-  ASSERT_EQ(from_stream.filter().predicates().size(), 1u);
-  EXPECT_EQ(from_stream.filter().predicates()[0].value, 30.0);
-
-  const std::shared_ptr<char> buffer = serialize::NewPayloadBuffer(v2.size());
-  std::memcpy(buffer.get(), v2.data(), v2.size());
-  size_t consumed = 0;
-  const GeoBlock from_bytes = GeoBlock::ReadFrom(
-      buffer, std::string_view(buffer.get(), v2.size()), &consumed);
-  EXPECT_EQ(consumed, v2.size());
-  ExpectSameAggregates(from_bytes, block);
-  EXPECT_EQ(from_bytes.filter().predicates().size(), 1u);
+  const GeoBlock loaded = Decode(testing::PackedPayload(Payload(block), 2));
+  ExpectSameAggregates(loaded, block);
+  ASSERT_EQ(loaded.filter().predicates().size(), 1u);
+  EXPECT_EQ(loaded.filter().predicates()[0].value, 30.0);
 }
 
 TEST_F(SerializeTest, AliasedDecodeViewsAlignedBytesAndCopiesMisaligned) {
@@ -224,6 +218,42 @@ TEST_F(SerializeTest, AliasedDecodeViewsAlignedBytesAndCopiesMisaligned) {
   EXPECT_TRUE(state->column_aggs.owned());
 }
 
+TEST_F(SerializeTest, InCellCommitReleasesTheDecodedBuffer) {
+  // An update that touches no cell layout still owns every array it
+  // commits, the unchanged cell ids included, so no version pins the bytes
+  // the block was decoded from.
+  const std::string bytes = Payload(*block_);
+  std::shared_ptr<char> buffer = serialize::NewPayloadBuffer(bytes.size());
+  std::memcpy(buffer.get(), bytes.data(), bytes.size());
+  const std::weak_ptr<char> watch = buffer;
+  size_t consumed = 0;
+  GeoBlock loaded = GeoBlock::ReadFrom(
+      buffer, std::string_view(buffer.get(), bytes.size()), &consumed);
+  buffer.reset();
+  ASSERT_FALSE(watch.expired());
+  ASSERT_FALSE(loaded.StateSnapshot()->cells.owned());
+
+  GeoBlock::UpdateTuple t;
+  t.location = loaded.projection().FromUnit(
+      cell::CellId(loaded.cells()[0]).CenterPoint());
+  t.values.assign(loaded.num_columns(), 1.0);
+  const std::vector<GeoBlock::UpdateTuple> batch{t};
+  const size_t cells_before = loaded.num_cells();
+  ASSERT_EQ(loaded.ApplyBatchUpdate(batch).applied, 1u);
+  ASSERT_EQ(loaded.num_cells(), cells_before);
+
+  const std::shared_ptr<const BlockState> state = loaded.StateSnapshot();
+  EXPECT_TRUE(state->cells.owned());
+  EXPECT_TRUE(state->offsets.owned());
+  EXPECT_TRUE(state->counts.owned());
+  EXPECT_TRUE(state->min_keys.owned());
+  EXPECT_TRUE(state->max_keys.owned());
+  EXPECT_TRUE(state->column_aggs.owned());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(loaded.cells(), block_->cells());
+  EXPECT_EQ(loaded.header().global.count, block_->header().global.count + 1);
+}
+
 TEST_F(SerializeTest, RejectsNonZeroPadBytes) {
   // A level whose block has an odd cell count, so the u32 arrays are
   // padded as well as the header.
@@ -239,18 +269,7 @@ TEST_F(SerializeTest, RejectsNonZeroPadBytes) {
   for (const size_t at : layout.pad_offsets) {
     std::string corrupt = bytes;
     corrupt[at] = 0x01;
-    std::stringstream stream(corrupt);
-    EXPECT_THROW(GeoBlock::ReadFrom(stream), std::runtime_error) << at;
-    const std::shared_ptr<char> buffer =
-        serialize::NewPayloadBuffer(corrupt.size());
-    std::memcpy(buffer.get(), corrupt.data(), corrupt.size());
-    size_t consumed = 0;
-    EXPECT_THROW(
-        GeoBlock::ReadFrom(buffer, std::string_view(buffer.get(),
-                                                    corrupt.size()),
-                           &consumed),
-        std::runtime_error)
-        << at;
+    EXPECT_THROW((void)Decode(corrupt), std::runtime_error) << at;
   }
 }
 
@@ -262,46 +281,34 @@ TEST_F(SerializeTest, RejectsFilterColumnOutOfRange) {
   storage::Filter filter;
   filter.Add({0, storage::CompareOp::kGe, 1.0});
   const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, filter});
-  std::stringstream stream;
-  block.WriteTo(stream);
-  std::string bytes = stream.str();
+  std::string bytes = Payload(block);
   const int32_t bogus = 500;
   std::memcpy(bytes.data() + bytes.size() - 16, &bogus, 4);
-  std::stringstream corrupt(bytes);
-  EXPECT_THROW(GeoBlock::ReadFrom(corrupt), std::runtime_error);
+  EXPECT_THROW((void)Decode(bytes), std::runtime_error);
   const int32_t negative = -1;
   std::memcpy(bytes.data() + bytes.size() - 16, &negative, 4);
-  std::stringstream corrupt2(bytes);
-  EXPECT_THROW(GeoBlock::ReadFrom(corrupt2), std::runtime_error);
+  EXPECT_THROW((void)Decode(bytes), std::runtime_error);
 }
 
 TEST_F(SerializeTest, RejectsFutureVersion) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  std::string bytes = stream.str();
+  std::string bytes = Payload(*block_);
   const uint32_t future = 99;
   std::memcpy(bytes.data() + 4, &future, 4);
-  std::stringstream future_stream(bytes);
-  EXPECT_THROW(GeoBlock::ReadFrom(future_stream), std::runtime_error);
+  EXPECT_THROW((void)Decode(bytes), std::runtime_error);
 }
 
 TEST_F(SerializeTest, RejectsLevelOutOfRange) {
   // The level is the i32 after the magic and the version. A payload whose
   // level no coverer can reach must not load, whatever its checksum says.
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  std::string bytes = stream.str();
+  std::string bytes = Payload(*block_);
   for (const int32_t level : {31, -1}) {
     std::memcpy(bytes.data() + 8, &level, 4);
-    std::stringstream corrupt(bytes);
-    EXPECT_THROW(GeoBlock::ReadFrom(corrupt), std::runtime_error) << level;
+    EXPECT_THROW((void)Decode(bytes), std::runtime_error) << level;
   }
 }
 
 TEST_F(SerializeTest, DeserializedBlockRefinesAfterAttach) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  GeoBlock loaded = GeoBlock::ReadFrom(stream);
+  GeoBlock loaded = Decode(Payload(*block_));
   EXPECT_THROW(loaded.CoarsenTo(block_->level() + 1), std::logic_error);
   loaded.AttachData(storage::DatasetView::Unowned(*data_));
   const GeoBlock refined = loaded.CoarsenTo(block_->level() + 1);
@@ -316,16 +323,13 @@ TEST_F(SerializeTest, DeserializedBlockRefinesAfterAttach) {
 }
 
 TEST_F(SerializeTest, RejectsGarbage) {
-  std::stringstream garbage("not a geoblock at all");
-  EXPECT_THROW(GeoBlock::ReadFrom(garbage), std::runtime_error);
+  EXPECT_THROW((void)Decode("not a geoblock at all"), std::runtime_error);
 }
 
 TEST_F(SerializeTest, RejectsTruncatedStream) {
-  std::stringstream stream;
-  block_->WriteTo(stream);
-  const std::string full = stream.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(GeoBlock::ReadFrom(truncated), std::runtime_error);
+  const std::string full = Payload(*block_);
+  EXPECT_THROW((void)Decode(std::string_view(full).substr(0, full.size() / 2)),
+               std::runtime_error);
 }
 
 }  // namespace
