@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
+#include "cell/coverer.h"
 #include "cell/hilbert.h"
 #include "core/aggregate_trie.h"
 
@@ -51,17 +52,32 @@ void BM_CellIdParentChild(benchmark::State& state) {
 }
 BENCHMARK(BM_CellIdParentChild);
 
+// Covers every neighborhood, projected onto the unit square once up front,
+// with cell::GetCovering into one warm vector at the level given as the
+// argument. Items are polygons, so items_per_second inverts to the time
+// per covering; cells is per polygon.
 void BM_PolygonCovering(benchmark::State& state) {
   const auto& env = Env();
-  const geo::Polygon& poly = env.neighborhoods[7];
+  const int level = static_cast<int>(state.range(0));
+  std::vector<geo::Polygon> unit;
+  for (const geo::Polygon& poly : env.neighborhoods) {
+    unit.push_back(env.data.projection().ToUnit(poly));
+  }
+  std::vector<cell::CoveringCell> covering;
   size_t cells = 0;
   for (auto _ : state) {
-    cells += Block().Cover(poly).size();
+    for (const geo::Polygon& poly : unit) {
+      cell::GetCovering(poly, level, &covering);
+      cells += covering.size();
+    }
   }
+  const int64_t polygons =
+      state.iterations() * static_cast<int64_t>(unit.size());
+  state.SetItemsProcessed(polygons);
   state.counters["cells"] =
-      static_cast<double>(cells) / static_cast<double>(state.iterations());
+      static_cast<double>(cells) / static_cast<double>(polygons);
 }
-BENCHMARK(BM_PolygonCovering);
+BENCHMARK(BM_PolygonCovering)->Arg(15)->Arg(17)->Arg(19);
 
 void BM_BlockSelect(benchmark::State& state) {
   const auto& env = Env();

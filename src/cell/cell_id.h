@@ -179,13 +179,11 @@ struct CellSquare {
   /// The square of the k-th child (Hilbert order, as CellId::Child). Digit
   /// k names the quadrant (k >> 1, (k ^ k >> 1) & 1) in the curve's frame;
   /// undoing the orientation maps it to grid coordinates.
-  CellSquare Child(int k) const {
+  constexpr CellSquare Child(int k) const {
     const uint32_t complement = orientation >> 1;
     uint32_t di = (static_cast<uint32_t>(k) >> 1) ^ complement;
     uint32_t dj = ((static_cast<uint32_t>(k) ^ (k >> 1)) & 1) ^ complement;
     if (orientation & 1) std::swap(di, dj);
-    // Quadrant 0 swaps the frame; quadrant 3 swaps and complements it.
-    static constexpr uint32_t kTurn[4] = {1, 0, 0, 3};
     const uint32_t half = size >> 1;
     return {i + di * half, j + dj * half, half, orientation ^ kTurn[k]};
   }
@@ -199,6 +197,31 @@ struct CellSquare {
                      {(i + static_cast<double>(size)) * inv,
                       (j + static_cast<double>(size)) * inv}};
   }
+
+  /// Child(k)'s turn of the frame: quadrant 0 swaps it; quadrant 3 swaps
+  /// and complements it.
+  static constexpr uint32_t kTurn[4] = {1, 0, 0, 3};
 };
+
+/// The 16 grandchildren of a cell in Hilbert (ascending id) order, per
+/// orientation of the curve inside it: kGrandchildOrder[orientation]
+/// [4 * k + m] is i + 4 * j, the position of grandchild Child(k).Child(m)
+/// in the cell's 4x4 grid of grandchildren. Lets the coverer emit a cell's
+/// two last levels without stepping CellSquare::Child twice per
+/// grandchild.
+inline constexpr std::array<std::array<uint8_t, 16>, 4> kGrandchildOrder =
+    [] {
+      std::array<std::array<uint8_t, 16>, 4> order{};
+      for (uint32_t o = 0; o < 4; ++o) {
+        const CellSquare square{0, 0, 4, o};
+        for (int k = 0; k < 4; ++k) {
+          for (int m = 0; m < 4; ++m) {
+            const CellSquare leaf = square.Child(k).Child(m);
+            order[o][4 * k + m] = static_cast<uint8_t>(leaf.i + 4 * leaf.j);
+          }
+        }
+      }
+      return order;
+    }();
 
 }  // namespace geoblocks::cell

@@ -1,8 +1,10 @@
 #include "cell/coverer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "cell/hilbert.h"
 #include "geo/segment.h"
 
 namespace geoblocks::cell {
@@ -44,6 +46,29 @@ inline int NudgedSide(const geo::Segment& e, int sign) {
   return e.b.x > e.a.x ? 1 : -1;
 }
 
+/// In the 5x5 lattice of a cell's leaf corners, indexed x + 5 y: the min
+/// corners of the four leaves in its left column. Times 0xF, a mask of
+/// rows (bit 5 y each) spreads to every leaf of those rows.
+constexpr uint32_t kLatticeColumn = 1 | 1 << 5 | 1 << 10 | 1 << 15;
+
+/// A lattice leaf mask as bit x + 4 y, the grid index of
+/// kGrandchildOrder.
+inline uint32_t ToGrid(uint32_t lattice) {
+  return (lattice & 0xF) | (lattice >> 1 & 0xF0) | (lattice >> 2 & 0xF00) |
+         (lattice >> 3 & 0xF000);
+}
+
+/// kChildLeaves[orientation][k]: the grid bits of child k's four leaves.
+constexpr std::array<std::array<uint32_t, 4>, 4> kChildLeaves = [] {
+  std::array<std::array<uint32_t, 4>, 4> leaves{};
+  for (int o = 0; o < 4; ++o) {
+    for (int k = 0; k < 16; ++k) {
+      leaves[o][k / 4] |= 1u << kGrandchildOrder[o][k];
+    }
+  }
+  return leaves;
+}();
+
 /// One entry of a cell's edge list: an edge index, and which of the cell's
 /// four quadrants (bit qx + 2 qy) the edge touches, filled in when the cell
 /// is split.
@@ -74,7 +99,6 @@ class Coverer {
     // The same segments, in the same direction, as the polygon's own
     // predicates test.
     edges_.clear();
-    stack_.clear();
     for (const geo::Ring& ring : polygon_.rings()) {
       for (size_t i = 0, j = ring.size() - 1; i < ring.size(); j = i++) {
         edges_.push_back(geo::Segment{ring[j], ring[i]});
@@ -84,32 +108,41 @@ class Coverer {
     const CellSquare square = CellSquare::Of(seed);
     const geo::Rect rect = square.ToRect();
     bool parity = false;
+    top_ = 0;
+    Reserve(edges_.size());
     for (uint32_t e = 0; e < edges_.size(); ++e) {
       const geo::Segment& edge = edges_[e];
       parity ^= RayCrosses(edge, rect.min.y,
                            geo::Orient(edge.a, edge.b, rect.min));
-      if (geo::SegmentIntersectsRect(edge, rect)) stack_.push_back({e, 0});
+      if (geo::SegmentIntersectsRect(edge, rect)) stack_[top_++] = {e, 0};
     }
-    Visit(seed, square, parity, 0, stack_.size());
+    Visit(seed, square, parity, 0, top_);
   }
 
  private:
   /// Emits the covering of the polygon within `cell` (square `square`) in
-  /// ascending cell id order. Stack entries [begin, end) list the edges
-  /// touching the cell's closed rect, and `parity` is the ray parity P of
-  /// its min corner. With no edge the boundary misses the cell, so its
-  /// corner is off the boundary, where P is Polygon::Contains, and every
-  /// point of the cell shares that containment. With edges the cell
-  /// intersects the polygon and is not contained.
-  void Visit(CellId cell, const CellSquare& square, bool parity, size_t begin,
+  /// ascending cell id order, and returns whether it emitted `cell` itself,
+  /// as one cell. Stack entries [begin, end) list the edges touching the
+  /// cell's closed rect, and `parity` is the ray parity P of its min
+  /// corner. With no edge the boundary misses the cell, so its corner is
+  /// off the boundary, where P is Polygon::Contains, and every point of the
+  /// cell shares that containment. With edges the cell intersects the
+  /// polygon and is not contained.
+  bool Visit(CellId cell, const CellSquare& square, bool parity, size_t begin,
              size_t end) {
     if (begin == end) {
       if (parity) out_->push_back({cell, true});
-    } else if (cell.level() >= max_level_) {
-      out_->push_back({cell, false});
-    } else {
-      Split(cell, square, parity, begin, end);
+      return parity;
     }
+    const int level = cell.level();
+    if (level >= max_level_) {
+      out_->push_back({cell, false});
+      return true;
+    }
+    if (level == max_level_ - 2) {
+      return CoverLastTwoLevels(cell, square, parity, begin, end);
+    }
+    return Split(cell, square, parity, begin, end);
   }
 
   /// Visits the four children of `cell`, then merges them back into `cell`
@@ -118,7 +151,7 @@ class Coverer {
   /// and from them both each child's edge list and each child's corner
   /// parity: only an edge touching this cell's closed rect can separate two
   /// points of it, so the edges listed here carry every flip of P.
-  void Split(CellId cell, const CellSquare& square, bool parity, size_t begin,
+  bool Split(CellId cell, const CellSquare& square, bool parity, size_t begin,
              size_t end) {
     const geo::Rect rect = square.ToRect();
     const geo::Point mid =
@@ -147,58 +180,181 @@ class Coverer {
       column ^= (edge.a.x <= xs[0]) != (edge.b.x <= xs[0]) &&
                 NudgedSide(edge, signs[0][0]) != NudgedSide(edge, signs[1][0]);
       // SegmentIntersectsRect per quadrant: boxes overlap, and the four
-      // corners are not all strictly on one side.
-      const bool spans_x[2] = {std::min(edge.a.x, edge.b.x) <= xs[1],
-                               std::max(edge.a.x, edge.b.x) >= xs[1]};
-      const bool spans_y[2] = {std::min(edge.a.y, edge.b.y) <= ys[1],
-                               std::max(edge.a.y, edge.b.y) >= ys[1]};
-      uint32_t quadrants = 0;
-      for (int qy = 0; qy < 2; ++qy) {
-        for (int qx = 0; qx < 2; ++qx) {
-          const int s = signs[qy][qx];
-          if (spans_x[qx] && spans_y[qy] &&
-              (s == 0 || signs[qy][qx + 1] != s || signs[qy + 1][qx] != s ||
-               signs[qy + 1][qx + 1] != s)) {
-            quadrants |= 1u << (qx + 2 * qy);
-          }
+      // corners are not all strictly on one side. Lattice bit x + 3 y; a
+      // quadrant at its min corner's bit, then at bit qx + 2 qy.
+      uint32_t left = 0;
+      uint32_t right = 0;
+      for (int y = 0; y < 3; ++y) {
+        for (int x = 0; x < 3; ++x) {
+          left |= uint32_t{signs[y][x] > 0} << (x + 3 * y);
+          right |= uint32_t{signs[y][x] < 0} << (x + 3 * y);
         }
       }
-      stack_[e].quadrants = quadrants;
+      const uint32_t one_side = (left & left >> 1 & left >> 3 & left >> 4) |
+                                (right & right >> 1 & right >> 3 & right >> 4);
+      const uint32_t columns =
+          (std::min(edge.a.x, edge.b.x) <= xs[1] ? 1u : 0) |
+          (std::max(edge.a.x, edge.b.x) >= xs[1] ? 2u : 0);
+      const uint32_t rows =
+          (std::min(edge.a.y, edge.b.y) <= ys[1] ? 1u : 0) |
+          (std::max(edge.a.y, edge.b.y) >= ys[1] ? 8u : 0);
+      const uint32_t touched = rows * columns & ~one_side;
+      stack_[e].quadrants = (touched & 3) | (touched >> 1 & 0xC);
     }
     const bool quadrant_parity[4] = {parity, parity != row0, parity != column,
                                      parity != (column != row1)};
+    // A child's list is at most this one; a child's descent may grow the
+    // stack, so its data is read again for each child.
+    Reserve(end - begin);
 
-    const size_t first = out_->size();
+    bool whole = true;
     for (int k = 0; k < 4; ++k) {
       const CellSquare child_square = square.Child(k);
       const int q = (child_square.i != square.i ? 1 : 0) +
                     (child_square.j != square.j ? 2 : 0);
-      const size_t child_begin = stack_.size();
+      // Each entry is written, then kept if the edge touches the child.
+      const size_t child_begin = top_;
+      Entry* const stack = stack_.data();
       for (size_t e = begin; e < end; ++e) {
-        // push_back may reallocate the stack: read it by position.
-        if (stack_[e].quadrants >> q & 1) {
-          stack_.push_back({stack_[e].edge, 0});
-        }
+        stack[top_] = {stack[e].edge, 0};
+        top_ += stack[e].quadrants >> q & 1;
       }
-      Visit(cell.Child(k), child_square, quadrant_parity[q], child_begin,
-            stack_.size());
-      stack_.resize(child_begin);
+      whole = Visit(cell.Child(k), child_square, quadrant_parity[q],
+                    child_begin, top_) &&
+              whole;
+      top_ = child_begin;
     }
-    if (out_->size() != first + 4) return;
+    if (!whole) return false;
+    // Each child emitted itself, so they are the last four cells.
+    const size_t first = out_->size() - 4;
     bool interior = true;
-    for (int k = 0; k < 4; ++k) {
-      const CoveringCell& cc = (*out_)[first + k];
-      if (cc.cell != cell.Child(k)) return;
-      interior = interior && cc.interior;
+    for (size_t c = first; c < first + 4; ++c) {
+      interior = interior && (*out_)[c].interior;
     }
     out_->resize(first);
     out_->push_back({cell, interior});
+    return true;
+  }
+
+  /// Split's decisions for `cell`, at level max_level_ - 2, and for its
+  /// four children, made in one pass over the cell's edges instead of two
+  /// levels of recursion. Each edge's exact Orient signs at the 5x5
+  /// lattice of the 16 leaves' corners give, by Split's own rules, which
+  /// leaves it touches (SegmentIntersectsRect per leaf) and its flips of P
+  /// along the four rows and up the left column between the leaves' min
+  /// corners. Leaf masks are indexed by the lattice point x + 5 y of the
+  /// leaf's min corner while edges are read, and by x + 4 y after.
+  bool CoverLastTwoLevels(CellId cell, const CellSquare& square, bool parity,
+                          size_t begin, size_t end) {
+    constexpr double kInv = 1.0 / static_cast<double>(kHilbertSide);
+    const uint32_t quarter = square.size >> 2;
+    double xs[5];
+    double ys[5];
+    for (uint32_t k = 0; k < 5; ++k) {
+      xs[k] = (square.i + k * quarter) * kInv;
+      ys[k] = (square.j + k * quarter) * kInv;
+    }
+    uint32_t touched = 0;
+    // Bit x + 5 y: P flips between the min corners of leaves (0, y) and
+    // (x, y). Bit 5 y: P flips between those of leaves (0, y) and
+    // (0, y + 1).
+    uint32_t row_flips = 0;
+    uint32_t column_flips = 0;
+    for (size_t e = begin; e < end; ++e) {
+      const geo::Segment& edge = edges_[stack_[e].edge];
+      int8_t signs[5][5];
+      geo::OrientLattice(edge, xs, ys, signs);
+      uint32_t left = 0;
+      uint32_t right = 0;
+      for (int y = 0; y < 5; ++y) {
+        for (int x = 0; x < 5; ++x) {
+          left |= uint32_t{signs[y][x] > 0} << (x + 5 * y);
+          right |= uint32_t{signs[y][x] < 0} << (x + 5 * y);
+        }
+      }
+      // Per row y, at bit 5 y: the leaf boxes overlapping the edge's, the
+      // end point b above the row, and the edge straddling it half-open.
+      const double x_lo = std::min(edge.a.x, edge.b.x);
+      const double x_hi = std::max(edge.a.x, edge.b.x);
+      const double y_lo = std::min(edge.a.y, edge.b.y);
+      const double y_hi = std::max(edge.a.y, edge.b.y);
+      uint32_t columns = 0;
+      uint32_t rows = 0;
+      uint32_t b_above = 0;
+      uint32_t straddles = 0;
+      for (int k = 0; k < 4; ++k) {
+        const uint32_t row = 1u << (5 * k);
+        columns |= x_lo <= xs[k + 1] && x_hi >= xs[k] ? 1u << k : 0;
+        rows |= y_lo <= ys[k + 1] && y_hi >= ys[k] ? row : 0;
+        b_above |= edge.b.y > ys[k] ? row : 0;
+        straddles |= (edge.b.y > ys[k]) != (edge.a.y > ys[k]) ? row : 0;
+      }
+      // SegmentIntersectsRect per leaf: boxes overlap, and the four
+      // corners are not all strictly on one side.
+      const uint32_t one_side = (left & left >> 1 & left >> 5 & left >> 6) |
+                                (right & right >> 1 & right >> 5 & right >> 6);
+      touched |= rows * columns & ~one_side;
+      // Along each row the edge straddles half-open, P flips where exactly
+      // one of the two points is left of the edge directed upward.
+      const uint32_t upward = b_above * 0x1F;
+      const uint32_t crosses =
+          ((left & upward) | (right & ~upward)) & straddles * 0xF;
+      row_flips ^= crosses ^ (crosses & kLatticeColumn) * 0xF;
+      // Up the column, as in Split: the edge crosses the nudged column.
+      if ((edge.a.x <= xs[0]) != (edge.b.x <= xs[0])) {
+        const uint32_t nudged_left = NudgedSide(edge, 0) > 0 ? ~right : left;
+        column_flips ^= (nudged_left ^ nudged_left >> 5) & kLatticeColumn;
+      }
+    }
+    // P up the left column, a prefix xor of its flips below each row
+    // (the flip from row 3 to the top corner is not needed), then along
+    // each row.
+    uint32_t below = column_flips & (kLatticeColumn >> 5);
+    below ^= below << 5;
+    below ^= below << 10;
+    const uint32_t column_parity =
+        (below << 5 & kLatticeColumn) ^ (parity ? kLatticeColumn : 0);
+    const uint32_t inside = row_flips ^ column_parity * 0xF;
+    // A leaf is emitted when the boundary touches it or it lies inside,
+    // interior in the second case only. Bit x + 4 y from here on.
+    const uint32_t emitted = ToGrid(touched | inside);
+    const uint32_t interior = ToGrid(inside & ~touched);
+    if (emitted == 0xFFFF) {
+      out_->push_back({cell, interior == 0xFFFF});
+      return true;
+    }
+    const std::array<uint8_t, 16>& order =
+        kGrandchildOrder[square.orientation];
+    for (int k = 0; k < 4; ++k) {
+      const uint32_t leaves = kChildLeaves[square.orientation][k];
+      if ((emitted & leaves) == 0) continue;
+      const CellId child = cell.Child(k);
+      if ((emitted & leaves) == leaves) {
+        out_->push_back({child, (interior & leaves) == leaves});
+        continue;
+      }
+      for (int m = 0; m < 4; ++m) {
+        const uint32_t leaf = 1u << order[4 * k + m];
+        if (emitted & leaf) {
+          out_->push_back({child.Child(m), (interior & leaf) != 0});
+        }
+      }
+    }
+    return false;
+  }
+
+  /// Makes room for `n` more entries above top_, plus the one slot a push
+  /// writes before deciding whether to keep it. stack_'s size is its high
+  /// water mark; [0, top_) is the descent path's lists.
+  void Reserve(size_t n) {
+    if (stack_.size() <= top_ + n) stack_.resize(top_ + n + 1);
   }
 
   const geo::Polygon& polygon_;
   const int max_level_;
   std::vector<geo::Segment>& edges_;
   std::vector<Entry>& stack_;
+  size_t top_ = 0;
   std::vector<CoveringCell>* out_;
 };
 

@@ -56,6 +56,13 @@ struct CoveringCell {
 ///    missing the parent's closed rect cannot separate two of its points,
 ///    so no other edge flips P. Only the seed's P is a full parity over
 ///    every edge; the descent never calls Polygon::Contains.
+///  - A cell at `max_level - 2` with a non-empty list is not split twice:
+///    one pass reads each listed edge's signs at the 5x5 lattice of its
+///    16 leaves' corners and derives, by the rules above, each leaf's
+///    edge test and P. A leaf is emitted if an edge touches it (boundary)
+///    or its P is set (interior), and the leaves and merged parents come
+///    out in Hilbert order from `kGrandchildOrder`, the constexpr table of
+///    the 16 grandchild positions per curve orientation.
 ///  - Each cell carries its leaf-grid square and the Hilbert orientation
 ///    inside it (`CellSquare`), so a child's rect costs O(1) instead of a
 ///    30-level id decode.

@@ -112,20 +112,26 @@ bool SegmentIntersectsRect(const Segment& s, const Rect& r) {
   return OrientFrom(a, s.b, {r.min.x, r.max.y}, dx, dy, ex0, ey1) != o0;
 }
 
-void OrientLattice(const Segment& s, const double (&xs)[3],
-                   const double (&ys)[3], int8_t (&signs)[3][3]) {
+template <int N>
+void OrientLattice(const Segment& s, const double (&xs)[N],
+                   const double (&ys)[N], int8_t (&signs)[N][N]) {
   const Point& a = s.a;
   const double dx = s.b.x - a.x;
   const double dy = s.b.y - a.y;
-  double r[3];
-  for (int i = 0; i < 3; ++i) r[i] = dy * (xs[i] - a.x);
-  for (int j = 0; j < 3; ++j) {
+  double r[N];
+  for (int i = 0; i < N; ++i) r[i] = dy * (xs[i] - a.x);
+  for (int j = 0; j < N; ++j) {
     const double l = dx * (ys[j] - a.y);
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < N; ++i) {
       signs[j][i] = static_cast<int8_t>(
           OrientFromProducts(a, s.b, {xs[i], ys[j]}, l, r[i]));
     }
   }
 }
+
+template void OrientLattice<3>(const Segment&, const double (&)[3],
+                               const double (&)[3], int8_t (&)[3][3]);
+template void OrientLattice<5>(const Segment&, const double (&)[5],
+                               const double (&)[5], int8_t (&)[5][5]);
 
 }  // namespace geoblocks::geo

@@ -47,10 +47,13 @@ bool SegmentsIntersect(const Segment& s1, const Segment& s2);
 /// strictly on one side of the segment's line (exact, by Orient).
 bool SegmentIntersectsRect(const Segment& s, const Rect& r);
 
-/// Orient(s.a, s.b, {xs[i], ys[j]}) into signs[j][i] for the 3x3 lattice
-/// xs x ys, with the filter's differences and products shared across it:
-/// six products instead of eighteen. Exact, as Orient.
-void OrientLattice(const Segment& s, const double (&xs)[3],
-                   const double (&ys)[3], int8_t (&signs)[3][3]);
+/// Orient(s.a, s.b, {xs[i], ys[j]}) into signs[j][i] for the N x N
+/// lattice xs x ys, with the filter's differences and products shared
+/// across it: 2N products instead of 2N^2. Exact, as Orient. Defined for
+/// N = 3 (a split's children's corners) and N = 5 (the leaf corners of a
+/// cell two levels above the covering's finest level).
+template <int N>
+void OrientLattice(const Segment& s, const double (&xs)[N],
+                   const double (&ys)[N], int8_t (&signs)[N][N]);
 
 }  // namespace geoblocks::geo

@@ -267,6 +267,51 @@ TEST(CellIdTest, SquareChildMatchesToRectOnRandomPaths) {
   }
 }
 
+/// kGrandchildOrder against two steps of CellSquare::Child from a square
+/// of each orientation, and against the ids: on random cells, whose
+/// orientations vary, Child(k).Child(m) decodes (ToIJ, 30 levels) to the
+/// grid position the table gives inside the cell's square.
+TEST(CellIdTest, GrandchildOrderMatchesTwoChildSteps) {
+  for (uint32_t o = 0; o < 4; ++o) {
+    const CellSquare square{0, 0, 4, o};
+    uint32_t seen = 0;
+    for (int k = 0; k < 4; ++k) {
+      for (int m = 0; m < 4; ++m) {
+        const CellSquare leaf = square.Child(k).Child(m);
+        const int g = kGrandchildOrder[o][4 * k + m];
+        EXPECT_EQ(leaf.i, static_cast<uint32_t>(g % 4)) << o << k << m;
+        EXPECT_EQ(leaf.j, static_cast<uint32_t>(g / 4)) << o << k << m;
+        seen |= 1u << g;
+      }
+    }
+    EXPECT_EQ(seen, 0xFFFFu) << "orientation " << o;
+  }
+
+  std::mt19937_64 rng(1616);
+  uint32_t orientations = 0;
+  for (int t = 0; t < 2000; ++t) {
+    CellId cell = CellId::FromIJ(rng() % (uint32_t{1} << 30),
+                                 rng() % (uint32_t{1} << 30));
+    cell = cell.Parent(static_cast<int>(rng() % (CellId::kMaxLevel - 1)));
+    const CellSquare square = CellSquare::Of(cell);
+    orientations |= 1u << square.orientation;
+    const uint32_t quarter = square.size / 4;
+    for (int k = 0; k < 4; ++k) {
+      for (int m = 0; m < 4; ++m) {
+        const int g = kGrandchildOrder[square.orientation][4 * k + m];
+        uint32_t i = 0;
+        uint32_t j = 0;
+        uint32_t size = 0;
+        cell.Child(k).Child(m).ToIJ(&i, &j, &size);
+        ASSERT_EQ(size, quarter) << cell;
+        ASSERT_EQ(i, square.i + (g % 4) * quarter) << cell << " " << k << m;
+        ASSERT_EQ(j, square.j + (g / 4) * quarter) << cell << " " << k << m;
+      }
+    }
+  }
+  EXPECT_EQ(orientations, 0xFu) << "some orientation was never drawn";
+}
+
 class CellIdLevelTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CellIdLevelTest, FromPointRoundTripsThroughRect) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cell/coverer.h"
+#include "cell/hilbert.h"
 #include "storage/sorted_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -433,6 +434,105 @@ TEST(CovererOracleAdversarialTest, SeededLatticeFuzz) {
         for (int max_level = level - 2; max_level <= level + 2; ++max_level) {
           ASSERT_TRUE(MatchesReference(polygons[i], max_level, &scratch))
               << "level " << level << " window " << t << " polygon " << i;
+        }
+      }
+    }
+  }
+}
+
+/// Seeded polygons at the scale of the coverer's last-two-levels pass: for
+/// max_level L = 0-21, every vertex on the level-L corner lattice inside
+/// one level-(L-2) cell and the two leaves around it, the cell drawn so
+/// the curve runs through it in each of the four orientations (all that
+/// occur at its level). Edges run along lattice lines or through lattice
+/// corners, vertices sit on leaf corners and on the cell's own corners,
+/// rings cross themselves or carry a hole: every leaf the pass decides
+/// meets the row, column and touch rules at a corner.
+TEST(CovererOracleAdversarialTest, SeededLastTwoLevelsFuzz) {
+  std::mt19937_64 rng(2626);
+  const auto draw = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<CoveringCell> scratch;
+  for (int max_level = 0; max_level <= 21; ++max_level) {
+    const int level = std::max(max_level - 2, 0);
+    const double h = std::ldexp(1.0, -max_level);
+    const int side = 1 << max_level;
+    // Cells of `level` by orientation; levels 0 and 1 have fewer than four.
+    std::array<std::vector<CellSquare>, 4> cells;
+    for (int t = 0; t < 400; ++t) {
+      const CellId cell =
+          CellId::FromIJ(static_cast<uint32_t>(rng() % kHilbertSide),
+                         static_cast<uint32_t>(rng() % kHilbertSide))
+              .Parent(level);
+      const CellSquare square = CellSquare::Of(cell);
+      if (cells[square.orientation].size() < 6) {
+        cells[square.orientation].push_back(square);
+      }
+    }
+    if (max_level >= 4) {
+      for (int o = 0; o < 4; ++o) {
+        ASSERT_FALSE(cells[o].empty()) << "orientation " << o;
+      }
+    }
+    for (int o = 0; o < 4; ++o) {
+      for (const CellSquare& square : cells[o]) {
+        // The cell's leaves span lattice [x0, x0 + n); the window adds two
+        // leaves on every side, clipped to the unit square.
+        const int n = 1 << (max_level - level);
+        const int x0 = static_cast<int>(square.i >> (30 - max_level));
+        const int y0 = static_cast<int>(square.j >> (30 - max_level));
+        const int lo_x = std::max(x0 - 2, 0);
+        const int hi_x = std::min(x0 + n + 2, side);
+        const int lo_y = std::max(y0 - 2, 0);
+        const int hi_y = std::min(y0 + n + 2, side);
+        const auto at = [&](int x, int y) {
+          return geo::Point{x * h, y * h};
+        };
+        // x drawn first (function arguments have no evaluation order).
+        const auto point = [&]() {
+          const int x = draw(lo_x, hi_x);
+          return at(x, draw(lo_y, hi_y));
+        };
+        const auto two = [&](int lo, int hi) {
+          int a = draw(lo, hi);
+          int b = draw(lo, hi);
+          if (a == b) b = a == hi ? lo : hi;
+          return std::pair{std::min(a, b), std::max(a, b)};
+        };
+        std::vector<geo::Polygon> polygons;
+        // Random rings, mostly self-intersecting.
+        for (int r = 0; r < 2; ++r) {
+          geo::Ring ring;
+          for (int v = draw(3, 6); v > 0; --v) ring.push_back(point());
+          polygons.emplace_back(std::move(ring));
+        }
+        // Rectilinear: a rectangle with an L notch, edges along lattice
+        // lines, one corner on the cell's own corner.
+        const auto [xa, xb] = two(lo_x, hi_x);
+        const auto [ya, yb] = two(lo_y, hi_y);
+        const int xm = draw(xa, xb);
+        const int ym = draw(ya, yb);
+        polygons.push_back(geo::Polygon{at(x0, y0), at(xb, y0), at(xb, ym),
+                                        at(xm, ym), at(xm, yb), at(x0, yb)});
+        // Slope +-1 and +-2 edges through lattice corners.
+        const int cx = draw(lo_x, hi_x);
+        const int cy = draw(lo_y, hi_y);
+        const int k = draw(1, 2);
+        polygons.push_back(geo::Polygon{at(cx - k, cy), at(cx, cy - k),
+                                        at(cx + k, cy), at(cx, cy + k)});
+        polygons.push_back(geo::Polygon{at(cx, cy), at(cx + k, cy + 2 * k),
+                                        at(cx + 2 * k, cy)});
+        // A rectangle with a lattice triangle hole that may touch it.
+        geo::Polygon holed = geo::Polygon::FromRect({at(xa, ya), at(xb, yb)});
+        holed.AddRing({at(draw(xa, xb), ya), at(xb, draw(ya, yb)),
+                       at(draw(xa, xb), yb)});
+        polygons.push_back(holed);
+
+        for (size_t i = 0; i < polygons.size(); ++i) {
+          ASSERT_TRUE(MatchesReference(polygons[i], max_level, &scratch))
+              << "orientation " << o << " cell " << square.i << ","
+              << square.j << " polygon " << i;
         }
       }
     }

@@ -476,7 +476,9 @@ TEST_F(LazyLoadTest, PendingTuplesSurviveMappedOpenAndFlush) {
   gov.EnsureBudget();
   EXPECT_GT(gov.stats().refusals, 0u);
   for (size_t s = 0; s < kShards; ++s) {
-    if (receives[s]) EXPECT_TRUE(mapped.shard_resident(s)) << "shard " << s;
+    if (receives[s]) {
+      EXPECT_TRUE(mapped.shard_resident(s)) << "shard " << s;
+    }
   }
   EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 10 + 24);
 

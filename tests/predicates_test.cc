@@ -195,6 +195,56 @@ TEST(OrientTest, LatticeMatchesInt128AtCellCorners) {
   EXPECT_GT(zeros, 0) << "no segment passed exactly through a lattice point";
 }
 
+/// The 5x5 OrientLattice, which the coverer reads at the leaf corners of a
+/// cell two levels above its finest level, against the oracle: lattices at
+/// levels 12-20 and segments through one lattice point (so through the
+/// corners of up to four leaves), along a lattice line, or with an
+/// endpoint nudged up to two ulps.
+TEST(OrientTest, Lattice5x5MatchesInt128AtLeafCorners) {
+  std::mt19937_64 rng(2505);
+  std::uniform_int_distribution<int> level(12, 20);
+  std::uniform_int_distribution<int> index(0, 4);
+  std::uniform_int_distribution<int> offset(-6, 6);
+  std::uniform_int_distribution<int> nudge(-2, 2);
+  std::uniform_int_distribution<int> shape(0, 3);
+  int zeros = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int l = level(rng);
+    const double h = std::ldexp(1.0, -l);
+    std::uniform_int_distribution<int> cell(1 << (l - 7), (1 << l) - 12);
+    const double x0 = cell(rng) * h;
+    const double y0 = cell(rng) * h;
+    double xs[5];
+    double ys[5];
+    for (int k = 0; k < 5; ++k) {
+      xs[k] = x0 + k * h;
+      ys[k] = y0 + k * h;
+    }
+    const Point through{xs[index(rng)], ys[index(rng)]};
+    Point d{offset(rng) * h / 2, offset(rng) * h / 2};
+    // Along a row or a column of the lattice.
+    if (shape(rng) == 0) d.y = 0;
+    if (shape(rng) == 0) d.x = 0;
+    if (d.x == 0 && d.y == 0) d.x = h;
+    const Point a{through.x + d.x, through.y + d.y};
+    Point b{through.x - 2 * d.x, through.y - 2 * d.y};
+    for (int k = nudge(rng); k != 0; k += k > 0 ? -1 : 1) {
+      b.y = std::nextafter(b.y, k > 0 ? 2.0 : 0.0);
+    }
+    int8_t signs[5][5];
+    OrientLattice(Segment{a, b}, xs, ys, signs);
+    for (int j = 0; j < 5; ++j) {
+      for (int i = 0; i < 5; ++i) {
+        const int want = OracleOrient(a, b, {xs[i], ys[j]});
+        ASSERT_EQ(signs[j][i], want)
+            << a << " " << b << " at " << i << "," << j << " trial " << trial;
+        zeros += want == 0;
+      }
+    }
+  }
+  EXPECT_GT(zeros, 3000) << "too few segments through lattice points";
+}
+
 /// The "three holes" polygon of CovererOracleAdversarialTest: the level-12
 /// cell below lies outside the third hole, with the hole's upper edge
 /// passing within rounding distance of its lower-right corner. The float

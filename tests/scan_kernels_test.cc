@@ -223,7 +223,9 @@ TEST(ScanKernelsTest, PolygonHitsMatchPolygonContains) {
           xs.data(), ys.data(), n, transform, prepared);
       EXPECT_EQ(got, want) << ToString(level) << " n=" << n;
     }
-    if (n == xs.size()) EXPECT_EQ(want, oracle);
+    if (n == xs.size()) {
+      EXPECT_EQ(want, oracle);
+    }
   }
 
   // Empty polygon: zero hits at every level.

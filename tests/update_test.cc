@@ -318,7 +318,7 @@ class BlockSetUpdateTest : public ::testing::Test {
     }
     std::vector<GeoBlock::UpdateTuple> batch;
     size_t next_fresh = 0;
-    for (int pass = 0; pass < 2; ++pass) {
+    for (size_t pass = 0; pass < 2; ++pass) {
       for (size_t i = 0; i < in_cell.size(); ++i) {
         batch.push_back(in_cell[i]);
         if (i % 20 == pass && next_fresh < fresh.size()) {
