@@ -28,13 +28,15 @@ void Run() {
 
   bench_util::TablePrinter table({"threshold", "base ms", "skew ms",
                                   "hit rate base", "hit rate skew",
-                                  "cached cells", "lookup ns"});
+                                  "cached cells", "lookup ns",
+                                  "skipped rebuilds"});
   const std::vector<double> thresholds = {0.0025, 0.01, 0.02, 0.05,
                                           0.10,   0.25, 0.50, 1.0};
   // One entry per threshold, for the verdict.
   std::vector<double> base_rates;
   std::vector<double> skew_rates;
   std::vector<double> lookup_times;
+  std::vector<double> skipped_shares;
   for (const double threshold : thresholds) {
     core::GeoBlockQC qc(&block, {threshold, 0});
     // Warm-up pass: run the whole workload once to gather statistics, then
@@ -87,16 +89,40 @@ void Run() {
         lookup_timer.ElapsedMs() * 1e6 / static_cast<double>(lookups);
     if (probe_sink == UINT64_MAX) std::printf("impossible\n");
 
+    // The same query sequence through a cache that re-ranks at the default
+    // rebuild_interval: the share of crossings the skip test answers
+    // without a build.
+    core::GeoBlockQC interval(
+        &block, {threshold, core::GeoBlockQC::Options{}.rebuild_interval});
+    for (int pass = 0; pass < 16; ++pass) {
+      for (const auto& c : base_coverings) {
+        sink += static_cast<double>(interval.SelectCovering(c, req).count);
+      }
+      for (int r = 0; r < 4; ++r) {
+        for (const auto& c : skew_coverings) {
+          sink += static_cast<double>(interval.SelectCovering(c, req).count);
+        }
+      }
+    }
+    const core::CacheCounters rebuilt = interval.counters();
+    if (sink < 0) std::printf("impossible\n");
+
     base_rates.push_back(base_hits);
     skew_rates.push_back(skew_hits);
     lookup_times.push_back(lookup_ns);
+    skipped_shares.push_back(rebuilt.SkippedRebuildShare());
     table.AddRow({bench_util::TablePrinter::Fmt(100.0 * threshold, 2) + "%",
                   bench_util::TablePrinter::Fmt(base_ms),
                   bench_util::TablePrinter::Fmt(skew_ms),
                   bench_util::TablePrinter::Fmt(100.0 * base_hits, 1) + "%",
                   bench_util::TablePrinter::Fmt(100.0 * skew_hits, 1) + "%",
                   std::to_string(trie->num_cached()),
-                  bench_util::TablePrinter::Fmt(lookup_ns, 1)});
+                  bench_util::TablePrinter::Fmt(lookup_ns, 1),
+                  bench_util::TablePrinter::Fmt(
+                      100.0 * rebuilt.SkippedRebuildShare(), 1) +
+                      "% of " +
+                      std::to_string(rebuilt.rebuilds +
+                                     rebuilt.rebuilds_skipped)});
   }
   table.Print();
 
@@ -128,6 +154,13 @@ void Run() {
       std::minmax_element(lookup_times.begin(), lookup_times.end());
   std::printf("verdict: trie lookups took %.1f-%.1f ns (paper: 58-81 ns)\n",
               *fastest, *slowest);
+  const auto [fewest, most] =
+      std::minmax_element(skipped_shares.begin(), skipped_shares.end());
+  std::printf("verdict: with rebuilds every %zu queries, %.1f-%.1f%% of "
+              "interval crossings left the cached set unchanged and "
+              "published nothing\n",
+              core::GeoBlockQC::Options{}.rebuild_interval, 100.0 * *fewest,
+              100.0 * *most);
 }
 
 }  // namespace

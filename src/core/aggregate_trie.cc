@@ -26,19 +26,21 @@ void AggregateTrie::WriteU32(size_t offset, uint32_t value) {
   std::memcpy(arena_.data() + offset, &value, sizeof(value));
 }
 
+cell::CellId AggregateTrie::RootFor(const BlockState& state) {
+  if (state.num_cells() == 0) return cell::CellId();
+  // The root encloses the block's input data (Section 3.6).
+  return cell::CellId::CommonAncestor(cell::CellId(state.header.min_cell),
+                                      cell::CellId(state.header.max_cell));
+}
+
 AggregateTrie::BuildResult AggregateTrie::Build(
     const BlockState& state, const std::vector<cell::CellId>& ranked,
     size_t byte_budget, const AggregateTrie* previous) {
   arena_.clear();
   num_cached_ = 0;
   num_columns_ = state.num_columns;
-  root_cell_ = cell::CellId();
+  root_cell_ = RootFor(state);
   if (state.num_cells() == 0) return {};
-
-  // The root encloses the block's input data (Section 3.6).
-  root_cell_ = cell::CellId::CommonAncestor(
-      cell::CellId(state.header.min_cell),
-      cell::CellId(state.header.max_cell));
 
   // Phase 1: decide the cached set under the budget. The trie under
   // construction mirrors the arena: a table of 4-node child blocks

@@ -73,6 +73,11 @@ class AggregateTrie {
     return Build(*block.StateSnapshot(), ranked, byte_budget, previous);
   }
 
+  /// @return The root cell a build over `state` gets: the lowest cell
+  ///     enclosing all of its cells (Section 3.6), or an invalid cell when
+  ///     the state has none.
+  static cell::CellId RootFor(const BlockState& state);
+
   bool empty() const { return num_cached_ == 0; }
   size_t num_cached() const { return num_cached_; }
   cell::CellId root_cell() const { return root_cell_; }

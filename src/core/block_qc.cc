@@ -1,5 +1,6 @@
 #include "core/block_qc.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace geoblocks::core {
@@ -97,6 +98,7 @@ size_t GeoBlockQC::DropTrie() const {
   if (prev->empty()) return 0;
   const size_t bytes = prev->MemoryBytes();
   trie_.Publish(std::make_shared<AggregateTrie>());
+  built_.valid = false;
   // The retire hook just parked the dropped snapshot as the recycling
   // spare; eviction exists to free those bytes, so drop the spare too.
   spare_trie_.reset();
@@ -119,24 +121,88 @@ void GeoBlockQC::MaybeRebuildAfterQuery() const {
   RebuildCache();
 }
 
+bool GeoBlockQC::CachedSetUnchangedLocked(const BlockState& state,
+                                          size_t budget) const {
+  if (!built_.valid || built_.budget != budget ||
+      built_.root != AggregateTrie::RootFor(state)) {
+    return false;
+  }
+  // A state without cells builds the empty trie whatever was recorded.
+  if (!built_.root.is_valid()) return true;
+  // One walk of the recorded cells: the last-ranked cached cell and the
+  // best-ranked uncached cell inside the root. Cells outside the root are
+  // never candidates.
+  using Scored = QueryStats::ScoredCell;
+  const std::vector<cell::CellId>& cached = built_.cached;
+  size_t members = 0;
+  Scored worst_member;
+  bool any_other = false;
+  Scored best_other;
+  stats_.ForEachCell([&](const Scored& c) {
+    if (!built_.root.Contains(c.cell)) return;
+    if (std::binary_search(cached.begin(), cached.end(), c.cell)) {
+      if (members++ == 0 || Scored::Before(worst_member, c)) worst_member = c;
+    } else if (!any_other || Scored::Before(c, best_other)) {
+      best_other = c;
+      any_other = true;
+    }
+  });
+  // Every cached cell was recorded when it was built; one gone missing
+  // means the statistics were cleared.
+  if (members != cached.size()) return false;
+  // Only cached cells inside the root: Build admits all of them again.
+  if (!any_other) return true;
+  // The best outsider must still be the cell Build stopped at (it still
+  // does not fit: the set, budget and layout rules are unchanged), and
+  // must still rank below every cached cell.
+  return best_other.cell == built_.break_cell &&
+         (members == 0 || Scored::Before(worst_member, best_other));
+}
+
 void GeoBlockQC::RebuildCache() const {
   // Writers serialize among themselves; readers never touch this mutex.
   std::lock_guard<std::mutex> lock(writer_mu_);
   queries_since_rebuild_.store(0, std::memory_order_relaxed);
-  // Only the (serialized) writer retires snapshots, so peeking the raw
-  // previous trie is safe here.
-  const AggregateTrie* prev = trie_.WriterPeek();
   // Pin the block state *inside* the writer critical section: update
   // commits (CommitBlockBatch) publish their state
   // and trie patch under the same mutex, so the version seen here is
-  // always whole-commit consistent with `prev` — a rebuild can neither
-  // lose a committed batch nor let one be applied twice.
+  // always whole-commit consistent with the published trie — a rebuild can
+  // neither lose a committed batch nor let one be applied twice.
   const std::shared_ptr<const BlockState> state = block_->StateSnapshot();
+  const size_t budget = BudgetFor(*state);
+  if (CachedSetUnchangedLocked(*state, budget)) {
+    counters_.AddRebuildSkipped();
+    return;
+  }
+  counters_.AddRebuild();
+  // Only the (serialized) writer retires snapshots, so peeking the raw
+  // previous trie is safe here.
+  const AggregateTrie* prev = trie_.WriterPeek();
   // Build the successor off the read path: a point-in-time-ish stats
   // snapshot ranks the cells; payloads cached by the outgoing snapshot are
   // copied instead of recomputed.
+  const std::vector<cell::CellId> ranked = stats_.RankedCells();
   auto fresh = std::make_shared<AggregateTrie>();
-  fresh->Build(*state, stats_.RankedCells(), CacheBudgetBytes(), prev);
+  fresh->Build(*state, ranked, budget, prev);
+  // Record the skip test's inputs. Build admitted a prefix of the ranked
+  // in-root cells, so the cached set is that prefix and the break
+  // candidate is the first in-root cell after it.
+  built_.valid = true;
+  built_.root = fresh->root_cell();
+  built_.budget = budget;
+  built_.cached.clear();
+  built_.break_cell = cell::CellId();
+  if (built_.root.is_valid()) {
+    for (const cell::CellId& c : ranked) {
+      if (!built_.root.Contains(c)) continue;
+      if (!fresh->IsCached(c)) {
+        built_.break_cell = c;
+        break;
+      }
+      built_.cached.push_back(c);
+    }
+    std::sort(built_.cached.begin(), built_.cached.end());
+  }
   // Epoch swap: one pointer swap publishes the new snapshot; in-flight
   // readers finish on the old one before it is retired.
   trie_.Publish(std::move(fresh));

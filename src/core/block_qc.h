@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <vector>
 
 #include "core/aggregate_trie.h"
 #include "core/geoblock.h"
@@ -27,6 +28,19 @@ struct CacheCounters {
                               ///< table (lossy by design; nonzero means the
                               ///< rankings under-count some cells — raise
                               ///< Options::stats_capacity if it matters)
+  uint64_t rebuilds = 0;          ///< RebuildCache calls that ranked, built
+                                  ///< and published a trie
+  uint64_t rebuilds_skipped = 0;  ///< RebuildCache calls that proved the
+                                  ///< cached set unchanged and published
+                                  ///< nothing
+
+  /// @return rebuilds_skipped / (rebuilds + rebuilds_skipped) (0 when no
+  ///     rebuild was requested).
+  double SkippedRebuildShare() const {
+    const uint64_t requested = rebuilds + rebuilds_skipped;
+    return requested == 0 ? 0.0
+                          : static_cast<double>(rebuilds_skipped) / requested;
+  }
 
   /// @return full_hits / probes (0 when nothing was probed).
   double HitRate() const {
@@ -36,12 +50,14 @@ struct CacheCounters {
 
 /// The live cache counters: one relaxed atomic per outcome, so the read path
 /// bumps them with plain `fetch_add`s — no locks, no contention beyond the
-/// cache line. Every probe ends in exactly one outcome, so `probes` is not
-/// counted but derived: `Snapshot` returns probes = full_hits +
-/// partial_hits + misses. The snapshot is *point-in-time-ish*: each field is
-/// internally exact (relaxed increments never lose updates) and monotone
-/// between resets, but the fields are read one after another, so a snapshot
-/// taken mid-query may miss increments that landed between the loads.
+/// cache line. The two rebuild counters are bumped on the writer side, under
+/// GeoBlockQC's writer mutex, with the same relaxed increments. Every probe
+/// ends in exactly one outcome, so `probes` is not counted but derived:
+/// `Snapshot` returns probes = full_hits + partial_hits + misses. The
+/// snapshot is *point-in-time-ish*: each field is internally exact (relaxed
+/// increments never lose updates) and monotone between resets, but the
+/// fields are read one after another, so a snapshot taken mid-query may miss
+/// increments that landed between the loads.
 class CacheCounterPlane {
  public:
   /// Relaxed-increment entry points used by the lock-free read path.
@@ -50,6 +66,10 @@ class CacheCounterPlane {
     partial_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   void AddMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
+  void AddRebuild() { rebuilds_.fetch_add(1, std::memory_order_relaxed); }
+  void AddRebuildSkipped() {
+    rebuilds_skipped_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// @return A point-in-time-ish value snapshot (see class comment).
   CacheCounters Snapshot() const {
@@ -58,6 +78,8 @@ class CacheCounterPlane {
     c.partial_hits = partial_hits_.load(std::memory_order_relaxed);
     c.misses = misses_.load(std::memory_order_relaxed);
     c.probes = c.full_hits + c.partial_hits + c.misses;
+    c.rebuilds = rebuilds_.load(std::memory_order_relaxed);
+    c.rebuilds_skipped = rebuilds_skipped_.load(std::memory_order_relaxed);
     return c;
   }
 
@@ -67,12 +89,16 @@ class CacheCounterPlane {
     full_hits_.store(0, std::memory_order_relaxed);
     partial_hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
+    rebuilds_.store(0, std::memory_order_relaxed);
+    rebuilds_skipped_.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::atomic<uint64_t> full_hits_{0};
   std::atomic<uint64_t> partial_hits_{0};
   std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> rebuilds_{0};
+  std::atomic<uint64_t> rebuilds_skipped_{0};
 };
 
 /// GeoBlocks with query caching ("BlockQC" in the evaluation): wraps a
@@ -131,11 +157,13 @@ class GeoBlockQC {
     /// Aggregate threshold: cache budget as a fraction of the block's cell
     /// aggregate storage (Section 4.3, Figure 18).
     double threshold = 0.05;
-    /// Rebuild the trie from current statistics every this many SELECT
-    /// queries: the query that crosses the interval runs RebuildCache
-    /// inline, after releasing its own read guards, while other readers
-    /// keep serving from the old snapshot. 0 disables automatic rebuilds
-    /// (use RebuildCache()).
+    /// Re-rank the statistics every this many SELECT queries: the query
+    /// that crosses the interval runs RebuildCache inline, after releasing
+    /// its own read guards, while other readers keep serving from the old
+    /// snapshot. A crossing whose ranking would leave the cached set as it
+    /// is publishes nothing (the exact skip test of RebuildCache), so most
+    /// crossings of a stable workload cost one walk of the recorded cells.
+    /// 0 disables automatic rebuilds (use RebuildCache()).
     size_t rebuild_interval = 256;
     /// Slot capacity of the lock-free stats table (see QueryStats).
     size_t stats_capacity = QueryStats::kDefaultCapacity;
@@ -248,6 +276,19 @@ class GeoBlockQC {
   /// pointer swap. Readers are never blocked; concurrent writers
   /// serialize on an internal mutex. `const` because a rebuild never
   /// changes query answers — the whole cache is logically-const metadata.
+  ///
+  /// Skip rule: first, one allocation-free walk of the recorded cells
+  /// decides whether `Build` would change the cached set. `Build` admits
+  /// ranked in-root cells greedily and stops at the first that does not
+  /// fit (the *break candidate*); its layout depends only on the admitted
+  /// set, and every admitted cell's payload is copied from the outgoing
+  /// trie. So the result is byte-identical to the published trie when the
+  /// root and the byte budget are unchanged, the trie has not been dropped
+  /// since it was built, every cached cell is still recorded, and either
+  /// no uncached in-root cell exists or the best one is still the break
+  /// candidate and every cached cell still outranks it. Then the call
+  /// publishes nothing and counts a skipped rebuild; otherwise it ranks,
+  /// builds and publishes, and counts a rebuild.
   void RebuildCache() const;
 
   /// One-shot MVCC commit of an update batch against block *and* cache
@@ -276,8 +317,7 @@ class GeoBlockQC {
   ///
   /// @return Byte budget for the trie arena.
   size_t CacheBudgetBytes() const {
-    return static_cast<size_t>(options_.threshold *
-                               static_cast<double>(block_->CellAggregateBytes()));
+    return BudgetFor(*block_->StateSnapshot());
   }
 
   /// @return Block bytes plus the published snapshot's trie bytes.
@@ -307,6 +347,18 @@ class GeoBlockQC {
   void PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
                        std::span<const uint32_t> subset);
 
+  /// @return The byte budget for a trie over one pinned state version.
+  size_t BudgetFor(const BlockState& state) const {
+    return static_cast<size_t>(options_.threshold *
+                               static_cast<double>(state.CellAggregateBytes()));
+  }
+
+  /// The skip test of RebuildCache: true when a Build over `state`, the
+  /// current statistics and `budget` would publish a trie byte-identical
+  /// to the published one. O(recorded cells), allocation-free. Must hold
+  /// writer_mu_.
+  bool CachedSetUnchangedLocked(const BlockState& state, size_t budget) const;
+
   /// Interval trigger: bumps the per-query counter and, when it crosses
   /// rebuild_interval, lets exactly one caller reset it and run the
   /// rebuild inline on its own thread.
@@ -329,6 +381,21 @@ class GeoBlockQC {
   /// (set by the retire hook, consumed by PatchTrieLocked). Guarded by
   /// writer_mu_ — the hook only runs inside a writer's Publish.
   mutable std::shared_ptr<AggregateTrie> spare_trie_;
+
+  /// What the published trie was built from: the inputs of the skip test
+  /// (see RebuildCache). Guarded by writer_mu_. Commits patch payloads
+  /// only, so they leave it valid; DropTrie invalidates it. The column
+  /// count, the other input of the layout, is the wrapped block's, fixed.
+  struct BuiltFrom {
+    bool valid = false;  ///< false until the first Build and after DropTrie
+    cell::CellId root;   ///< AggregateTrie::RootFor of the built state
+    size_t budget = 0;
+    /// The cached set, ascending ids; capacity is reused across builds.
+    std::vector<cell::CellId> cached;
+    /// The break candidate; invalid when every in-root cell was admitted.
+    cell::CellId break_cell;
+  };
+  mutable BuiltFrom built_;
 };
 
 }  // namespace geoblocks::core

@@ -623,6 +623,8 @@ CacheCounters BlockSet::MergedCacheCounters() const {
     total.partial_hits += c.partial_hits;
     total.misses += c.misses;
     total.stat_drops += c.stat_drops;
+    total.rebuilds += c.rebuilds;
+    total.rebuilds_skipped += c.rebuilds_skipped;
   }
   return total;
 }

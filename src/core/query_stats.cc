@@ -6,9 +6,11 @@
 namespace geoblocks::core {
 
 QueryStats::QueryStats(size_t capacity) {
-  capacity_ = std::bit_ceil(std::max<size_t>(capacity, 4));
+  capacity_ =
+      std::bit_ceil(std::clamp<size_t>(capacity, 4, size_t{1} << 31));
   mask_ = capacity_ - 1;
   slots_ = std::make_unique<Slot[]>(capacity_);
+  claimed_ = std::make_unique<std::atomic<uint32_t>[]>(capacity_);
 }
 
 uint64_t QueryStats::Mix(uint64_t key) {
@@ -36,6 +38,15 @@ void QueryStats::Record(cell::CellId cell) {
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
         seen = key;
+        // List the claimed slot. Positions never run past capacity_
+        // between Clears (each slot is claimed once); the bound only
+        // guards a Clear racing with claims.
+        const size_t pos =
+            num_claimed_.fetch_add(1, std::memory_order_relaxed);
+        if (pos < capacity_) {
+          claimed_[pos].store(static_cast<uint32_t>(idx + 1),
+                              std::memory_order_release);
+        }
       }
     }
     if (seen == key) {
@@ -61,42 +72,31 @@ uint32_t QueryStats::HitsFor(cell::CellId cell) const {
 }
 
 std::vector<cell::CellId> QueryStats::RankedCells() const {
-  struct Entry {
-    cell::CellId cell;
-    uint32_t score;
-    int level;
-  };
-  std::vector<Entry> entries;
-  for (size_t i = 0; i < capacity_; ++i) {
-    const uint64_t key = slots_[i].key.load(std::memory_order_acquire);
-    if (key == 0) continue;
-    // Score (own hits + parent hits) with the own hits read from the slot
-    // in hand: a claimed key holds exactly one slot.
-    const cell::CellId c(key);
-    uint32_t score = slots_[i].hits.load(std::memory_order_relaxed);
-    if (c.level() > 0) score += HitsFor(c.Parent());
-    entries.push_back({c, score, c.level()});
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.level != b.level) return a.level < b.level;
-    return a.cell < b.cell;
-  });
+  std::vector<ScoredCell> entries;
+  ForEachCell([&entries](const ScoredCell& c) { entries.push_back(c); });
+  std::sort(entries.begin(), entries.end(), ScoredCell::Before);
   std::vector<cell::CellId> out;
   out.reserve(entries.size());
-  for (const Entry& e : entries) out.push_back(e.cell);
+  for (const ScoredCell& e : entries) out.push_back(e.cell);
   return out;
 }
 
 size_t QueryStats::num_distinct_cells() const {
   size_t n = 0;
-  for (size_t i = 0; i < capacity_; ++i) {
-    if (slots_[i].key.load(std::memory_order_acquire) != 0) ++n;
-  }
+  ForEachCell([&n](const ScoredCell&) { ++n; });
   return n;
 }
 
 void QueryStats::Clear() {
+  // The list before the slots: a slot claimed after its wipe below then
+  // lists itself past the reset (its CAS read the wipe), so no live slot
+  // can lose its entry to this Clear.
+  const size_t listed =
+      std::min(num_claimed_.load(std::memory_order_relaxed), capacity_);
+  for (size_t p = 0; p < listed; ++p) {
+    claimed_[p].store(0, std::memory_order_relaxed);
+  }
+  num_claimed_.store(0, std::memory_order_release);
   for (size_t i = 0; i < capacity_; ++i) {
     // Key first: a racing Record re-claims a fresh slot instead of
     // incrementing one whose count is about to be wiped.

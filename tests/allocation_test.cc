@@ -151,6 +151,47 @@ TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {
   EXPECT_EQ(result.values, want.values);
 }
 
+TEST_F(AllocationTest, SkippedRebuildCrossingsAreAllocationFree) {
+  // With interval rebuilds on, a crossing whose ranking leaves the cached
+  // set as it is runs the skip test only: one walk of the recorded cells,
+  // no ranking vector, no build, no publish.
+  const AggregateRequest req = InlineRequest();
+  const auto polygons = workload::Neighborhoods(raw_, 4, 11);
+  ASSERT_FALSE(polygons.empty());
+  const std::vector<cell::CellId> covering = set_.Cover(polygons[0]);
+  ASSERT_FALSE(covering.empty());
+  constexpr size_t kInterval = 16;
+  GeoBlockQC::Options copts;
+  copts.threshold = 0.2;
+  copts.rebuild_interval = kInterval;
+  set_.EnableCache(copts);
+
+  // Warm: the first crossings build the trie, and the thread-local
+  // scratches and the reused result reach capacity.
+  QueryResult result;
+  for (size_t i = 0; i < 4 * kInterval; ++i) {
+    set_.SelectCoveringCachedInto(covering, req, &result);
+  }
+  const QueryResult want = result;
+  const CacheCounters warm = set_.MergedCacheCounters();
+  ASSERT_GT(warm.rebuilds, 0u);
+  ASSERT_GT(warm.full_hits, 0u);
+
+  constexpr size_t kQueries = 20 * kInterval;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < kQueries; ++i) {
+    set_.SelectCoveringCachedInto(covering, req, &result);
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "a crossing that changes nothing must not allocate";
+  const CacheCounters c = set_.MergedCacheCounters();
+  EXPECT_EQ(c.rebuilds, warm.rebuilds);
+  EXPECT_GE(c.rebuilds_skipped - warm.rebuilds_skipped, kQueries / kInterval);
+  EXPECT_EQ(result.count, want.count);
+  EXPECT_EQ(result.values, want.values);
+}
+
 TEST_F(AllocationTest, CovererIntoWarmVectorIsAllocationFree) {
   // The unit-space coverer recurses on the call stack and merges siblings
   // in place, so writing into a vector that already has the capacity makes

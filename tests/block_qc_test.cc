@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <memory>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "core/block_qc.h"
 #include "workload/datagen.h"
@@ -218,6 +224,316 @@ TEST_F(BlockQCTest, BlockLevelCellsBypassTheCache) {
   const QueryResult want = block_->SelectCovering(covering, req);
   ASSERT_EQ(got.count, want.count);
   ASSERT_EQ(got.values, want.values);
+}
+
+/// A seeded Zipf stream over polygon indices: the polygon at position r of
+/// `order` is drawn with weight 1 / (r + 1)^1.1.
+class ZipfStream {
+ public:
+  ZipfStream(std::vector<size_t> order, uint64_t seed)
+      : order_(std::move(order)), rng_(seed) {
+    std::vector<double> weights;
+    for (size_t r = 0; r < order_.size(); ++r) {
+      weights.push_back(1.0 / std::pow(static_cast<double>(r + 1), 1.1));
+    }
+    dist_ = std::discrete_distribution<size_t>(weights.begin(), weights.end());
+  }
+  size_t Next() { return order_[dist_(rng_)]; }
+
+ private:
+  std::vector<size_t> order_;
+  std::mt19937_64 rng_;
+  std::discrete_distribution<size_t> dist_;
+};
+
+/// `count` tuples at the centers of block-level cells the block does not
+/// hold yet, inside the unit-space rect from `lo` to `hi`.
+std::vector<GeoBlock::UpdateTuple> NewCellBatch(const GeoBlock& block,
+                                                size_t num_columns,
+                                                geo::Point lo, geo::Point hi,
+                                                size_t count, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> x(lo.x, hi.x);
+  std::uniform_real_distribution<double> y(lo.y, hi.y);
+  std::vector<GeoBlock::UpdateTuple> batch;
+  std::vector<uint64_t> used;
+  while (batch.size() < count) {
+    const cell::CellId c = cell::CellId::FromPoint({x(rng), y(rng)})
+                               .Parent(block.level());
+    if (std::binary_search(block.cells().begin(), block.cells().end(),
+                           c.id()) ||
+        std::find(used.begin(), used.end(), c.id()) != used.end()) {
+      continue;
+    }
+    used.push_back(c.id());
+    GeoBlock::UpdateTuple t;
+    t.location = block.projection().FromUnit(c.CenterPoint());
+    t.values.assign(num_columns, 3.0);
+    batch.push_back(std::move(t));
+  }
+  return batch;
+}
+
+TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
+  // The skip test of RebuildCache must be exact: after every interval
+  // crossing the published arena equals, byte for byte, a trie built from
+  // the current ranking, budget and state with the pre-crossing trie as
+  // the payload source — whether the crossing rebuilt or skipped.
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
+  constexpr size_t kInterval = 8;
+  GeoBlockQC qc(&block, GeoBlockQC::Options{0.02, kInterval});
+  const AggregateRequest req = SomeRequest();
+  std::vector<std::vector<cell::CellId>> coverings;
+  for (const geo::Polygon& poly : *polygons_) {
+    coverings.push_back(block.Cover(poly));
+  }
+
+  struct Tally {
+    size_t skipped = 0;
+    size_t rebuilt = 0;
+  };
+  Tally total;
+  // Runs `n` queries whose coverings `next` returns; returns what their
+  // crossings did.
+  const auto run = [&](auto&& next, size_t n) -> Tally {
+    Tally t;
+    for (size_t q = 0; q < n; ++q) {
+      const std::shared_ptr<const AggregateTrie> prev = qc.trie_snapshot();
+      const CacheCounters before = qc.counters();
+      const std::vector<cell::CellId>& covering = next();
+      ExpectSameResult(qc.SelectCovering(covering, req),
+                       block.SelectCovering(covering, req));
+      const CacheCounters after = qc.counters();
+      const std::shared_ptr<const AggregateTrie> got = qc.trie_snapshot();
+      if (after.rebuilds_skipped != before.rebuilds_skipped) {
+        ++t.skipped;
+        EXPECT_EQ(got, prev) << "a skipped crossing published a trie";
+      } else if (after.rebuilds != before.rebuilds) {
+        ++t.rebuilt;
+      } else {
+        EXPECT_EQ(got, prev) << "a query between crossings published a trie";
+        continue;
+      }
+      AggregateTrie want;
+      want.Build(*block.StateSnapshot(), qc.stats().RankedCells(),
+                 qc.CacheBudgetBytes(), prev.get());
+      if (got->root_cell() != want.root_cell() ||
+          !std::ranges::equal(got->bytes(), want.bytes())) {
+        ADD_FAILURE() << "crossing at query " << q
+                      << " diverged from a full build";
+        return t;
+      }
+    }
+    total.skipped += t.skipped;
+    total.rebuilt += t.rebuilt;
+    return t;
+  };
+
+  std::vector<size_t> order(polygons_->size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Every fourth stationary query covers the root's parent: a recorded
+  // cell that is never a candidate, however well it ranks.
+  const cell::CellId root = AggregateTrie::RootFor(*block.StateSnapshot());
+  ASSERT_GT(root.level(), 0);
+  const std::vector<cell::CellId> above_root{root.Parent()};
+  ZipfStream stationary_stream(order, 11);
+  size_t stationary_queries = 0;
+  const auto stationary = [&]() -> const std::vector<cell::CellId>& {
+    if (++stationary_queries % 4 == 0) return above_root;
+    return coverings[stationary_stream.Next()];
+  };
+  const Tally steady = run(stationary, 800);
+  EXPECT_GT(steady.skipped, steady.rebuilt)
+      << "a stationary stream should mostly skip";
+
+  // The hot set moves to the other end of the polygon list.
+  std::reverse(order.begin(), order.end());
+  ZipfStream shifted_stream(order, 12);
+  const auto shifted = [&]() -> const std::vector<cell::CellId>& {
+    return coverings[shifted_stream.Next()];
+  };
+  EXPECT_GT(run(shifted, 400).rebuilt, 0u);
+
+  // In-cell commits patch payloads only: crossings may keep skipping, and
+  // a kept trie must carry the patched payloads.
+  std::mt19937_64 rng(13);
+  std::vector<GeoBlock::UpdateTuple> in_cell;
+  for (int k = 0; k < 64; ++k) {
+    GeoBlock::UpdateTuple t;
+    t.location = block.projection().FromUnit(
+        cell::CellId(block.cells()[rng() % block.num_cells()]).CenterPoint());
+    t.values.assign(data_->num_columns(), 7.5);
+    in_cell.push_back(std::move(t));
+  }
+  ASSERT_EQ(qc.CommitBlockBatch(&block, in_cell).applied, in_cell.size());
+  run(shifted, 200);
+
+  // New cells inside the root grow the budget: the next crossing rebuilds.
+  ASSERT_EQ(AggregateTrie::RootFor(*block.StateSnapshot()), root);
+  const geo::Rect root_rect = root.ToRect();
+  const size_t budget_before = qc.CacheBudgetBytes();
+  const auto inside = NewCellBatch(
+      block, data_->num_columns(), root_rect.min, root_rect.max, 8, 14);
+  ASSERT_EQ(qc.CommitBlockBatch(&block, inside).applied, inside.size());
+  ASSERT_EQ(AggregateTrie::RootFor(*block.StateSnapshot()), root);
+  ASSERT_GT(qc.CacheBudgetBytes(), budget_before);
+  {
+    const Tally t = run(shifted, kInterval);
+    EXPECT_EQ(t.rebuilt, 1u);
+    EXPECT_EQ(t.skipped, 0u);
+  }
+  run(shifted, 200);
+
+  // A new cell outside the root grows the root.
+  const geo::Point far_lo{root_rect.max.x + 0.01, root_rect.max.y + 0.01};
+  const geo::Point far_hi{std::min(far_lo.x + 0.05, 0.999),
+                          std::min(far_lo.y + 0.05, 0.999)};
+  ASSERT_LT(far_lo.x, far_hi.x);
+  const auto outside = NewCellBatch(block, data_->num_columns(), far_lo,
+                                    far_hi, 1, 15);
+  ASSERT_EQ(qc.CommitBlockBatch(&block, outside).applied, 1u);
+  ASSERT_NE(AggregateTrie::RootFor(*block.StateSnapshot()), root);
+  {
+    const Tally t = run(shifted, kInterval);
+    EXPECT_EQ(t.rebuilt, 1u);
+    EXPECT_EQ(t.skipped, 0u);
+  }
+  run(shifted, 200);
+
+  // A dropped trie is rebuilt at the next crossing.
+  ASSERT_GT(qc.DropTrie(), 0u);
+  {
+    const Tally t = run(shifted, kInterval);
+    EXPECT_EQ(t.rebuilt, 1u);
+  }
+  run(stationary, 200);
+
+  // Cleared statistics: the check reads only the current table. No
+  // production path clears a cache's statistics; the test reaches the
+  // table through the const accessor of a non-const cache. Recording only
+  // the cell the last build stopped at must bring it in.
+  const std::shared_ptr<const AggregateTrie> kept = qc.trie_snapshot();
+  const std::vector<cell::CellId> ranked = qc.stats().RankedCells();
+  const auto break_cell = std::find_if(
+      ranked.begin(), ranked.end(), [&](const cell::CellId& c) {
+        return kept->root_cell().Contains(c) && !kept->IsCached(c);
+      });
+  ASSERT_NE(break_cell, ranked.end());
+  ASSERT_GT(kept->num_cached(), 0u);
+  const std::vector<cell::CellId> only_break{*break_cell};
+  const_cast<QueryStats&>(qc.stats()).Clear();
+  {
+    const Tally t = run(
+        [&]() -> const std::vector<cell::CellId>& { return only_break; },
+        kInterval);
+    EXPECT_EQ(t.rebuilt, 1u);
+    EXPECT_TRUE(qc.trie_snapshot()->IsCached(only_break[0]));
+  }
+  run(stationary, 400);
+
+  EXPECT_GT(total.skipped, 0u);
+  EXPECT_GT(total.rebuilt, 0u);
+  const CacheCounters c = qc.counters();
+  EXPECT_EQ(c.rebuilds, total.rebuilt);
+  EXPECT_EQ(c.rebuilds_skipped, total.skipped);
+}
+
+TEST_F(BlockQCTest, RootGrowthAloneRebuilds) {
+  // With a zero budget nothing is ever cached and no commit moves the
+  // budget, yet a commit that grows the root must still republish: a trie
+  // answers Lookup against its root.
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
+  constexpr size_t kInterval = 4;
+  GeoBlockQC qc(&block, GeoBlockQC::Options{0.0, kInterval});
+  const AggregateRequest req = SomeRequest();
+  const std::vector<cell::CellId> covering = block.Cover((*polygons_)[0]);
+  const auto cross = [&] {
+    for (size_t q = 0; q < kInterval; ++q) qc.SelectCovering(covering, req);
+  };
+  cross();
+  cross();
+  const cell::CellId root = qc.trie_snapshot()->root_cell();
+  ASSERT_EQ(root, AggregateTrie::RootFor(*block.StateSnapshot()));
+  EXPECT_EQ(qc.counters().rebuilds, 1u);
+  EXPECT_EQ(qc.counters().rebuilds_skipped, 1u);
+
+  const geo::Rect r = root.ToRect();
+  const geo::Point far_lo{r.max.x + 0.01, r.max.y + 0.01};
+  const auto outside = NewCellBatch(
+      block, data_->num_columns(), far_lo,
+      {std::min(far_lo.x + 0.05, 0.999), std::min(far_lo.y + 0.05, 0.999)},
+      1, 16);
+  ASSERT_EQ(qc.CommitBlockBatch(&block, outside).applied, 1u);
+  ASSERT_EQ(qc.CacheBudgetBytes(), 0u);
+  cross();
+  EXPECT_EQ(qc.counters().rebuilds, 2u);
+  EXPECT_EQ(qc.trie_snapshot()->root_cell(),
+            AggregateTrie::RootFor(*block.StateSnapshot()));
+  EXPECT_NE(qc.trie_snapshot()->root_cell(), root);
+}
+
+TEST_F(BlockQCTest, ConcurrentClaimsDuringCrossings) {
+  // Recorders keep claiming fresh stats slots (every thread queries its
+  // own coarse cells) while their interval crossings and a writer thread
+  // run the skip test, RebuildCache and RankedCells: race-free under TSan,
+  // answers exact, and the quiesced ranking whole.
+  GeoBlockQC qc(block_, GeoBlockQC::Options{0.05, 16});
+  constexpr size_t kRecorders = 4;
+  std::vector<cell::CellId> coarse;
+  for (size_t i = 0; i < block_->num_cells(); i += 5) {
+    const cell::CellId c(block_->cells()[i]);
+    coarse.push_back(c.Parent(block_->level() - 1 - static_cast<int>(i % 4)));
+  }
+  std::sort(coarse.begin(), coarse.end());
+  coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
+  ASSERT_GT(coarse.size(), 200u);
+  AggregateRequest req;
+  req.Add(AggFn::kCount);
+  std::vector<uint64_t> want;
+  for (const cell::CellId& c : coarse) {
+    want.push_back(block_->SelectCovering({&c, 1}, req).count);
+  }
+
+  std::atomic<size_t> done{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> recorders;
+  for (size_t t = 0; t < kRecorders; ++t) {
+    recorders.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t i = t; i < coarse.size(); i += kRecorders) {
+          if (qc.SelectCovering({&coarse[i], 1}, req).count != want[i]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  size_t duplicate_rankings = 0;
+  while (done.load(std::memory_order_acquire) < kRecorders) {
+    qc.RebuildCache();
+    std::vector<cell::CellId> ranked = qc.stats().RankedCells();
+    std::sort(ranked.begin(), ranked.end());
+    if (std::adjacent_find(ranked.begin(), ranked.end()) != ranked.end()) {
+      ++duplicate_rankings;
+    }
+  }
+  for (std::thread& t : recorders) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(duplicate_rankings, 0u);
+
+  // Quiesced: every recorded cell is listed, and one more request either
+  // skips or rebuilds to exactly the full build.
+  EXPECT_EQ(qc.stats().num_distinct_cells(), coarse.size());
+  EXPECT_EQ(qc.stats().RankedCells().size(), coarse.size());
+  const std::shared_ptr<const AggregateTrie> prev = qc.trie_snapshot();
+  qc.RebuildCache();
+  AggregateTrie full;
+  full.Build(*block_, qc.stats().RankedCells(), qc.CacheBudgetBytes(),
+             prev.get());
+  EXPECT_TRUE(std::ranges::equal(qc.trie_snapshot()->bytes(), full.bytes()));
+  const CacheCounters c = qc.counters();
+  EXPECT_GT(c.rebuilds + c.rebuilds_skipped, 0u);
 }
 
 TEST_F(BlockQCTest, MemoryIncludesTrie) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -11,6 +13,39 @@ namespace {
 
 cell::CellId CellAt(double x, double y, int level) {
   return cell::CellId::FromPoint({x, y}).Parent(level);
+}
+
+/// The ranking a scan of every slot would produce: each candidate that
+/// holds a slot (HitsFor > 0), scored and sorted by the ranking order.
+std::vector<cell::CellId> FullScanRanking(
+    const QueryStats& stats, const std::vector<cell::CellId>& candidates) {
+  std::vector<QueryStats::ScoredCell> held;
+  for (const cell::CellId& c : candidates) {
+    if (stats.HitsFor(c) > 0) held.push_back({c, stats.Score(c)});
+  }
+  std::sort(held.begin(), held.end(), QueryStats::ScoredCell::Before);
+  held.erase(std::unique(held.begin(), held.end(),
+                         [](const QueryStats::ScoredCell& a,
+                            const QueryStats::ScoredCell& b) {
+                           return a.cell == b.cell;
+                         }),
+             held.end());
+  std::vector<cell::CellId> out;
+  for (const QueryStats::ScoredCell& e : held) out.push_back(e.cell);
+  return out;
+}
+
+/// `n` cells over several levels, parents and children mixed in.
+std::vector<cell::CellId> MixedCells(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<cell::CellId> cells;
+  for (size_t i = 0; i < n; ++i) {
+    const cell::CellId c = CellAt(u(rng), u(rng), 8 + static_cast<int>(i % 6));
+    cells.push_back(c);
+    if (i % 5 == 0) cells.push_back(c.Parent());
+  }
+  return cells;
 }
 
 TEST(QueryStatsTest, RecordAndHits) {
@@ -177,6 +212,101 @@ TEST(QueryStatsTest, RankedCellsIgnoresSlotPlacement) {
   }
   ASSERT_EQ(small.dropped(), 0u);
   EXPECT_EQ(small.RankedCells(), large.RankedCells());
+}
+
+TEST(QueryStatsTest, ClaimedListMatchesFullScan) {
+  // Several record/Clear rounds claim more slots in total than the table
+  // has: each Clear must hand the whole list back.
+  QueryStats stats(1 << 10);
+  std::mt19937_64 rng(6);
+  for (uint64_t round = 0; round < 6; ++round) {
+    const std::vector<cell::CellId> cells = MixedCells(300, 5 + round);
+    for (size_t i = 0; i < 3000; ++i) {
+      stats.Record(cells[rng() % cells.size()]);
+    }
+    ASSERT_EQ(stats.dropped(), 0u);
+    const std::vector<cell::CellId> want = FullScanRanking(stats, cells);
+    ASSERT_GT(want.size(), 250u);
+    EXPECT_EQ(stats.RankedCells(), want) << "round " << round;
+    EXPECT_EQ(stats.num_distinct_cells(), want.size());
+    stats.Clear();
+    EXPECT_EQ(stats.num_distinct_cells(), 0u);
+    EXPECT_TRUE(stats.RankedCells().empty());
+  }
+}
+
+TEST(QueryStatsTest, ClaimedListMatchesFullScanUnderOverflow) {
+  // A full table drops records; the list holds exactly the cells that did
+  // claim a slot, each once.
+  QueryStats stats(/*capacity=*/16);
+  const std::vector<cell::CellId> cells = MixedCells(80, 8);
+  for (int round = 0; round < 3; ++round) {
+    for (const cell::CellId& c : cells) stats.Record(c);
+  }
+  ASSERT_GT(stats.dropped(), 0u);
+  const std::vector<cell::CellId> want = FullScanRanking(stats, cells);
+  EXPECT_EQ(want.size(), stats.capacity());
+  EXPECT_EQ(stats.RankedCells(), want);
+  EXPECT_EQ(stats.num_distinct_cells(), want.size());
+}
+
+TEST(QueryStatsTest, ForEachCellScoresLikeScore) {
+  QueryStats stats;
+  const std::vector<cell::CellId> cells = MixedCells(60, 9);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    for (size_t r = 0; r <= i % 3; ++r) stats.Record(cells[i]);
+  }
+  size_t visited = 0;
+  stats.ForEachCell([&](const QueryStats::ScoredCell& c) {
+    EXPECT_EQ(c.score, stats.Score(c.cell));
+    ++visited;
+  });
+  EXPECT_EQ(visited, stats.num_distinct_cells());
+}
+
+TEST(QueryStatsTest, ConcurrentClaimsWhileRanking) {
+  // Recorders claim fresh slots while a reader ranks: every snapshot is
+  // duplicate-free and no larger than the final table, and the quiesced
+  // list holds every claimed cell.
+  QueryStats stats;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 600;
+  std::vector<std::vector<cell::CellId>> own(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < kPerThread; ++i) {
+      own[t].push_back(CellAt((static_cast<double>(i) + 0.5) / kPerThread,
+                              (static_cast<double>(t) + 0.5) / kThreads, 14));
+    }
+  }
+  std::atomic<size_t> done{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const cell::CellId& c : own[t]) {
+        stats.Record(c);
+        stats.Record(c);
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  size_t bad_snapshots = 0;
+  while (done.load(std::memory_order_acquire) < kThreads) {
+    std::vector<cell::CellId> ranked = stats.RankedCells();
+    std::sort(ranked.begin(), ranked.end());
+    if (std::adjacent_find(ranked.begin(), ranked.end()) != ranked.end() ||
+        ranked.size() > kThreads * kPerThread) {
+      ++bad_snapshots;
+    }
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad_snapshots, 0u);
+  ASSERT_EQ(stats.dropped(), 0u);
+  std::vector<cell::CellId> all;
+  for (const auto& cells : own) {
+    all.insert(all.end(), cells.begin(), cells.end());
+  }
+  EXPECT_EQ(stats.RankedCells(), FullScanRanking(stats, all));
+  EXPECT_EQ(stats.num_distinct_cells(), kThreads * kPerThread);
 }
 
 }  // namespace
