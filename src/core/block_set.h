@@ -419,9 +419,8 @@ class BlockSet {
   /// answer bit-identically to the set that was saved, without the base
   /// rows; refinement throws until AttachDataset re-binds the dataset.
   /// Every manifest field and every shard payload is checksum-verified
-  /// before use, so corrupt or truncated input fails cleanly. Tuples in a
-  /// non-empty pending section (written by an older version) are
-  /// committed to their shards at load, which marks those shards dirty.
+  /// before use, so corrupt or truncated input fails cleanly. A pending
+  /// section holding anything but K zero counts is rejected as corrupt.
   ///
   /// @param in Source stream (open in binary mode).
   /// @return The loaded set, in the *detached* state.
@@ -429,7 +428,7 @@ class BlockSet {
   ///     version, a checksum mismatch, truncation, an implausible shard
   ///     count, or manifest/payload inconsistencies (non-contiguous
   ///     windows or payload offsets, mismatched row counts, mixed shard
-  ///     levels).
+  ///     levels, a non-empty pending section).
   static BlockSet ReadFrom(std::istream& in);
 
   /// -- Lazy loading and memory governance ----------------------------------
@@ -440,9 +439,8 @@ class BlockSet {
   /// validated up front, and each shard's payload is deserialized on the
   /// first route to it — bytes touched at open are O(manifest + shard 0 +
   /// pending), not O(file). Shard 0 is materialized eagerly (it carries
-  /// the level/projection/schema every other shard is validated against,
-  /// and the pending section needs the schema width to decode); a
-  /// non-empty pending section is committed at open as ReadFrom does.
+  /// the level/projection/schema every other shard is validated against);
+  /// a non-empty pending section is rejected as ReadFrom rejects it.
   ///
   /// The loaded set is detached, answers every query path bit-identically
   /// to ReadFrom of the same file, and accepts updates; shards touched by
@@ -754,12 +752,6 @@ class BlockSet {
                                     std::string_view payload,
                                     const serialize::SetManifest& m,
                                     size_t s, const GeoBlock* reference);
-
-  /// Checksums and decodes a pending-updates section (non-empty only in
-  /// files written before commits created new cells inline) and commits
-  /// its tuples through CommitRouted. Defined in serialize.cc.
-  void CommitPendingSection(std::string_view pending_section,
-                            uint32_t expected_crc);
 
   /// The memory half of ApplyBatchUpdate: routes `batch` to shards and
   /// commits each sub-batch under its shard's writer lock. No logging, no

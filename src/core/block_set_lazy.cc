@@ -89,30 +89,27 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
   }
   src->file = std::move(file);
   src->shim = options.shim;
+  {
+    std::shared_ptr<const void> owner;
+    serialize::CheckPendingSection(
+        ReadFileBytes(src->file, src->shim, src,
+                      m.manifest_bytes + m.payload_bytes, m.pending_bytes,
+                      &owner),
+        m);
+  }
 
   BlockSet set = FromManifest(m);
   set.source_ = std::move(src);
   set.governor_ = options.governor;
 
   // Shard 0 is materialized eagerly: it carries the level / projection /
-  // schema width every later fault is cross-checked against, and decoding
-  // the pending section needs the schema width.
+  // schema width every later fault is cross-checked against.
   {
     std::lock_guard<std::mutex> lock(set.residency_[0]->mu);
     set.MaterializeShardLocked(0);
   }
   set.level_ = set.blocks_[0]->level();
   set.projection_ = set.blocks_[0]->projection();
-
-  // The pending section is committed eagerly, exactly like ReadFrom: its
-  // tuples must not depend on which shards ever fault in. Committing faults
-  // the receiving shards in and marks them dirty.
-  std::shared_ptr<const void> owner;
-  const std::string_view pending =
-      ReadFileBytes(set.source_->file, set.source_->shim, set.source_,
-                    m.manifest_bytes + m.payload_bytes, m.pending_bytes,
-                    &owner);
-  set.CommitPendingSection(pending, m.pending_crc);
 
   for (size_t i = 0; i < set.num_shards(); ++i) set.RegisterShardEntry(i);
   return set;

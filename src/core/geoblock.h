@@ -518,22 +518,22 @@ class GeoBlock {
   ///     little-endian).
   void WriteTo(std::ostream& out) const;
 
-  /// Loads the block WriteTo wrote (format v3, or the older v2 and the
-  /// filter-less v1) from the front of `bytes`, without copying it: every
-  /// cell array whose bytes are aligned for its element type is a view of
-  /// `bytes`, which `owner` keeps alive for as long as any state version
-  /// shares the array. A misaligned array is copied; only a v1/v2 payload,
-  /// or bytes not 8-aligned in memory, have them. Every array length is
-  /// checked against the bytes that remain.
+  /// Loads the block WriteTo wrote (format v3, the only one read) from
+  /// the front of `bytes`, without copying it: every cell array is a view
+  /// of `bytes`, which `owner` keeps alive for as long as any state
+  /// version shares the array. Every array length is checked against the
+  /// bytes that remain.
   ///
   /// @param owner    Keeps `bytes` alive (a mapping, a read buffer such as
   ///     serialize::NewPayloadBuffer's).
-  /// @param bytes    The payload, possibly followed by other bytes.
+  /// @param bytes    The payload, possibly followed by other bytes; must
+  ///     start on an 8-byte boundary in memory.
   /// @param consumed Receives the payload's length in bytes.
   /// @return The loaded, self-contained block (empty DatasetView).
-  /// @throws std::runtime_error on bad magic, an unsupported version, a
-  ///     level outside [0, CellId::kMaxLevel], truncation, a non-zero pad
-  ///     byte, or inconsistent array lengths.
+  /// @throws std::runtime_error on `bytes` that are not 8-aligned, bad
+  ///     magic, a version other than 3, a level outside
+  ///     [0, CellId::kMaxLevel], truncation, a non-zero pad byte, or
+  ///     inconsistent array lengths.
   static GeoBlock ReadFrom(std::shared_ptr<const void> owner,
                            std::string_view bytes, size_t* consumed);
 

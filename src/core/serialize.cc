@@ -3,17 +3,14 @@
 //
 //   GeoBlock payload ("GBLK", v3):  level, schema width, projection domain,
 //       key range, global aggregate, parallel cell-aggregate arrays, build
-//       filter, every array on an 8-byte boundary of the payload (the
-//       packed v2 and the filter-less v1 are still read).
+//       filter, every array on an 8-byte boundary of the payload.
 //   BlockSet container ("GBST", v3): a CRC-checksummed manifest (shard
 //       boundaries, row windows, state row counts, payload table, change
 //       number) followed by one GeoBlock payload per shard, each
 //       individually checksummed, then a checksummed pending-updates
-//       section (written empty; a reader commits any tuples an older
-//       writer left there).
+//       section that is always K zero counts.
 //
-// The WAL ("GWAL") lives in io/update_log.cc; it shares the update-tuple
-// codec (core/update_codec.h) with the pending section here.
+// The WAL ("GWAL") lives in io/update_log.cc.
 #include "core/serialize.h"
 
 #include <cstdint>
@@ -28,7 +25,6 @@
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
 #include "core/scan_kernels.h"
-#include "core/update_codec.h"
 
 namespace geoblocks::core {
 
@@ -83,9 +79,8 @@ class PayloadWriter {
   size_t pos_ = 0;
 };
 
-/// Payload reader over bytes that `owner` keeps alive: an array whose
-/// bytes are aligned for its element type is a view of them, any other is
-/// copied.
+/// Payload reader over 8-aligned bytes that `owner` keeps alive: every
+/// array is a view of them.
 class ByteReader {
  public:
   ByteReader(std::shared_ptr<const void> owner, std::string_view bytes)
@@ -107,15 +102,10 @@ class ByteReader {
     if (count > (bytes_.size() - pos_) / sizeof(T)) {
       throw std::runtime_error("geoblocks: truncated stream");
     }
-    const char* at = bytes_.data() + pos_;
+    const T* at = reinterpret_cast<const T*>(bytes_.data() + pos_);
     pos_ += count * sizeof(T);
     if (count == 0) return CellArray<T>();
-    if (reinterpret_cast<uintptr_t>(at) % alignof(T) == 0) {
-      return CellArray<T>(owner_, reinterpret_cast<const T*>(at), count);
-    }
-    std::vector<T> values(count);
-    std::memcpy(values.data(), at, count * sizeof(T));
-    return CellArray<T>(std::move(values));
+    return CellArray<T>(owner_, at, count);
   }
 
   /// Consumes `n` pad bytes, which must be zero.
@@ -138,17 +128,17 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// Reads a length-prefixed array; in the aligned (v3) layout the zero pad
-/// after it too.
+/// Reads a length-prefixed array and the zero pad after it, so the next
+/// field starts on an 8-byte boundary.
 template <typename T>
-CellArray<T> ReadArray(ByteReader& in, bool aligned) {
+CellArray<T> ReadArray(ByteReader& in) {
   static_assert(std::is_trivially_copyable_v<T>);
   const uint64_t count = in.Pod<uint64_t>();
   if (count > serialize::kMaxPayloadBytes / sizeof(T)) {
     throw std::runtime_error("geoblocks: implausible vector size");
   }
   CellArray<T> values = in.Array<T>(count);
-  if (aligned) in.Pad(PadTo8(in.pos()));
+  in.Pad(PadTo8(in.pos()));
   return values;
 }
 
@@ -228,18 +218,18 @@ void GeoBlock::WriteStateTo(std::ostream& out, const BlockState& state) const {
 GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
                             std::string_view bytes, size_t* consumed) {
   serialize::RequireLittleEndianHost();
+  // The payload puts every array on an 8-byte boundary of itself, so
+  // 8-aligned bytes make each one a view aligned for its element type.
+  if (reinterpret_cast<uintptr_t>(bytes.data()) % 8 != 0) {
+    throw std::runtime_error("geoblocks: GeoBlock bytes are not 8-aligned");
+  }
   ByteReader in(std::move(owner), bytes);
   if (in.Pod<uint32_t>() != serialize::kBlockMagic) {
     throw std::runtime_error("geoblocks: not a GeoBlock stream");
   }
-  const uint32_t version = in.Pod<uint32_t>();
-  if (version < serialize::kBlockMinVersion ||
-      version > serialize::kBlockVersion) {
+  if (in.Pod<uint32_t>() != serialize::kBlockVersion) {
     throw std::runtime_error("geoblocks: unsupported GeoBlock version");
   }
-  // v3 starts every field after the level, and every array, on an 8-byte
-  // boundary of the payload; v1/v2 are packed.
-  const bool aligned = version >= 3;
   GeoBlock block;
   auto state = std::make_shared<BlockState>();
   state->header.level = in.Pod<int32_t>();
@@ -247,7 +237,7 @@ GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
       state->header.level > cell::CellId::kMaxLevel) {
     throw std::runtime_error("geoblocks: GeoBlock level out of range");
   }
-  if (aligned) in.Pad(PadTo8(in.pos()));
+  in.Pad(PadTo8(in.pos()));
   block.level_ = state->header.level;
   block.num_columns_ = in.Pod<uint64_t>();
   if (block.num_columns_ >
@@ -265,15 +255,15 @@ GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
   state->header.max_cell = in.Pod<uint64_t>();
   state->header.global.count = in.Pod<uint64_t>();
   const CellArray<ColumnAggregate> global =
-      ReadArray<ColumnAggregate>(in, aligned);
+      ReadArray<ColumnAggregate>(in);
   state->header.global.columns.assign(global.begin(), global.end());
-  state->cells = ReadArray<uint64_t>(in, aligned);
-  state->offsets = ReadArray<uint32_t>(in, aligned);
-  state->counts = ReadArray<uint32_t>(in, aligned);
-  state->min_keys = ReadArray<uint64_t>(in, aligned);
-  state->max_keys = ReadArray<uint64_t>(in, aligned);
-  state->column_aggs = ReadArray<ColumnAggregate>(in, aligned);
-  if (version >= 2) block.filter_ = ReadFilter(in, block.num_columns_);
+  state->cells = ReadArray<uint64_t>(in);
+  state->offsets = ReadArray<uint32_t>(in);
+  state->counts = ReadArray<uint32_t>(in);
+  state->min_keys = ReadArray<uint64_t>(in);
+  state->max_keys = ReadArray<uint64_t>(in);
+  state->column_aggs = ReadArray<ColumnAggregate>(in);
+  block.filter_ = ReadFilter(in, block.num_columns_);
   const size_t n = state->cells.size();
   if (state->header.global.columns.size() != block.num_columns_ ||
       state->offsets.size() != n || state->counts.size() != n ||
@@ -319,9 +309,8 @@ GeoBlock GeoBlock::ReadFrom(std::shared_ptr<const void> owner,
 // Manifest size: serialize::ManifestBytes(K) = 64 + 52*K bytes rounded up
 // to a multiple of 8. Shard payloads (each a multiple of 8 bytes) follow
 // back to back, so each starts 8-aligned in a page-aligned mapping; then
-// the pending-updates section: per shard in order, u64 tuple count followed
-// by that many encoded update tuples (core/update_codec.h). The writer
-// always writes K zero counts.
+// the pending-updates section: K zero u64 tuple counts. A reader rejects
+// any other section.
 
 void BlockSet::WriteTo(std::ostream& out) const {
   serialize::RequireLittleEndianHost();
@@ -490,7 +479,7 @@ SetManifest ReadSetManifest(std::istream& in) {
     m.payload_offsets[i] = read_u64_at(pos);
     m.payload_sizes[i] = read_u64_at(pos + 8);
     if (m.payload_offsets[i] != next_byte ||
-        m.payload_sizes[i] > kMaxPayloadBytes) {
+        m.payload_sizes[i] > kMaxPayloadBytes || m.payload_sizes[i] % 8 != 0) {
       throw std::runtime_error(
           "geoblocks: BlockSet manifest payload table is inconsistent");
     }
@@ -510,11 +499,22 @@ SetManifest ReadSetManifest(std::istream& in) {
   m.pending_bytes = read_u64_at(pos);
   pos += 8;
   m.pending_crc = read_u32_at(pos);
-  if (m.pending_bytes > kMaxPayloadBytes) {
+  if (m.pending_bytes != k * sizeof(uint64_t)) {
     throw std::runtime_error(
-        "geoblocks: implausible BlockSet pending section size");
+        "geoblocks: BlockSet pending section size is not one count per "
+        "shard");
   }
   return m;
+}
+
+void CheckPendingSection(std::string_view section, const SetManifest& m) {
+  if (Crc32(section) != m.pending_crc) {
+    throw std::runtime_error(
+        "geoblocks: BlockSet pending section checksum mismatch");
+  }
+  if (section.find_first_not_of('\0') != std::string_view::npos) {
+    throw std::runtime_error("geoblocks: BlockSet pending section not empty");
+  }
 }
 
 }  // namespace serialize
@@ -607,43 +607,6 @@ void BlockSet::HydrateShard(size_t s, std::shared_ptr<const void> owner,
   res.resident.store(true, std::memory_order_release);
 }
 
-void BlockSet::CommitPendingSection(std::string_view pending_section,
-                                    uint32_t expected_crc) {
-  if (serialize::Crc32(pending_section) != expected_crc) {
-    throw std::runtime_error(
-        "geoblocks: BlockSet pending section checksum mismatch");
-  }
-  size_t pending_pos = 0;
-  const size_t num_columns = blocks_.front()->num_columns();
-  std::vector<GeoBlock::UpdateTuple> tuples;
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    if (pending_section.size() - pending_pos < 8) {
-      throw std::runtime_error(
-          "geoblocks: truncated BlockSet pending section");
-    }
-    uint64_t count;
-    std::memcpy(&count, pending_section.data() + pending_pos, 8);
-    pending_pos += 8;
-    for (GeoBlock::UpdateTuple& t :
-         serialize::DecodeUpdateTuples(pending_section, &pending_pos, count)) {
-      if (t.values.size() != num_columns) {
-        throw std::runtime_error(
-            "geoblocks: BlockSet pending tuple width does not match the "
-            "schema");
-      }
-      tuples.push_back(std::move(t));
-    }
-  }
-  if (pending_pos != pending_section.size()) {
-    throw std::runtime_error(
-        "geoblocks: BlockSet pending section has trailing bytes");
-  }
-  // An older writer buffered these tuples per shard, in shard order, each
-  // routed by the same boundaries CommitRouted uses: routing the
-  // concatenation hands every shard its own tuples in their saved order.
-  if (!tuples.empty()) CommitRouted(tuples, nullptr);
-}
-
 BlockSet BlockSet::ReadFrom(std::istream& in) {
   serialize::RequireLittleEndianHost();
   // The eager and lazy (OpenMapped) loaders share the manifest decoder,
@@ -670,8 +633,6 @@ BlockSet BlockSet::ReadFrom(std::istream& in) {
   set.level_ = set.blocks_.front()->level();
   set.projection_ = set.blocks_.front()->projection();
 
-  // Pending-updates section: checksum, then commit any tuples an older
-  // writer left buffered there.
   std::string pending_section(m.pending_bytes, '\0');
   in.read(pending_section.data(),
           static_cast<std::streamsize>(pending_section.size()));
@@ -679,7 +640,7 @@ BlockSet BlockSet::ReadFrom(std::istream& in) {
     throw std::runtime_error(
         "geoblocks: truncated BlockSet pending section");
   }
-  set.CommitPendingSection(pending_section, m.pending_crc);
+  serialize::CheckPendingSection(pending_section, m);
   return set;
 }
 

@@ -37,22 +37,14 @@ inline constexpr uint32_t kSetMagic = 0x54534247;
 /// First four bytes of an update log (WAL) file: "GWAL".
 inline constexpr uint32_t kWalMagic = 0x4C415747;
 
-/// Current GeoBlock payload version. v3 puts every field after the level,
-/// and every array, on an 8-byte boundary of the payload (zero pad bytes),
-/// so a decoder can use the arrays in place. v2 appended the block's filter
-/// predicates so refinement after BlockSet::AttachDataset re-aggregates
-/// exactly the rows the original build did. v2 and v1 (no filter field,
-/// read as an empty match-all filter) payloads are still read.
+/// GeoBlock payload version, the only one a reader accepts. v3 puts every
+/// field after the level, and every array, on an 8-byte boundary of the
+/// payload (zero pad bytes), so a decoder uses the arrays in place.
 inline constexpr uint32_t kBlockVersion = 3;
-/// Oldest GeoBlock payload version ReadFrom still accepts.
-inline constexpr uint32_t kBlockMinVersion = 1;
-/// Current BlockSet manifest version, the only one a reader accepts. v3
-/// pads the manifest to a multiple of 8 bytes and carries GBLK v3
-/// payloads, so every payload array is aligned in a page-aligned mapping.
-/// v2 added the set's committed change number, a per-shard state-row array
-/// (restoring the exact manifest ↔ payload row cross-check that v1's
-/// permissive `>=` had lost), and a pending-updates section (written
-/// empty; a reader commits any tuples it holds).
+/// BlockSet manifest version, the only one a reader accepts. v3 pads the
+/// manifest to a multiple of 8 bytes and carries GBLK v3 payloads, so every
+/// payload array is aligned in a page-aligned mapping. Its pending-updates
+/// section is always K zero counts; a reader rejects anything else.
 inline constexpr uint32_t kSetVersion = 3;
 /// Current update-log (WAL) file version.
 inline constexpr uint32_t kWalVersion = 1;
@@ -146,12 +138,13 @@ struct SetManifest {
   /// target for each shard's payload.
   std::vector<uint64_t> state_rows;
   /// Payload table: byte offsets relative to the end of the manifest,
-  /// contiguous, each size capped at kMaxPayloadBytes.
+  /// contiguous, each size a multiple of 8 capped at kMaxPayloadBytes.
   std::vector<uint64_t> payload_offsets;
   std::vector<uint64_t> payload_sizes;
   /// Per-shard payload CRC-32s (validated against each payload when it is
   /// read — at load time on the eager path, at fault time on the lazy one).
   std::vector<uint32_t> payload_crcs;
+  /// Size of the pending-updates section: always 8·shard_count.
   uint64_t pending_bytes = 0;
   uint32_t pending_crc = 0;
   /// Total manifest size including its trailing CRC:
@@ -171,8 +164,9 @@ inline constexpr uint64_t ManifestBytes(uint64_t shards) {
 
 /// Reads and fully validates a BlockSet manifest from the current stream
 /// position: magic, version, flags, the manifest CRC, ascending boundaries,
-/// contiguous windows summing to total_rows, and a contiguous payload
-/// table. On return the stream is positioned at the first payload byte.
+/// contiguous windows summing to total_rows, a contiguous payload table of
+/// 8-byte multiples, and a pending section size of 8·K. On return the
+/// stream is positioned at the first payload byte.
 ///
 /// @param in Source stream (open in binary mode).
 /// @return The decoded manifest.
@@ -180,5 +174,12 @@ inline constexpr uint64_t ManifestBytes(uint64_t shards) {
 ///     version or flags, a checksum mismatch, a non-zero pad, or
 ///     structural inconsistency.
 SetManifest ReadSetManifest(std::istream& in);
+
+/// Checks the pending-updates section `section` (the pending_bytes after
+/// the payloads) against manifest `m`: its CRC, and that it holds only
+/// zero counts. A loader commits nothing from it.
+///
+/// @throws std::runtime_error on a checksum mismatch or a non-zero byte.
+void CheckPendingSection(std::string_view section, const SetManifest& m);
 
 }  // namespace geoblocks::core::serialize

@@ -1,16 +1,13 @@
 #pragma once
 
 /// \file update_codec.h
-/// The wire encoding of update tuples, shared by the two places an update
-/// batch persists: WAL record payloads (io/update_log) and the manifest's
-/// pending-updates section (BlockSet v2, core/serialize; written empty,
-/// decoded from older files). One codec keeps
-/// the two formats byte-compatible; the layout is specified in
+/// The wire encoding of update tuples in WAL record payloads
+/// (io/update_log, the codec's only decoder); the layout is specified in
 /// docs/FORMAT.md (§Update tuples).
 ///
 /// Per tuple: f64 x, f64 y, u32 value_count, then value_count f64 values —
 /// little-endian, back to back, no padding. The tuple count itself is NOT
-/// part of the encoding; both containers store it in their own headers.
+/// part of the encoding; the WAL record header stores it.
 
 #include <cstddef>
 #include <cstdint>

@@ -3,7 +3,6 @@
 // handling, and the AttachDataset/DetachDataset state machine.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -16,7 +15,6 @@
 #include "core/geoblock.h"
 #include "core/serialize.h"
 #include "payload_layout.h"
-#include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -307,7 +305,7 @@ TEST_F(BlockSetPersistTest, RejectsWrongVersion) {
 TEST_F(BlockSetPersistTest, RejectsFlippedManifestChecksumByte) {
   const BlockSet set = BuildSet(4);
   std::string bytes = Serialized(set);
-  const size_t manifest_size = core::testing::ManifestBytes(set.num_shards());
+  const size_t manifest_size = core::serialize::ManifestBytes(set.num_shards());
   // Flip one byte of the stored manifest CRC.
   bytes[manifest_size - 1] ^= 0x01;
   EXPECT_THROW(Deserialized(bytes), std::runtime_error);
@@ -320,7 +318,7 @@ TEST_F(BlockSetPersistTest, RejectsFlippedManifestChecksumByte) {
 TEST_F(BlockSetPersistTest, RejectsCorruptShardPayload) {
   const BlockSet set = BuildSet(4);
   std::string bytes = Serialized(set);
-  const size_t manifest_size = core::testing::ManifestBytes(set.num_shards());
+  const size_t manifest_size = core::serialize::ManifestBytes(set.num_shards());
   // Flip a byte in the middle of the payload area: the per-shard CRC check
   // must catch it before the payload is parsed.
   bytes[manifest_size + (bytes.size() - manifest_size) / 2] ^= 0x01;
@@ -332,8 +330,8 @@ TEST_F(BlockSetPersistTest, RejectsTruncation) {
   // Truncations everywhere: inside the fixed prefix, inside the manifest
   // arrays, at the payload boundary, and mid-payload.
   for (const size_t keep :
-       {size_t{10}, size_t{40}, core::testing::ManifestBytes(4) - 2,
-        core::testing::ManifestBytes(4),
+       {size_t{10}, size_t{40}, core::serialize::ManifestBytes(4) - 2,
+        core::serialize::ManifestBytes(4),
         bytes.size() / 2, bytes.size() - 1}) {
     ASSERT_LT(keep, bytes.size());
     EXPECT_THROW(Deserialized(bytes.substr(0, keep)), std::runtime_error)
@@ -354,7 +352,7 @@ TEST_F(BlockSetPersistTest, RejectsGarbage) {
 }
 
 // --------------------------------------------------------------------------
-// v2 additions: pending section, change number, exact state-row cross-check
+// Change number and the exact state-row cross-check
 // --------------------------------------------------------------------------
 
 /// Tuples located inside cells shard 0 already aggregates.
@@ -373,72 +371,6 @@ std::vector<core::GeoBlock::UpdateTuple> InCellBatchFor(
     batch.push_back(std::move(t));
   }
   return batch;
-}
-
-/// Tuples in distinct cells no shard aggregates yet (new regions): each
-/// commit creates their cell aggregates.
-std::vector<core::GeoBlock::UpdateTuple> NewRegionBatchFor(
-    const BlockSet& set, const storage::SortedDataset& data, size_t count,
-    uint64_t seed) {
-  std::vector<uint64_t> covered;
-  for (size_t s = 0; s < set.num_shards(); ++s) {
-    const auto& cells = set.shard(s).cells();
-    covered.insert(covered.end(), cells.begin(), cells.end());
-  }
-  std::sort(covered.begin(), covered.end());
-  std::mt19937_64 rng(seed);
-  std::vector<core::GeoBlock::UpdateTuple> batch;
-  std::vector<uint64_t> used;
-  while (batch.size() < count) {
-    const double x = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
-    const double y = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
-    const cell::CellId cell =
-        cell::CellId::FromPoint({x, y}).Parent(set.level());
-    if (std::binary_search(covered.begin(), covered.end(), cell.id())) {
-      continue;
-    }
-    if (std::binary_search(used.begin(), used.end(), cell.id())) continue;
-    used.insert(std::lower_bound(used.begin(), used.end(), cell.id()),
-                cell.id());
-    core::GeoBlock::UpdateTuple t;
-    t.location = data.projection().FromUnit(cell.CenterPoint());
-    t.values.assign(data.num_columns(), 1.0);
-    batch.push_back(std::move(t));
-  }
-  return batch;
-}
-
-TEST_F(BlockSetPersistTest, PendingUpdatesSurviveSaveLoad) {
-  // An older writer kept new-region tuples in the pending section; the
-  // reader commits them at load. The file's change number is nonzero, as
-  // any file holding pending tuples had: they came from update batches.
-  BlockSet set = BuildSet(4);
-  set.ApplyBatchUpdate(InCellBatchFor(set, **data_, 10, 4));
-  const auto fresh = NewRegionBatchFor(set, **data_, 24, 5);
-  const std::string bytes =
-      core::testing::SplicePendingSection(Serialized(set), set, fresh);
-  BlockSet loaded = Deserialized(bytes);
-
-  // Committing the same tuples to the saved set gives the same answers,
-  // bit for bit: each shard folds its tuples in their saved order.
-  set.ApplyBatchUpdate(fresh);
-  const std::vector<cell::CellId> all{cell::CellId::Root()};
-  EXPECT_EQ(loaded.CountCovering(all),
-            (*data_)->num_rows() + 10 + fresh.size());
-  ExpectBitIdenticalAnswers(loaded, set, "committed pending");
-
-  // The writer leaves the section empty, and the rewritten file reloads
-  // to the same answers and reserializes byte-identically.
-  const std::string again = Serialized(loaded);
-  EXPECT_TRUE(core::testing::PendingSectionIsEmpty(again, 4));
-  const BlockSet reloaded = Deserialized(again);
-  ExpectBitIdenticalAnswers(reloaded, set, "rewritten pending");
-  EXPECT_EQ(Serialized(reloaded), again);
-
-  // The pending CRC still guards the section: flip one tuple byte.
-  std::string corrupt = bytes;
-  corrupt[corrupt.size() - 3] ^= 0x20;
-  EXPECT_THROW(Deserialized(corrupt), std::runtime_error);
 }
 
 TEST_F(BlockSetPersistTest, ChangeNumberRoundTripsAndOrdersBatches) {
@@ -468,21 +400,48 @@ TEST_F(BlockSetPersistTest, UpdatedSetRoundTripsBitIdentically) {
 
 TEST_F(BlockSetPersistTest, RejectsStateRowManifestMismatch) {
   const BlockSet set = BuildSet(4);
-  std::string bytes = Serialized(set);
+  const std::string good = Serialized(set);
   const size_t k = set.num_shards();
-  // Bump state_rows[0] by one and fix up the manifest CRC, so only the
-  // exact manifest ↔ payload cross-check can catch the inconsistency
-  // (the permissive `>=` of v1 would have let this through).
   const size_t state_rows_pos = 40 + (k + 1) * 8 + k * 16;
-  uint64_t rows;
-  std::memcpy(&rows, bytes.data() + state_rows_pos, 8);
-  rows += 1;
-  std::memcpy(bytes.data() + state_rows_pos, &rows, 8);
-  const size_t manifest_size = core::testing::ManifestBytes(k);
-  const uint32_t crc = core::serialize::Crc32(
-      std::string_view(bytes).substr(0, manifest_size - 4));
-  std::memcpy(bytes.data() + manifest_size - 4, &crc, 4);
-  EXPECT_THROW(Deserialized(bytes), std::runtime_error);
+  const size_t last_size_pos = state_rows_pos + k * 8 + (k - 1) * 16 + 8;
+  const size_t manifest_size = core::serialize::ManifestBytes(k);
+  // Each case moves one u64 manifest field by `delta` and fixes up the
+  // manifest CRC, so only the check named by `error` can fire:
+  //  - state_rows[0] + 1: the exact manifest ↔ payload row cross-check
+  //    (the permissive `>=` of v1 would have let this through);
+  //  - the last payload's size - 4: the table stays contiguous, but a
+  //    size that is not a multiple of 8 would misalign every payload
+  //    after it in a mapping;
+  //  - pending_bytes - 8: the section must be one count per shard;
+  //  - pending_crc + 1 (the u64 at M - 8 holds it in its low half, and
+  //    the manifest CRC in its high half is rewritten anyway): the
+  //    section's own CRC.
+  struct Case {
+    size_t pos;
+    int64_t delta;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{state_rows_pos, 1, "manifest state rows"},
+        Case{last_size_pos, -4, "payload table"},
+        Case{manifest_size - 16, -8, "pending section size"},
+        Case{manifest_size - 8, 1, "pending section checksum"}}) {
+    std::string bytes = good;
+    uint64_t field;
+    std::memcpy(&field, bytes.data() + c.pos, 8);
+    field += static_cast<uint64_t>(c.delta);
+    std::memcpy(bytes.data() + c.pos, &field, 8);
+    const uint32_t crc = core::serialize::Crc32(
+        std::string_view(bytes).substr(0, manifest_size - 4));
+    std::memcpy(bytes.data() + manifest_size - 4, &crc, 4);
+    try {
+      (void)Deserialized(bytes);
+      ADD_FAILURE() << "accepted a manifest with a bad " << c.error;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

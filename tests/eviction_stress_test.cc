@@ -11,7 +11,6 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <random>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
-#include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -174,52 +172,6 @@ TEST_F(EvictionStressTest, DirtyShardsRefuseEvictionAfterUpdates) {
   const std::vector<cell::CellId> all{cell::CellId::Root()};
   EXPECT_EQ(mapped.CountCovering(all),
             (*data_)->num_rows() + result.applied);
-}
-
-TEST_F(EvictionStressTest, BufferedPendingTuplesAlsoRefuseEviction) {
-  const BlockSet eager = Eager();
-
-  // New-region tuples buffered in the file's pending section (as an older
-  // writer left them): OpenMapped commits them, dirtying their shards.
-  std::vector<GeoBlock::UpdateTuple> fresh;
-  std::mt19937_64 rng(13);
-  while (fresh.size() < 16) {
-    const double x = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
-    const double y = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
-    const cell::CellId cell = cell::CellId::FromPoint({x, y}).Parent(kLevel);
-    bool taken = false;
-    for (size_t s = 0; s < kShards && !taken; ++s) {
-      const auto& cells = eager.shard(s).cells();
-      taken = std::binary_search(cells.begin(), cells.end(), cell.id());
-    }
-    if (taken) continue;
-    GeoBlock::UpdateTuple t;
-    t.location = (*data_)->projection().FromUnit(cell.CenterPoint());
-    t.values.assign((*data_)->num_columns(), 1.0);
-    fresh.push_back(std::move(t));
-  }
-  {
-    std::ifstream in(path_, std::ios::binary);
-    std::ostringstream file;
-    file << in.rdbuf();
-    const std::string spliced =
-        core::testing::SplicePendingSection(file.str(), eager, fresh);
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(spliced.data(), static_cast<std::streamsize>(spliced.size()));
-  }
-  MemoryGovernor gov(MemoryGovernor::Options{0});
-  LazyOpenOptions options;
-  options.governor = &gov;
-  BlockSet mapped = BlockSet::OpenMapped(path_, options);
-
-  // Fault everything in, then starve the budget: the shards holding the
-  // committed pending tuples refuse, so every tuple stays counted.
-  const std::vector<cell::CellId> all{cell::CellId::Root()};
-  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 16);
-  gov.set_budget_bytes(1);
-  gov.EnsureBudget();
-  EXPECT_GT(gov.stats().refusals, 0u);
-  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 16);
 }
 
 TEST_F(EvictionStressTest, GovernedCachedSetMatchesEagerAndKeepsDirtyShards) {

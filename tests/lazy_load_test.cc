@@ -1,12 +1,11 @@
 // Lazy loading (BlockSet::OpenMapped): parity with the eager loader,
 // fault-in on first route, typed containment of corrupt payloads and
-// injected I/O errors, committing an older file's pending tuples, updates
+// injected I/O errors, rejecting a non-empty pending section, updates
 // against a mapped set, and WAL crash recovery from a mapped checkpoint.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -24,7 +23,6 @@
 #include "core/serialize.h"
 #include "io/update_log.h"
 #include "payload_layout.h"
-#include "pending_splice.h"
 #include "storage/sharded_dataset.h"
 #include "util/io_shim.h"
 #include "util/thread_pool.h"
@@ -422,76 +420,36 @@ TEST_F(LazyLoadTest, InjectedPreadErrorsAreContainedAndRetryable) {
   EXPECT_GT(shim.pread_counters().errors, 0u);
 }
 
-TEST_F(LazyLoadTest, PendingTuplesSurviveMappedOpenAndFlush) {
-  // A file whose pending section holds new-region tuples (an older writer
-  // buffered them there): OpenMapped commits them at open, like ReadFrom,
-  // with no flush step.
-  BlockSet built = BuildSet(kShards);
-  std::vector<GeoBlock::UpdateTuple> fresh;
-  std::vector<bool> receives(kShards, false);
-  std::mt19937_64 rng(9);
-  while (fresh.size() < 24) {
-    const double x = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
-    const double y = (static_cast<double>(rng() % 100000) + 0.5) / 100000.0;
-    const cell::CellId cell = cell::CellId::FromPoint({x, y}).Parent(kLevel);
-    bool taken = false;
-    for (size_t s = 0; s < built.num_shards() && !taken; ++s) {
-      const auto& cells = built.shard(s).cells();
-      taken = std::binary_search(cells.begin(), cells.end(), cell.id());
-    }
-    if (taken) continue;
-    GeoBlock::UpdateTuple t;
-    t.location = (*data_)->projection().FromUnit(cell.CenterPoint());
-    t.values.assign((*data_)->num_columns(), 1.0);
-    fresh.push_back(std::move(t));
-    receives[storage::ShardForKey(built.boundaries(), cell.id())] = true;
-  }
-  // Any file holding pending tuples came from update batches, so its
-  // change number is nonzero: commit a few in-cell tuples first.
-  std::vector<GeoBlock::UpdateTuple> in_cell(10);
-  for (GeoBlock::UpdateTuple& t : in_cell) {
-    const auto& cells = built.shard(0).cells();
-    t.location = (*data_)->projection().FromUnit(
-        cell::CellId(cells[rng() % cells.size()]).CenterPoint());
-    t.values.assign((*data_)->num_columns(), 1.5);
-  }
-  built.ApplyBatchUpdate(in_cell);
+TEST_F(LazyLoadTest, RejectsNonEmptyPendingSection) {
+  // Shard 0's pending count becomes 1, and pending_crc and the manifest
+  // CRC are fixed up, so only the empty-section check can fire; both
+  // loaders commit nothing and reject the file.
   std::ostringstream saved(std::ios::binary);
-  built.WriteTo(saved);
-  const std::string bytes =
-      core::testing::SplicePendingSection(saved.str(), built, fresh);
+  BuildSet(kShards).WriteTo(saved);
+  std::string bytes = std::move(saved).str();
+  const size_t manifest = core::serialize::ManifestBytes(kShards);
+  const size_t section = bytes.size() - 8 * kShards;
+  const uint64_t one = 1;
+  std::memcpy(bytes.data() + section, &one, 8);
+  const uint32_t pending_crc =
+      core::serialize::Crc32(std::string_view(bytes).substr(section));
+  std::memcpy(bytes.data() + manifest - 8, &pending_crc, 4);
+  const uint32_t manifest_crc =
+      core::serialize::Crc32(std::string_view(bytes).substr(0, manifest - 4));
+  std::memcpy(bytes.data() + manifest - 4, &manifest_crc, 4);
   WriteBytes(bytes);
-
-  MemoryGovernor gov(MemoryGovernor::Options{0});
-  LazyOpenOptions options;
-  options.governor = &gov;
-  BlockSet mapped = BlockSet::OpenMapped(path_, options);
-  const std::vector<cell::CellId> all{cell::CellId::Root()};
-  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 10 + 24);
-  built.ApplyBatchUpdate(fresh);
-  ExpectBitIdentical(mapped, built);
-
-  // Every receiving shard is dirty: a starved budget cannot evict it.
-  gov.set_budget_bytes(1);
-  gov.EnsureBudget();
-  EXPECT_GT(gov.stats().refusals, 0u);
-  for (size_t s = 0; s < kShards; ++s) {
-    if (receives[s]) {
-      EXPECT_TRUE(mapped.shard_resident(s)) << "shard " << s;
+  const auto expect_rejected = [](const auto& open, const char* loader) {
+    try {
+      (void)open();
+      ADD_FAILURE() << loader << " accepted a non-empty pending section";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("pending section not empty"),
+                std::string::npos)
+          << loader << ": " << e.what();
     }
-  }
-  EXPECT_EQ(mapped.CountCovering(all), (*data_)->num_rows() + 10 + 24);
-
-  // The writer leaves the section empty.
-  std::ostringstream again(std::ios::binary);
-  mapped.WriteTo(again);
-  EXPECT_TRUE(core::testing::PendingSectionIsEmpty(again.str(), kShards));
-
-  // The pending CRC still guards the section at open.
-  std::string corrupt = bytes;
-  corrupt[corrupt.size() - 3] ^= 0x20;
-  WriteBytes(corrupt);
-  EXPECT_THROW(BlockSet::OpenMapped(path_), std::runtime_error);
+  };
+  expect_rejected([&] { return Eager(); }, "ReadFrom");
+  expect_rejected([&] { return BlockSet::OpenMapped(path_); }, "OpenMapped");
 }
 
 TEST_F(LazyLoadTest, UpdatesAgainstMappedSetMatchEager) {

@@ -2,11 +2,10 @@
 
 // An independent reading of the GBLK v3 payload layout (docs/FORMAT.md
 // §GeoBlock payload), for tests that check where the writer puts each array
-// and pad, and that turn a v3 payload back into the packed v2/v1 layouts.
+// and pad.
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -53,24 +52,6 @@ inline PayloadLayout WalkPayloadV3(std::string_view payload) {
   layout.filter_offset = pos;
   layout.end = pos + 8 + u64_at(pos) * 16;
   return layout;
-}
-
-/// The packed v2 (or, for a filter-less block, v1) form of a v3 payload:
-/// the same fields with every pad removed and the version patched.
-inline std::string PackedPayload(std::string_view v3, uint32_t version) {
-  const PayloadLayout layout = WalkPayloadV3(v3);
-  std::string out;
-  size_t pad = 0;
-  for (size_t i = 0; i < layout.end; ++i) {
-    if (pad < layout.pad_offsets.size() && layout.pad_offsets[pad] == i) {
-      ++pad;
-      continue;
-    }
-    out.push_back(v3[i]);
-  }
-  std::memcpy(out.data() + 4, &version, 4);
-  if (version == 1) out.resize(out.size() - 8);  // the empty filter's count
-  return out;
 }
 
 }  // namespace geoblocks::core::testing

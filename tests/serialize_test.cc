@@ -154,31 +154,7 @@ TEST_F(SerializeTest, FilterSurvivesRoundTrip) {
   EXPECT_EQ(loaded.header().global.count, block.header().global.count);
 }
 
-TEST_F(SerializeTest, ReadsVersion1PayloadsWithoutFilter) {
-  // A v1 payload is the packed v2 layout minus the trailing filter field
-  // (the filter was appended, docs/FORMAT.md §Versioning). Down-convert a
-  // written stream and check it still loads, with an empty filter.
-  const GeoBlock loaded =
-      Decode(testing::PackedPayload(Payload(*block_), 1));
-  EXPECT_TRUE(loaded.filter().IsTrue());
-  EXPECT_EQ(loaded.num_cells(), block_->num_cells());
-  EXPECT_EQ(loaded.header().global.count, block_->header().global.count);
-  ExpectSameAggregates(loaded, *block_);
-}
-
-TEST_F(SerializeTest, ReadsVersion2PayloadsBitIdentically) {
-  // v2 is v3 without the pad bytes; the decoder reads it, copying every
-  // array the packing leaves misaligned.
-  storage::Filter filter;
-  filter.Add({2, storage::CompareOp::kLt, 30.0});
-  const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, filter});
-  const GeoBlock loaded = Decode(testing::PackedPayload(Payload(block), 2));
-  ExpectSameAggregates(loaded, block);
-  ASSERT_EQ(loaded.filter().predicates().size(), 1u);
-  EXPECT_EQ(loaded.filter().predicates()[0].value, 30.0);
-}
-
-TEST_F(SerializeTest, AliasedDecodeViewsAlignedBytesAndCopiesMisaligned) {
+TEST_F(SerializeTest, AliasedDecodeViewsAlignedBytesAndRejectsMisaligned) {
   const std::string bytes = Payload(*block_);
   // 8-aligned bytes: every array is a view of the buffer.
   const std::shared_ptr<char> buffer =
@@ -205,17 +181,13 @@ TEST_F(SerializeTest, AliasedDecodeViewsAlignedBytesAndCopiesMisaligned) {
     }
     EXPECT_FALSE(state->cells.owned());
   }
-  // The same bytes 4 bytes off alignment: every 8-byte array is copied,
-  // and the answers do not change.
+  // The same bytes 4 bytes off alignment would misalign every 8-byte
+  // array, so they are rejected.
   std::memmove(buffer.get() + 4, buffer.get(), bytes.size());
-  const GeoBlock shifted = GeoBlock::ReadFrom(
-      buffer, std::string_view(buffer.get() + 4, bytes.size()), &consumed);
-  EXPECT_EQ(consumed, bytes.size());
-  ExpectSameAggregates(shifted, *block_);
-  const std::shared_ptr<const BlockState> state = shifted.StateSnapshot();
-  EXPECT_TRUE(state->cells.owned());
-  EXPECT_TRUE(state->min_keys.owned());
-  EXPECT_TRUE(state->column_aggs.owned());
+  EXPECT_THROW((void)GeoBlock::ReadFrom(
+                   buffer, std::string_view(buffer.get() + 4, bytes.size()),
+                   &consumed),
+               std::runtime_error);
 }
 
 TEST_F(SerializeTest, InCellCommitReleasesTheDecodedBuffer) {
@@ -291,10 +263,13 @@ TEST_F(SerializeTest, RejectsFilterColumnOutOfRange) {
 }
 
 TEST_F(SerializeTest, RejectsFutureVersion) {
+  // Only v3 is read: the packed v1/v2 layouts are rejected like any
+  // version this reader does not know.
   std::string bytes = Payload(*block_);
-  const uint32_t future = 99;
-  std::memcpy(bytes.data() + 4, &future, 4);
-  EXPECT_THROW((void)Decode(bytes), std::runtime_error);
+  for (const uint32_t version : {0u, 1u, 2u, 4u, 99u}) {
+    std::memcpy(bytes.data() + 4, &version, 4);
+    EXPECT_THROW((void)Decode(bytes), std::runtime_error) << version;
+  }
 }
 
 TEST_F(SerializeTest, RejectsLevelOutOfRange) {
