@@ -77,7 +77,7 @@ void BM_PolygonCovering(benchmark::State& state) {
   state.counters["cells"] =
       static_cast<double>(cells) / static_cast<double>(polygons);
 }
-BENCHMARK(BM_PolygonCovering)->Arg(15)->Arg(17)->Arg(19);
+BENCHMARK(BM_PolygonCovering)->Arg(13)->Arg(15)->Arg(17)->Arg(19)->Arg(21);
 
 void BM_BlockSelect(benchmark::State& state) {
   const auto& env = Env();

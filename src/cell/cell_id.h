@@ -206,9 +206,9 @@ struct CellSquare {
 /// The 16 grandchildren of a cell in Hilbert (ascending id) order, per
 /// orientation of the curve inside it: kGrandchildOrder[orientation]
 /// [4 * k + m] is i + 4 * j, the position of grandchild Child(k).Child(m)
-/// in the cell's 4x4 grid of grandchildren. Lets the coverer emit a cell's
-/// two last levels without stepping CellSquare::Child twice per
-/// grandchild.
+/// in the cell's 4x4 grid of grandchildren. Lets the coverer's two-level
+/// step rank a cell's grandchildren without stepping CellSquare::Child
+/// twice per grandchild.
 inline constexpr std::array<std::array<uint8_t, 16>, 4> kGrandchildOrder =
     [] {
       std::array<std::array<uint8_t, 16>, 4> order{};

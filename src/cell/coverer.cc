@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "cell/hilbert.h"
@@ -46,35 +47,82 @@ inline int NudgedSide(const geo::Segment& e, int sign) {
   return e.b.x > e.a.x ? 1 : -1;
 }
 
-/// In the 5x5 lattice of a cell's leaf corners, indexed x + 5 y: the min
-/// corners of the four leaves in its left column. Times 0xF, a mask of
-/// rows (bit 5 y each) spreads to every leaf of those rows.
-constexpr uint32_t kLatticeColumn = 1 | 1 << 5 | 1 << 10 | 1 << 15;
+/// A step decides the descendants of a cell D levels down (D = 1 or 2),
+/// its S x S sub-cells, from one pass over its edges at the N x N lattice
+/// of their corners. Lattice masks are indexed by the point x + N y, a
+/// sub-cell by its min corner's point. Curve masks are indexed by a
+/// sub-cell's rank t along the Hilbert curve inside the cell, which is its
+/// rank by id, so child k's sub-cells are the bits of rank k 4^(D-1) on.
+template <int D>
+struct StepShape {
+  static constexpr int S = 1 << D;
+  static constexpr int N = S + 1;
+  /// Every sub-cell, as a curve mask.
+  static constexpr uint32_t kAll = (uint32_t{1} << S * S) - 1;
+  /// The min corners of the sub-cells in the left column. Times kRow, a
+  /// mask of rows (bit N y each) spreads to every sub-cell of those rows.
+  static constexpr uint32_t kColumn = [] {
+    uint32_t column = 0;
+    for (int y = 0; y < S; ++y) column |= uint32_t{1} << N * y;
+    return column;
+  }();
+  static constexpr uint32_t kRow = (uint32_t{1} << S) - 1;
 
-/// A lattice leaf mask as bit x + 4 y, the grid index of
-/// kGrandchildOrder.
-inline uint32_t ToGrid(uint32_t lattice) {
-  return (lattice & 0xF) | (lattice >> 1 & 0xF0) | (lattice >> 2 & 0xF00) |
-         (lattice >> 3 & 0xF000);
-}
-
-/// kChildLeaves[orientation][k]: the grid bits of child k's four leaves.
-constexpr std::array<std::array<uint32_t, 4>, 4> kChildLeaves = [] {
-  std::array<std::array<uint32_t, 4>, 4> leaves{};
-  for (int o = 0; o < 4; ++o) {
-    for (int k = 0; k < 16; ++k) {
-      leaves[o][k / 4] |= 1u << kGrandchildOrder[o][k];
+  /// kOrder[orientation][t]: the grid position x + S y of the sub-cell of
+  /// rank t.
+  static constexpr std::array<std::array<uint8_t, S * S>, 4> kOrder = [] {
+    if constexpr (D == 2) {
+      return kGrandchildOrder;
+    } else {
+      std::array<std::array<uint8_t, 4>, 4> order{};
+      for (uint32_t o = 0; o < 4; ++o) {
+        for (int k = 0; k < 4; ++k) {
+          const CellSquare child = CellSquare{0, 0, 2, o}.Child(k);
+          order[o][k] = static_cast<uint8_t>(child.i + 2 * child.j);
+        }
+      }
+      return order;
     }
-  }
-  return leaves;
-}();
+  }();
 
-/// One entry of a cell's edge list: an edge index, and which of the cell's
-/// four quadrants (bit qx + 2 qy) the edge touches, filled in when the cell
-/// is split.
+  /// kCurve[orientation][y][row]: the curve mask of the sub-cells (x, y)
+  /// for the bits x set in `row`.
+  static constexpr std::array<std::array<std::array<uint16_t, 1 << S>, S>, 4>
+      kCurve = [] {
+        std::array<std::array<std::array<uint16_t, 1 << S>, S>, 4> curve{};
+        for (int o = 0; o < 4; ++o) {
+          for (int t = 0; t < S * S; ++t) {
+            const int x = kOrder[o][t] % S;
+            const int y = kOrder[o][t] / S;
+            for (int row = 0; row < 1 << S; ++row) {
+              if (row >> x & 1) curve[o][y][row] |= uint16_t(1u << t);
+            }
+          }
+        }
+        return curve;
+      }();
+
+  /// A lattice mask of sub-cells as a curve mask.
+  static uint32_t ToCurve(uint32_t orientation, uint32_t lattice) {
+    uint32_t mask = 0;
+    for (int y = 0; y < S; ++y) {
+      mask |= kCurve[orientation][y][lattice >> N * y & kRow];
+    }
+    return mask;
+  }
+
+  /// The lattice bit of the sub-cell of rank t.
+  static int LatticeBit(uint32_t orientation, int t) {
+    const int g = kOrder[orientation][t];
+    return g + (g >> D);
+  }
+};
+
+/// One entry of a cell's edge list: an edge index, and the lattice mask of
+/// the cell's sub-cells the edge touches, filled in by the cell's step.
 struct Entry {
   uint32_t edge;
-  uint32_t quadrants;
+  uint32_t touches;
 };
 
 /// Per-thread scratch, kept warm across calls: the polygon's edges, and one
@@ -116,164 +164,71 @@ class Coverer {
                            geo::Orient(edge.a, edge.b, rect.min));
       if (geo::SegmentIntersectsRect(edge, rect)) stack_[top_++] = {e, 0};
     }
-    Visit(seed, square, parity, 0, top_);
+    // With no edge the boundary misses the seed, so its corner is off the
+    // boundary, where P is Polygon::Contains, and every point of the seed
+    // shares that containment. With edges the seed intersects the polygon
+    // and is not contained.
+    const int distance = max_level_ - seed.level();
+    if (top_ == 0) {
+      if (parity) out_->push_back({seed, true});
+    } else if (distance == 0) {
+      out_->push_back({seed, false});
+    } else if (distance % 2 == 1) {
+      // One one-level step leaves an even distance to max_level.
+      Step<1>(seed, square, parity, 0, top_);
+    } else {
+      Step<2>(seed, square, parity, 0, top_);
+    }
   }
 
  private:
-  /// Emits the covering of the polygon within `cell` (square `square`) in
+  /// Emits the covering of the polygon within `cell` (square `square`,
+  /// whose descendants D levels down are no finer than max_level_) in
   /// ascending cell id order, and returns whether it emitted `cell` itself,
-  /// as one cell. Stack entries [begin, end) list the edges touching the
-  /// cell's closed rect, and `parity` is the ray parity P of its min
-  /// corner. With no edge the boundary misses the cell, so its corner is
-  /// off the boundary, where P is Polygon::Contains, and every point of the
-  /// cell shares that containment. With edges the cell intersects the
-  /// polygon and is not contained.
-  bool Visit(CellId cell, const CellSquare& square, bool parity, size_t begin,
-             size_t end) {
-    if (begin == end) {
-      if (parity) out_->push_back({cell, true});
-      return parity;
-    }
-    const int level = cell.level();
-    if (level >= max_level_) {
-      out_->push_back({cell, false});
-      return true;
-    }
-    if (level == max_level_ - 2) {
-      return CoverLastTwoLevels(cell, square, parity, begin, end);
-    }
-    return Split(cell, square, parity, begin, end);
-  }
-
-  /// Visits the four children of `cell`, then merges them back into `cell`
-  /// when all four were emitted whole. One pass over the cell's edges reads
-  /// the exact Orient signs at the 3x3 lattice of the children's corners,
-  /// and from them both each child's edge list and each child's corner
-  /// parity: only an edge touching this cell's closed rect can separate two
-  /// points of it, so the edges listed here carry every flip of P.
-  bool Split(CellId cell, const CellSquare& square, bool parity, size_t begin,
-             size_t end) {
-    const geo::Rect rect = square.ToRect();
-    const geo::Point mid =
-        CellSquare{square.i, square.j, square.size >> 1}.ToRect().max;
-    const double xs[3] = {rect.min.x, mid.x, rect.max.x};
-    const double ys[3] = {rect.min.y, mid.y, rect.max.y};
-    // Flips of P along the bottom row, up the left column and along the
-    // middle row, between the children's min corners.
-    bool row0 = false;
-    bool column = false;
-    bool row1 = false;
-    for (size_t e = begin; e < end; ++e) {
-      const geo::Segment& edge = edges_[stack_[e].edge];
-      int8_t signs[3][3];
-      geo::OrientLattice(edge, xs, ys, signs);
-      // A row's points share the straddle test, so P flips where exactly
-      // one of them is left of the edge.
-      row0 ^= RayCrosses(edge, ys[0], signs[0][0]) !=
-              RayCrosses(edge, ys[0], signs[0][1]);
-      row1 ^= RayCrosses(edge, ys[1], signs[1][0]) !=
-              RayCrosses(edge, ys[1], signs[1][1]);
-      // Up the column, P is the parity of the points nudged by (+d, +eps):
-      // it flips where the edge crosses the nudged column, its endpoints on
-      // opposite sides of x = xs[0] + d and the nudged points on opposite
-      // sides of its line.
-      column ^= (edge.a.x <= xs[0]) != (edge.b.x <= xs[0]) &&
-                NudgedSide(edge, signs[0][0]) != NudgedSide(edge, signs[1][0]);
-      // SegmentIntersectsRect per quadrant: boxes overlap, and the four
-      // corners are not all strictly on one side. Lattice bit x + 3 y; a
-      // quadrant at its min corner's bit, then at bit qx + 2 qy.
-      uint32_t left = 0;
-      uint32_t right = 0;
-      for (int y = 0; y < 3; ++y) {
-        for (int x = 0; x < 3; ++x) {
-          left |= uint32_t{signs[y][x] > 0} << (x + 3 * y);
-          right |= uint32_t{signs[y][x] < 0} << (x + 3 * y);
-        }
-      }
-      const uint32_t one_side = (left & left >> 1 & left >> 3 & left >> 4) |
-                                (right & right >> 1 & right >> 3 & right >> 4);
-      const uint32_t columns =
-          (std::min(edge.a.x, edge.b.x) <= xs[1] ? 1u : 0) |
-          (std::max(edge.a.x, edge.b.x) >= xs[1] ? 2u : 0);
-      const uint32_t rows =
-          (std::min(edge.a.y, edge.b.y) <= ys[1] ? 1u : 0) |
-          (std::max(edge.a.y, edge.b.y) >= ys[1] ? 8u : 0);
-      const uint32_t touched = rows * columns & ~one_side;
-      stack_[e].quadrants = (touched & 3) | (touched >> 1 & 0xC);
-    }
-    const bool quadrant_parity[4] = {parity, parity != row0, parity != column,
-                                     parity != (column != row1)};
-    // A child's list is at most this one; a child's descent may grow the
-    // stack, so its data is read again for each child.
-    Reserve(end - begin);
-
-    bool whole = true;
-    for (int k = 0; k < 4; ++k) {
-      const CellSquare child_square = square.Child(k);
-      const int q = (child_square.i != square.i ? 1 : 0) +
-                    (child_square.j != square.j ? 2 : 0);
-      // Each entry is written, then kept if the edge touches the child.
-      const size_t child_begin = top_;
-      Entry* const stack = stack_.data();
-      for (size_t e = begin; e < end; ++e) {
-        stack[top_] = {stack[e].edge, 0};
-        top_ += stack[e].quadrants >> q & 1;
-      }
-      whole = Visit(cell.Child(k), child_square, quadrant_parity[q],
-                    child_begin, top_) &&
-              whole;
-      top_ = child_begin;
-    }
-    if (!whole) return false;
-    // Each child emitted itself, so they are the last four cells.
-    const size_t first = out_->size() - 4;
-    bool interior = true;
-    for (size_t c = first; c < first + 4; ++c) {
-      interior = interior && (*out_)[c].interior;
-    }
-    out_->resize(first);
-    out_->push_back({cell, interior});
-    return true;
-  }
-
-  /// Split's decisions for `cell`, at level max_level_ - 2, and for its
-  /// four children, made in one pass over the cell's edges instead of two
-  /// levels of recursion. Each edge's exact Orient signs at the 5x5
-  /// lattice of the 16 leaves' corners give, by Split's own rules, which
-  /// leaves it touches (SegmentIntersectsRect per leaf) and its flips of P
-  /// along the four rows and up the left column between the leaves' min
-  /// corners. Leaf masks are indexed by the lattice point x + 5 y of the
-  /// leaf's min corner while edges are read, and by x + 4 y after.
-  bool CoverLastTwoLevels(CellId cell, const CellSquare& square, bool parity,
-                          size_t begin, size_t end) {
+  /// as one cell. Stack entries [begin, end), not empty, list the edges
+  /// touching the cell's closed rect, and `parity` is the ray parity P of
+  /// its min corner.
+  ///
+  /// One pass over the edges reads each edge's exact Orient signs at the
+  /// lattice of the sub-cells' corners and derives from them which
+  /// sub-cells it touches (SegmentIntersectsRect per sub-cell) and its
+  /// flips of P along the rows and up the left column between the
+  /// sub-cells' min corners. Only an edge touching this cell's closed rect
+  /// can separate two points of it, so the edges listed here carry every
+  /// flip. A sub-cell no edge touches is emitted, as interior, if its P is
+  /// set; one with edges is emitted as boundary at max_level_, or stepped
+  /// into with the edges that touch it. On return four whole sibling
+  /// sub-cells merge into their parent, and four whole children into the
+  /// cell, interior only if all four were.
+  template <int D>
+  bool Step(CellId cell, const CellSquare& square, bool parity, size_t begin,
+            size_t end) {
+    using Shape = StepShape<D>;
+    constexpr int S = Shape::S;
+    constexpr int N = Shape::N;
     constexpr double kInv = 1.0 / static_cast<double>(kHilbertSide);
-    const uint32_t quarter = square.size >> 2;
-    double xs[5];
-    double ys[5];
-    for (uint32_t k = 0; k < 5; ++k) {
-      xs[k] = (square.i + k * quarter) * kInv;
-      ys[k] = (square.j + k * quarter) * kInv;
+    const uint32_t side = square.size >> D;
+    double xs[N];
+    double ys[N];
+    for (uint32_t k = 0; k < N; ++k) {
+      xs[k] = (square.i + k * side) * kInv;
+      ys[k] = (square.j + k * side) * kInv;
     }
     uint32_t touched = 0;
-    // Bit x + 5 y: P flips between the min corners of leaves (0, y) and
-    // (x, y). Bit 5 y: P flips between those of leaves (0, y) and
+    // Bit x + N y: P flips between the min corners of sub-cells (0, y) and
+    // (x, y). Bit N y: P flips between those of sub-cells (0, y) and
     // (0, y + 1).
     uint32_t row_flips = 0;
     uint32_t column_flips = 0;
+    Entry* const stack = stack_.data();
     for (size_t e = begin; e < end; ++e) {
-      const geo::Segment& edge = edges_[stack_[e].edge];
-      int8_t signs[5][5];
-      geo::OrientLattice(edge, xs, ys, signs);
+      const geo::Segment& edge = edges_[stack[e].edge];
       uint32_t left = 0;
       uint32_t right = 0;
-      for (int y = 0; y < 5; ++y) {
-        for (int x = 0; x < 5; ++x) {
-          left |= uint32_t{signs[y][x] > 0} << (x + 5 * y);
-          right |= uint32_t{signs[y][x] < 0} << (x + 5 * y);
-        }
-      }
-      // Per row y, at bit 5 y: the leaf boxes overlapping the edge's, the
-      // end point b above the row, and the edge straddling it half-open.
+      geo::OrientLattice(edge, xs, ys, &left, &right);
+      // Per row y, at bit N y: the sub-cell boxes overlapping the edge's,
+      // the end point b above the row, and the edge straddling it
+      // half-open.
       const double x_lo = std::min(edge.a.x, edge.b.x);
       const double x_hi = std::max(edge.a.x, edge.b.x);
       const double y_lo = std::min(edge.a.y, edge.b.y);
@@ -282,65 +237,124 @@ class Coverer {
       uint32_t rows = 0;
       uint32_t b_above = 0;
       uint32_t straddles = 0;
-      for (int k = 0; k < 4; ++k) {
-        const uint32_t row = 1u << (5 * k);
-        columns |= x_lo <= xs[k + 1] && x_hi >= xs[k] ? 1u << k : 0;
-        rows |= y_lo <= ys[k + 1] && y_hi >= ys[k] ? row : 0;
-        b_above |= edge.b.y > ys[k] ? row : 0;
-        straddles |= (edge.b.y > ys[k]) != (edge.a.y > ys[k]) ? row : 0;
+      for (int k = 0; k < S; ++k) {
+        const uint32_t row = uint32_t{1} << N * k;
+        columns |= (uint32_t{x_lo <= xs[k + 1]} & uint32_t{x_hi >= xs[k]}) << k;
+        rows |= (uint32_t{y_lo <= ys[k + 1]} & uint32_t{y_hi >= ys[k]}) * row;
+        b_above |= uint32_t{edge.b.y > ys[k]} * row;
+        straddles |= uint32_t{(edge.b.y > ys[k]) != (edge.a.y > ys[k])} * row;
       }
-      // SegmentIntersectsRect per leaf: boxes overlap, and the four
+      // SegmentIntersectsRect per sub-cell: boxes overlap, and the four
       // corners are not all strictly on one side.
-      const uint32_t one_side = (left & left >> 1 & left >> 5 & left >> 6) |
-                                (right & right >> 1 & right >> 5 & right >> 6);
-      touched |= rows * columns & ~one_side;
+      const uint32_t one_side =
+          (left & left >> 1 & left >> N & left >> (N + 1)) |
+          (right & right >> 1 & right >> N & right >> (N + 1));
+      const uint32_t touches = rows * columns & ~one_side;
+      stack[e].touches = touches;
+      touched |= touches;
       // Along each row the edge straddles half-open, P flips where exactly
       // one of the two points is left of the edge directed upward.
-      const uint32_t upward = b_above * 0x1F;
+      const uint32_t upward = b_above * ((uint32_t{1} << N) - 1);
       const uint32_t crosses =
-          ((left & upward) | (right & ~upward)) & straddles * 0xF;
-      row_flips ^= crosses ^ (crosses & kLatticeColumn) * 0xF;
-      // Up the column, as in Split: the edge crosses the nudged column.
+          ((left & upward) | (right & ~upward)) & straddles * Shape::kRow;
+      row_flips ^= crosses ^ (crosses & Shape::kColumn) * Shape::kRow;
+      // Up the left column, P is the parity of the points nudged by
+      // (+d, +eps): it flips where the edge crosses the nudged column, its
+      // endpoints on opposite sides of x = xs[0] + d and the nudged points
+      // on opposite sides of its line.
       if ((edge.a.x <= xs[0]) != (edge.b.x <= xs[0])) {
         const uint32_t nudged_left = NudgedSide(edge, 0) > 0 ? ~right : left;
-        column_flips ^= (nudged_left ^ nudged_left >> 5) & kLatticeColumn;
+        column_flips ^= (nudged_left ^ nudged_left >> N) & Shape::kColumn;
       }
     }
     // P up the left column, a prefix xor of its flips below each row
-    // (the flip from row 3 to the top corner is not needed), then along
-    // each row.
-    uint32_t below = column_flips & (kLatticeColumn >> 5);
-    below ^= below << 5;
-    below ^= below << 10;
+    // (the flip from the last row to the top corner is not needed), then
+    // along each row.
+    uint32_t below = column_flips & (Shape::kColumn >> N);
+    below ^= below << N;
+    below ^= below << 2 * N;
     const uint32_t column_parity =
-        (below << 5 & kLatticeColumn) ^ (parity ? kLatticeColumn : 0);
-    const uint32_t inside = row_flips ^ column_parity * 0xF;
-    // A leaf is emitted when the boundary touches it or it lies inside,
-    // interior in the second case only. Bit x + 4 y from here on.
-    const uint32_t emitted = ToGrid(touched | inside);
-    const uint32_t interior = ToGrid(inside & ~touched);
-    if (emitted == 0xFFFF) {
-      out_->push_back({cell, interior == 0xFFFF});
+        (below << N & Shape::kColumn) ^ (parity ? Shape::kColumn : 0);
+    const uint32_t inside_lattice = row_flips ^ column_parity * Shape::kRow;
+    // Curve masks from here on. A sub-cell at max_level_ is emitted when
+    // the boundary touches it or it lies inside, interior in the second
+    // case only; above max_level_ one the boundary touches is stepped into.
+    const uint32_t orientation = square.orientation;
+    const uint32_t inside = Shape::ToCurve(orientation, inside_lattice);
+    const uint32_t boundary = Shape::ToCurve(orientation, touched);
+    const uint32_t descend = cell.level() + D < max_level_ ? boundary : 0;
+    uint32_t whole = (boundary | inside) & ~descend;
+    uint32_t interior = inside & ~boundary;
+    if (whole == Shape::kAll) {
+      out_->push_back({cell, interior == Shape::kAll});
       return true;
     }
-    const std::array<uint8_t, 16>& order =
-        kGrandchildOrder[square.orientation];
-    for (int k = 0; k < 4; ++k) {
-      const uint32_t leaves = kChildLeaves[square.orientation][k];
-      if ((emitted & leaves) == 0) continue;
-      const CellId child = cell.Child(k);
-      if ((emitted & leaves) == leaves) {
-        out_->push_back({child, (interior & leaves) == leaves});
-        continue;
+    // A sub-cell's list is at most this one; its step may grow the stack.
+    Reserve(end - begin);
+    // The sub-cell of rank t is the t-th cell of its level from `first`.
+    const uint64_t sub_lsb = cell.lsb() >> 2 * D;
+    const uint64_t first = cell.id() - cell.lsb() + sub_lsb;
+    for (uint32_t todo = whole | descend; todo != 0;) {
+      const int t = std::countr_zero(todo);
+      if constexpr (D == 2) {
+        // A child whose four sub-cells are whole, none stepped into.
+        if ((t & 3) == 0 && (whole >> t & 0xF) == 0xF) {
+          out_->push_back({cell.Child(t >> 2), (interior >> t & 0xF) == 0xF});
+          todo &= ~(uint32_t{0xF} << t);
+          continue;
+        }
       }
-      for (int m = 0; m < 4; ++m) {
-        const uint32_t leaf = 1u << order[4 * k + m];
-        if (emitted & leaf) {
-          out_->push_back({child.Child(m), (interior & leaf) != 0});
+      todo &= todo - 1;
+      const uint32_t bit = uint32_t{1} << t;
+      const CellId sub(first + 2 * static_cast<uint64_t>(t) * sub_lsb);
+      if (descend & bit) {
+        CellSquare sub_square = square.Child(t >> 2 * (D - 1));
+        if constexpr (D == 2) sub_square = sub_square.Child(t & 3);
+        if (Descend(sub, sub_square, Shape::LatticeBit(orientation, t),
+                    (inside & bit) != 0, begin, end)) {
+          whole |= bit;
+          if (out_->back().interior) interior |= bit;
+        }
+      } else {
+        out_->push_back({sub, (interior & bit) != 0});
+      }
+      if constexpr (D == 2) {
+        // The last of four whole siblings.
+        const int group = t & ~3;
+        if ((t & 3) == 3 && (whole >> group & 0xF) == 0xF) {
+          MergeLastFour(cell.Child(t >> 2), (interior >> group & 0xF) == 0xF);
         }
       }
     }
-    return false;
+    if (whole != Shape::kAll) return false;
+    MergeLastFour(cell, interior == Shape::kAll);
+    return true;
+  }
+
+  /// Steps two levels into the sub-cell `sub` of a cell whose edge list is
+  /// stack entries [begin, end), with the edges touching the sub-cell, the
+  /// ones whose lattice mask has bit `bit`. Returns whether `sub` came out
+  /// whole.
+  bool Descend(CellId sub, const CellSquare& sub_square, int bit,
+               bool parity, size_t begin, size_t end) {
+    // Each entry is written, then kept if the edge touches the sub-cell.
+    // A step below may have grown the stack, so its data is read again.
+    const size_t sub_begin = top_;
+    Entry* const stack = stack_.data();
+    for (size_t e = begin; e < end; ++e) {
+      stack[top_] = {stack[e].edge, 0};
+      top_ += stack[e].touches >> bit & 1;
+    }
+    const bool whole = Step<2>(sub, sub_square, parity, sub_begin, top_);
+    top_ = sub_begin;
+    return whole;
+  }
+
+  /// Replaces the last four cells emitted, four whole siblings, with their
+  /// parent.
+  void MergeLastFour(CellId parent, bool interior) {
+    out_->resize(out_->size() - 3);
+    out_->back() = {parent, interior};
   }
 
   /// Makes room for `n` more entries above top_, plus the one slot a push

@@ -25,54 +25,55 @@ struct CoveringCell {
 /// than the cells of the GeoBlock", Section 3.5).
 ///
 /// Descends depth-first from the smallest cell enclosing the polygon's
-/// bounds (capped at `max_level`), visiting children in `Child(0..3)` order,
-/// which is ascending cell id. A cell the polygon contains is emitted as an
-/// interior cell; a boundary cell is emitted at `max_level`; otherwise each
-/// child that intersects the polygon is descended into. When a cell returns
-/// with its four children emitted as single cells, they are replaced by the
-/// cell itself, interior only if all four were.
+/// bounds (capped at `max_level`) in steps of two levels. A step decides a
+/// cell's 16 grandchildren at once, in Hilbert order, which is ascending
+/// cell id: one the polygon contains is emitted as an interior cell, one
+/// the boundary meets is emitted at `max_level` or stepped into, and one
+/// the polygon misses is dropped. When `max_level` minus the seed's level
+/// is odd, the seed takes one one-level step over its four children first,
+/// so every later step lands on `max_level`; no step looks outside the
+/// seed. When a step returns, four grandchildren emitted as single cells
+/// are replaced by their parent, and four such children by the cell,
+/// interior only if all four were.
 ///
 /// Every decision equals `Polygon::IntersectsRect` / `ContainsRect` on the
 /// cell's rect, reached more cheaply; all of them rest on the exact
 /// `geo::Orient`, so the shortcuts below are exact too:
-///  - Each visited cell carries the list of ring edges that touch its closed
-///    rect. The seed tests every edge (`geo::SegmentIntersectsRect`); a cell
-///    being split reads each listed edge's Orient signs at the 3x3 lattice
-///    of its children's corners (`geo::OrientLattice`), and a child lists
-///    the edges SegmentIntersectsRect would accept from those signs. A
+///  - Each stepped cell carries the list of ring edges that touch its
+///    closed rect. The seed tests every edge (`geo::SegmentIntersectsRect`);
+///    a step reads each listed edge's Orient signs at the 5x5 lattice of
+///    its grandchildren's corners (3x3 for the one-level step) in one
+///    `geo::OrientLattice` call, and a grandchild stepped into lists the
+///    edges SegmentIntersectsRect would accept from those signs. A
 ///    non-empty list means the cell intersects the polygon and is not
 ///    contained.
-///  - Each visited cell also carries P, the even-odd ray parity of its min
+///  - Each stepped cell also carries P, the even-odd ray parity of its min
 ///    corner under Polygon::Contains's rule without the on-boundary return.
 ///    A cell with an empty list does not meet the boundary, so its corner
 ///    is off it, P equals Contains there, and P decides both answers. A
-///    child's P is its parent's, flipped by the parent's listed edges:
+///    grandchild's P is its cell's, flipped by the cell's listed edges:
 ///    along a row where the edge straddles it half-open and exactly one of
 ///    the two points is strictly left of it directed upward; up the left
 ///    column where the edge crosses the column nudged by (+d, +eps), eps
 ///    << d (endpoints on opposite sides of x, one on x counting as left;
 ///    nudged points on opposite sides of its line, a point on the line
 ///    taking side -sign(dy), or sign(dx) for a horizontal edge). An edge
-///    missing the parent's closed rect cannot separate two of its points,
-///    so no other edge flips P. Only the seed's P is a full parity over
-///    every edge; the descent never calls Polygon::Contains.
-///  - A cell at `max_level - 2` with a non-empty list is not split twice:
-///    one pass reads each listed edge's signs at the 5x5 lattice of its
-///    16 leaves' corners and derives, by the rules above, each leaf's
-///    edge test and P. A leaf is emitted if an edge touches it (boundary)
-///    or its P is set (interior), and the leaves and merged parents come
-///    out in Hilbert order from `kGrandchildOrder`, the constexpr table of
-///    the 16 grandchild positions per curve orientation.
+///    missing the cell's closed rect cannot separate two of its points, so
+///    no other edge flips P. Only the seed's P is a full parity over every
+///    edge; the descent never calls Polygon::Contains.
+///  - A step keeps its decisions as 16-bit masks indexed by Hilbert rank,
+///    so grandchildren come out, and siblings merge, in id order from one
+///    constexpr table per curve orientation (`kGrandchildOrder`).
 ///  - Each cell carries its leaf-grid square and the Hilbert orientation
-///    inside it (`CellSquare`), so a child's rect costs O(1) instead of a
-///    30-level id decode.
+///    inside it (`CellSquare`), so a grandchild's rect costs O(1) instead
+///    of a 30-level id decode.
 ///
 /// `*out` is cleared and refilled sorted by cell id and canonical (no four
 /// complete siblings). `max_level` is clamped to [0, CellId::kMaxLevel].
-/// Recursion runs on the call stack, merging happens in place, and the
-/// edge lists live on one thread-local stack, so once `*out` has the
-/// capacity for a covering and the thread has covered a polygon at least
-/// as large, the call makes no heap allocation.
+/// Steps recurse on the call stack, merging happens in place, and the edge
+/// lists live on one thread-local stack, so once `*out` has the capacity
+/// for a covering and the thread has covered a polygon at least as large,
+/// the call makes no heap allocation.
 ///
 /// @param polygon   Query polygon in unit-square coordinates.
 /// @param max_level Finest cell level the covering may use.

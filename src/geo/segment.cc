@@ -1,7 +1,13 @@
 #include "geo/segment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+
+#if (defined(__x86_64__) || defined(_M_X64)) && !defined(GEOBLOCKS_NO_SIMD)
+#define GEOBLOCKS_SEGMENT_AVX 1
+#include <immintrin.h>
+#endif
 
 // Built with -ffp-contract=off (CMakeLists.txt): the filter's error bound
 // and TwoSum both assume every product and sum is rounded on its own.
@@ -112,26 +118,129 @@ bool SegmentIntersectsRect(const Segment& s, const Rect& r) {
   return OrientFrom(a, s.b, {r.min.x, r.max.y}, dx, dy, ex0, ey1) != o0;
 }
 
+namespace {
+
+/// OrientLattice on any target: the filter per point, the exact fallback
+/// where it is unsure.
 template <int N>
-void OrientLattice(const Segment& s, const double (&xs)[N],
-                   const double (&ys)[N], int8_t (&signs)[N][N]) {
+void OrientLatticeScalar(const Segment& s, const double (&xs)[N],
+                         const double (&ys)[N], uint32_t* left,
+                         uint32_t* right) {
   const Point& a = s.a;
   const double dx = s.b.x - a.x;
   const double dy = s.b.y - a.y;
   double r[N];
   for (int i = 0; i < N; ++i) r[i] = dy * (xs[i] - a.x);
+  uint32_t lefts = 0;
+  uint32_t rights = 0;
   for (int j = 0; j < N; ++j) {
     const double l = dx * (ys[j] - a.y);
     for (int i = 0; i < N; ++i) {
-      signs[j][i] = static_cast<int8_t>(
-          OrientFromProducts(a, s.b, {xs[i], ys[j]}, l, r[i]));
+      const int sign = OrientFromProducts(a, s.b, {xs[i], ys[j]}, l, r[i]);
+      lefts |= uint32_t{sign > 0} << (i + N * j);
+      rights |= uint32_t{sign < 0} << (i + N * j);
     }
   }
+  *left = lefts;
+  *right = rights;
+}
+
+#ifdef GEOBLOCKS_SEGMENT_AVX
+
+/// The filter on four points at once, lane k pairing the products l and r
+/// of point k: every lane runs the scalar filter's operations in its
+/// order, so it decides exactly as OrientFromProducts's filter does. Bit k
+/// of the results: lane k is certainly left, certainly right, or unsure.
+__attribute__((target("avx"))) inline void FilterLanes(
+    __m256d l, __m256d r, uint32_t* left, uint32_t* right, uint32_t* unsure) {
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d det = _mm256_sub_pd(l, r);
+  const __m256d bound = _mm256_mul_pd(
+      _mm256_set1_pd(kOrientErrBound),
+      _mm256_add_pd(_mm256_andnot_pd(sign_bit, l),
+                    _mm256_andnot_pd(sign_bit, r)));
+  const __m256d sure =
+      _mm256_cmp_pd(_mm256_andnot_pd(sign_bit, det), bound, _CMP_GE_OQ);
+  *left = static_cast<uint32_t>(_mm256_movemask_pd(
+      _mm256_and_pd(sure, _mm256_cmp_pd(det, zero, _CMP_GT_OQ))));
+  *right = static_cast<uint32_t>(_mm256_movemask_pd(
+      _mm256_and_pd(sure, _mm256_cmp_pd(det, zero, _CMP_LT_OQ))));
+  *unsure = static_cast<uint32_t>(_mm256_movemask_pd(sure)) ^ 0xF;
+}
+
+/// OrientLattice four points at a time: each row's first four columns,
+/// then, for N = 5, the fifth column's first four rows, then the last
+/// corner alone.
+template <int N>
+__attribute__((target("avx"))) void OrientLatticeAvx(
+    const Segment& s, const double (&xs)[N], const double (&ys)[N],
+    uint32_t* left, uint32_t* right) {
+  static_assert(N == 3 || N == 5);
+  const Point& a = s.a;
+  const double dx = s.b.x - a.x;
+  const double dy = s.b.y - a.y;
+  // Padding lanes (r for N = 3) are never read back.
+  double r[N + 1] = {};
+  double l[N + 1] = {};
+  for (int i = 0; i < N; ++i) r[i] = dy * (xs[i] - a.x);
+  for (int j = 0; j < N; ++j) l[j] = dx * (ys[j] - a.y);
+  constexpr uint32_t kRow = N == 3 ? 0x7 : 0xF;
+  const __m256d r_lanes = _mm256_loadu_pd(r);
+  uint32_t lefts = 0;
+  uint32_t rights = 0;
+  uint32_t unsure = 0;
+  uint32_t lane_left = 0;
+  uint32_t lane_right = 0;
+  uint32_t lane_unsure = 0;
+  for (int j = 0; j < N; ++j) {
+    FilterLanes(_mm256_set1_pd(l[j]), r_lanes, &lane_left, &lane_right,
+                &lane_unsure);
+    lefts |= (lane_left & kRow) << N * j;
+    rights |= (lane_right & kRow) << N * j;
+    unsure |= (lane_unsure & kRow) << N * j;
+  }
+  if constexpr (N == 5) {
+    // Lane j is point (4, j); times 0x1111, masked, bit j moves to 5 j.
+    FilterLanes(_mm256_loadu_pd(l), _mm256_set1_pd(r[4]), &lane_left,
+                &lane_right, &lane_unsure);
+    lefts |= (lane_left * 0x1111 & 0x8421) << 4;
+    rights |= (lane_right * 0x1111 & 0x8421) << 4;
+    unsure |= (lane_unsure * 0x1111 & 0x8421) << 4;
+    const int sign = OrientFromProducts(a, s.b, {xs[4], ys[4]}, l[4], r[4]);
+    lefts |= uint32_t{sign > 0} << 24;
+    rights |= uint32_t{sign < 0} << 24;
+  }
+  for (; unsure != 0; unsure &= unsure - 1) {
+    const int bit = std::countr_zero(unsure);
+    const int sign = OrientExact(a, s.b, {xs[bit % N], ys[bit / N]});
+    lefts |= uint32_t{sign > 0} << bit;
+    rights |= uint32_t{sign < 0} << bit;
+  }
+  *left = lefts;
+  *right = rights;
+}
+
+#endif  // GEOBLOCKS_SEGMENT_AVX
+
+}  // namespace
+
+template <int N>
+void OrientLattice(const Segment& s, const double (&xs)[N],
+                   const double (&ys)[N], uint32_t* left, uint32_t* right) {
+#ifdef GEOBLOCKS_SEGMENT_AVX
+  static const bool avx = __builtin_cpu_supports("avx");
+  if (avx) {
+    OrientLatticeAvx(s, xs, ys, left, right);
+    return;
+  }
+#endif
+  OrientLatticeScalar(s, xs, ys, left, right);
 }
 
 template void OrientLattice<3>(const Segment&, const double (&)[3],
-                               const double (&)[3], int8_t (&)[3][3]);
+                               const double (&)[3], uint32_t*, uint32_t*);
 template void OrientLattice<5>(const Segment&, const double (&)[5],
-                               const double (&)[5], int8_t (&)[5][5]);
+                               const double (&)[5], uint32_t*, uint32_t*);
 
 }  // namespace geoblocks::geo

@@ -144,7 +144,7 @@ std::vector<CoveringCell> ReferenceCovering(const geo::Polygon& polygon,
 
 /// Lat/lng query polygons from every workload generator, projected onto
 /// the unit square the way the engine projects them, checked against the
-/// reference at levels 8-20.
+/// reference at levels 8-21.
 class CovererOracleTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -165,7 +165,7 @@ class CovererOracleTest : public ::testing::Test {
     std::vector<CoveringCell> scratch;
     for (size_t i = 0; i < polygons.size(); ++i) {
       const geo::Polygon unit = data_->projection().ToUnit(polygons[i]);
-      for (int level = 8; level <= 20; ++level) {
+      for (int level = 8; level <= 21; ++level) {
         ASSERT_TRUE(MatchesReference(unit, level, &scratch))
             << generator << " polygon " << i;
       }
@@ -537,6 +537,108 @@ TEST(CovererOracleAdversarialTest, SeededLastTwoLevelsFuzz) {
       }
     }
   }
+}
+
+/// Seeded polygons whose descent starts at a drawn cell: for max_level
+/// L = 0-21, cells at every level 0..L-1 (so both parities of the distance
+/// L - level, one-level first steps and root seeds at odd distances
+/// included), drawn in each of the four orientations the curve takes at
+/// that level. Every polygon straddles both midlines of its cell, so the
+/// cell is the smallest enclosing one and the seed, and keeps its vertices
+/// on the level-L corner lattice within six leaves of the cell's centre,
+/// so the covering stays small at any distance. Edges through the centre,
+/// along the midlines and through lattice corners meet the row, column and
+/// touch rules at every step of the descent.
+TEST(CovererOracleAdversarialTest, SeededStepFuzz) {
+  std::mt19937_64 rng(2929);
+  const auto draw = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<CoveringCell> scratch;
+  int seeds = 0;
+  for (int max_level = 0; max_level <= 21; ++max_level) {
+    const double h = std::ldexp(1.0, -max_level);
+    for (int level = 0; level < max_level; ++level) {
+      // Cells of `level` by orientation; levels 0 and 1 have fewer than
+      // four.
+      std::array<std::vector<CellId>, 4> cells;
+      for (int t = 0; t < 200; ++t) {
+        const CellId cell =
+            CellId::FromIJ(static_cast<uint32_t>(rng() % kHilbertSide),
+                           static_cast<uint32_t>(rng() % kHilbertSide))
+                .Parent(level);
+        const uint32_t o = CellSquare::Of(cell).orientation;
+        if (cells[o].size() < 2) cells[o].push_back(cell);
+      }
+      if (level >= 2) {
+        for (int o = 0; o < 4; ++o) {
+          ASSERT_FALSE(cells[o].empty()) << "orientation " << o;
+        }
+      }
+      for (int o = 0; o < 4; ++o) {
+        for (const CellId& cell : cells[o]) {
+          // The cell's centre on the level-L lattice, and how far from it
+          // a vertex may go without leaving the cell.
+          const CellSquare square = CellSquare::Of(cell);
+          const int shift = CellId::kMaxLevel - max_level;
+          const int cx = static_cast<int>((square.i >> shift) +
+                                          (square.size >> shift) / 2);
+          const int cy = static_cast<int>((square.j >> shift) +
+                                          (square.size >> shift) / 2);
+          const int w = std::min(static_cast<int>(square.size >> shift) / 2,
+                                 6);
+          const auto at = [&](int x, int y) {
+            return geo::Point{(cx + x) * h, (cy + y) * h};
+          };
+          const auto near = [&]() { return draw(1, w); };
+          std::vector<geo::Polygon> polygons;
+          // Random rings, mostly self-intersecting, whose first two
+          // vertices lie on opposite sides of both midlines.
+          for (int r = 0; r < 2; ++r) {
+            geo::Ring ring;
+            ring.push_back(at(-near(), -near()));
+            ring.push_back(at(near(), near()));
+            for (int v = draw(1, 4); v > 0; --v) {
+              const int x = draw(-w, w);
+              ring.push_back(at(x, draw(-w, w)));
+            }
+            polygons.emplace_back(std::move(ring));
+          }
+          // A diamond and a bowtie through the centre.
+          const int k = near();
+          polygons.push_back(
+              geo::Polygon{at(-k, 0), at(0, -k), at(k, 0), at(0, k)});
+          const int a = near();
+          const int b = near();
+          polygons.push_back(
+              geo::Polygon{at(-a, -b), at(a, b), at(a, -b), at(-a, b)});
+          // A rectangle around the centre with a lattice triangle hole that
+          // may touch its sides or the midlines.
+          const int x0 = -near();
+          const int x1 = near();
+          const int y0 = -near();
+          const int y1 = near();
+          geo::Polygon holed = geo::Polygon::FromRect({at(x0, y0), at(x1, y1)});
+          holed.AddRing({at(draw(x0, x1), y0), at(x1, draw(y0, y1)),
+                         at(draw(x0, 0), draw(0, y1))});
+          polygons.push_back(holed);
+          // Slope +-2 sides through lattice corners.
+          const int s = near();
+          polygons.push_back(geo::Polygon{at(-s, -s), at(s, -s), at(0, s)});
+
+          for (size_t i = 0; i < polygons.size(); ++i) {
+            ASSERT_EQ(SmallestEnclosingCell(polygons[i].Bounds()), cell)
+                << "level " << level << " polygon " << i;
+            ASSERT_TRUE(MatchesReference(polygons[i], max_level, &scratch))
+                << "level " << level << " orientation " << o << " cell "
+                << cell << " polygon " << i;
+            ++seeds;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(seeds, 4000);
 }
 
 TEST(CovererTest, LevelsPastTheLeafClampToLevel30) {

@@ -181,12 +181,18 @@ TEST(OrientTest, LatticeMatchesInt128AtCellCorners) {
     for (int k = nudge(rng); k != 0; k += k > 0 ? -1 : 1) {
       b.x = std::nextafter(b.x, k > 0 ? 2.0 : 0.0);
     }
-    int8_t signs[3][3];
-    OrientLattice(Segment{a, b}, xs, ys, signs);
+    uint32_t left = 0;
+    uint32_t right = 0;
+    OrientLattice(Segment{a, b}, xs, ys, &left, &right);
+    ASSERT_EQ(left & right, 0u);
+    ASSERT_EQ((left | right) >> 9, 0u);
     for (int j = 0; j < 3; ++j) {
       for (int i = 0; i < 3; ++i) {
         const int want = OracleOrient(a, b, {xs[i], ys[j]});
-        ASSERT_EQ(signs[j][i], want)
+        const int bit = i + 3 * j;
+        ASSERT_EQ(static_cast<int>(left >> bit & 1) -
+                      static_cast<int>(right >> bit & 1),
+                  want)
             << a << " " << b << " at " << i << "," << j << " trial " << trial;
         zeros += want == 0;
       }
@@ -231,12 +237,18 @@ TEST(OrientTest, Lattice5x5MatchesInt128AtLeafCorners) {
     for (int k = nudge(rng); k != 0; k += k > 0 ? -1 : 1) {
       b.y = std::nextafter(b.y, k > 0 ? 2.0 : 0.0);
     }
-    int8_t signs[5][5];
-    OrientLattice(Segment{a, b}, xs, ys, signs);
+    uint32_t left = 0;
+    uint32_t right = 0;
+    OrientLattice(Segment{a, b}, xs, ys, &left, &right);
+    ASSERT_EQ(left & right, 0u);
+    ASSERT_EQ((left | right) >> 25, 0u);
     for (int j = 0; j < 5; ++j) {
       for (int i = 0; i < 5; ++i) {
         const int want = OracleOrient(a, b, {xs[i], ys[j]});
-        ASSERT_EQ(signs[j][i], want)
+        const int bit = i + 5 * j;
+        ASSERT_EQ(static_cast<int>(left >> bit & 1) -
+                      static_cast<int>(right >> bit & 1),
+                  want)
             << a << " " << b << " at " << i << "," << j << " trial " << trial;
         zeros += want == 0;
       }
