@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
 // paper's performance claims rest on: cell-id algebra, Hilbert transforms,
-// polygon covering, Block probing (with and without the lastAgg shortcut),
-// COUNT range sums, and AggregateTrie lookups (paper: 58-81 ns).
+// polygon covering, Block probing (adjacent and scattered covering cells,
+// where the aggregate cursor gallops one step or far), COUNT range sums, the
+// sharded probe alone (SELECT, cached SELECT, COUNT over precomputed
+// coverings), and AggregateTrie lookups (paper: 58-81 ns).
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
 #include "cell/coverer.h"
 #include "cell/hilbert.h"
 #include "core/aggregate_trie.h"
+#include "core/block_set.h"
+#include "storage/sharded_dataset.h"
 
 namespace geoblocks::bench {
 namespace {
@@ -99,9 +103,9 @@ void BM_BlockCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCount);
 
-// Ablation: SELECT with the lastAgg successor shortcut (contiguous
-// covering, cells adjacent) vs a covering of scattered cells where every
-// probe falls back to binary search.
+// Ablation: SELECT over a covering of adjacent cells, where the aggregate
+// cursor finds each run at its first probe, vs one of scattered cells,
+// where it gallops far ahead for every cell.
 void BM_BlockSelectAdjacentCells(benchmark::State& state) {
   const auto& env = Env();
   const core::AggregateRequest req = RequestN(4, env.data.num_columns());
@@ -120,8 +124,8 @@ BENCHMARK(BM_BlockSelectAdjacentCells);
 void BM_BlockSelectScatteredCells(benchmark::State& state) {
   const auto& env = Env();
   const core::AggregateRequest req = RequestN(4, env.data.num_columns());
-  // 64 cells spread across the whole block: the successor check always
-  // misses and every cell costs a binary search.
+  // 64 cells spread across the whole block: every cell's run lies about
+  // num_cells / 64 aggregates past the cursor.
   std::vector<cell::CellId> covering;
   const size_t stride = std::max<size_t>(1, Block().num_cells() / 64);
   for (size_t i = 0; i < Block().num_cells() && covering.size() < 64;
@@ -133,6 +137,57 @@ void BM_BlockSelectScatteredCells(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockSelectScatteredCells);
+
+// The probe layer alone: an 8-shard set answers precomputed coverings of
+// every neighborhood, so routing, the per-shard covering slices, the
+// aggregate cursor and the fold are all that runs. Arg(0) is SelectCovering,
+// Arg(1) SelectCoveringCached over a warmed cache, Arg(2) CountCovering.
+// Items are queries.
+void BM_SetProbe(benchmark::State& state) {
+  struct Probe {
+    storage::ShardedDataset sharded;
+    core::BlockSet set;
+    std::vector<std::vector<cell::CellId>> coverings;
+  };
+  static const Probe* probe = [] {
+    storage::ShardOptions shard_options;
+    shard_options.num_shards = 8;
+    shard_options.align_level = kDefaultLevel;
+    auto* p = new Probe{
+        storage::ShardedDataset::Partition(Env().data, shard_options), {}, {}};
+    p->set = core::BlockSet::Build(p->sharded,
+                                   core::BlockSetOptions{{kDefaultLevel, {}}});
+    p->set.EnableCache(core::GeoBlockQC::Options{0.10, 0});
+    for (const geo::Polygon& poly : Env().neighborhoods) {
+      p->coverings.push_back(p->set.Cover(poly));
+    }
+    const core::AggregateRequest req = RequestN(7, Env().data.num_columns());
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& covering : p->coverings) {
+        (void)p->set.SelectCoveringCached(covering, req);
+      }
+      p->set.RebuildCaches();
+    }
+    return p;
+  }();
+  const core::AggregateRequest req = RequestN(4, Env().data.num_columns());
+  const int mode = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    for (const auto& covering : probe->coverings) {
+      if (mode == 0) {
+        benchmark::DoNotOptimize(probe->set.SelectCovering(covering, req));
+      } else if (mode == 1) {
+        benchmark::DoNotOptimize(
+            probe->set.SelectCoveringCached(covering, req));
+      } else {
+        benchmark::DoNotOptimize(probe->set.CountCovering(covering));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probe->coverings.size()));
+}
+BENCHMARK(BM_SetProbe)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_TrieLookup(benchmark::State& state) {
   const auto& env = Env();

@@ -31,17 +31,19 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
     // state version, which concurrent publishes cannot retire underneath.
     const util::SnapshotCell<AggregateTrie>::ReadGuard trie(trie_);
     Accumulator& acc = *acc_out;
-    size_t last_idx = GeoBlock::kNoLastAgg;
-    for (cell::CellId qcell : covering) {
+    // One aggregate cursor for the whole fold, over this shard's slice of
+    // the covering: cells answered by the trie leave it behind, and the
+    // next base fold gallops on from there.
+    size_t cursor = 0;
+    for (cell::CellId qcell : state.CoveringSlice(covering, &cursor)) {
       if (qcell.level() > block_->level()) {
         qcell = qcell.Parent(block_->level());
       }
-      if (!state.MayOverlap(qcell)) continue;
       // A block-level cell is one stored aggregate: no trie entry can
       // answer it more cheaply than the base fold, so it is never recorded,
       // probed or counted, and the trie budget goes to coarser cells.
       if (qcell.level() == block_->level()) {
-        state.CombineCell(qcell, &acc, &last_idx);
+        state.CombineCell(qcell, &acc, &cursor);
         continue;
       }
       // Track workload statistics for every coarser query cell that
@@ -54,7 +56,7 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
       const AggregateTrie::Probe probe = trie->Lookup(qcell);
       if (!probe.node_exists) {
         counters_.AddMiss();
-        state.CombineCell(qcell, &acc, &last_idx);
+        state.CombineCell(qcell, &acc, &cursor);
         continue;
       }
       if (probe.agg != nullptr) {
@@ -72,17 +74,16 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
       }
       if (!any_cached) {
         counters_.AddMiss();
-        state.CombineCell(qcell, &acc, &last_idx);
+        state.CombineCell(qcell, &acc, &cursor);
         continue;
       }
       counters_.AddPartialHit();
-      size_t child_last_idx = GeoBlock::kNoLastAgg;
       for (int k = 0; k < 4; ++k) {
         const cell::CellId child = qcell.Child(k);
         if (children[k].agg != nullptr) {
           trie->Combine(children[k].agg, &acc);
         } else {
-          state.CombineCell(child, &acc, &child_last_idx);
+          state.CombineCell(child, &acc, &cursor);
         }
       }
     }

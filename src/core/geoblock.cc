@@ -49,52 +49,62 @@ struct StateBuilder {
 // BlockState: the immutable query plane
 // ---------------------------------------------------------------------------
 
-size_t BlockState::SeekFirst(uint64_t key, size_t last_idx) const {
-  const CellArray<uint64_t>& ids = cells;
-  // Listing 1: after a match, first try the successor of the last combined
-  // aggregate before falling back to binary search.
-  if (last_idx != GeoBlock::kNoLastAgg) {
-    const size_t next = last_idx + 1;
-    if (next >= ids.size()) return ids.size();
-    if (ids[next] >= key && (next == 0 || ids[next - 1] < key)) {
-      // The successor is exactly the first aggregate >= key only when the
-      // previous one is below; since query cells arrive in ascending order
-      // and last_idx was consumed, ids[last_idx] < key always holds.
-      return next;
-    }
-    return next + kernels::LowerBoundU64(ids.data() + next, ids.size() - next,
-                                         key);
-  }
-  return kernels::LowerBoundU64(ids.data(), ids.size(), key);
+std::span<const cell::CellId> BlockState::CoveringSlice(
+    std::span<const cell::CellId> covering, size_t* cursor) const {
+  *cursor = 0;
+  if (cells.empty()) return {};
+  // A covering cell at or above the block level overlaps the min_cell grid
+  // cell's leaf range or lies wholly on one side of it; a finer one lies
+  // inside one grid cell. Either way, comparing leaf ranges with the first
+  // and last grid cell's decides the clamped cell's overlap.
+  const uint64_t lo = cell::CellId(header.min_cell).RangeMin().id();
+  const uint64_t hi = cell::CellId(header.max_cell).RangeMax().id();
+  const auto first = std::partition_point(
+      covering.begin(), covering.end(),
+      [lo](cell::CellId c) { return c.RangeMax().id() < lo; });
+  const auto last = std::partition_point(
+      first, covering.end(),
+      [hi](cell::CellId c) { return c.RangeMin().id() <= hi; });
+  if (first == last) return {};
+  cell::CellId seed = *first;
+  if (seed.level() > header.level) seed = seed.Parent(header.level);
+  *cursor = kernels::LowerBoundU64(cells.data(), cells.size(),
+                                   seed.ChildBegin(header.level).id());
+  return {first, last};
+}
+
+BlockState::CellRun BlockState::NextRun(cell::CellId qcell,
+                                        size_t* cursor) const {
+  // A cell finer than the grid stands for the grid cell that holds it.
+  if (qcell.level() > header.level) qcell = qcell.Parent(header.level);
+  const uint64_t* ids = cells.data();
+  const size_t n = cells.size();
+  // Contiguous range over the sorted cell aggregates (Listing 1, 25-28):
+  // gallop to its first aggregate, then from there to its end.
+  CellRun run;
+  run.begin = kernels::GallopLowerBoundU64(ids, n, *cursor,
+                                           qcell.ChildBegin(header.level).id());
+  run.end = kernels::GallopUpperBoundU64(ids, n, run.begin,
+                                         qcell.ChildLast(header.level).id());
+  *cursor = run.end;
+  return run;
 }
 
 void BlockState::CombineCell(cell::CellId qcell, Accumulator* acc,
-                             size_t* last_idx) const {
-  // Covering cells are never finer than the grid; clamp defensively.
-  if (qcell.level() > header.level) qcell = qcell.Parent(header.level);
-  // Prune query cells outside [minCell, maxCell] (Listing 1, lines 5-6).
-  if (!MayOverlap(qcell)) return;
-  const CellArray<uint64_t>& ids = cells;
-  const uint64_t first_child = qcell.ChildBegin(header.level).id();
-  const uint64_t last_child = qcell.ChildLast(header.level).id();
-  const size_t idx = SeekFirst(first_child, *last_idx);
-  // Contiguous range over the sorted cell aggregates (Listing 1, 25-28),
-  // folded as one batched strided scan instead of per-cell calls.
-  const size_t end = idx + kernels::UpperBoundU64(ids.data() + idx,
-                                                  ids.size() - idx, last_child);
-  if (end > idx) {
-    acc->AddCellRange(counts.data() + idx,
-                      column_aggs.data() + idx * num_columns, end - idx,
-                      num_columns);
-    *last_idx = end - 1;
+                             size_t* cursor) const {
+  const CellRun run = NextRun(qcell, cursor);
+  if (run.end > run.begin) {
+    acc->AddCellRange(counts.data() + run.begin,
+                      column_aggs.data() + run.begin * num_columns,
+                      run.end - run.begin, num_columns);
   }
 }
 
 void BlockState::CombineCovering(std::span<const cell::CellId> covering,
                                  Accumulator* acc) const {
-  size_t last_idx = GeoBlock::kNoLastAgg;
-  for (const cell::CellId& qcell : covering) {
-    CombineCell(qcell, acc, &last_idx);
+  size_t cursor = 0;
+  for (const cell::CellId qcell : CoveringSlice(covering, &cursor)) {
+    CombineCell(qcell, acc, &cursor);
   }
 }
 
@@ -107,29 +117,16 @@ QueryResult BlockState::SelectCovering(std::span<const cell::CellId> covering,
 
 uint64_t BlockState::CountCovering(
     std::span<const cell::CellId> covering) const {
-  const CellArray<uint64_t>& ids = cells;
   uint64_t result = 0;
-  size_t hint = 0;
-  for (cell::CellId qcell : covering) {
-    if (qcell.level() > header.level) qcell = qcell.Parent(header.level);
-    if (!MayOverlap(qcell)) continue;
-    const uint64_t f_child = qcell.ChildBegin(header.level).id();
-    const uint64_t l_child = qcell.ChildLast(header.level).id();
-    // Locate the first and last contained aggregate (Listing 2, lines 8-9);
-    // the second search starts from the first, and both reuse the position
-    // of the previous query cell as a hint (query cells ascend).
-    const size_t first =
-        hint + kernels::LowerBoundU64(ids.data() + hint, ids.size() - hint,
-                                      f_child);
-    const size_t last_plus_one =
-        first + kernels::UpperBoundU64(ids.data() + first, ids.size() - first,
-                                       l_child);
-    hint = first;
-    if (last_plus_one <= first) continue;
-    const size_t last = last_plus_one - 1;
-    // Range-sum over offsets (Listing 2, line 11).
+  size_t cursor = 0;
+  for (const cell::CellId qcell : CoveringSlice(covering, &cursor)) {
+    const CellRun run = NextRun(qcell, &cursor);
+    if (run.end == run.begin) continue;
+    // Range-sum over the offsets of the run's first and last aggregate
+    // (Listing 2, line 11).
+    const size_t last = run.end - 1;
     result += static_cast<uint64_t>(offsets[last]) + counts[last] -
-              offsets[first];
+              offsets[run.begin];
   }
   return result;
 }

@@ -77,7 +77,7 @@ void CoverPolygonInto(const geo::Projection& projection, int level,
 /// locks: every query method on this struct is `const`, touches only the
 /// frozen arrays, and is safe from any number of threads concurrently.
 ///
-/// The struct also carries the full query implementation (CombineCell /
+/// The struct also carries the full query implementation (CombineCovering /
 /// CountCovering / AggregateForCell), so a pinned snapshot can be queried
 /// directly and repeatedly with bitwise-stable answers while newer versions
 /// are published underneath — the contract the concurrent update stress
@@ -126,14 +126,40 @@ struct BlockState {
            cell.RangeMin().id() <= header.max_cell;
   }
 
-  /// Locates the first cell-aggregate index with cell id >= key, using the
-  /// lastAgg successor shortcut from Listing 1 when possible.
-  size_t SeekFirst(uint64_t key, size_t last_idx) const;
+  /// A run [begin, end) of cell-aggregate indices.
+  struct CellRun {
+    size_t begin = 0;
+    size_t end = 0;
+  };
 
-  /// Inner loop of the SELECT algorithm for one covering cell (Listing 1);
-  /// `last_idx` carries the lastAgg cursor across cells.
-  void CombineCell(cell::CellId qcell, Accumulator* acc,
-                   size_t* last_idx) const;
+  /// The probe of a covering is one forward cursor over the cell-aggregate
+  /// array. A fold takes the slice of the covering this version can answer,
+  /// seeds the cursor once, then hands every cell of the slice (or, for a
+  /// cached fold, the cells and trie-miss children it does not answer from
+  /// the cache) to NextRun in ascending order. SELECT, COUNT and the cached
+  /// fold (GeoBlockQC::CombineCovering) all probe this way.
+  ///
+  /// The slice of an ascending, disjoint covering whose cells overlap
+  /// [min_cell, max_cell] (Listing 1, lines 5-6): it starts at the first
+  /// cell whose range reaches the min_cell grid cell and stops before the
+  /// first cell whose range starts past the max_cell grid cell. Empty for a
+  /// state without cells. Seeds `*cursor` with one binary search: the index
+  /// of the first aggregate at or after the slice's first cell.
+  std::span<const cell::CellId> CoveringSlice(
+      std::span<const cell::CellId> covering, size_t* cursor) const;
+
+  /// The run of cell aggregates contained in `qcell`, found by galloping
+  /// forward from `*cursor`, which then moves to the run's end — also when
+  /// the run is empty. A cell finer than the block level is clamped to its
+  /// grid cell, so a second cell of the same grid cell finds an empty run
+  /// and every aggregate is folded at most once. Requires that `*cursor`
+  /// not pass the first aggregate of `qcell`: the cells of one slice, in
+  /// ascending order, from the seeded cursor.
+  CellRun NextRun(cell::CellId qcell, size_t* cursor) const;
+
+  /// Inner loop of the SELECT algorithm for one covering cell (Listing 1):
+  /// folds NextRun's run into `acc` as one batched strided scan.
+  void CombineCell(cell::CellId qcell, Accumulator* acc, size_t* cursor) const;
 
   /// SELECT over a pre-computed covering, folded into `acc`.
   void CombineCovering(std::span<const cell::CellId> covering,
@@ -143,7 +169,9 @@ struct BlockState {
   QueryResult SelectCovering(std::span<const cell::CellId> covering,
                              const AggregateRequest& request) const;
 
-  /// COUNT over a pre-computed covering (Listing 2 range sums).
+  /// COUNT over a pre-computed covering: the runs SELECT folds, each summed
+  /// from its first and last aggregate's offsets (Listing 2 range sums), so
+  /// it equals SELECT's count for any ascending, disjoint covering.
   uint64_t CountCovering(std::span<const cell::CellId> covering) const;
 
   /// Full aggregate (count + every column) of all grid cells contained in
@@ -386,10 +414,6 @@ class GeoBlock {
   /// @return One value per requested aggregate plus the tuple count.
   QueryResult SelectCovering(std::span<const cell::CellId> covering,
                              const AggregateRequest& request) const;
-
-  /// Initial value of the lastAgg cursor BlockState::CombineCell carries
-  /// across the cells of one covering ("no aggregate visited yet").
-  static constexpr size_t kNoLastAgg = static_cast<size_t>(-1);
 
   /// Specialized COUNT query (Listing 2): per covering cell, a range sum
   /// over only the first and last contained cell aggregate.

@@ -670,32 +670,6 @@ uint64_t SumCounts(const uint32_t* counts, size_t n) {
   return sum;
 }
 
-// Branchless binary search: the comparison feeds conditional moves, never a
-// branch.
-size_t LowerBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
-  size_t lo = 0;
-  size_t len = n;
-  while (len > 0) {
-    const size_t half = len >> 1;
-    const bool pred = keys[lo + half] < key;
-    lo = pred ? lo + half + 1 : lo;
-    len = pred ? len - half - 1 : half;
-  }
-  return lo;
-}
-
-size_t UpperBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
-  size_t lo = 0;
-  size_t len = n;
-  while (len > 0) {
-    const size_t half = len >> 1;
-    const bool pred = keys[lo + half] <= key;
-    lo = pred ? lo + half + 1 : lo;
-    len = pred ? len - half - 1 : half;
-  }
-  return lo;
-}
-
 const char* ToString(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar: return "scalar";

@@ -76,10 +76,64 @@ void FilterMask(const storage::Predicate* predicates, size_t num_predicates,
 /// Exact u64 sum of counts[0..n).
 uint64_t SumCounts(const uint32_t* counts, size_t n);
 
+namespace detail {
+
+// Branchless binary search: the comparison feeds conditional moves, never a
+// branch. kUpper selects upper_bound's `<=` over lower_bound's `<`.
+template <bool kUpper>
+inline size_t Bound(const uint64_t* keys, size_t n, uint64_t key) {
+  size_t lo = 0;
+  size_t len = n;
+  while (len > 0) {
+    const size_t half = len >> 1;
+    const bool pred = kUpper ? keys[lo + half] <= key : keys[lo + half] < key;
+    lo = pred ? lo + half + 1 : lo;
+    len = pred ? len - half - 1 : half;
+  }
+  return lo;
+}
+
+// Galloping search from `from`: probes from, from+1, from+3, from+7, ...
+// until a key is no longer before `key` (or the array ends), then runs the
+// branchless search over the bracket [last passed probe + 1, that probe).
+template <bool kUpper>
+inline size_t Gallop(const uint64_t* keys, size_t n, size_t from,
+                     uint64_t key) {
+  size_t lo = from;
+  size_t probe = from;
+  size_t step = 1;
+  while (probe < n && (kUpper ? keys[probe] <= key : keys[probe] < key)) {
+    lo = probe + 1;
+    probe += step;
+    step <<= 1;
+  }
+  const size_t hi = probe < n ? probe : n;
+  return lo + Bound<kUpper>(keys + lo, hi - lo, key);
+}
+
+}  // namespace detail
+
 /// Branchless equivalents of std::lower_bound / std::upper_bound over a
 /// sorted u64 array; return the insertion index in [0, n].
-size_t LowerBoundU64(const uint64_t* keys, size_t n, uint64_t key);
-size_t UpperBoundU64(const uint64_t* keys, size_t n, uint64_t key);
+inline size_t LowerBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
+  return detail::Bound<false>(keys, n, key);
+}
+inline size_t UpperBoundU64(const uint64_t* keys, size_t n, uint64_t key) {
+  return detail::Bound<true>(keys, n, key);
+}
+
+/// std::lower_bound / std::upper_bound over keys[from, n) for a cursor that
+/// only moves forward: return the insertion index in [from, n] (from <= n).
+/// A galloping search (Bentley and Yao, 1976): a key at the cursor costs
+/// one comparison, and one d places ahead about 2 log2(d).
+inline size_t GallopLowerBoundU64(const uint64_t* keys, size_t n, size_t from,
+                                  uint64_t key) {
+  return detail::Gallop<false>(keys, n, from, key);
+}
+inline size_t GallopUpperBoundU64(const uint64_t* keys, size_t n, size_t from,
+                                  uint64_t key) {
+  return detail::Gallop<true>(keys, n, from, key);
+}
 
 /// Kernel function-pointer table: the kernels with a SIMD variant per
 /// dispatch level. All span arguments accept n == 0.

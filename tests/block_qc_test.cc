@@ -116,6 +116,39 @@ TEST_F(BlockQCTest, RepeatedQueriesHitTheCache) {
                 qc.counters().misses);
 }
 
+TEST_F(BlockQCTest, PartialHitsMatchBaseBlock) {
+  // Warm the cache on the children of the coarser covering cells only: a
+  // parent's trie node then exists uncached, so its probe answers some
+  // children from the trie and folds the others from the block state with
+  // the fold's aggregate cursor.
+  GeoBlockQC qc(block_, GeoBlockQC::Options{0.10, 0});
+  const AggregateRequest req = SomeRequest();
+  std::vector<std::vector<cell::CellId>> coverings;
+  std::vector<std::vector<cell::CellId>> split;
+  for (const geo::Polygon& poly : *polygons_) {
+    coverings.push_back(block_->Cover(poly));
+    std::vector<cell::CellId> children;
+    for (const cell::CellId c : coverings.back()) {
+      if (c.level() >= block_->level()) {
+        children.push_back(c);
+        continue;
+      }
+      for (int k = 0; k < 4; ++k) children.push_back(c.Child(k));
+    }
+    split.push_back(std::move(children));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& covering : split) qc.SelectCovering(covering, req);
+  }
+  qc.RebuildCache();
+  qc.ResetCounters();
+  for (const auto& covering : coverings) {
+    ExpectSameResult(qc.SelectCovering(covering, req),
+                     block_->SelectCovering(covering, req));
+  }
+  EXPECT_GT(qc.counters().partial_hits, 0u);
+}
+
 TEST_F(BlockQCTest, CountBypassesCache) {
   GeoBlockQC qc(block_, GeoBlockQC::Options{0.05, 0});
   for (const geo::Polygon& poly : *polygons_) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <random>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -234,6 +238,151 @@ TEST_F(BlockSetTest, CoarseAlignmentCreatesEmptyShardsButStaysCorrect) {
     const auto covering = block_->Cover(poly);
     ExpectBitIdentical(set.SelectCovering(covering, req),
                        block_->SelectCovering(covering, req), "empty-shards");
+  }
+}
+
+/// A seeded random covering: sorted, disjoint cells from eight levels above
+/// the grid to three below it, around data leaves, uniform points and the
+/// `edges` grid cells (each shard's first and last). Each shard sees cells
+/// before its min_cell and after its max_cell, and the finer cells put
+/// several covering cells into one grid cell, at shard edges too.
+std::vector<cell::CellId> RandomCovering(const storage::SortedDataset& data,
+                                         std::span<const cell::CellId> edges,
+                                         int level, size_t n,
+                                         std::mt19937_64* rng) {
+  std::uniform_int_distribution<int> levels(level - 8, level + 3);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<cell::CellId> cells;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t source = (*rng)() % 4;
+    if (source == 0) {
+      const double x = unit(*rng);
+      cells.push_back(
+          cell::CellId::FromPoint({x, unit(*rng)}).Parent(levels(*rng)));
+      continue;
+    }
+    if (source == 1) {
+      // Some children (or grandchildren) of a shard's edge grid cell.
+      const cell::CellId edge = edges[(*rng)() % edges.size()];
+      for (int k = 0; k < 4; ++k) {
+        if ((*rng)() % 2 == 0) continue;
+        const cell::CellId child = edge.Child(k);
+        cells.push_back((*rng)() % 2 == 0 ? child
+                                          : child.Child((*rng)() % 4));
+      }
+      continue;
+    }
+    // Rows next to each other in key order share grid cells: a few of
+    // them at levels below the grid clamp to one grid cell.
+    const size_t row = (*rng)() % data.num_rows();
+    const size_t run = (*rng)() % 2 == 0 ? 1 : 3;
+    for (size_t r = row; r < std::min(row + run, data.num_rows()); ++r) {
+      const int l = run == 1 ? levels(*rng) : level + 1 + (*rng)() % 3;
+      cells.push_back(cell::CellId(data.keys()[r]).Parent(l));
+    }
+  }
+  std::sort(cells.begin(), cells.end(), [](cell::CellId a, cell::CellId b) {
+    return a.RangeMin() < b.RangeMin();
+  });
+  std::vector<cell::CellId> covering;
+  for (const cell::CellId c : cells) {
+    if (covering.empty() || c.RangeMin() > covering.back().RangeMax()) {
+      covering.push_back(c);
+    }
+  }
+  return covering;
+}
+
+/// The oracle: a fold that searches for each cell on its own. Clamp to the
+/// grid, prune against [min_cell, max_cell], std::lower_bound from just
+/// past the last folded aggregate, std::upper_bound from there, fold.
+QueryResult PerCellFold(const core::BlockState& state,
+                        std::span<const cell::CellId> covering,
+                        const AggregateRequest& request) {
+  core::Accumulator acc(&request);
+  const int level = state.header.level;
+  const uint64_t* ids = state.cells.data();
+  const size_t n = state.cells.size();
+  size_t from = 0;
+  for (cell::CellId q : covering) {
+    if (q.level() > level) q = q.Parent(level);
+    if (!state.MayOverlap(q)) continue;
+    const size_t begin = static_cast<size_t>(
+        std::lower_bound(ids + from, ids + n, q.ChildBegin(level).id()) - ids);
+    const size_t end = static_cast<size_t>(
+        std::upper_bound(ids + begin, ids + n, q.ChildLast(level).id()) -
+        ids);
+    if (end == begin) continue;
+    acc.AddCellRange(state.counts.data() + begin,
+                     state.column_aggs.data() + begin * state.num_columns,
+                     end - begin, state.num_columns);
+    from = end;
+  }
+  return acc.Finish();
+}
+
+TEST_F(BlockSetTest, CursorFoldMatchesPerCellSearch) {
+  // The single block plus every shard of a coarse-aligned set, empty
+  // shards included.
+  const storage::ShardedDataset sharded = Shard(16, 6);
+  const BlockSet set = BlockSet::Build(sharded, BlockSetOptions{{kLevel, {}}});
+  std::vector<std::shared_ptr<const core::BlockState>> states{
+      block_->StateSnapshot()};
+  size_t empty_shards = 0;
+  std::vector<cell::CellId> edges;
+  for (size_t s = 0; s < set.num_shards(); ++s) {
+    states.push_back(set.shard(s).StateSnapshot());
+    if (states.back()->num_cells() == 0) {
+      ++empty_shards;
+      continue;
+    }
+    edges.emplace_back(states.back()->header.min_cell);
+    edges.emplace_back(states.back()->header.max_cell);
+  }
+  ASSERT_GT(empty_shards, 0u);
+  const AggregateRequest req = Request();
+  std::mt19937_64 rng(30);
+  size_t shared_grid_cells = 0;
+  for (size_t round = 0; round < 300; ++round) {
+    const std::vector<cell::CellId> covering =
+        RandomCovering(*data_, edges, kLevel, 1 + round % 80, &rng);
+    for (size_t i = 1; i < covering.size(); ++i) {
+      if (covering[i - 1].level() > kLevel && covering[i].level() > kLevel &&
+          covering[i - 1].Parent(kLevel) == covering[i].Parent(kLevel)) {
+        ++shared_grid_cells;
+      }
+    }
+    for (const auto& state : states) {
+      const QueryResult want = PerCellFold(*state, covering, req);
+      const QueryResult got = state->SelectCovering(covering, req);
+      ASSERT_EQ(got.count, want.count) << "round " << round;
+      ASSERT_EQ(got.values.size(), want.values.size());
+      ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                            got.values.size() * sizeof(double)),
+                0)
+          << "round " << round;
+      ASSERT_EQ(state->CountCovering(covering), want.count)
+          << "round " << round;
+    }
+  }
+  EXPECT_GT(shared_grid_cells, 0u);
+}
+
+TEST_F(BlockSetTest, CountFoldsFinerCellsOnce) {
+  // The four children of a grid cell clamp to it; the set folds its tuples
+  // once, in COUNT as in SELECT.
+  const BlockSet set = BlockSet::Build(Shard(4), BlockSetOptions{{kLevel, {}}});
+  AggregateRequest count_req;
+  count_req.Add(AggFn::kCount);
+  for (size_t i = 0; i < block_->num_cells(); i += 7) {
+    const cell::CellId grid(block_->cells()[i]);
+    const std::vector<cell::CellId> children{grid.Child(0), grid.Child(1),
+                                             grid.Child(2), grid.Child(3)};
+    ASSERT_EQ(set.SelectCovering(children, count_req).count,
+              block_->counts()[i])
+        << "cell " << i;
+    ASSERT_EQ(set.CountCovering(children), block_->counts()[i])
+        << "cell " << i;
   }
 }
 

@@ -161,6 +161,26 @@ TEST_F(GeoBlockTest, CountMatchesSelect) {
   }
 }
 
+TEST_F(GeoBlockTest, CountFoldsFinerCellsOnce) {
+  // Covering cells finer than the block level clamp to the grid cell that
+  // holds them: the four children of one grid cell fold its tuples once,
+  // in COUNT as in SELECT.
+  const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{12, {}});
+  AggregateRequest count_req;
+  count_req.Add(AggFn::kCount);
+  ASSERT_GT(block.num_cells(), 0u);
+  for (size_t i = 0; i < block.num_cells(); ++i) {
+    const cell::CellId grid(block.cells()[i]);
+    const std::vector<cell::CellId> children{grid.Child(0), grid.Child(1),
+                                             grid.Child(2), grid.Child(3)};
+    ASSERT_EQ(block.SelectCovering(children, count_req).count,
+              block.counts()[i])
+        << "cell " << i;
+    ASSERT_EQ(block.CountCovering(children), block.counts()[i])
+        << "cell " << i;
+  }
+}
+
 TEST_F(GeoBlockTest, SelectWholeDomainEqualsGlobal) {
   const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
   const std::vector<cell::CellId> all{cell::CellId::Root()};

@@ -311,27 +311,40 @@ TEST(ScanKernelsTest, SumCountsParity) {
 }
 
 TEST(ScanKernelsTest, SortedProbesMatchStdBounds) {
-  for (size_t n = 0; n <= kMaxLen; ++n) {
+  // Lengths past the galloping probes' doubling steps (1, 2, 4, ... 128);
+  // stored keys are even and repeat, so the odd queries fall between them,
+  // 0 and 1 below them and the last ones above.
+  constexpr size_t kMaxSorted = 130;
+  for (size_t n = 0; n <= kMaxSorted; ++n) {
     std::mt19937 rng(6000 + n);
+    const uint64_t distinct = n / 2 + 1;
     std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) keys[i] = rng() % 16;
+    for (size_t i = 0; i < n; ++i) keys[i] = 2 + 2 * (rng() % distinct);
     std::sort(keys.begin(), keys.end());
-    // Duplicate runs straddling the binary-search midpoints.
-    if (n >= 4) {
-      keys[n / 2] = keys[n / 2 - 1];
-      std::sort(keys.begin(), keys.end());
-    }
-    for (uint64_t q = 0; q <= 17; ++q) {
+    const auto at = [&](auto it) {
+      return static_cast<size_t>(it - keys.begin());
+    };
+    for (uint64_t q = 0; q <= 2 * distinct + 3; ++q) {
       EXPECT_EQ(LowerBoundU64(keys.data(), n, q),
-                static_cast<size_t>(
-                    std::lower_bound(keys.begin(), keys.end(), q) -
-                    keys.begin()))
+                at(std::lower_bound(keys.begin(), keys.end(), q)))
           << "n=" << n << " q=" << q;
       EXPECT_EQ(UpperBoundU64(keys.data(), n, q),
-                static_cast<size_t>(
-                    std::upper_bound(keys.begin(), keys.end(), q) -
-                    keys.begin()))
+                at(std::upper_bound(keys.begin(), keys.end(), q)))
           << "n=" << n << " q=" << q;
+      for (size_t from = 0; from <= n; ++from) {
+        const size_t lower =
+            at(std::lower_bound(keys.begin() + from, keys.end(), q));
+        const size_t upper =
+            at(std::upper_bound(keys.begin() + from, keys.end(), q));
+        const size_t got_lower = GallopLowerBoundU64(keys.data(), n, from, q);
+        const size_t got_upper = GallopUpperBoundU64(keys.data(), n, from, q);
+        if (got_lower != lower || got_upper != upper) {
+          ADD_FAILURE() << "n=" << n << " from=" << from << " q=" << q
+                        << ": gallop " << got_lower << "/" << got_upper
+                        << ", std " << lower << "/" << upper;
+          return;
+        }
+      }
     }
   }
 }
