@@ -5,9 +5,14 @@
 // warmed and frozen first, so the two modes answer from identical cache
 // state and every result can be compared bit for bit.
 //
+// Each row repeats its timing kRepeats times, alternating locked and
+// lock-free, each repeat running enough passes to last at least
+// kMinRepeatMs, and reports the median and the min-max of the repeats.
+//
 // Emits machine-readable BENCH_concurrency.json next to the binary. Note:
 // CI containers may be single-core — the bench always verifies 0 result
 // mismatches and records the numbers; it never gates on a speedup.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -27,10 +32,24 @@ namespace geoblocks::bench {
 namespace {
 
 constexpr size_t kShards = 8;
+constexpr size_t kRepeats = 5;
+constexpr double kMinRepeatMs = 200.0;
 
 struct ModeStats {
   double ms = 0.0;
   double qps = 0.0;
+};
+
+/// Median and range of one mode's repeats.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  static Spread Of(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return {v[v.size() / 2], v.front(), v.back()};
+  }
 };
 
 /// Runs `threads` workers, each executing `rounds` passes over all
@@ -139,33 +158,54 @@ void Run() {
     }
   }
 
-  const size_t rounds = std::max<size_t>(1, bench_util::Scaled(8));
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
   std::atomic<uint64_t> mismatches{0};
 
   struct Row {
     size_t threads;
-    ModeStats locked;
-    ModeStats lockfree;
+    size_t rounds;
+    Spread locked_qps;
+    Spread lockfree_qps;
   };
   std::vector<Row> rows;
-  bench_util::TablePrinter table({"threads", "locked ms", "lock-free ms",
-                                  "locked qps", "lock-free qps", "speedup"});
+  bench_util::TablePrinter table({"threads", "rounds", "locked qps",
+                                  "locked min-max", "lock-free qps",
+                                  "lock-free min-max", "speedup"});
+  const auto range = [](const Spread& s) {
+    return bench_util::TablePrinter::Fmt(s.min, 0) + "-" +
+           bench_util::TablePrinter::Fmt(s.max, 0);
+  };
   for (const size_t threads : thread_counts) {
     Row row;
     row.threads = threads;
-    row.locked =
-        RunMode(threads, rounds, coverings, want, &mismatches, locked_select);
-    row.lockfree = RunMode(threads, rounds, coverings, want, &mismatches,
-                           lockfree_select);
+    // Calibrate: double the passes until one lock-free repeat lasts
+    // kMinRepeatMs (the calibration runs double as the warm-up).
+    row.rounds = 1;
+    while (RunMode(threads, row.rounds, coverings, want, &mismatches,
+                   lockfree_select)
+               .ms < kMinRepeatMs) {
+      row.rounds *= 2;
+    }
+    std::vector<double> locked;
+    std::vector<double> lockfree;
+    for (size_t r = 0; r < kRepeats; ++r) {
+      locked.push_back(RunMode(threads, row.rounds, coverings, want,
+                               &mismatches, locked_select)
+                           .qps);
+      lockfree.push_back(RunMode(threads, row.rounds, coverings, want,
+                                 &mismatches, lockfree_select)
+                             .qps);
+    }
+    row.locked_qps = Spread::Of(locked);
+    row.lockfree_qps = Spread::Of(lockfree);
     rows.push_back(row);
-    table.AddRow({std::to_string(threads),
-                  bench_util::TablePrinter::Fmt(row.locked.ms, 1),
-                  bench_util::TablePrinter::Fmt(row.lockfree.ms, 1),
-                  bench_util::TablePrinter::Fmt(row.locked.qps, 0),
-                  bench_util::TablePrinter::Fmt(row.lockfree.qps, 0),
+    table.AddRow({std::to_string(threads), std::to_string(row.rounds),
+                  bench_util::TablePrinter::Fmt(row.locked_qps.median, 0),
+                  range(row.locked_qps),
+                  bench_util::TablePrinter::Fmt(row.lockfree_qps.median, 0),
+                  range(row.lockfree_qps),
                   bench_util::TablePrinter::Fmt(
-                      row.lockfree.qps / row.locked.qps, 2)});
+                      row.lockfree_qps.median / row.locked_qps.median, 2)});
   }
   table.Print();
   std::printf(
@@ -194,26 +234,30 @@ void Run() {
        << "  \"pool_type\": \"" << util::ThreadPool::pool_type() << "\",\n"
        << "  \"shards\": " << kShards << ",\n"
        << "  \"queries_per_round\": " << coverings.size() << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
+       << "  \"repeats\": " << kRepeats << ",\n"
+       << "  \"min_repeat_ms\": " << kMinRepeatMs << ",\n"
        << "  \"warm_hit_rate\": " << warm.HitRate() << ",\n"
        << "  \"mismatches\": " << total_mismatches << ",\n"
        << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << "    {\"threads\": " << r.threads
-         << ", \"locked_ms\": " << r.locked.ms
-         << ", \"lockfree_ms\": " << r.lockfree.ms
-         << ", \"locked_qps\": " << r.locked.qps
-         << ", \"lockfree_qps\": " << r.lockfree.qps << "}"
+    json << "    {\"threads\": " << r.threads << ", \"rounds\": " << r.rounds
+         << ", \"locked_qps\": " << r.locked_qps.median
+         << ", \"locked_qps_min\": " << r.locked_qps.min
+         << ", \"locked_qps_max\": " << r.locked_qps.max
+         << ", \"lockfree_qps\": " << r.lockfree_qps.median
+         << ", \"lockfree_qps_min\": " << r.lockfree_qps.min
+         << ", \"lockfree_qps_max\": " << r.lockfree_qps.max << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::printf("wrote BENCH_concurrency.json\n");
 
   const Row& widest = rows.back();
-  const double scaling = widest.lockfree.qps / rows.front().lockfree.qps;
-  std::printf("\nverdict: lock-free QPS at %zu threads is %.2fx its 1-thread "
-              "QPS on %u hardware threads: the cached read path %s with "
+  const double scaling =
+      widest.lockfree_qps.median / rows.front().lockfree_qps.median;
+  std::printf("\nverdict: median lock-free QPS at %zu threads is %.2fx its "
+              "1-thread QPS on %u hardware threads: the cached read path %s with "
               "reader threads here\n",
               widest.threads, scaling, std::thread::hardware_concurrency(),
               scaling > 1.0 ? "scales" : "does not scale");

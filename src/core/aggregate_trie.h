@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -8,57 +7,57 @@
 #include "cell/cell_id.h"
 #include "core/aggregate.h"
 #include "core/geoblock.h"
+#include "core/scan_kernels.h"
 
 namespace geoblocks::core {
 
-/// The trie-like query cache of Section 3.6 (Figure 7): pre-aggregated
-/// answers for frequently queried cells, stored in one contiguous memory
-/// region ("in-place with the cell aggregates").
+/// The query cache of Section 3.6: pre-aggregated answers for frequently
+/// queried cells inside the root cell (the lowest cell enclosing the
+/// block's data).
 ///
-/// Layout of the arena:
-///   [8 reserved bytes][root node][4-node child blocks ...][aggregates ...]
+/// Layout: three parallel arrays sorted by cell id — `ids`, `counts` and
+/// `column_aggs` (`num_columns` (min, max, sum) triples per cell), the same
+/// shape as the block state's own cell aggregates. This deviates from
+/// Figure 7, which stores the cached cells in a pointer trie of 4-node
+/// child blocks: a reader here finds "the cached cells inside a covering
+/// cell" the way it finds the stored ones, with a galloping cursor
+/// (NextRun), because the cells contained in a cell are exactly the ids in
+/// its range [RangeMin, RangeMax] (an ancestor's id never falls in a
+/// descendant's range). Figure 8's decisions read off that run: empty is a
+/// miss, the cell's own id is a full hit, and otherwise its four direct
+/// children decide a partial hit. With no nodes, every cached cell costs
+/// a constant CellBytes.
 ///
-/// A node is two 32-bit integers: the byte offset of its first child (the
-/// children of a node are always allocated as one contiguous block of four
-/// nodes) and the byte offset of its cached aggregate; 0 encodes "n/a".
-/// The root corresponds to the cell level that encloses the input data;
-/// each following trie level encodes exactly one cell level (fanout 4).
+/// ## Const-probe contract (frozen caches)
 ///
-/// A cached aggregate is `8 + 24 * num_columns` bytes: a uint64 tuple count
-/// followed by (min, max, sum) doubles per column.
-///
-/// ## Const-probe contract (frozen tries)
-///
-/// The probe API (`Lookup`, `DirectChildren`, `Combine`, `IsCached`) never
-/// mutates the trie, so any number of threads may probe one instance
-/// concurrently *as long as no mutator runs*. The mutators are `Build` and
-/// `ApplyTupleUpdate` — neither is safe against concurrent probes on the
-/// *same* instance. The lock-free cached read path (GeoBlockQC) therefore
-/// treats every trie as frozen once published: mutation happens only on a
-/// private instance (a fresh build or a clone), which is then swapped in
-/// behind an atomic `shared_ptr` — readers always probe an immutable
-/// snapshot. `Combine`'s internal scratch is thread-local, so concurrent
-/// probes of a frozen trie are race-free.
+/// The probe API (`NextRun`, `Find`, `Combine`, `IsCached`) never mutates
+/// the cache, so any number of threads may probe one instance concurrently
+/// *as long as no mutator runs*. The mutators are `Build` and
+/// `ApplyTupleUpdate`. The lock-free cached read path (GeoBlockQC)
+/// therefore treats every instance as frozen once published: mutation
+/// happens only on a private instance (a fresh build or a clone), which is
+/// then swapped in behind a snapshot cell — readers always probe an
+/// immutable snapshot.
 class AggregateTrie {
  public:
   struct BuildResult {
     size_t cached_cells = 0;  ///< cells whose aggregate was materialized
-    size_t bytes_used = 0;    ///< total arena bytes (nodes + aggregates)
+    size_t bytes_used = 0;    ///< MemoryBytes of the built cache
   };
 
   AggregateTrie() = default;
 
   /// Builds the cache for one pinned block state from `ranked` candidate
-  /// cells (most relevant first, see QueryStats::RankedCells), inserting
-  /// cells until the next one would exceed `byte_budget`. When `previous`
-  /// is given (typically the trie being replaced), aggregates of cells it
-  /// already caches are copied instead of recomputed from the state — this
-  /// makes periodic cache refreshes cheap once the cached set stabilizes.
-  /// Taking a BlockState (not a GeoBlock) pins the build to exactly one
-  /// MVCC version, so a rebuild racing concurrent update commits still
-  /// produces a trie consistent with a single version. Costs one descent
-  /// of at most the trie depth per candidate (array loads, no hashing)
-  /// plus one breadth-first pass over the allocated child blocks.
+  /// cells (most relevant first, see QueryStats::RankedCells): admits the
+  /// distinct ranked cells inside the root until the next one would exceed
+  /// `byte_budget`, i.e. the first ⌊byte_budget / CellBytes⌋ of them.
+  /// When `previous` is given (typically the cache being replaced),
+  /// aggregates of cells it already caches are copied instead of
+  /// recomputed from the state — this makes periodic cache refreshes cheap
+  /// once the cached set stabilizes. Taking a BlockState (not a GeoBlock)
+  /// pins the build to exactly one MVCC version, so a rebuild racing
+  /// concurrent update commits still produces a cache consistent with a
+  /// single version.
   BuildResult Build(const BlockState& state,
                     const std::vector<cell::CellId>& ranked,
                     size_t byte_budget,
@@ -78,62 +77,73 @@ class AggregateTrie {
   ///     the state has none.
   static cell::CellId RootFor(const BlockState& state);
 
-  bool empty() const { return num_cached_ == 0; }
-  size_t num_cached() const { return num_cached_; }
+  /// @return Bytes one cached cell costs: its id and tuple count plus a
+  ///     (min, max, sum) triple per column.
+  static constexpr size_t CellBytes(size_t num_columns) {
+    return 2 * sizeof(uint64_t) + num_columns * sizeof(ColumnAggregate);
+  }
+
+  bool empty() const { return ids_.empty(); }
+  size_t num_cached() const { return ids_.size(); }
+  size_t num_columns() const { return num_columns_; }
   cell::CellId root_cell() const { return root_cell_; }
-  size_t MemoryBytes() const { return arena_.size(); }
-  /// @return The raw arena (layout in the class comment).
-  std::span<const uint8_t> bytes() const { return arena_; }
+  size_t MemoryBytes() const { return ids_.size() * CellBytes(num_columns_); }
 
-  /// Outcome of locating `cell`'s trie node (first two decision points of
-  /// Figure 8).
-  struct Probe {
-    bool node_exists = false;       ///< a node for the cell exists
-    uint32_t node_offset = 0;       ///< arena offset of that node
-    const uint8_t* agg = nullptr;   ///< cached aggregate, or null
-  };
+  /// The three parallel arrays (layout in the class comment).
+  std::span<const uint64_t> ids() const { return ids_; }
+  std::span<const uint64_t> counts() const { return counts_; }
+  std::span<const ColumnAggregate> column_aggs() const { return column_aggs_; }
 
-  Probe Lookup(cell::CellId cell) const;
+  /// The run of cached cells contained in `cell` (itself included), found
+  /// by galloping forward from `*cursor`, which then moves to the run's
+  /// end. Requires that `*cursor` not pass the run's first cell: cells
+  /// probed in ascending, disjoint order from a cursor of 0.
+  BlockState::CellRun NextRun(cell::CellId cell, size_t* cursor) const {
+    const uint64_t* ids = ids_.data();
+    const size_t n = ids_.size();
+    BlockState::CellRun run;
+    run.begin =
+        kernels::GallopLowerBoundU64(ids, n, *cursor, cell.RangeMin().id());
+    run.end =
+        kernels::GallopUpperBoundU64(ids, n, run.begin, cell.RangeMax().id());
+    *cursor = run.end;
+    return run;
+  }
 
-  /// Direct-children inspection for partially cached cells (Figure 8,
-  /// bottom-left branch). `exists` is true when the child has a node.
-  struct ChildInfo {
-    bool exists = false;
-    const uint8_t* agg = nullptr;
-  };
-
-  std::array<ChildInfo, 4> DirectChildren(uint32_t node_offset) const;
+  /// @return The index of exactly `cell` within `run`, or `run.end` when
+  ///     it is not cached there.
+  size_t Find(cell::CellId cell, BlockState::CellRun run) const {
+    const size_t i =
+        run.begin + kernels::LowerBoundU64(ids_.data() + run.begin,
+                                           run.end - run.begin, cell.id());
+    return i < run.end && ids_[i] == cell.id() ? i : run.end;
+  }
+  /// @return The index of exactly `cell`, or num_cached() when it is not
+  ///     cached.
+  size_t Find(cell::CellId cell) const { return Find(cell, {0, ids_.size()}); }
 
   /// True when the exact cell has a cached aggregate.
-  bool IsCached(cell::CellId cell) const { return Lookup(cell).agg != nullptr; }
+  bool IsCached(cell::CellId cell) const { return Find(cell) != ids_.size(); }
 
-  /// Folds a cached aggregate into an accumulator.
-  void Combine(const uint8_t* agg, Accumulator* acc) const;
+  /// Folds the aggregate of the i-th cached cell into an accumulator.
+  void Combine(size_t i, Accumulator* acc) const {
+    acc->AddAggregate(counts_[i], column_aggs_.data() + i * num_columns_);
+  }
 
-  /// Integrates a newly arriving tuple into every cached aggregate on the
-  /// path from the root to the tuple's cell (Section 5: "update all cached
-  /// parents of the grid cell ... in a single depth-first traversal").
+  /// Integrates a newly arriving tuple into every cached cell containing
+  /// its leaf cell (Section 5: "update all cached parents of the grid
+  /// cell"): one lookup of the leaf's ancestor per level, from the root
+  /// down to the deepest level with cached cells inside that ancestor.
   /// `values` must hold one value per block column. Returns the number of
   /// cached aggregates updated.
   size_t ApplyTupleUpdate(cell::CellId leaf, const double* values);
 
-  /// Tuple count of a cached aggregate.
-  static uint64_t CachedCount(const uint8_t* agg);
-
  private:
-  static constexpr uint32_t kRootOffset = 8;
-  static constexpr size_t kNodeBytes = 8;
-  static constexpr size_t kBlockBytes = 4 * kNodeBytes;
-
-  size_t AggBytes() const { return 8 + 24 * num_columns_; }
-
-  uint32_t ReadU32(size_t offset) const;
-  void WriteU32(size_t offset, uint32_t value);
-
-  std::vector<uint8_t> arena_;
+  std::vector<uint64_t> ids_;
+  std::vector<uint64_t> counts_;
+  std::vector<ColumnAggregate> column_aggs_;
   cell::CellId root_cell_;
   size_t num_columns_ = 0;
-  size_t num_cached_ = 0;
 };
 
 }  // namespace geoblocks::core

@@ -1,6 +1,5 @@
 #include "core/block_qc.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace geoblocks::core {
@@ -31,17 +30,19 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
     // state version, which concurrent publishes cannot retire underneath.
     const util::SnapshotCell<AggregateTrie>::ReadGuard trie(trie_);
     Accumulator& acc = *acc_out;
-    // One aggregate cursor for the whole fold, over this shard's slice of
-    // the covering: cells answered by the trie leave it behind, and the
-    // next base fold gallops on from there.
+    // Two forward cursors for the whole fold, over this shard's slice of
+    // the covering: one over the state's cell aggregates (cells answered
+    // from the cache leave it behind, and the next base fold gallops on
+    // from there) and one over the cached cells.
     size_t cursor = 0;
+    size_t cache_cursor = 0;
     for (cell::CellId qcell : state.CoveringSlice(covering, &cursor)) {
       if (qcell.level() > block_->level()) {
         qcell = qcell.Parent(block_->level());
       }
-      // A block-level cell is one stored aggregate: no trie entry can
+      // A block-level cell is one stored aggregate: no cache entry can
       // answer it more cheaply than the base fold, so it is never recorded,
-      // probed or counted, and the trie budget goes to coarser cells.
+      // probed or counted, and the cache budget goes to coarser cells.
       if (qcell.level() == block_->level()) {
         state.CombineCell(qcell, &acc, &cursor);
         continue;
@@ -52,25 +53,27 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
       stats_.Record(qcell);
 
       // Adapted query algorithm (Figure 8): probe the cache first and
-      // resort to the base algorithm only when necessary.
-      const AggregateTrie::Probe probe = trie->Lookup(qcell);
-      if (!probe.node_exists) {
+      // resort to the base algorithm only when necessary. The cached cells
+      // inside qcell are one run of the cache.
+      const BlockState::CellRun run = trie->NextRun(qcell, &cache_cursor);
+      if (run.begin == run.end) {
         counters_.AddMiss();
         state.CombineCell(qcell, &acc, &cursor);
         continue;
       }
-      if (probe.agg != nullptr) {
+      const size_t self = trie->Find(qcell, run);
+      if (self != run.end) {
         counters_.AddFullHit();
-        trie->Combine(probe.agg, &acc);
+        trie->Combine(self, &acc);
         continue;
       }
-      // Node exists but the cell itself is not cached: at least one child
-      // at some level resides in the cache. Use cached *direct* children
-      // and the base algorithm for the rest.
-      const auto children = trie->DirectChildren(probe.node_offset);
+      // Cells inside qcell are cached, qcell itself is not: use cached
+      // *direct* children and the base algorithm for the rest.
+      size_t child_at[4];
       bool any_cached = false;
-      for (const auto& info : children) {
-        if (info.agg != nullptr) any_cached = true;
+      for (int k = 0; k < 4; ++k) {
+        child_at[k] = trie->Find(qcell.Child(k), run);
+        any_cached |= child_at[k] != run.end;
       }
       if (!any_cached) {
         counters_.AddMiss();
@@ -79,11 +82,10 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
       }
       counters_.AddPartialHit();
       for (int k = 0; k < 4; ++k) {
-        const cell::CellId child = qcell.Child(k);
-        if (children[k].agg != nullptr) {
-          trie->Combine(children[k].agg, &acc);
+        if (child_at[k] != run.end) {
+          trie->Combine(child_at[k], &acc);
         } else {
-          state.CombineCell(child, &acc, &cursor);
+          state.CombineCell(qcell.Child(k), &acc, &cursor);
         }
       }
     }
@@ -99,7 +101,6 @@ size_t GeoBlockQC::DropTrie() const {
   if (prev->empty()) return 0;
   const size_t bytes = prev->MemoryBytes();
   trie_.Publish(std::make_shared<AggregateTrie>());
-  built_.valid = false;
   // The retire hook just parked the dropped snapshot as the recycling
   // spare; eviction exists to free those bytes, so drop the spare too.
   spare_trie_.reset();
@@ -124,24 +125,29 @@ void GeoBlockQC::MaybeRebuildAfterQuery() const {
 
 bool GeoBlockQC::CachedSetUnchangedLocked(const BlockState& state,
                                           size_t budget) const {
-  if (!built_.valid || built_.budget != budget ||
-      built_.root != AggregateTrie::RootFor(state)) {
-    return false;
-  }
-  // A state without cells builds the empty trie whatever was recorded.
-  if (!built_.root.is_valid()) return true;
+  // Only the (serialized) writer publishes, so peeking is safe here. A
+  // dropped cache has no root, so it never matches a state with cells.
+  const AggregateTrie& published = *trie_.WriterPeek();
+  const cell::CellId root = published.root_cell();
+  if (root != AggregateTrie::RootFor(state)) return false;
+  // A state without cells builds the empty cache whatever was recorded.
+  if (!root.is_valid()) return true;
+  // Build admits the first `capacity` distinct ranked cells inside the
+  // root.
+  const size_t capacity = budget / AggregateTrie::CellBytes(state.num_columns);
+  const size_t cached = published.num_cached();
+  if (cached > capacity) return false;
   // One walk of the recorded cells: the last-ranked cached cell and the
   // best-ranked uncached cell inside the root. Cells outside the root are
   // never candidates.
   using Scored = QueryStats::ScoredCell;
-  const std::vector<cell::CellId>& cached = built_.cached;
   size_t members = 0;
   Scored worst_member;
   bool any_other = false;
   Scored best_other;
   stats_.ForEachCell([&](const Scored& c) {
-    if (!built_.root.Contains(c.cell)) return;
-    if (std::binary_search(cached.begin(), cached.end(), c.cell)) {
+    if (!root.Contains(c.cell)) return;
+    if (published.IsCached(c.cell)) {
       if (members++ == 0 || Scored::Before(worst_member, c)) worst_member = c;
     } else if (!any_other || Scored::Before(c, best_other)) {
       best_other = c;
@@ -150,13 +156,13 @@ bool GeoBlockQC::CachedSetUnchangedLocked(const BlockState& state,
   });
   // Every cached cell was recorded when it was built; one gone missing
   // means the statistics were cleared.
-  if (members != cached.size()) return false;
+  if (members != cached) return false;
   // Only cached cells inside the root: Build admits all of them again.
   if (!any_other) return true;
-  // The best outsider must still be the cell Build stopped at (it still
-  // does not fit: the set, budget and layout rules are unchanged), and
-  // must still rank below every cached cell.
-  return best_other.cell == built_.break_cell &&
+  // Otherwise the set must be full, and every member must still outrank
+  // the best outsider: then the first `capacity` in-root cells are the
+  // members, whichever outsider ranks next.
+  return cached == capacity &&
          (members == 0 || Scored::Before(worst_member, best_other));
 }
 
@@ -176,34 +182,11 @@ void GeoBlockQC::RebuildCache() const {
     return;
   }
   counters_.AddRebuild();
-  // Only the (serialized) writer retires snapshots, so peeking the raw
-  // previous trie is safe here.
-  const AggregateTrie* prev = trie_.WriterPeek();
   // Build the successor off the read path: a point-in-time-ish stats
   // snapshot ranks the cells; payloads cached by the outgoing snapshot are
   // copied instead of recomputed.
-  const std::vector<cell::CellId> ranked = stats_.RankedCells();
   auto fresh = std::make_shared<AggregateTrie>();
-  fresh->Build(*state, ranked, budget, prev);
-  // Record the skip test's inputs. Build admitted a prefix of the ranked
-  // in-root cells, so the cached set is that prefix and the break
-  // candidate is the first in-root cell after it.
-  built_.valid = true;
-  built_.root = fresh->root_cell();
-  built_.budget = budget;
-  built_.cached.clear();
-  built_.break_cell = cell::CellId();
-  if (built_.root.is_valid()) {
-    for (const cell::CellId& c : ranked) {
-      if (!built_.root.Contains(c)) continue;
-      if (!fresh->IsCached(c)) {
-        built_.break_cell = c;
-        break;
-      }
-      built_.cached.push_back(c);
-    }
-    std::sort(built_.cached.begin(), built_.cached.end());
-  }
+  fresh->Build(*state, stats_.RankedCells(), budget, trie_.WriterPeek());
   // Epoch swap: one pointer swap publishes the new snapshot; in-flight
   // readers finish on the old one before it is retired.
   trie_.Publish(std::move(fresh));
@@ -218,7 +201,7 @@ void GeoBlockQC::PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
   // Copy-on-write: patch a private clone, then publish it atomically so
   // readers see the whole batch or none of it. The clone lands in the
   // snapshot retired by the previous commit when that spare is sole-owned —
-  // copy-assignment reuses its arena buffer, so the steady-state commit
+  // copy-assignment reuses its array buffers, so the steady-state commit
   // allocates no trie storage.
   std::shared_ptr<AggregateTrie> patched;
   if (spare_trie_ != nullptr && spare_trie_.use_count() == 1) {

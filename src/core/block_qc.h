@@ -179,8 +179,8 @@ class GeoBlockQC {
     // Recycle retired trie snapshots: the hook runs inside Publish, which
     // every writer calls under writer_mu_, so spare_trie_ (also guarded by
     // writer_mu_) is safe to touch here. A sole-owned retiree keeps its
-    // arena buffer alive for the next clone-patch — the steady-state commit
-    // path stops allocating trie storage.
+    // array buffers alive for the next clone-patch — the steady-state
+    // commit path stops allocating cache storage.
     trie_.SetRetireHook([this](std::shared_ptr<const AggregateTrie> old) {
       if (old.use_count() == 1) {
         spare_trie_ = std::const_pointer_cast<AggregateTrie>(std::move(old));
@@ -278,17 +278,16 @@ class GeoBlockQC {
   /// changes query answers — the whole cache is logically-const metadata.
   ///
   /// Skip rule: first, one allocation-free walk of the recorded cells
-  /// decides whether `Build` would change the cached set. `Build` admits
-  /// ranked in-root cells greedily and stops at the first that does not
-  /// fit (the *break candidate*); its layout depends only on the admitted
-  /// set, and every admitted cell's payload is copied from the outgoing
-  /// trie. So the result is byte-identical to the published trie when the
-  /// root and the byte budget are unchanged, the trie has not been dropped
-  /// since it was built, every cached cell is still recorded, and either
-  /// no uncached in-root cell exists or the best one is still the break
-  /// candidate and every cached cell still outranks it. Then the call
-  /// publishes nothing and counts a skipped rebuild; otherwise it ranks,
-  /// builds and publishes, and counts a rebuild.
+  /// decides whether `Build` would change the cached set. Every cached
+  /// cell costs the same, so `Build` admits the first K = ⌊budget /
+  /// CellBytes⌋ distinct ranked cells inside the root, and every admitted
+  /// cell's payload is copied from the outgoing cache. So the result equals
+  /// the published cache when its root is the state's, every cached cell is
+  /// still recorded, at most K cells are cached, and either no uncached
+  /// in-root cell is recorded or the set is full (K cells) and every cached
+  /// cell still outranks the best uncached one. Then the call publishes
+  /// nothing and counts a skipped rebuild; otherwise it ranks, builds and
+  /// publishes, and counts a rebuild.
   void RebuildCache() const;
 
   /// One-shot MVCC commit of an update batch against block *and* cache
@@ -315,7 +314,7 @@ class GeoBlockQC {
 
   /// Cache budget in bytes implied by the threshold.
   ///
-  /// @return Byte budget for the trie arena.
+  /// @return Byte budget for the cached cells.
   size_t CacheBudgetBytes() const {
     return BudgetFor(*block_->StateSnapshot());
   }
@@ -354,9 +353,9 @@ class GeoBlockQC {
   }
 
   /// The skip test of RebuildCache: true when a Build over `state`, the
-  /// current statistics and `budget` would publish a trie byte-identical
-  /// to the published one. O(recorded cells), allocation-free. Must hold
-  /// writer_mu_.
+  /// current statistics and `budget` would publish a cache equal to the
+  /// published one (read from the published snapshot itself). O(recorded
+  /// cells · log cached cells), allocation-free. Must hold writer_mu_.
   bool CachedSetUnchangedLocked(const BlockState& state, size_t budget) const;
 
   /// Interval trigger: bumps the per-query counter and, when it crosses
@@ -381,21 +380,6 @@ class GeoBlockQC {
   /// (set by the retire hook, consumed by PatchTrieLocked). Guarded by
   /// writer_mu_ — the hook only runs inside a writer's Publish.
   mutable std::shared_ptr<AggregateTrie> spare_trie_;
-
-  /// What the published trie was built from: the inputs of the skip test
-  /// (see RebuildCache). Guarded by writer_mu_. Commits patch payloads
-  /// only, so they leave it valid; DropTrie invalidates it. The column
-  /// count, the other input of the layout, is the wrapped block's, fixed.
-  struct BuiltFrom {
-    bool valid = false;  ///< false until the first Build and after DropTrie
-    cell::CellId root;   ///< AggregateTrie::RootFor of the built state
-    size_t budget = 0;
-    /// The cached set, ascending ids; capacity is reused across builds.
-    std::vector<cell::CellId> cached;
-    /// The break candidate; invalid when every in-root cell was admitted.
-    cell::CellId break_cell;
-  };
-  mutable BuiltFrom built_;
 };
 
 }  // namespace geoblocks::core

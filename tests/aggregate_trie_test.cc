@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <random>
-#include <unordered_map>
+#include <set>
+#include <span>
 
 #include "core/aggregate_trie.h"
 #include "core/geoblock.h"
@@ -14,100 +14,52 @@
 namespace geoblocks::core {
 namespace {
 
-/// The straightforward Build the production one must match byte for byte:
-/// phase 1 walks every candidate's whole root path through a keyed
-/// temporary trie, phase 2 lays the nodes out with a queue-driven BFS.
-struct ReferenceTrie {
-  std::vector<uint8_t> arena;
-  AggregateTrie::BuildResult result;
+/// The straightforward Build the production one must match exactly:
+/// greedy admission of ranked in-root cells through an ordered set, each
+/// at the per-cell cost, then payloads in ascending id order, copied from
+/// `previous` (found by a linear scan) or recomputed from the state.
+struct ReferenceCache {
+  std::vector<uint64_t> ids;
+  std::vector<uint64_t> counts;
+  std::vector<ColumnAggregate> column_aggs;
+  size_t bytes_used = 0;
 };
 
-ReferenceTrie ReferenceBuild(const BlockState& state,
-                             const std::vector<cell::CellId>& ranked,
-                             size_t byte_budget,
-                             const AggregateTrie* previous) {
-  struct TmpNode {
-    bool has_agg = false;
-    bool has_children = false;
-  };
-  constexpr size_t kNodeBytes = 8;
-  constexpr size_t kBlockBytes = 32;
-  const size_t agg_bytes = 8 + 24 * state.num_columns;
-  ReferenceTrie out;
+ReferenceCache ReferenceBuild(const BlockState& state,
+                              const std::vector<cell::CellId>& ranked,
+                              size_t byte_budget,
+                              const AggregateTrie* previous) {
+  const size_t cell_bytes = 16 + 24 * state.num_columns;
+  ReferenceCache out;
   if (state.num_cells() == 0) return out;
   const cell::CellId root = cell::CellId::CommonAncestor(
       cell::CellId(state.header.min_cell), cell::CellId(state.header.max_cell));
-
-  std::unordered_map<uint64_t, TmpNode> tmp;
-  tmp[root.id()];
-  size_t bytes = 8 + kNodeBytes;
-  size_t num_blocks = 0;
-  std::vector<cell::CellId> cached;
+  std::set<uint64_t> cached;
   for (const cell::CellId& cand : ranked) {
-    if (!root.Contains(cand)) continue;
-    if (tmp.count(cand.id()) && tmp[cand.id()].has_agg) continue;
-    size_t new_blocks = 0;
-    for (int l = root.level(); l < cand.level(); ++l) {
-      const auto it = tmp.find(cand.Parent(l).id());
-      if (it == tmp.end() || !it->second.has_children) ++new_blocks;
-    }
-    const size_t added = new_blocks * kBlockBytes + agg_bytes;
-    if (bytes + added > byte_budget) break;
-    bytes += added;
-    num_blocks += new_blocks;
-    for (int l = root.level(); l < cand.level(); ++l) {
-      tmp[cand.Parent(l).id()].has_children = true;
-      tmp[cand.Parent(l + 1).id()];
-    }
-    tmp[cand.id()].has_agg = true;
-    cached.push_back(cand);
+    if (!root.Contains(cand) || cached.count(cand.id()) != 0) continue;
+    if (out.bytes_used + cell_bytes > byte_budget) break;
+    out.bytes_used += cell_bytes;
+    cached.insert(cand.id());
   }
-
-  const size_t node_region_end = 8 + kNodeBytes + num_blocks * kBlockBytes;
-  out.arena.assign(node_region_end + cached.size() * agg_bytes, 0);
-  const auto write_u32 = [&](size_t offset, uint32_t value) {
-    std::memcpy(out.arena.data() + offset, &value, sizeof(value));
-  };
-  size_t next_block = 8 + kNodeBytes;
-  size_t next_agg = node_region_end;
-  std::deque<std::pair<cell::CellId, uint32_t>> queue;
-  queue.emplace_back(root, 8);
-  while (!queue.empty()) {
-    const auto [c, offset] = queue.front();
-    queue.pop_front();
-    const TmpNode& node = tmp.at(c.id());
-    if (node.has_agg) {
-      uint8_t* dst = out.arena.data() + next_agg;
-      const uint8_t* prev_agg =
-          previous != nullptr ? previous->Lookup(c).agg : nullptr;
-      if (prev_agg != nullptr) {
-        std::memcpy(dst, prev_agg, agg_bytes);
-      } else {
-        const AggregateVector agg = state.AggregateForCell(c);
-        std::memcpy(dst, &agg.count, sizeof(uint64_t));
-        dst += sizeof(uint64_t);
-        for (size_t col = 0; col < state.num_columns; ++col) {
-          std::memcpy(dst, &agg.columns[col], 3 * sizeof(double));
-          dst += 3 * sizeof(double);
-        }
+  for (const uint64_t id : cached) {
+    out.ids.push_back(id);
+    const auto prev_ids =
+        previous != nullptr ? previous->ids() : std::span<const uint64_t>();
+    const auto hit = std::find(prev_ids.begin(), prev_ids.end(), id);
+    if (hit != prev_ids.end()) {
+      const size_t i = static_cast<size_t>(hit - prev_ids.begin());
+      out.counts.push_back(previous->counts()[i]);
+      for (size_t col = 0; col < state.num_columns; ++col) {
+        out.column_aggs.push_back(
+            previous->column_aggs()[i * state.num_columns + col]);
       }
-      write_u32(offset + 4, static_cast<uint32_t>(next_agg));
-      next_agg += agg_bytes;
-      ++out.result.cached_cells;
-    }
-    if (node.has_children) {
-      const uint32_t block_offset = static_cast<uint32_t>(next_block);
-      next_block += kBlockBytes;
-      write_u32(offset, block_offset);
-      for (int k = 0; k < 4; ++k) {
-        if (tmp.count(c.Child(k).id())) {
-          queue.emplace_back(c.Child(k),
-                             block_offset + static_cast<uint32_t>(k) * 8);
-        }
-      }
+    } else {
+      const AggregateVector agg = state.AggregateForCell(cell::CellId(id));
+      out.counts.push_back(agg.count);
+      out.column_aggs.insert(out.column_aggs.end(), agg.columns.begin(),
+                             agg.columns.end());
     }
   }
-  out.result.bytes_used = out.arena.size();
   return out;
 }
 
@@ -155,7 +107,7 @@ TEST_F(AggregateTrieTest, EmptyBuild) {
   const auto result = trie.Build(*block_, {}, 1 << 20);
   EXPECT_EQ(result.cached_cells, 0u);
   EXPECT_TRUE(trie.empty());
-  EXPECT_FALSE(trie.Lookup(cell::CellId(block_->cells()[0])).agg != nullptr);
+  EXPECT_FALSE(trie.IsCached(cell::CellId(block_->cells()[0])));
 }
 
 TEST_F(AggregateTrieTest, CachesRankedCellsUnderBudget) {
@@ -182,11 +134,10 @@ TEST_F(AggregateTrieTest, CachedAggregatesMatchBlock) {
     req.Add(AggFn::kMax, c);
   }
   for (const cell::CellId& c : cells) {
-    const auto probe = trie.Lookup(c);
-    ASSERT_TRUE(probe.node_exists);
-    ASSERT_NE(probe.agg, nullptr);
+    const size_t i = trie.Find(c);
+    ASSERT_LT(i, trie.num_cached());
     Accumulator from_cache(&req);
-    trie.Combine(probe.agg, &from_cache);
+    trie.Combine(i, &from_cache);
     const std::vector<cell::CellId> covering{c};
     const QueryResult expected = block_->SelectCovering(covering, req);
     const QueryResult actual = from_cache.Finish();
@@ -226,37 +177,63 @@ TEST_F(AggregateTrieTest, InsertionStopsAtFirstNonFitting) {
   EXPECT_TRUE(seen_uncached);
 }
 
-TEST_F(AggregateTrieTest, LookupOnPathNodes) {
+TEST_F(AggregateTrieTest, NextRunHoldsExactlyTheCachedCellsInside) {
   AggregateTrie trie;
-  const auto cells = SampleCells(5, 7);
+  const auto cells = SampleCells(40, 7);
   trie.Build(*block_, cells, size_t{1} << 22);
-  // Ancestors of cached cells (below the root) have nodes but no
-  // aggregates (unless they are cached themselves).
-  const cell::CellId cached = cells[0];
-  if (cached.level() > trie.root_cell().level() + 1) {
-    const cell::CellId parent = cached.Parent();
-    const auto probe = trie.Lookup(parent);
-    EXPECT_TRUE(probe.node_exists);
-    if (std::find(cells.begin(), cells.end(), parent) == cells.end()) {
-      EXPECT_EQ(probe.agg, nullptr);
+  ASSERT_EQ(trie.num_cached(), cells.size());
+  // Every ancestor of a cached cell, from the root down: its run is the
+  // cached cells it contains (itself included), and Find inside the run
+  // tells a cached ancestor from an uncached one.
+  for (const cell::CellId& cached : cells) {
+    for (int level = trie.root_cell().level(); level <= cached.level();
+         ++level) {
+      const cell::CellId ancestor = cached.Parent(level);
+      size_t cursor = 0;
+      const BlockState::CellRun run = trie.NextRun(ancestor, &cursor);
+      EXPECT_EQ(cursor, run.end);
+      std::vector<uint64_t> inside;
+      for (const cell::CellId& c : cells) {
+        if (ancestor.Contains(c)) inside.push_back(c.id());
+      }
+      std::sort(inside.begin(), inside.end());
+      ASSERT_TRUE(std::ranges::equal(
+          trie.ids().subspan(run.begin, run.end - run.begin), inside))
+          << ancestor;
+      EXPECT_NE(trie.Find(cached, run), run.end);
+      const bool is_cached =
+          std::find(cells.begin(), cells.end(), ancestor) != cells.end();
+      EXPECT_EQ(trie.Find(ancestor, run) != run.end, is_cached) << ancestor;
     }
-    // And the cached cell appears among the parent's direct children.
-    const auto children = trie.DirectChildren(probe.node_offset);
-    const int k = cached.ChildPosition();
-    EXPECT_TRUE(children[k].exists);
-    EXPECT_NE(children[k].agg, nullptr);
+  }
+  // One cursor over ascending, disjoint cells finds every run it would
+  // find from a fresh cursor.
+  std::vector<cell::CellId> disjoint;
+  for (size_t i = 0; i < block_->num_cells(); i += 37) {
+    const cell::CellId c = cell::CellId(block_->cells()[i]).Parent(12);
+    if (disjoint.empty() || !disjoint.back().Contains(c)) disjoint.push_back(c);
+  }
+  size_t cursor = 0;
+  for (const cell::CellId& c : disjoint) {
+    size_t fresh = 0;
+    const BlockState::CellRun want = trie.NextRun(c, &fresh);
+    const BlockState::CellRun got = trie.NextRun(c, &cursor);
+    EXPECT_EQ(got.begin, want.begin) << c;
+    EXPECT_EQ(got.end, want.end) << c;
   }
 }
 
-TEST_F(AggregateTrieTest, LookupMissesForUnrelatedCells) {
+TEST_F(AggregateTrieTest, FindMissesForUnrelatedCells) {
   AggregateTrie trie;
   const auto cells = SampleCells(5, 8);
   trie.Build(*block_, cells, size_t{1} << 22);
-  // A cell outside the root (mid-Pacific) has no node.
+  // A cell outside the root (mid-Pacific) holds no cached cell.
   const cell::CellId far = cell::CellId::FromPoint({0.1, 0.6}).Parent(10);
-  const auto probe = trie.Lookup(far);
-  EXPECT_FALSE(probe.node_exists);
-  EXPECT_EQ(probe.agg, nullptr);
+  size_t cursor = 0;
+  const BlockState::CellRun run = trie.NextRun(far, &cursor);
+  EXPECT_EQ(run.begin, run.end);
+  EXPECT_EQ(trie.Find(far), trie.num_cached());
+  EXPECT_FALSE(trie.IsCached(far));
 }
 
 TEST_F(AggregateTrieTest, RootCellEnclosesBlock) {
@@ -283,24 +260,64 @@ TEST_F(AggregateTrieTest, CachedCountAccessor) {
   const auto cells = SampleCells(4, 11);
   trie.Build(*block_, cells, size_t{1} << 22);
   for (const cell::CellId& c : cells) {
-    const auto probe = trie.Lookup(c);
-    ASSERT_NE(probe.agg, nullptr);
-    EXPECT_EQ(AggregateTrie::CachedCount(probe.agg),
-              block_->AggregateForCell(c).count);
+    const size_t i = trie.Find(c);
+    ASSERT_LT(i, trie.num_cached());
+    EXPECT_EQ(trie.counts()[i], block_->AggregateForCell(c).count);
   }
 }
 
-TEST_F(AggregateTrieTest, NodeCostAccounting) {
-  // A single cached cell at depth d below the root needs d child blocks
-  // (32 bytes each) plus the aggregate payload.
+TEST_F(AggregateTrieTest, PerCellCostAccounting) {
+  // Every cached cell costs its id, its count and a (min, max, sum) triple
+  // per column, whatever its depth below the root: a budget of k cells
+  // admits exactly k.
+  const size_t cell_bytes = 16 + 24 * block_->num_columns();
+  EXPECT_EQ(AggregateTrie::CellBytes(block_->num_columns()), cell_bytes);
+  const auto cells = SampleCells(12, 12);
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{5}, cells.size()}) {
+    for (const size_t slack : {size_t{0}, cell_bytes - 1}) {
+      AggregateTrie trie;
+      const auto result = trie.Build(*block_, cells, k * cell_bytes + slack);
+      ASSERT_EQ(result.cached_cells, k);
+      EXPECT_EQ(result.bytes_used, k * cell_bytes);
+      EXPECT_EQ(trie.MemoryBytes(), k * cell_bytes);
+    }
+  }
   AggregateTrie trie;
-  const auto cells = SampleCells(1, 12);
-  const auto result = trie.Build(*block_, cells, size_t{1} << 22);
-  ASSERT_EQ(result.cached_cells, 1u);
-  const size_t depth =
-      static_cast<size_t>(cells[0].level() - trie.root_cell().level());
-  const size_t agg_bytes = 8 + 24 * block_->num_columns();
-  EXPECT_EQ(result.bytes_used, 8 + 8 + depth * 32 + agg_bytes);
+  trie.Build(*block_, cells, 5 * cell_bytes - 1);
+  EXPECT_EQ(trie.num_cached(), 4u);
+}
+
+TEST_F(AggregateTrieTest, ApplyTupleUpdatePatchesEveryCachedAncestor) {
+  AggregateTrie trie;
+  const auto cells = SampleCells(60, 13);
+  trie.Build(*block_, cells, size_t{1} << 22);
+  const std::vector<uint64_t> counts_before(trie.counts().begin(),
+                                            trie.counts().end());
+  const double values[7] = {1e6, -1e6, 3, 4, 5, 6, 7};
+  ASSERT_GE(block_->num_columns(), 2u);
+  ASSERT_LE(block_->num_columns(), 7u);
+  // A point below a grid cell inside the first sampled cell.
+  const auto grid = std::find_if(
+      block_->cells().begin(), block_->cells().end(),
+      [&](uint64_t id) { return cells[0].Contains(cell::CellId(id)); });
+  ASSERT_NE(grid, block_->cells().end());
+  const cell::CellId leaf = cell::CellId(*grid).Child(1).Child(2);
+  size_t containing = 0;
+  for (const cell::CellId& c : cells) containing += c.Contains(leaf) ? 1 : 0;
+  ASSERT_GT(containing, 0u);
+  EXPECT_EQ(trie.ApplyTupleUpdate(leaf, values), containing);
+  for (size_t i = 0; i < trie.num_cached(); ++i) {
+    const cell::CellId c(trie.ids()[i]);
+    const ColumnAggregate* cols =
+        trie.column_aggs().data() + i * trie.num_columns();
+    if (c.Contains(leaf)) {
+      EXPECT_EQ(trie.counts()[i], counts_before[i] + 1) << c;
+      EXPECT_EQ(cols[0].max, 1e6) << c;
+      EXPECT_EQ(cols[1].min, -1e6) << c;
+    } else {
+      EXPECT_EQ(trie.counts()[i], counts_before[i]) << c;
+    }
+  }
 }
 
 TEST_F(AggregateTrieTest, BuildMatchesReference) {
@@ -355,22 +372,29 @@ TEST_F(AggregateTrieTest, BuildMatchesReference) {
     }
     const size_t unbounded = std::numeric_limits<size_t>::max();
     const size_t full =
-        ReferenceBuild(*state, ranked, unbounded, nullptr).result.bytes_used;
+        ReferenceBuild(*state, ranked, unbounded, nullptr).bytes_used;
     for (const size_t budget : {size_t{0}, full / 2, unbounded}) {
       for (const AggregateTrie* prev : {static_cast<AggregateTrie*>(nullptr),
                                         &previous}) {
-        const ReferenceTrie want = ReferenceBuild(*state, ranked, budget, prev);
+        const ReferenceCache want = ReferenceBuild(*state, ranked, budget, prev);
         AggregateTrie trie;
         const AggregateTrie::BuildResult got =
             trie.Build(*state, ranked, budget, prev);
         SCOPED_TRACE(::testing::Message()
                      << "seed " << seed << " budget " << budget
                      << (prev != nullptr ? " with previous" : ""));
-        ASSERT_EQ(got.cached_cells, want.result.cached_cells);
-        ASSERT_EQ(got.bytes_used, want.result.bytes_used);
-        ASSERT_EQ(trie.num_cached(), want.result.cached_cells);
-        ASSERT_TRUE(std::equal(trie.bytes().begin(), trie.bytes().end(),
-                               want.arena.begin(), want.arena.end()));
+        ASSERT_EQ(got.cached_cells, want.ids.size());
+        ASSERT_EQ(got.bytes_used, want.bytes_used);
+        ASSERT_TRUE(std::ranges::equal(trie.ids(), want.ids));
+        ASSERT_TRUE(std::ranges::equal(trie.counts(), want.counts));
+        ASSERT_EQ(trie.column_aggs().size(), want.column_aggs.size());
+        if (!want.column_aggs.empty()) {
+          ASSERT_EQ(std::memcmp(trie.column_aggs().data(),
+                                want.column_aggs.data(),
+                                want.column_aggs.size() *
+                                    sizeof(ColumnAggregate)),
+                    0);
+        }
         if (budget == full / 2) {
           ASSERT_GT(got.cached_cells, 0u);
           ASSERT_LT(got.bytes_used, full);

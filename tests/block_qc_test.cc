@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "core/block_qc.h"
+#include "core/block_set.h"
+#include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
 #include "workload/workload.h"
@@ -259,6 +263,18 @@ TEST_F(BlockQCTest, BlockLevelCellsBypassTheCache) {
   ASSERT_EQ(got.values, want.values);
 }
 
+/// True when two caches hold the same root and bit-identical arrays.
+bool SameCache(const AggregateTrie& a, const AggregateTrie& b) {
+  const auto aggs_a = a.column_aggs();
+  const auto aggs_b = b.column_aggs();
+  return a.root_cell() == b.root_cell() &&
+         std::ranges::equal(a.ids(), b.ids()) &&
+         std::ranges::equal(a.counts(), b.counts()) &&
+         aggs_a.size() == aggs_b.size() &&
+         (aggs_a.empty() ||
+          std::memcmp(aggs_a.data(), aggs_b.data(), aggs_a.size_bytes()) == 0);
+}
+
 /// A seeded Zipf stream over polygon indices: the polygon at position r of
 /// `order` is drawn with weight 1 / (r + 1)^1.1.
 class ZipfStream {
@@ -309,8 +325,8 @@ std::vector<GeoBlock::UpdateTuple> NewCellBatch(const GeoBlock& block,
 
 TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
   // The skip test of RebuildCache must be exact: after every interval
-  // crossing the published arena equals, byte for byte, a trie built from
-  // the current ranking, budget and state with the pre-crossing trie as
+  // crossing the published cache equals, array for array, one built from
+  // the current ranking, budget and state with the pre-crossing cache as
   // the payload source — whether the crossing rebuilt or skipped.
   GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
   constexpr size_t kInterval = 8;
@@ -350,8 +366,7 @@ TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
       AggregateTrie want;
       want.Build(*block.StateSnapshot(), qc.stats().RankedCells(),
                  qc.CacheBudgetBytes(), prev.get());
-      if (got->root_cell() != want.root_cell() ||
-          !std::ranges::equal(got->bytes(), want.bytes())) {
+      if (!SameCache(*got, want)) {
         ADD_FAILURE() << "crossing at query " << q
                       << " diverged from a full build";
         return t;
@@ -464,6 +479,49 @@ TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
   }
   run(stationary, 400);
 
+  // The best outsider changes identity while the set stays full and
+  // outranks it: both crossings must skip. Fresh statistics make the
+  // scores exact: K disjoint cells hit 8 times each fill the cache, then
+  // outsiders hit once and twice follow. A block-level cell is never
+  // recorded: its queries only count towards the interval.
+  const std::vector<cell::CellId> nothing{cell::CellId(block.cells()[0])};
+  const auto repeat = [&](const std::vector<cell::CellId>& covering) {
+    return [&covering]() -> const std::vector<cell::CellId>& {
+      return covering;
+    };
+  };
+  const size_t capacity = qc.CacheBudgetBytes() /
+                          AggregateTrie::CellBytes(data_->num_columns());
+  ASSERT_GT(capacity, 0u);
+  std::vector<cell::CellId> disjoint;
+  for (const uint64_t id : block.cells()) {
+    const cell::CellId c = cell::CellId(id).Parent(block.level() - 1);
+    if (disjoint.empty() || disjoint.back() != c) disjoint.push_back(c);
+  }
+  ASSERT_GE(disjoint.size(), capacity + 2);
+  const std::vector<cell::CellId> members(disjoint.begin(),
+                                          disjoint.begin() + capacity);
+  const std::vector<cell::CellId> first_outsider{disjoint[capacity]};
+  const std::vector<cell::CellId> second_outsider{disjoint[capacity + 1]};
+  const_cast<QueryStats&>(qc.stats()).Clear();
+  while (true) {  // align to the interval
+    const Tally t = run(repeat(nothing), 1);
+    if (t.skipped + t.rebuilt > 0) break;
+  }
+  EXPECT_EQ(run(repeat(members), kInterval).rebuilt, 1u);
+  ASSERT_EQ(qc.trie_snapshot()->num_cached(), capacity);
+  run(repeat(first_outsider), 1);
+  {
+    const Tally t = run(repeat(nothing), kInterval - 1);
+    EXPECT_EQ(t.skipped, 1u) << "a new best outsider forced a rebuild";
+  }
+  run(repeat(second_outsider), 2);
+  {
+    const Tally t = run(repeat(nothing), kInterval - 2);
+    EXPECT_EQ(t.skipped, 1u) << "a changed best outsider forced a rebuild";
+  }
+  EXPECT_FALSE(qc.trie_snapshot()->IsCached(second_outsider[0]));
+
   EXPECT_GT(total.skipped, 0u);
   EXPECT_GT(total.rebuilt, 0u);
   const CacheCounters c = qc.counters();
@@ -473,8 +531,8 @@ TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
 
 TEST_F(BlockQCTest, RootGrowthAloneRebuilds) {
   // With a zero budget nothing is ever cached and no commit moves the
-  // budget, yet a commit that grows the root must still republish: a trie
-  // answers Lookup against its root.
+  // budget, yet a commit that grows the root must still republish: the
+  // skip test compares the published cache's root with the state's.
   GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
   constexpr size_t kInterval = 4;
   GeoBlockQC qc(&block, GeoBlockQC::Options{0.0, kInterval});
@@ -564,9 +622,181 @@ TEST_F(BlockQCTest, ConcurrentClaimsDuringCrossings) {
   AggregateTrie full;
   full.Build(*block_, qc.stats().RankedCells(), qc.CacheBudgetBytes(),
              prev.get());
-  EXPECT_TRUE(std::ranges::equal(qc.trie_snapshot()->bytes(), full.bytes()));
+  EXPECT_TRUE(SameCache(*qc.trie_snapshot(), full));
   const CacheCounters c = qc.counters();
   EXPECT_GT(c.rebuilds + c.rebuilds_skipped, 0u);
+}
+
+TEST_F(BlockQCTest, CacheCursorMatchesFigure8Reference) {
+  // The cursor fold of CombineCovering against a per-cell Figure 8 fold
+  // kept here: an ordered map of the published snapshot's cached ids,
+  // an exact-cell lookup, then the four direct children. Both read the
+  // same pinned state and cache snapshot of each of 8 shards; answers must
+  // be bit-identical and the full/partial/miss counters equal.
+  constexpr int kLevel = 15;
+  storage::ExtractOptions options;
+  options.clean_bounds = workload::NycBounds();
+  const auto data = std::make_shared<storage::SortedDataset>(
+      storage::SortedDataset::Extract(*raw_, options));
+  storage::ShardOptions shard_options;
+  shard_options.num_shards = 8;
+  shard_options.align_level = kLevel;
+  BlockSet set = BlockSet::Build(
+      storage::ShardedDataset::Partition(data, shard_options),
+      BlockSetOptions{{kLevel, {}}});
+  set.EnableCache(GeoBlockQC::Options{0.05, 0});
+
+  // Seeded mixed-level coverings: cells from the root's level down to one
+  // level finer than the grid, made disjoint by keeping the coarser of two
+  // overlapping cells.
+  const cell::CellId root = AggregateTrie::RootFor(*block_->StateSnapshot());
+  std::mt19937_64 rng(31);
+  std::vector<std::vector<cell::CellId>> coverings;
+  while (coverings.size() < 320) {
+    std::vector<cell::CellId> cells;
+    const size_t n = 4 + rng() % 40;
+    for (size_t i = 0; i < n; ++i) {
+      const cell::CellId grid(block_->cells()[rng() % block_->num_cells()]);
+      const int level =
+          root.level() + static_cast<int>(rng() % static_cast<uint64_t>(
+                                              kLevel - root.level() + 2));
+      cells.push_back(level > kLevel
+                          ? grid.Child(static_cast<int>(rng() % 4))
+                          : grid.Parent(level));
+    }
+    std::sort(cells.begin(), cells.end(), [](cell::CellId a, cell::CellId b) {
+      return a.RangeMin() != b.RangeMin() ? a.RangeMin() < b.RangeMin()
+                                          : a.level() < b.level();
+    });
+    std::vector<cell::CellId> covering;
+    for (const cell::CellId c : cells) {
+      if (covering.empty() || covering.back().RangeMax() < c.RangeMin()) {
+        covering.push_back(c);
+      }
+    }
+    coverings.push_back(std::move(covering));
+  }
+  // Warm: record every covering once, a third of them split into their
+  // children and a third into their grandchildren (partial hits where
+  // those are cached but the parent is not), the first ones more often.
+  const auto split = [&](const std::vector<cell::CellId>& covering,
+                         int depth) {
+    std::vector<cell::CellId> out;
+    for (const cell::CellId c : covering) {
+      const int to = std::min(c.level() + depth, kLevel);
+      if (to <= c.level()) {
+        out.push_back(c);
+        continue;
+      }
+      for (cell::CellId d = c.ChildBegin(to);; d = d.Next()) {
+        out.push_back(d);
+        if (d == c.ChildLast(to)) break;
+      }
+    }
+    return out;
+  };
+  const AggregateRequest req = SomeRequest();
+  for (size_t i = 0; i < coverings.size(); ++i) {
+    const std::vector<cell::CellId> warm = split(coverings[i], i % 3);
+    for (size_t r = 0; r < 1 + 8 / (1 + i / 40); ++r) {
+      (void)set.SelectCoveringCached(warm, req);
+    }
+  }
+  set.RebuildCaches();
+
+  const int grid_level = set.shard(0).level();
+  CacheCounters want_total;
+  CacheCounters got_total;
+  for (size_t s = 0; s < set.num_shards(); ++s) {
+    const GeoBlockQC& qc = set.cached_shard(s);
+    const std::shared_ptr<const BlockState> state =
+        set.shard(s).StateSnapshot();
+    const std::shared_ptr<const AggregateTrie> cache = qc.trie_snapshot();
+    std::map<uint64_t, size_t> cached;  // id -> index into the arrays
+    for (size_t i = 0; i < cache->num_cached(); ++i) {
+      cached.emplace(cache->ids()[i], i);
+    }
+    const auto fold_cached = [&](cell::CellId c, Accumulator* acc) {
+      const size_t i = cached.at(c.id());
+      acc->AddAggregate(cache->counts()[i],
+                        cache->column_aggs().data() + i * cache->num_columns());
+    };
+    const auto fold_state = [&](cell::CellId c, Accumulator* acc) {
+      state->CombineCovering({&c, 1}, acc);
+    };
+    for (const std::vector<cell::CellId>& covering : coverings) {
+      Accumulator want_acc(&req);
+      cell::CellId previous;
+      for (cell::CellId c : covering) {
+        if (c.level() > grid_level) c = c.Parent(grid_level);
+        if (c == previous) continue;  // a grid cell folds once
+        previous = c;
+        if (!state->MayOverlap(c)) continue;
+        if (c.level() == grid_level) {
+          fold_state(c, &want_acc);
+          continue;
+        }
+        if (cached.count(c.id()) != 0) {
+          ++want_total.full_hits;
+          fold_cached(c, &want_acc);
+          continue;
+        }
+        bool any_child = false;
+        for (int k = 0; k < 4; ++k) {
+          any_child |= cached.count(c.Child(k).id()) != 0;
+        }
+        if (!any_child) {
+          ++want_total.misses;
+          fold_state(c, &want_acc);
+          continue;
+        }
+        ++want_total.partial_hits;
+        for (int k = 0; k < 4; ++k) {
+          if (cached.count(c.Child(k).id()) != 0) {
+            fold_cached(c.Child(k), &want_acc);
+          } else {
+            fold_state(c.Child(k), &want_acc);
+          }
+        }
+      }
+      const CacheCounters before = qc.counters();
+      Accumulator got_acc(&req);
+      qc.CombineCovering(*state, covering, &got_acc);
+      ASSERT_EQ(qc.trie_snapshot(), cache) << "the fold published a cache";
+      const CacheCounters after = qc.counters();
+      got_total.full_hits += after.full_hits - before.full_hits;
+      got_total.partial_hits += after.partial_hits - before.partial_hits;
+      got_total.misses += after.misses - before.misses;
+      const QueryResult want = want_acc.Finish();
+      const QueryResult got = got_acc.Finish();
+      ASSERT_EQ(got.count, want.count) << "shard " << s;
+      ASSERT_EQ(got.values.size(), want.values.size());
+      ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                            want.values.size() * sizeof(double)),
+                0)
+          << "shard " << s;
+
+      // The cursor contract the fold relies on: one cache cursor over the
+      // coarser cells in ascending order finds each cell's run and moves
+      // to its end.
+      size_t cursor = 0;
+      for (const cell::CellId c : covering) {
+        if (c.level() >= grid_level || !state->MayOverlap(c)) continue;
+        size_t fresh = 0;
+        const BlockState::CellRun want_run = cache->NextRun(c, &fresh);
+        const BlockState::CellRun got_run = cache->NextRun(c, &cursor);
+        ASSERT_EQ(got_run.begin, want_run.begin);
+        ASSERT_EQ(got_run.end, want_run.end);
+        ASSERT_EQ(cursor, got_run.end);
+      }
+    }
+  }
+  EXPECT_EQ(got_total.full_hits, want_total.full_hits);
+  EXPECT_EQ(got_total.partial_hits, want_total.partial_hits);
+  EXPECT_EQ(got_total.misses, want_total.misses);
+  EXPECT_GT(want_total.full_hits, 0u);
+  EXPECT_GT(want_total.partial_hits, 0u);
+  EXPECT_GT(want_total.misses, 0u);
 }
 
 TEST_F(BlockQCTest, MemoryIncludesTrie) {
