@@ -12,7 +12,8 @@
 //     (paid a shard materialization) vs warm queries, plus the per-fault
 //     p50: a faulted query's time beyond the warm p50, split evenly over
 //     the shards it faulted,
-//   * fault / eviction / refusal counts from the governor,
+//   * fault / eviction / refusal counts from the governor, and faults
+//     per query,
 //   * steady-state governed bytes vs the budget, and process VmRSS.
 //
 // Correctness gate: every lazy result must be BIT-IDENTICAL to the
@@ -20,7 +21,10 @@
 // re-fault must be invisible in the output), and steady-state governed
 // bytes must stay within 1.2x the budget. Violations count as mismatches;
 // CI gates on "mismatches: 0". Numbers are recorded (BENCH_memory.json),
-// never gated — CI containers may be single-core.
+// never gated — CI containers may be single-core. The last line is a
+// verdict computed from the rows: whether the 50% budget settles at or
+// below 0.3 faults per query, which needs shards whose charges are even
+// (the cell-balanced cut of ShardedDataset::Partition).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +79,7 @@ struct Row {
   uint64_t budget_bytes = 0;
   uint64_t steady_bytes = 0;     // governed bytes after the run
   uint64_t faults = 0;
+  double faults_per_query = 0.0;
   uint64_t evictions = 0;
   uint64_t refusals = 0;
   size_t resident_shards = 0;
@@ -147,8 +152,8 @@ void Run() {
   }
 
   std::vector<Row> rows;
-  bench_util::TablePrinter table({"budget", "faults", "evict", "refuse",
-                                  "resident", "qps", "warm p99 us",
+  bench_util::TablePrinter table({"budget", "faults", "faults/q", "evict",
+                                  "refuse", "resident", "qps", "warm p99 us",
                                   "fault p99 us", "per-fault p50 us",
                                   "bytes/budget", "rss MB"});
   for (const size_t pct : {size_t{100}, size_t{50}, size_t{10}}) {
@@ -201,6 +206,8 @@ void Run() {
     const core::MemoryGovernor::Stats s = gov.stats();
     row.steady_bytes = s.resident_bytes;
     row.faults = s.faults - s0.faults;
+    row.faults_per_query =
+        static_cast<double>(row.faults) / static_cast<double>(queries);
     row.evictions = s.evictions - s0.evictions;
     row.refusals = s.refusals - s0.refusals;
     row.resident_shards = set.resident_shards();
@@ -218,6 +225,7 @@ void Run() {
     rows.push_back(row);
     table.AddRow(
         {std::to_string(pct) + "%", std::to_string(row.faults),
+         bench_util::TablePrinter::Fmt(row.faults_per_query, 3),
          std::to_string(row.evictions), std::to_string(row.refusals),
          std::to_string(row.resident_shards) + "/" + std::to_string(kShards),
          bench_util::TablePrinter::Fmt(row.qps, 0),
@@ -246,6 +254,15 @@ void Run() {
               util::ThreadPool::pool_type());
   std::printf("mismatches: %llu\n",
               static_cast<unsigned long long>(mismatches));
+  for (const Row& r : rows) {
+    if (r.budget_pct != 50) continue;
+    std::printf(
+        "verdict: 50%% row <= 0.3 faults/query: %s (%.3f faults/query, "
+        "%llu faults in %zu queries, %zu of %zu shards resident)\n",
+        r.faults_per_query <= 0.3 ? "reproduced" : "not reproduced",
+        r.faults_per_query, static_cast<unsigned long long>(r.faults),
+        queries, r.resident_shards, kShards);
+  }
 
   // Machine-readable record for CI trend tracking; records, never gates.
   std::ofstream json("BENCH_memory.json");
@@ -268,6 +285,7 @@ void Run() {
          << ", \"budget_bytes\": " << r.budget_bytes
          << ", \"steady_bytes\": " << r.steady_bytes
          << ", \"faults\": " << r.faults
+         << ", \"faults_per_query\": " << r.faults_per_query
          << ", \"evictions\": " << r.evictions
          << ", \"refusals\": " << r.refusals
          << ", \"resident_shards\": " << r.resident_shards

@@ -1,6 +1,7 @@
 #include "storage/sharded_dataset.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -20,6 +21,18 @@ void ValidateOptions(const ShardOptions& options) {
         std::to_string(cell::CellId::kMaxLevel) + "], got " +
         std::to_string(options.align_level));
   }
+}
+
+/// Number of rows in [begin, end) whose key lies in another cell than the
+/// previous row's key, where two keys share a cell iff `(a ^ b) >> shift`
+/// is zero. Requires begin >= 1.
+size_t CellStarts(std::span<const uint64_t> keys, size_t begin, size_t end,
+                  int shift) {
+  size_t starts = 0;
+  for (size_t r = begin; r < end; ++r) {
+    starts += ((keys[r] ^ keys[r - 1]) >> shift) != 0;
+  }
+  return starts;
 }
 
 }  // namespace
@@ -46,27 +59,57 @@ ShardedDataset ShardedDataset::Partition(
   out.align_level_ = options.align_level;
   const SortedDataset& parent = *out.parent_;
   const size_t k = options.num_shards;
-  const size_t n = parent.num_rows();
+  const std::span<const uint64_t> keys = parent.keys();
+  const size_t n = keys.size();
 
-  // Row index of each shard's first row. Candidate boundaries split rows
-  // evenly; each is snapped down to the first row of the enclosing
-  // align-level cell so no cell aggregate can straddle two shards.
+  // Shard i holds cell ranks [i*C/K, (i+1)*C/K) of the C distinct
+  // align-level cells, so floor(C/K) or ceil(C/K) of them: its block's
+  // bytes, governor charge and cache budget all scale with that count, not
+  // with its rows. Each start is the first row of its cell, so no cell
+  // aggregate straddles two shards. With C < K some ranges are empty and
+  // keep their index.
+  //
+  // One pass counts the cells that start in each chunk of kChunk rows;
+  // each cut then skips whole chunks and walks only the rows of the chunk
+  // that holds its cell's start, so the keys are read about once.
+  //
+  // Two leaf keys lie in the same align-level cell iff they agree on every
+  // bit above that level's lsb (CellId::LsbForLevel).
+  const int shift = 2 * (cell::CellId::kMaxLevel - options.align_level) + 1;
+  constexpr size_t kChunk = 1024;
+  std::vector<size_t> chunk_cells((n + kChunk - 1) / kChunk);
+  size_t cells = 0;
+  for (size_t c = 0; c < chunk_cells.size(); ++c) {
+    const size_t begin = c * kChunk;
+    const size_t end = std::min(n, begin + kChunk);
+    // Row 0 starts the first cell.
+    chunk_cells[c] = begin == 0 ? 1 + CellStarts(keys, 1, end, shift)
+                                : CellStarts(keys, begin, end, shift);
+    cells += chunk_cells[c];
+  }
   std::vector<size_t> starts(k + 1, n);
   starts[0] = 0;
-  for (size_t i = 1; i < k; ++i) {
-    size_t candidate = i * n / k;
-    if (candidate >= n) {
-      starts[i] = n;
-      continue;
+  size_t chunk = 0;
+  size_t before_chunk = 0;  // cells that start before row chunk * kChunk
+  size_t row = 0;
+  size_t rank = 0;  // cells that start before `row`
+  for (size_t i = 1; i < k && cells > 0; ++i) {
+    const size_t target = i * cells / k;  // < cells: its start row exists
+    while (before_chunk + chunk_cells[chunk] <= target) {
+      before_chunk += chunk_cells[chunk++];
     }
-    const uint64_t key = parent.keys()[candidate];
-    const cell::CellId align_cell =
-        cell::CellId(key).Parent(options.align_level);
-    size_t snapped = parent.LowerBound(align_cell.RangeMin().id());
-    // Snapping moves boundaries down; never cross the previous boundary.
-    starts[i] = std::max(snapped, starts[i - 1]);
+    if (row < chunk * kChunk) {
+      row = chunk * kChunk;
+      rank = before_chunk;
+    }
+    for (;; ++row) {
+      if (row == 0 || ((keys[row] ^ keys[row - 1]) >> shift) != 0) {
+        if (rank == target) break;
+        ++rank;
+      }
+    }
+    starts[i] = row;
   }
-  starts[k] = n;
 
   // Zero-copy cut: each shard is an (offset, length) view into the parent.
   out.views_.reserve(k);

@@ -16,12 +16,13 @@ namespace geoblocks::storage {
 struct ShardOptions {
   /// Number of shards K to cut the dataset into. Shards are contiguous
   /// Hilbert-key ranges, so every shard is itself a valid sorted dataset
-  /// window. Must be >= 1 (Partition throws std::invalid_argument).
+  /// window; each holds the same number of distinct `align_level` cells,
+  /// to within one. Must be >= 1 (Partition throws std::invalid_argument).
   size_t num_shards = 4;
-  /// Shard boundaries are snapped to grid-cell boundaries at this level:
-  /// no cell at `align_level` (or any finer level) spans two shards. Blocks
-  /// built over the shards at a level >= align_level therefore never split
-  /// a cell aggregate across shards, which keeps sharded query results
+  /// The level whose distinct cells Partition counts and cuts at: no cell
+  /// at `align_level` (or any finer level) spans two shards. Blocks built
+  /// over the shards at a level >= align_level therefore never split a
+  /// cell aggregate across shards, which keeps sharded query results
   /// bit-identical to a single-block execution. Use the (coarsest) block
   /// level you intend to build. Must be in [0, cell::CellId::kMaxLevel]
   /// (Partition throws std::invalid_argument).
@@ -61,12 +62,20 @@ class ShardedDataset {
  public:
   ShardedDataset() = default;
 
-  /// Cuts `data` into `options.num_shards` contiguous key ranges of
-  /// near-equal row counts, with boundaries snapped down to the enclosing
-  /// cell boundary at `options.align_level`. Skewed data may yield empty
-  /// shards; they are kept so shard indices remain stable. The shards
-  /// co-own `data`, so the rows stay alive for as long as any shard view
-  /// (or any GeoBlock built from one) exists.
+  /// Cuts `data` into `options.num_shards` = K contiguous key ranges by
+  /// distinct cells: with C distinct `options.align_level` cells, shard i
+  /// holds cell ranks [floor(iC/K), floor((i+1)C/K)), so floor(C/K) or
+  /// ceil(C/K) cells, and starts at the first row of its first cell. A
+  /// block built at align_level stores one aggregate per cell, so its
+  /// bytes, its MemoryGovernor charge and its query-cache budget are even
+  /// across shards; row counts are not (dense cells hold many rows). With
+  /// C < K some shards are empty; they are kept so shard indices remain
+  /// stable, and their repeated boundary keys route no key to them except
+  /// shard 0, which owns every key below the first cell. Reads the keys
+  /// about once and keeps one cell count per 1,024 rows while it cuts; the
+  /// result holds O(K) metadata. The shards co-own `data`, so the rows stay
+  /// alive for as long as any shard view (or any GeoBlock built from one)
+  /// exists.
   ///
   /// @param data    The sorted dataset to partition (co-owned by the shards).
   /// @param options Shard count and boundary alignment level.

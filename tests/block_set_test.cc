@@ -188,6 +188,140 @@ TEST_F(BlockSetTest, PartitionAlignsToCellBoundaries) {
   }
 }
 
+/// Taxi rows moved into one dense cluster of a few grid cells (nine rows in
+/// ten) plus a sparse spread over the whole of NYC (one cell per row, or
+/// nearly): equal row counts and equal cell counts cut this data in very
+/// different places.
+storage::PointTable SkewedTable(const storage::PointTable& taxi,
+                                uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> dense(0.0, 0.004);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const geo::Rect nyc = workload::NycBounds();
+  storage::PointTable out(taxi.schema());
+  std::vector<double> values(taxi.num_columns());
+  for (size_t r = 0; r < taxi.num_rows(); ++r) {
+    for (size_t c = 0; c < values.size(); ++c) values[c] = taxi.Value(r, c);
+    geo::Point p;
+    if (rng() % 10 != 0) {
+      p = {-73.98 + dense(rng), 40.75 + dense(rng)};
+    } else {
+      p = {nyc.min.x + unit(rng) * nyc.Width(),
+           nyc.min.y + unit(rng) * nyc.Height()};
+    }
+    out.AddRow(p, values);
+  }
+  return out;
+}
+
+/// Distinct `level` cells among sorted leaf keys, told apart with
+/// CellId::Parent.
+size_t DistinctCells(std::span<const uint64_t> keys, int level) {
+  size_t cells = 0;
+  for (size_t r = 0; r < keys.size(); ++r) {
+    cells += r == 0 || cell::CellId(keys[r]).Parent(level) !=
+                           cell::CellId(keys[r - 1]).Parent(level);
+  }
+  return cells;
+}
+
+/// The rule Partition promises, checked against CellId::Parent: shard i
+/// holds cell ranks [iC/K, (i+1)C/K) of the C distinct align-level cells,
+/// so floor(C/K) or ceil(C/K) of them; no cell spans two shards; and
+/// ShardForKey routes every row's key to the shard whose view holds it.
+void ExpectCellBalanced(const storage::SortedDataset& data,
+                        const storage::ShardedDataset& sharded, int align) {
+  const size_t total_cells = DistinctCells(data.keys(), align);
+  const size_t k = sharded.num_shards();
+  ASSERT_EQ(sharded.total_rows(), data.num_rows());
+  ASSERT_EQ(sharded.boundaries().size(), k + 1);
+  size_t seen_cells = 0;
+  uint64_t prev_last = 0;
+  bool have_prev = false;
+  for (size_t s = 0; s < k; ++s) {
+    const storage::DatasetView& shard = sharded.shard(s);
+    const size_t cells = DistinctCells(shard.keys(), align);
+    for (size_t r = 0; r < shard.num_rows(); ++r) {
+      ASSERT_EQ(storage::ShardForKey(sharded.boundaries(), shard.keys()[r]),
+                s)
+          << "K=" << k << " row " << shard.offset() + r;
+    }
+    EXPECT_GE(cells, total_cells / k) << "K=" << k << " shard " << s;
+    EXPECT_LE(cells, (total_cells + k - 1) / k) << "K=" << k << " shard " << s;
+    seen_cells += cells;
+    if (shard.num_rows() == 0) continue;
+    if (have_prev) {
+      EXPECT_NE(cell::CellId(shard.keys().front()).Parent(align),
+                cell::CellId(prev_last).Parent(align))
+          << "K=" << k << " shard " << s << " splits a level-" << align
+          << " cell";
+    }
+    prev_last = shard.keys().back();
+    have_prev = true;
+  }
+  EXPECT_EQ(seen_cells, total_cells) << "K=" << k;
+}
+
+TEST_F(BlockSetTest, PartitionBalancesDistinctCells) {
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{7},
+                         size_t{16}, size_t{64}}) {
+    ExpectCellBalanced(*data_, Shard(k), kLevel);
+  }
+
+  // More shards than cells: some shards are empty, keep their index, and
+  // receive no key.
+  constexpr int kCoarse = 11;
+  const size_t coarse_cells = DistinctCells(data_->keys(), kCoarse);
+  ASSERT_GT(coarse_cells, 1u);
+  const storage::ShardedDataset sparse = Shard(2 * coarse_cells + 3, kCoarse);
+  size_t empty = 0;
+  for (const storage::DatasetView& view : sparse.shards()) {
+    empty += view.num_rows() == 0;
+  }
+  EXPECT_EQ(empty, coarse_cells + 3);
+  ExpectCellBalanced(*data_, sparse, kCoarse);
+
+  // The skewed data: one block against K cell-balanced shards.
+  const storage::PointTable skewed_raw = SkewedTable(*raw_, 32);
+  storage::ExtractOptions extract;
+  extract.clean_bounds = workload::NycBounds();
+  const storage::SortedDataset skewed =
+      storage::SortedDataset::Extract(skewed_raw, extract);
+  const GeoBlock single =
+      GeoBlock::Build(skewed, core::BlockOptions{kLevel, {}});
+  std::vector<geo::Polygon> polygons =
+      workload::Neighborhoods(skewed_raw, 20, 5);
+  for (geo::Polygon& poly :
+       workload::Neighborhoods(skewed_raw, 20, 6, 0.002, 0.01)) {
+    polygons.push_back(std::move(poly));
+  }
+  const AggregateRequest req = Request();
+  for (const size_t k : {size_t{1}, size_t{4}, size_t{7}, size_t{32}}) {
+    storage::ShardOptions options;
+    options.num_shards = k;
+    options.align_level = kLevel;
+    const storage::ShardedDataset sharded =
+        storage::ShardedDataset::Partition(skewed, options);
+    ExpectCellBalanced(skewed, sharded, kLevel);
+    const BlockSet set =
+        BlockSet::Build(sharded, BlockSetOptions{{kLevel, {}}});
+    ASSERT_EQ(set.num_cells(), single.num_cells()) << "K=" << k;
+    for (const geo::Polygon& poly : polygons) {
+      const auto covering = single.Cover(poly);
+      const QueryResult want = single.SelectCovering(covering, req);
+      const QueryResult got = set.SelectCovering(covering, req);
+      ASSERT_EQ(got.count, want.count) << "K=" << k;
+      ASSERT_EQ(got.values.size(), want.values.size());
+      ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                            got.values.size() * sizeof(double)),
+                0)
+          << "K=" << k;
+      ASSERT_EQ(set.CountCovering(covering), single.CountCovering(covering))
+          << "K=" << k;
+    }
+  }
+}
+
 TEST_F(BlockSetTest, ShardedResultsBitIdenticalToSingleBlock) {
   util::ThreadPool pool(4);
   const AggregateRequest req = Request();
@@ -219,10 +353,10 @@ TEST_F(BlockSetTest, PooledBuildRethrowsBlockErrorOnCaller) {
 }
 
 TEST_F(BlockSetTest, CoarseAlignmentCreatesEmptyShardsButStaysCorrect) {
-  // Aligning at a very coarse level collapses most boundary candidates
-  // onto the same cell start, leaving later shards empty. Results must be
-  // unaffected. (The block level must stay >= align_level for the
-  // bit-identical guarantee, so build at kLevel with align 6.)
+  // Aligning at a very coarse level leaves fewer cells than shards, so
+  // some shards are empty. Results must be unaffected. (The block level
+  // must stay >= align_level for the bit-identical guarantee, so build at
+  // kLevel with align 6.)
   const storage::ShardedDataset sharded = Shard(16, 6);
   ASSERT_EQ(sharded.num_shards(), 16u);
   size_t empty = 0;

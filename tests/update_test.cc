@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/block_qc.h"
 #include "core/block_set.h"
@@ -371,6 +373,81 @@ TEST_F(BlockSetUpdateTest, RoutedUpdatesMatchSingleBlockBitwise) {
   }
   EXPECT_EQ(single_.num_cells(), cells_before + 10);
   EXPECT_EQ(set_.num_cells(), single_.num_cells());
+}
+
+TEST_F(BlockSetUpdateTest, RoutedUpdatesCrossEmptyShardsBitwise) {
+  // A coarse cut with more shards than cells repeats boundary keys: the
+  // shards between two equal boundaries are empty, and so is shard 0,
+  // which still owns every key below the first cell. Routing by
+  // ShardForKey must skip the empty middle shards and let shard 0's block,
+  // built over no rows, take new regions, with answers bit-identical to a
+  // single block given the same batch.
+  constexpr int kCoarse = 10;
+  size_t cells = 0;
+  for (size_t r = 0; r < data_->num_rows(); ++r) {
+    cells += r == 0 || cell::CellId(data_->keys()[r]).Parent(kCoarse) !=
+                           cell::CellId(data_->keys()[r - 1]).Parent(kCoarse);
+  }
+  storage::ShardOptions options;
+  options.num_shards = 2 * cells + 1;
+  options.align_level = kCoarse;
+  BlockSet set = BlockSet::Build(
+      storage::ShardedDataset::Partition(data_, options),
+      BlockSetOptions{{kLevel, {}}});
+  const std::vector<uint64_t> bounds = set.boundaries();
+  std::vector<bool> was_empty;
+  size_t repeated = 0;
+  for (size_t s = 0; s < set.num_shards(); ++s) {
+    was_empty.push_back(set.shard(s).num_cells() == 0);
+    repeated += s > 0 && bounds[s] == bounds[s + 1];
+  }
+  ASSERT_TRUE(was_empty[0]);
+  ASSERT_GT(repeated, 0u);
+
+  auto batch = InCellBatch(300, 41);
+  const auto fresh = NewRegionBatch(60, 42);
+  batch.insert(batch.end(), fresh.begin(), fresh.end());
+  size_t into_empty = 0;
+  for (const GeoBlock::UpdateTuple& t : batch) {
+    const uint64_t key =
+        cell::CellId::FromPoint(data_->projection().ToUnit(t.location)).id();
+    const size_t s = storage::ShardForKey(bounds, key);
+    ASSERT_LT(bounds[s], bounds[s + 1]) << "routed to an empty key range";
+    into_empty += was_empty[s];
+  }
+  ASSERT_GT(into_empty, 0u);
+
+  const auto set_result = set.ApplyBatchUpdate(batch);
+  const auto single_result = single_.ApplyBatchUpdate(batch);
+  ASSERT_EQ(set_result.applied, batch.size());
+  ASSERT_EQ(single_result.applied, batch.size());
+  EXPECT_EQ(set.num_cells(), single_.num_cells());
+
+  AggregateRequest req;
+  req.Add(AggFn::kCount);
+  req.Add(AggFn::kSum, 0);
+  req.Add(AggFn::kMin, 1);
+  req.Add(AggFn::kMax, 2);
+  std::vector<std::vector<cell::CellId>> coverings{{cell::CellId::Root()}};
+  for (const geo::Polygon& poly : workload::Neighborhoods(raw_, 20, 9)) {
+    coverings.push_back(set.Cover(poly));
+  }
+  for (const GeoBlock::UpdateTuple& t : fresh) {
+    coverings.push_back(
+        {cell::CellId::FromPoint(data_->projection().ToUnit(t.location))
+             .Parent(kLevel - 3)});
+  }
+  for (const auto& covering : coverings) {
+    const QueryResult want = single_.SelectCovering(covering, req);
+    const QueryResult got = set.SelectCovering(covering, req);
+    ASSERT_EQ(got.count, want.count);
+    ASSERT_EQ(got.values.size(), want.values.size());
+    ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                          got.values.size() * sizeof(double)),
+              0)
+        << "update across empty shards diverged";
+    ASSERT_EQ(set.CountCovering(covering), single_.CountCovering(covering));
+  }
 }
 
 TEST_F(BlockSetUpdateTest, MixedBatchCommitsLikeItsTuplesOneAtATime) {
