@@ -79,8 +79,7 @@ BlockSet BlockSet::Build(const storage::ShardedDataset& shards,
   for (size_t i = 0; i < k; ++i) {
     set.blocks_.push_back(std::make_unique<GeoBlock>());
     set.writers_.push_back(std::make_shared<ShardWriter>());
-    set.residency_.push_back(
-        std::make_shared<ShardResidency>(/*materialized=*/true));
+    set.residency_.push_back(std::make_shared<ShardResidency>());
   }
   if (k == 0) return set;
   set.projection_ = shards.shard(0).projection();
@@ -178,47 +177,24 @@ void BlockSet::OverlappingShards(std::span<const cell::CellId> covering,
   result.clear();
   if (covering.empty()) return;
   result.reserve(blocks_.size());
-  for (size_t s = 0; s < blocks_.size(); ++s) {
-    const GeoBlock& b = *blocks_[s];
-    if (!residency_[s]->hull_known.load(std::memory_order_acquire)) {
-      // Never-materialized lazy shard: its routing hull is unknown, so
-      // route by the manifest boundary range instead — conservative (a
-      // wrongly included shard materializes, folds nothing, and tightens
-      // its own routing for next time) but it can never exclude a shard
-      // that could answer. Shard s holds keys [b[s], b[s+1]), the last
-      // shard inclusive of the end key.
-      constexpr uint64_t kEndKey = ~uint64_t{0};
-      const uint64_t lo = boundaries_[s];
-      const uint64_t hi = boundaries_[s + 1];
-      const auto it = std::lower_bound(
-          covering.begin(), covering.end(), lo,
-          [](const cell::CellId& c, uint64_t key) {
-            return c.RangeMax().id() < key;
-          });
-      if (it == covering.end()) continue;
-      if (hi == kEndKey || it->RangeMin().id() < hi) result.push_back(s);
-      continue;
-    }
-    // Routing reads the lock-free atomic mirror of each shard's key hull,
-    // never a pinned state: safe concurrently with update commits (a
-    // racing merge can shift the hull; MayOverlap documents why any tear
-    // is benign for routing). An evicted shard keeps its hull (EvictState
-    // leaves the routing atomics), so cold-but-known shards route
-    // precisely without faulting in.
-    if (!b.has_cells()) continue;
-    // Covering cells are disjoint and sorted, so their leaf ranges ascend:
-    // binary-search the first cell whose range reaches the shard, then a
-    // single comparison decides the overlap (the shard-level BlockHeader
-    // pre-check).
-    const uint64_t min_cell = b.routing_min_cell();
-    const uint64_t max_cell = b.routing_max_cell();
-    const auto it = std::lower_bound(
-        covering.begin(), covering.end(), min_cell,
-        [](const cell::CellId& c, uint64_t key) {
-          return c.RangeMax().id() < key;
-        });
-    if (it == covering.end()) continue;
-    if (it->RangeMin().id() <= max_cell) result.push_back(s);
+  // Shard s holds the keys [boundaries_[s], boundaries_[s+1]), the last
+  // shard also the end key (storage::ShardForKey's rule). Covering cells
+  // are disjoint and sorted, so their leaf ranges ascend, as do the
+  // shards' lower bounds: each shard binary-searches, from where the
+  // previous one stopped, the first cell whose range reaches its lower
+  // bound; one comparison with its upper bound decides the overlap.
+  const size_t k = blocks_.size();
+  auto it = covering.begin();
+  for (size_t s = 0; s < k; ++s) {
+    const uint64_t lo = boundaries_[s];
+    const uint64_t hi = boundaries_[s + 1];
+    if (lo == hi) continue;  // an empty range holds no key
+    it = std::lower_bound(it, covering.end(), lo,
+                          [](const cell::CellId& c, uint64_t key) {
+                            return c.RangeMax().id() < key;
+                          });
+    if (it == covering.end()) return;
+    if (s + 1 == k || it->RangeMin().id() < hi) result.push_back(s);
   }
 }
 

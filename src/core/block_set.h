@@ -107,9 +107,9 @@ struct QueryBatch {
 
 /// The sharded multi-block query engine: one GeoBlock per shard of a
 /// ShardedDataset, built in parallel, queried by routing a polygon covering
-/// to only the shards whose `[min_cell, max_cell]` header ranges overlap it
-/// (the BlockHeader pre-check lifted to the shard level), and merging the
-/// per-shard partial aggregates.
+/// to only the shards whose manifest key ranges it meets (the BlockHeader
+/// pre-check lifted to the shard level; see OverlappingShards), and merging
+/// the per-shard partial aggregates.
 ///
 /// Sequential entry points (Select/Count) are `const` and thread-safe; the
 /// batched entry points fan out over a ThreadPool; the optional cached path
@@ -324,9 +324,6 @@ class BlockSet {
   /// @param log The open log (borrowed), or null.
   void AttachLog(io::UpdateLog* log) { log_ = log; }
 
-  /// @return The attached log, or null.
-  io::UpdateLog* attached_log() const { return log_; }
-
   /// Degraded read-only mode (sticky). The set enters it when the
   /// attached log fails — a real or injected fsync error, ENOSPC, EIO —
   /// because after a failed fsync nothing about the durability of further
@@ -481,7 +478,7 @@ class BlockSet {
   /// @param s Shard index in [0, num_shards()).
   /// @return Whether the shard's payload is resident.
   bool shard_resident(size_t s) const {
-    return residency_[s]->resident.load(std::memory_order_acquire);
+    return !blocks_[s]->StateSnapshot()->evicted;
   }
 
   /// @return Number of shards currently resident (== num_shards() on an
@@ -620,8 +617,15 @@ class BlockSet {
   /// @throws std::logic_error when the cache is not enabled.
   const GeoBlockQC& cached_shard(size_t i) const;
 
-  /// Indices of shards whose `[min_cell, max_cell]` range intersects the
-  /// (sorted, disjoint) covering; exposed for tests and benchmarks.
+  /// Indices of shards whose manifest key range meets the (sorted,
+  /// disjoint) covering: shard s is routed iff some covering cell's leaf
+  /// range meets [boundaries()[s], boundaries()[s+1]) — the last shard's
+  /// range includes the end key, and an empty range is never routed. The
+  /// boundaries are align-cell RangeMins, so every grid cell, and every
+  /// finer cell inside one, lies in exactly one shard's range: a shard
+  /// holding a covered cell is always routed, whatever the covering's
+  /// levels, commits or residency. Reads only the immutable manifest.
+  /// Exposed for tests and benchmarks.
   ///
   /// @param covering Covering cells, ascending and disjoint.
   /// @return Ascending shard indices that may contain covered cells.
@@ -677,19 +681,10 @@ class BlockSet {
   /// cell. Behind a shared_ptr: governor callbacks capture it, so it must
   /// survive set moves (and outlive the set if a callback is in flight).
   struct ShardResidency {
-    /// @param materialized True for a shard that already holds its state
-    ///     (Build); false for a cold shell awaiting HydrateShard.
-    explicit ShardResidency(bool materialized)
-        : resident(materialized), hull_known(materialized) {}
-
     std::mutex mu;
-    std::atomic<bool> resident;
-    /// False until first materialization: the routing atomics still hold
-    /// their empty-shell defaults, so OverlappingShards falls back to the
-    /// shard's manifest boundary range (conservative, never excludes a
-    /// shard that could answer). Once true, the published hull is precise
-    /// and stays so across evictions (EvictState keeps the atomics).
-    std::atomic<bool> hull_known;
+    /// Set by the first HydrateShard, which alone adopts the payload's
+    /// configuration. Guarded by mu.
+    bool hydrated = false;
     /// Sticky: set on the first committed update.
     /// A dirty shard is never evicted — its in-memory state has diverged
     /// from the mapped payload, and after a Checkpoint the mapping is
@@ -725,9 +720,9 @@ class BlockSet {
 
   /// The one hydration step: parses and cross-checks shard `s`'s payload
   /// (ParseShardPayload) and publishes it into the cold shell, adopting the
-  /// shard's configuration on its first hydration only; then marks the
-  /// shard resident with a known hull. Caller holds residency_[s]->mu or
-  /// owns the set exclusively (ReadFrom). Defined in serialize.cc.
+  /// shard's configuration on its first hydration only. Caller holds
+  /// residency_[s]->mu or owns the set exclusively (ReadFrom). Defined in
+  /// serialize.cc.
   /// The decoded arrays are views of `payload`, which `owner` keeps alive.
   void HydrateShard(size_t s, std::shared_ptr<const void> owner,
                     std::string_view payload,

@@ -178,9 +178,7 @@ void BlockSet::EnsureResident(size_t s) const {
 
 size_t BlockSet::resident_shards() const {
   size_t n = 0;
-  for (const std::shared_ptr<ShardResidency>& r : residency_) {
-    if (r->resident.load(std::memory_order_acquire)) ++n;
-  }
+  for (size_t s = 0; s < blocks_.size(); ++s) n += shard_resident(s);
   return n;
 }
 
@@ -219,7 +217,6 @@ void BlockSet::RegisterShardEntry(size_t s) {
         std::lock_guard<std::mutex> r_lock(res->mu);
         if (block->StateSnapshot()->evicted) return false;  // already cold
         block->EvictState();
-        res->resident.store(false, std::memory_order_release);
         return true;
       });
 }

@@ -203,64 +203,11 @@ GeoBlock& GeoBlock::operator=(const GeoBlock& other) {
   return *this;
 }
 
-GeoBlock::GeoBlock(GeoBlock&& other) noexcept
-    : data_(std::move(other.data_)),
-      filter_(std::move(other.filter_)),
-      projection_(other.projection_),
-      level_(other.level_),
-      num_columns_(other.num_columns_),
-      state_(std::move(other.state_)),
-      retired_(std::move(other.retired_)),
-      arena_(std::move(other.arena_)) {
-  route_cells_.store(other.route_cells_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  route_min_.store(other.route_min_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  route_max_.store(other.route_max_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-}
-
-GeoBlock& GeoBlock::operator=(GeoBlock&& other) noexcept {
-  if (this == &other) return *this;
-  data_ = std::move(other.data_);
-  filter_ = std::move(other.filter_);
-  projection_ = other.projection_;
-  level_ = other.level_;
-  num_columns_ = other.num_columns_;
-  state_ = std::move(other.state_);
-  retired_ = std::move(other.retired_);
-  arena_ = std::move(other.arena_);
-  route_cells_.store(other.route_cells_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  route_min_.store(other.route_min_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  route_max_.store(other.route_max_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  return *this;
-}
-
 void GeoBlock::InstallState(std::shared_ptr<const BlockState> state) {
   // Pre-publication (build/load/copy): no readers exist yet, so the cell is
   // replaced outright instead of epoch-swapped — the empty initial state is
   // not counted as a retirement.
-  state_ = MakeStateCell(state, retired_, arena_);
-  route_cells_.store(state->num_cells(), std::memory_order_relaxed);
-  route_min_.store(state->header.min_cell, std::memory_order_relaxed);
-  route_max_.store(state->header.max_cell, std::memory_order_relaxed);
-}
-
-void GeoBlock::PublishState(std::shared_ptr<const BlockState> state) {
-  // Commit order: the state version first (readers pinning after the swap
-  // see the successor), then the routing mirror. A reader interleaving the
-  // two sees a routing range at most one version behind its pinned state,
-  // which the MayOverlap contract tolerates.
-  const size_t cells = state->num_cells();
-  const uint64_t min_cell = state->header.min_cell;
-  const uint64_t max_cell = state->header.max_cell;
-  state_->Publish(std::move(state));
-  route_cells_.store(cells, std::memory_order_relaxed);
-  route_min_.store(min_cell, std::memory_order_relaxed);
-  route_max_.store(max_cell, std::memory_order_relaxed);
+  state_ = MakeStateCell(std::move(state), retired_, arena_);
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +612,7 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
   next->column_aggs = CellArray<ColumnAggregate>(std::move(column_aggs));
   next->offsets = CellArray<uint32_t>(std::move(offsets));
 
-  PublishState(std::move(next));
+  state_->Publish(std::move(next));
   return {hits.size()};
 }
 
@@ -677,8 +624,8 @@ void GeoBlock::AdoptDeserialized(GeoBlock&& loaded, bool adopt_config) {
   std::shared_ptr<const BlockState> state = loaded.StateSnapshot();
   if (adopt_config) {
     // First materialization: no reader has ever seen this shard's
-    // configuration (BlockSet routes cold shards by manifest boundaries
-    // and serializes them through the residency lock), so the scalar
+    // configuration (BlockSet routes shards by their manifest key ranges
+    // and serializes hydration through the residency lock), so the scalar
     // fields are safe to set exactly once here. On a re-fault they are
     // left alone — the manifest cross-checks guarantee the re-loaded
     // values are identical, and rewriting them would race readers.
@@ -688,9 +635,8 @@ void GeoBlock::AdoptDeserialized(GeoBlock&& loaded, bool adopt_config) {
     num_columns_ = loaded.num_columns_;
   }
   // Publish through the existing cell: readers and the shard's
-  // GeoBlockQC keep their pointers; the routing mirror advances to the
-  // loaded hull (identical to the manifest hull on a re-fault).
-  PublishState(std::move(state));
+  // GeoBlockQC keep their pointers.
+  state_->Publish(std::move(state));
 }
 
 void GeoBlock::EvictState() {
@@ -700,8 +646,7 @@ void GeoBlock::EvictState() {
   tomb->num_columns = num_columns_;
   // Publish the tombstone through the normal epoch swap — the retired
   // version is freed only after its grace period drains, so pinned
-  // readers keep answering bitwise-stably from it. The routing atomics
-  // stay at the (manifest-true) hull of the evicted clean shard.
+  // readers keep answering bitwise-stably from it.
   state_->Publish(std::move(tomb));
   // The retire hook may have parked the big retired version as an arena
   // spare; eviction exists to reclaim those bytes.

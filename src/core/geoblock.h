@@ -120,7 +120,8 @@ struct BlockState {
     return column_aggs.data() + idx * num_columns;
   }
 
-  /// Constant-time pre-check: can `cell` overlap this state at all?
+  /// Constant-time pre-check: can `cell`, at or above the state's level
+  /// (clamp a finer cell first), overlap this state at all?
   bool MayOverlap(cell::CellId cell) const {
     return !cells.empty() && cell.RangeMax().id() >= header.min_cell &&
            cell.RangeMin().id() <= header.max_cell;
@@ -275,8 +276,8 @@ class GeoBlock {
   GeoBlock(const GeoBlock& other);
   GeoBlock& operator=(const GeoBlock& other);
   /// Moved-from blocks are valid only for destruction and reassignment.
-  GeoBlock(GeoBlock&& other) noexcept;
-  GeoBlock& operator=(GeoBlock&& other) noexcept;
+  GeoBlock(GeoBlock&& other) noexcept = default;
+  GeoBlock& operator=(GeoBlock&& other) noexcept = default;
   ~GeoBlock() = default;
 
   /// Builds a GeoBlock from a window of sorted base data in a single
@@ -336,13 +337,6 @@ class GeoBlock {
   std::shared_ptr<const BlockState> StateSnapshot() const {
     return state_->SnapshotShared();
   }
-
-  /// The underlying snapshot cell, for readers that want a guard-scoped
-  /// pin (two relaxed-cost RMWs, no refcount traffic) instead of an owning
-  /// shared_ptr — e.g. GeoBlockQC's per-query block-state lease.
-  ///
-  /// @return The block's state cell.
-  const util::SnapshotCell<BlockState>& state_cell() const { return *state_; }
 
   /// Number of state versions retired so far (a version is retired when an
   /// update commit's grace period ends). Observability for the MVCC write
@@ -434,39 +428,6 @@ class GeoBlock {
   /// @return Combined aggregate of every contained cell.
   AggregateVector AggregateForCell(cell::CellId cell) const;
 
-  /// Constant-time pre-check: can `cell` overlap this block at all?
-  /// Lock-free — reads the routing atomics, not the state — so BlockSet's
-  /// shard routing never pins a snapshot. The three loads are individually
-  /// atomic; a reader racing a commit that adds cells may see a
-  /// partially advanced range, which routing tolerates (the fold of a
-  /// wrongly included shard contributes nothing; a wrongly excluded shard
-  /// can only hide cells newer than the reader's view).
-  ///
-  /// @param cell Candidate covering cell.
-  /// @return False when the cell's leaf range misses [min_cell, max_cell].
-  bool MayOverlap(cell::CellId cell) const {
-    return route_cells_.load(std::memory_order_relaxed) != 0 &&
-           cell.RangeMax().id() >=
-               route_min_.load(std::memory_order_relaxed) &&
-           cell.RangeMin().id() <= route_max_.load(std::memory_order_relaxed);
-  }
-
-  /// @return True when the block currently has at least one cell aggregate
-  ///     (lock-free routing read).
-  bool has_cells() const {
-    return route_cells_.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Lock-free routing reads of the current [min_cell, max_cell] hull
-  /// (BlockSet's shard pre-check). Individually atomic; see MayOverlap for
-  /// the tear tolerance.
-  uint64_t routing_min_cell() const {
-    return route_min_.load(std::memory_order_relaxed);
-  }
-  uint64_t routing_max_cell() const {
-    return route_max_.load(std::memory_order_relaxed);
-  }
-
   /// One newly arriving tuple (Section 5, Updates).
   struct UpdateTuple {
     geo::Point location;          ///< lat/lng of the new point
@@ -491,11 +452,10 @@ class GeoBlock {
   /// MVCC commit: the current state is cloned (only the touched arrays —
   /// an all-in-cell batch shares the cell-id array, and the base-data view
   /// is never copied), patched with the whole batch, and published with
-  /// one epoch swap; the routing range atomics advance with it. Readers
-  /// concurrently pinning snapshots see the pre-batch or the post-batch
-  /// version, never a torn one. An empty batch publishes nothing — the
-  /// state pointer is unchanged. Writers must be externally serialized
-  /// (BlockSet's per-shard commit locks).
+  /// one epoch swap. Readers concurrently pinning snapshots see the
+  /// pre-batch or the post-batch version, never a torn one. An empty batch
+  /// publishes nothing — the state pointer is unchanged. Writers must be
+  /// externally serialized (BlockSet's per-shard commit locks).
   ///
   /// Note: updates apply to the materialized view only; the block
   /// intentionally diverges from its (historical) base data, mirroring the
@@ -587,11 +547,10 @@ class GeoBlock {
   /// Publishes `loaded`'s state (a GeoBlock::ReadFrom result) through
   /// this block's cell. With `adopt_config` (first materialization) the
   /// scalar configuration — level, schema width, projection, filter — is
-  /// copied too and the routing atomics are seeded; a re-fault after
-  /// eviction passes false, because the configuration is immutable once
-  /// readers may be looking at it (the manifest cross-checks guarantee
-  /// the re-loaded values are identical anyway) and the routing hull of a
-  /// clean shard never moved.
+  /// copied too; a re-fault after eviction passes false, because the
+  /// configuration is immutable once readers may be looking at it (the
+  /// manifest cross-checks guarantee the re-loaded values are identical
+  /// anyway).
   ///
   /// @param loaded       The freshly deserialized block (consumed).
   /// @param adopt_config True on first materialization only.
@@ -600,10 +559,7 @@ class GeoBlock {
   /// Drops the shard back to "mapped, not materialized": publishes an
   /// eviction tombstone through the normal SnapshotCell swap, so the
   /// grace period retires (frees) the old version only after every
-  /// pinned reader drains — never free-in-place. The routing atomics are
-  /// deliberately left untouched: only clean shards are evictable, so
-  /// the published hull still equals the manifest hull and routing stays
-  /// precise while the shard is cold.
+  /// pinned reader drains — never free-in-place.
   void EvictState();
 
   // Raw cell-aggregate accessors (tests, serialization, the trie builder —
@@ -628,12 +584,9 @@ class GeoBlock {
   /// not race a concurrent Publish (concurrent readers pin instead).
   const BlockState* CurrentState() const { return state_->WriterPeek(); }
 
-  /// Installs a freshly built state (build/load paths): publishes it and
-  /// seeds the routing atomics.
+  /// Installs a freshly built state (build/load/copy paths, before any
+  /// reader can see the block).
   void InstallState(std::shared_ptr<const BlockState> state);
-
-  /// Publishes an update successor and advances the routing atomics.
-  void PublishState(std::shared_ptr<const BlockState> state);
 
   storage::DatasetView data_;
   storage::Filter filter_;
@@ -641,19 +594,14 @@ class GeoBlock {
   int level_ = 0;
   size_t num_columns_ = 0;
 
-  /// The MVCC plane: the currently published aggregate state plus the
-  /// lock-free routing mirror of (num_cells, min_cell, max_cell) that
-  /// BlockSet's shard pre-check reads without pinning. unique_ptr keeps the
-  /// cell's address stable across block moves (readers may hold guards on
-  /// it); the retire counter is shared with the cell's retire hook.
+  /// The MVCC plane: the currently published aggregate state. unique_ptr
+  /// keeps the cell's address stable across block moves; the retire
+  /// counter is shared with the cell's retire hook.
   std::unique_ptr<util::SnapshotCell<BlockState>> state_;
   std::shared_ptr<std::atomic<uint64_t>> retired_;
   /// Recycles retired state versions into the next commit (shared with the
   /// cell's retire hook, which outlives any single cell instance).
   std::shared_ptr<StateArena> arena_;
-  std::atomic<size_t> route_cells_{0};
-  std::atomic<uint64_t> route_min_{0};
-  std::atomic<uint64_t> route_max_{0};
 };
 
 }  // namespace geoblocks::core

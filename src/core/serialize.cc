@@ -584,8 +584,7 @@ BlockSet BlockSet::FromManifest(const serialize::SetManifest& m) {
     shell->EvictState();
     set.blocks_.push_back(std::move(shell));
     set.writers_.push_back(std::make_shared<ShardWriter>());
-    set.residency_.push_back(
-        std::make_shared<ShardResidency>(/*materialized=*/false));
+    set.residency_.push_back(std::make_shared<ShardResidency>());
   }
   return set;
 }
@@ -594,17 +593,15 @@ void BlockSet::HydrateShard(size_t s, std::shared_ptr<const void> owner,
                             std::string_view payload,
                             const serialize::SetManifest& m) const {
   // First hydration adopts the payload's configuration (level, schema,
-  // projection, filter) and seeds the routing hull; a re-fault after
-  // eviction must not rewrite them — readers may be looking, and the
-  // manifest cross-checks prove the re-loaded values are identical.
+  // projection, filter); a re-fault after eviction must not rewrite it —
+  // readers may be looking, and the manifest cross-checks prove the
+  // re-loaded values are identical.
   ShardResidency& res = *residency_[s];
-  const bool first = !res.hull_known.load(std::memory_order_relaxed);
   blocks_[s]->AdoptDeserialized(
       ParseShardPayload(std::move(owner), payload, m, s,
                         s == 0 ? nullptr : blocks_[0].get()),
-      /*adopt_config=*/first);
-  res.hull_known.store(true, std::memory_order_release);
-  res.resident.store(true, std::memory_order_release);
+      /*adopt_config=*/!res.hydrated);
+  res.hydrated = true;
 }
 
 BlockSet BlockSet::ReadFrom(std::istream& in) {

@@ -653,8 +653,8 @@ std::vector<std::pair<std::string, uint64_t>> QueryServer::BuildStats()
       {"server.read_only_rejected", s.read_only_rejected},
       {"server.update_dedup_hits", s.update_dedup_hits},
   };
-  if (options_.memory != nullptr) {
-    const core::MemoryGovernor::Stats m = options_.memory->stats();
+  if (const core::MemoryGovernor* governor = set_->governor()) {
+    const core::MemoryGovernor::Stats m = governor->stats();
     entries.emplace_back("memory.resident_bytes", m.resident_bytes);
     entries.emplace_back("memory.budget_bytes", m.budget_bytes);
     entries.emplace_back("memory.evictions", m.evictions);

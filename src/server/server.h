@@ -108,11 +108,6 @@ struct ServerOptions {
   /// Syscall fault injection for the connection I/O paths (send/recv
   /// through util::IoShim). Null uses the real syscalls. Testing only.
   util::IoShim* shim = nullptr;
-  /// The memory governor behind a lazily opened set
-  /// (core::BlockSet::OpenMapped), when one is in play. Null for
-  /// fully-resident sets. When set, STATS reports the memory.* keys
-  /// (docs/PROTOCOL.md §STATS). Must outlive the server.
-  const core::MemoryGovernor* memory = nullptr;
 };
 
 /// Point-in-time server counters (see QueryServer::stats and the STATS

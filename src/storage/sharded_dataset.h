@@ -45,8 +45,8 @@ size_t ShardForKey(std::span<const uint64_t> boundaries, uint64_t key);
 /// A SortedDataset partitioned into K contiguous Hilbert-key ranges — the
 /// storage side of the sharded query engine. Because the space-filling
 /// curve preserves locality, each shard covers a compact spatial region,
-/// and the per-shard `[min_cell, max_cell]` block headers stay selective
-/// for query routing.
+/// and the per-shard key ranges (`boundaries()`) stay selective for query
+/// routing.
 ///
 /// Partitioning is zero-copy: each shard is a DatasetView (offset + length
 /// + shared_ptr) over the single parent dataset, so Partition costs O(K)

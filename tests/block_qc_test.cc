@@ -222,9 +222,10 @@ TEST_F(BlockQCTest, StatsAreRecordedPerCoveringCell) {
   const auto covering = block_->Cover(poly);
   // Only overlapping cells coarser than the block level are recorded and
   // probed; block-level cells bypass the cache.
+  const std::shared_ptr<const BlockState> state = block_->StateSnapshot();
   size_t coarser = 0;
   for (const cell::CellId& c : covering) {
-    if (c.level() < block_->level() && block_->MayOverlap(c)) ++coarser;
+    if (c.level() < block_->level() && state->MayOverlap(c)) ++coarser;
   }
   ASSERT_GT(coarser, 0u);
   ASSERT_LT(coarser, covering.size());

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -518,6 +521,173 @@ TEST_F(BlockSetTest, CountFoldsFinerCellsOnce) {
     ASSERT_EQ(set.CountCovering(children), block_->counts()[i])
         << "cell " << i;
   }
+}
+
+/// The rule OverlappingShards promises, one shard and one cell at a time:
+/// shard s is routed iff its manifest key range [bounds[s], bounds[s+1])
+/// (the last shard's closed at the end key) is non-empty and meets some
+/// covering cell's leaf range.
+std::vector<size_t> KeyRangeShards(std::span<const uint64_t> bounds,
+                                   std::span<const cell::CellId> covering) {
+  std::vector<size_t> shards;
+  const size_t k = bounds.size() - 1;
+  for (size_t s = 0; s < k; ++s) {
+    if (bounds[s] == bounds[s + 1]) continue;
+    for (const cell::CellId c : covering) {
+      if (c.RangeMax().id() >= bounds[s] &&
+          (s + 1 == k || c.RangeMin().id() < bounds[s + 1])) {
+        shards.push_back(s);
+        break;
+      }
+    }
+  }
+  return shards;
+}
+
+/// Each child of every shard's first and last grid cell alone, then the
+/// four together. A grid cell's id is its centre key, so two of its four
+/// children lie outside the shard's [min_cell, max_cell] id hull while
+/// still inside its key range.
+std::vector<std::vector<cell::CellId>> EdgeChildCoverings(const BlockSet& set) {
+  std::vector<std::vector<cell::CellId>> coverings;
+  for (size_t s = 0; s < set.num_shards(); ++s) {
+    const std::shared_ptr<const core::BlockState> state =
+        set.shard(s).StateSnapshot();
+    if (state->num_cells() == 0) continue;
+    for (const uint64_t edge : {state->header.min_cell,
+                                state->header.max_cell}) {
+      const cell::CellId grid(edge);
+      std::vector<cell::CellId> all;
+      for (int c = 0; c < 4; ++c) {
+        coverings.push_back({grid.Child(c)});
+        all.push_back(grid.Child(c));
+      }
+      coverings.push_back(std::move(all));
+    }
+  }
+  return coverings;
+}
+
+/// New-region tuples for `block`: one in the grid cell just below each
+/// non-empty shard's lower boundary (the key range of the shard before it,
+/// past that shard's last cell) when no cell holds it yet, then `random`
+/// more in unpopulated cells.
+std::vector<GeoBlock::UpdateTuple> NewRegionTuples(
+    const GeoBlock& block, std::span<const uint64_t> bounds, size_t random,
+    uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto populated = [&](cell::CellId c) {
+    return std::binary_search(block.cells().begin(), block.cells().end(),
+                              c.id());
+  };
+  std::vector<GeoBlock::UpdateTuple> batch;
+  const auto add = [&](cell::CellId c) {
+    GeoBlock::UpdateTuple t;
+    t.location = block.projection().FromUnit(c.CenterPoint());
+    t.values.assign(block.num_columns(),
+                    static_cast<double>(rng() % 1000) / 10.0);
+    batch.push_back(std::move(t));
+  };
+  for (size_t s = 1; s + 1 < bounds.size(); ++s) {
+    if (bounds[s] == bounds[s + 1]) continue;
+    // Leaf keys are odd: bounds[s] - 2 is the last one below the range.
+    const cell::CellId below =
+        cell::CellId(bounds[s] - 2).Parent(block.level());
+    if (!populated(below)) add(below);
+  }
+  for (size_t n = 0; n < random;) {
+    const double x = unit(rng);
+    const cell::CellId c =
+        cell::CellId::FromPoint({x, unit(rng)}).Parent(block.level());
+    if (populated(c)) continue;
+    add(c);
+    ++n;
+  }
+  return batch;
+}
+
+TEST_F(BlockSetTest, RoutingByKeyRangeMatchesSingleBlock) {
+  // Coverings finer than the grid at every shard's edges, and the
+  // polygons', on eager sets and their cold mapped twins, before and after
+  // new-region commits. 2C+3 shards over C level-11 cells leave empty
+  // ranges between the occupied ones.
+  constexpr int kCoarse = 11;
+  const size_t coarse_cells = DistinctCells(data_->keys(), kCoarse);
+  const AggregateRequest req = Request();
+  const std::string path = ::testing::TempDir() + "block_set_routing.gbst";
+  struct Cut {
+    size_t k;
+    int align;
+  };
+  for (const Cut cut : {Cut{1, kLevel}, Cut{4, kLevel}, Cut{7, kLevel},
+                        Cut{2 * coarse_cells + 3, kCoarse}}) {
+    BlockSet set = BlockSet::Build(Shard(cut.k, cut.align),
+                                   BlockSetOptions{{kLevel, {}}});
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      set.WriteTo(out);
+    }
+    BlockSet twin = BlockSet::OpenMapped(path);
+    GeoBlock single(*block_);
+    const std::vector<uint64_t>& bounds = set.boundaries();
+    size_t empty_ranges = 0;
+    for (size_t s = 0; s < cut.k; ++s) {
+      empty_ranges += bounds[s] == bounds[s + 1];
+    }
+    if (cut.align == kCoarse) {
+      ASSERT_GT(empty_ranges, 0u);
+    }
+
+    size_t finer_hits = 0;
+    for (const bool updated : {false, true}) {
+      if (updated) {
+        const std::vector<GeoBlock::UpdateTuple> batch =
+            NewRegionTuples(single, bounds, 32, cut.k);
+        ASSERT_FALSE(batch.empty());
+        set.ApplyBatchUpdate(batch);
+        twin.ApplyBatchUpdate(batch);
+        single.ApplyBatchUpdate(batch);
+      }
+      std::vector<std::vector<cell::CellId>> coverings =
+          EdgeChildCoverings(set);
+      for (const geo::Polygon& poly : *polygons_) {
+        coverings.push_back(set.Cover(poly));
+      }
+      // Coarse cells straddle the boundaries, empty ranges' included.
+      coverings.push_back({cell::CellId::Root()});
+      for (const uint64_t b : bounds) {
+        if (b != 0 && b != ~uint64_t{0}) {
+          coverings.push_back({cell::CellId(b).Parent(kCoarse - 3)});
+        }
+      }
+      for (size_t i = 0; i < coverings.size(); ++i) {
+        const std::vector<cell::CellId>& covering = coverings[i];
+        SCOPED_TRACE(::testing::Message() << "K=" << cut.k << " updated="
+                                        << updated << " covering " << i);
+        // The twin answers from the manifest alone: it is asked before
+        // anything faults its shards in.
+        const std::vector<size_t> routed = set.OverlappingShards(covering);
+        ASSERT_EQ(routed, KeyRangeShards(bounds, covering));
+        ASSERT_EQ(twin.OverlappingShards(covering), routed);
+        for (const size_t s : routed) ASSERT_LT(bounds[s], bounds[s + 1]);
+
+        const QueryResult want = single.SelectCovering(covering, req);
+        const QueryResult got = set.SelectCovering(covering, req);
+        ASSERT_EQ(got.count, want.count);
+        ASSERT_EQ(got.values.size(), want.values.size());
+        ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                              got.values.size() * sizeof(double)),
+                  0);
+        ASSERT_EQ(set.CountCovering(covering),
+                  single.CountCovering(covering));
+        finer_hits += covering.size() == 1 &&
+                      covering[0].level() > kLevel && want.count > 0;
+      }
+    }
+    EXPECT_GT(finer_hits, 0u) << "K=" << cut.k;
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(BlockSetTest, EmptyDatasetYieldsEmptyShards) {

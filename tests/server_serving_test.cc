@@ -387,7 +387,6 @@ TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
 
   ServerOptions options;
   options.pool = pool_;
-  options.memory = &governor;
   QueryServer server(&set, options);
   server.Start();
   {

@@ -216,7 +216,7 @@ TEST_F(UpdateTest, NewRegionTuplesCreateCells) {
     running += block_.counts()[i];
   }
   EXPECT_EQ(block_.header().global.count, count_before + 2);
-  EXPECT_TRUE(block_.MayOverlap(cell));
+  EXPECT_TRUE(block_.StateSnapshot()->MayOverlap(cell));
   const std::vector<cell::CellId> covering{cell};
   EXPECT_EQ(block_.CountCovering(covering), 2u);
   const std::vector<cell::CellId> all{cell::CellId::Root()};
