@@ -13,8 +13,9 @@ void Run() {
   bench_util::Banner("Figure 18 — impact of the aggregate threshold",
                      "1x base + 4x skewed; hit rates measured separately "
                      "for the base and skewed parts after cache warm-up. A "
-                     "hit rate counts covering cells coarser than the block "
-                     "level only: block-level cells bypass the cache.");
+                     "hit rate counts covering cells at least two levels "
+                     "coarser than the block level only: block-level cells "
+                     "and their parents bypass the cache.");
   const TaxiEnv env = TaxiEnv::Create(TaxiPoints());
   const core::GeoBlock block =
       core::GeoBlock::Build(env.data, {kDefaultLevel, {}});
@@ -25,6 +26,18 @@ void Run() {
       workload::SkewedWorkload(env.neighborhoods);
   const auto base_coverings = CoverAll(block, base);
   const auto skew_coverings = CoverAll(block, skewed);
+  // The covering cells the cached fold probes: those at least two levels
+  // coarser than the block level.
+  const auto probed = [&](std::vector<std::vector<cell::CellId>> coverings) {
+    for (auto& covering : coverings) {
+      std::erase_if(covering, [&](const cell::CellId& c) {
+        return c.level() + 2 > block.level();
+      });
+    }
+    return coverings;
+  };
+  const auto probed_base = probed(base_coverings);
+  const auto probed_skew = probed(skew_coverings);
 
   bench_util::TablePrinter table({"threshold", "base ms", "skew ms",
                                   "hit rate base", "hit rate skew",
@@ -71,15 +84,15 @@ void Run() {
     const double skew_hits = qc.counters().HitRate();
     if (sink < 0) std::printf("impossible\n");
 
-    // Average cache probe latency over all covering cells, probing the
-    // published immutable snapshot the way the lock-free read path does:
-    // one cache cursor per covering, a run of cached cells per cell, and
-    // a search for the cell itself inside that run.
+    // Average cache probe latency over the covering cells the fold probes,
+    // probing the published immutable snapshot the way the lock-free read
+    // path does: one cache cursor per covering, a run of cached cells per
+    // cell, and a search for the cell itself inside that run.
     const auto trie = qc.trie_snapshot();
     size_t probes = 0;
     bench_util::Timer probe_timer;
     uint64_t probe_sink = 0;
-    for (const auto& coverings : {&base_coverings, &skew_coverings}) {
+    for (const auto& coverings : {&probed_base, &probed_skew}) {
       for (const auto& covering : *coverings) {
         size_t cursor = 0;
         for (const cell::CellId& c : covering) {

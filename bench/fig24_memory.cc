@@ -169,8 +169,9 @@ void Run() {
     std::mt19937_64 rng(12345);
     std::discrete_distribution<size_t> zipf(weights.begin(), weights.end());
     // The Zipf workload never routes some shards: fault every one in at
-    // 100%, so no cold first fault lands in that row's timed window. A
-    // root-covering query, not EnsureResident, which skips the charge.
+    // 100%, so no cold first fault lands in that row's timed window. One
+    // root-covering query faults and charges them all, and its answer is
+    // checked too.
     if (pct == 100 &&
         !BitIdentical(set.SelectCovering(all, req), expected_all)) {
       ++mismatches;

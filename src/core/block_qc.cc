@@ -40,10 +40,11 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
       if (qcell.level() > block_->level()) {
         qcell = qcell.Parent(block_->level());
       }
-      // A block-level cell is one stored aggregate: no cache entry can
-      // answer it more cheaply than the base fold, so it is never recorded,
-      // probed or counted, and the cache budget goes to coarser cells.
-      if (qcell.level() == block_->level()) {
+      // A block-level cell is one stored aggregate and its parent's run at
+      // most four: no cache entry can answer either more cheaply than the
+      // base fold, so they are never recorded, probed, counted or cached,
+      // and the cache budget goes to cells two or more levels coarser.
+      if (qcell.level() + 1 >= block_->level()) {
         state.CombineCell(qcell, &acc, &cursor);
         continue;
       }
@@ -68,7 +69,13 @@ void GeoBlockQC::CombineCovering(const BlockState& state,
         continue;
       }
       // Cells inside qcell are cached, qcell itself is not: use cached
-      // *direct* children and the base algorithm for the rest.
+      // *direct* children and the base algorithm for the rest. A cell two
+      // levels coarser has no cached children, as they bypass the cache.
+      if (qcell.level() + 2 == block_->level()) {
+        counters_.AddMiss();
+        state.CombineCell(qcell, &acc, &cursor);
+        continue;
+      }
       size_t child_at[4];
       bool any_cached = false;
       for (int k = 0; k < 4; ++k) {

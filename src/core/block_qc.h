@@ -17,10 +17,11 @@ namespace geoblocks::core {
 /// Counters describing how the cache served a sequence of queries
 /// (Figure 18 reports the hit rate). A plain value snapshot — the live
 /// counters are the relaxed atomics of CacheCounterPlane. Only covering
-/// cells coarser than the block level are probed and counted: block-level
-/// cells bypass the cache (see GeoBlockQC::CombineCovering).
+/// cells at least two levels coarser than the block level are probed and
+/// counted: block-level cells and their parents bypass the cache (see
+/// GeoBlockQC::CombineCovering).
 struct CacheCounters {
-  uint64_t probes = 0;        ///< coarser covering cells probed in the trie
+  uint64_t probes = 0;        ///< covering cells probed in the cache
   uint64_t full_hits = 0;     ///< cells answered entirely from the cache
   uint64_t partial_hits = 0;  ///< cells answered from cached direct children
   uint64_t misses = 0;        ///< cells answered by the base algorithm
@@ -106,6 +107,13 @@ class CacheCounterPlane {
 /// adapted SELECT algorithm of Figure 8. COUNT queries bypass the cache, as
 /// their runtime is mostly independent of the cell level (Section 3.6).
 ///
+/// Unlike Figure 8, which probes the cache for every covering cell, a cell
+/// less than two levels coarser than the block level is folded from the
+/// block state directly. Its base fold reads at most four stored
+/// aggregates, so a cache entry could save at most three adds while its
+/// probe costs a stats record and a search; such cells are never recorded,
+/// probed, counted or cached.
+///
 /// ## Concurrency model (lock-free cached reads)
 ///
 /// The cache is split into two planes so the hot path never takes a lock:
@@ -121,8 +129,8 @@ class CacheCounterPlane {
 /// - **Stats plane.** QueryStats and CacheCounterPlane are relaxed-atomic
 ///   tables: `Record` is a bounded probe sequence plus one CAS or relaxed
 ///   `fetch_add`, a counter bump is one relaxed `fetch_add`, and neither
-///   allocates. Both are paid only for covering cells coarser than the
-///   block level.
+///   allocates. Both are paid only for covering cells at least two levels
+///   coarser than the block level.
 /// - **Block-state plane.** The wrapped GeoBlock's aggregate state is
 ///   itself MVCC (an immutable BlockState behind a SnapshotCell). The
 ///   caller pins one block-state version (BlockSet::ResidentState, or
@@ -221,9 +229,9 @@ class GeoBlockQC {
   /// Zeroes the cache counters (safe concurrently with readers).
   void ResetCounters() const { counters_.Reset(); }
 
-  /// Adapted SELECT query: probes the query cache per covering cell
-  /// coarser than the block level and falls back to the base algorithm
-  /// only when necessary. Lock-free and
+  /// Adapted SELECT query: probes the query cache per covering cell at
+  /// least two levels coarser than the block level and falls back to the
+  /// base algorithm only when necessary. Lock-free and
   /// thread-safe (see the class concurrency model).
   ///
   /// @param polygon Query polygon.
@@ -246,9 +254,11 @@ class GeoBlockQC {
   /// several cached blocks into one query answer (BlockSet). Loads the
   /// trie snapshot exactly once and falls back to `state` for every cell
   /// the trie does not answer. A cell at the block's level (after clamping
-  /// finer cells to it) is one stored aggregate that no trie entry can
-  /// answer more cheaply, so it goes straight to `state`: it is never
-  /// recorded in the stats, probed, counted or cached.
+  /// finer cells to it) or its parent level folds at most four stored
+  /// aggregates, which no cache entry can answer more cheaply, so it goes
+  /// straight to `state`: it is never recorded in the stats, probed,
+  /// counted or cached. A cell exactly two levels coarser is then a full
+  /// hit or a miss, as its direct children are never cached.
   ///
   /// @param state    A pinned, materialized version of the wrapped block's
   ///     state (never an eviction tombstone: BlockSet::ResidentState

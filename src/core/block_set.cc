@@ -368,28 +368,34 @@ size_t BlockSet::CommitShardBatch(size_t s,
                                   std::span<const uint32_t> subset) {
   GeoBlock* block = blocks_[s].get();
   GeoBlockQC* qc = cache_enabled() ? cached_[s].get() : nullptr;
-  std::lock_guard<std::mutex> lock(writers_[s]->mu);
-  // The commit must patch a materialized state — a commit against a
-  // tombstone would build a state holding ONLY this batch (data loss).
-  // On a cold mapped shard the fault-in here is bookkeeping-only (no
-  // EnsureBudget while holding a shard lock — another shard's evict
-  // callback could be waiting on ours); the budget transiently overshoots
-  // and the next query-path fault trims it. A resident shard: no-op.
-  EnsureResident(s);
-  // The commit proper: with a cache, block-state publish and trie patch
-  // run as one writer critical section (GeoBlockQC::CommitBlockBatch), so
-  // an interval-triggered trie rebuild can never interleave half a commit.
-  // The shard reads its tuples straight out of the caller's batch through
-  // the subset indices.
-  const GeoBlock::UpdateResult r =
-      qc != nullptr ? qc->CommitBlockBatch(block, batch, subset)
-                    : block->ApplyBatchUpdate(batch, subset);
-  if (r.applied > 0) {
-    // Sticky: this shard's in-memory state now runs ahead of any mapped
-    // payload, so it must never be evicted — a re-fault would resurrect
-    // the stale payload.
-    residency_[s]->dirty.store(true, std::memory_order_release);
+  bool faulted = false;
+  GeoBlock::UpdateResult r;
+  {
+    std::lock_guard<std::mutex> lock(writers_[s]->mu);
+    // The commit must patch a materialized state — a commit against a
+    // tombstone would build a state holding ONLY this batch (data loss).
+    // A resident shard: no-op.
+    faulted = MaterializeIfCold(s);
+    // The commit proper: with a cache, block-state publish and trie patch
+    // run as one writer critical section (GeoBlockQC::CommitBlockBatch),
+    // so an interval-triggered trie rebuild can never interleave half a
+    // commit. The shard reads its tuples straight out of the caller's
+    // batch through the subset indices.
+    r = qc != nullptr ? qc->CommitBlockBatch(block, batch, subset)
+                      : block->ApplyBatchUpdate(batch, subset);
+    if (r.applied > 0) {
+      // Sticky: this shard's in-memory state now runs ahead of any mapped
+      // payload, so it must never be evicted — a re-fault would resurrect
+      // the stale payload.
+      residency_[s]->dirty.store(true, std::memory_order_release);
+    }
   }
+  // Charge a fault-in only after releasing w.mu: the charge takes the
+  // governor entry's callback lock, which orders before the shard locks.
+  // No EnsureBudget here (another shard's evict callback could be waiting
+  // on a commit); the budget transiently overshoots and the next
+  // query-path fault trims it.
+  if (faulted) ChargeShard(s);
   return r.applied;
 }
 

@@ -489,9 +489,11 @@ class BlockSet {
   ///     re-faults after eviction) since open; 0 on an eager set.
   uint64_t shard_fault_count() const;
 
-  /// Faults shard `s` in if it is cold, without rebalancing the budget
-  /// (bookkeeping-only; the next query-path fault or EnsureBudget trims).
-  /// No-op on eager sets.
+  /// Faults shard `s` in if it is cold and charges the governor for it,
+  /// exactly as a query fault does, but without rebalancing the budget
+  /// (the next query-path fault or EnsureBudget trims). No-op on eager
+  /// sets. Call it with no shard lock held: the charge takes the governor
+  /// entry's callback lock, which orders before the shard locks.
   ///
   /// @param s Shard index in [0, num_shards()).
   /// @throws ShardFaultError when the shard's payload is corrupt.
@@ -706,6 +708,17 @@ class BlockSet {
   /// (evict callbacks take other shards' w.mu/r.mu).
   std::shared_ptr<const BlockState> ResidentState(size_t s,
                                                   bool rebalance) const;
+
+  /// Faults shard `s` in under residency_[s]->mu if it is cold, without
+  /// charging the governor (callers may hold w.mu; see ChargeShard).
+  ///
+  /// @return True when this call materialized the shard.
+  bool MaterializeIfCold(size_t s) const;
+
+  /// Recomputes shard `s`'s governor charge; no-op without a governor.
+  /// Never with a shard lock held (lock order: governor cb_mu → w.mu →
+  /// r.mu).
+  void ChargeShard(size_t s) const;
 
   /// Reads shard `s`'s payload from the mapping, hydrates it, and counts
   /// the fault. Caller holds residency_[s]->mu; the shard must be cold.

@@ -162,18 +162,27 @@ std::shared_ptr<const BlockState> BlockSet::ResidentState(
   // Outside every shard lock: charge the fault and (on query paths) let
   // the governor evict colder entries to pay for it. Never inside a shard
   // lock — the evict callbacks take other shards' locks.
-  if (governor_ != nullptr && residency_[s]->entry != nullptr) {
-    governor_->UpdateCharge(residency_[s]->entry);
-    if (rebalance) governor_->EnsureBudget();
-  }
+  ChargeShard(s);
+  if (rebalance && governor_ != nullptr) governor_->EnsureBudget();
   return state;
 }
 
 void BlockSet::EnsureResident(size_t s) const {
-  if (!blocks_[s]->StateSnapshot()->evicted) return;
+  if (MaterializeIfCold(s)) ChargeShard(s);
+}
+
+bool BlockSet::MaterializeIfCold(size_t s) const {
+  if (!blocks_[s]->StateSnapshot()->evicted) return false;
   std::lock_guard<std::mutex> lock(residency_[s]->mu);
-  if (!blocks_[s]->StateSnapshot()->evicted) return;
+  if (!blocks_[s]->StateSnapshot()->evicted) return false;
   MaterializeShardLocked(s);
+  return true;
+}
+
+void BlockSet::ChargeShard(size_t s) const {
+  if (governor_ != nullptr && residency_[s]->entry != nullptr) {
+    governor_->UpdateCharge(residency_[s]->entry);
+  }
 }
 
 size_t BlockSet::resident_shards() const {

@@ -53,7 +53,9 @@ namespace {
 /// the recycled trie spare, and the caller's QueryResult — is warm.
 class AllocationTest : public ::testing::Test {
  protected:
-  static constexpr int kLevel = 15;
+  // Covering cells two or more levels coarser than the grid reach the
+  // cache; the neighborhoods' coverings hold some at this level.
+  static constexpr int kLevel = 17;
   static constexpr size_t kShards = 2;
 
   void SetUp() override {
@@ -83,6 +85,11 @@ class AllocationTest : public ::testing::Test {
       (void)set_.SelectCoveringCached(covering, request);
     }
     set_.RebuildCaches();
+    size_t cached = 0;
+    for (size_t s = 0; s < set_.num_shards(); ++s) {
+      cached += set_.cached_shard(s).trie_snapshot()->num_cached();
+    }
+    ASSERT_GT(cached, 0u) << "the warm-up cached nothing";
   }
 
   /// Tuples located inside already-populated cells of both shards: the

@@ -22,13 +22,18 @@ namespace {
 
 class BlockQCTest : public ::testing::Test {
  protected:
+  // The grid level of every block here. Only covering cells two or more
+  // levels coarser reach the cache, and the neighborhoods' coverings hold
+  // several per polygon at this level.
+  static constexpr int kLevel = 17;
+
   static void SetUpTestSuite() {
     raw_ = new storage::PointTable(workload::GenTaxi(25000, 3));
     storage::ExtractOptions options;
     options.clean_bounds = workload::NycBounds();
     data_ = new storage::SortedDataset(
         storage::SortedDataset::Extract(*raw_, options));
-    block_ = new GeoBlock(GeoBlock::Build(*data_, BlockOptions{15, {}}));
+    block_ = new GeoBlock(GeoBlock::Build(*data_, BlockOptions{kLevel, {}}));
     polygons_ = new std::vector<geo::Polygon>(
         workload::Neighborhoods(*raw_, 40, 8));
   }
@@ -121,10 +126,11 @@ TEST_F(BlockQCTest, RepeatedQueriesHitTheCache) {
 }
 
 TEST_F(BlockQCTest, PartialHitsMatchBaseBlock) {
-  // Warm the cache on the children of the coarser covering cells only: a
-  // parent's trie node then exists uncached, so its probe answers some
-  // children from the trie and folds the others from the block state with
-  // the fold's aggregate cursor.
+  // Warm the cache on the children of the covering cells three or more
+  // levels coarser only: a parent is then uncached while some of its
+  // children are, so its probe answers those children from the cache and
+  // folds the others from the block state with the fold's aggregate cursor.
+  // A cell two levels coarser is not split: its children bypass the cache.
   GeoBlockQC qc(block_, GeoBlockQC::Options{0.10, 0});
   const AggregateRequest req = SomeRequest();
   std::vector<std::vector<cell::CellId>> coverings;
@@ -133,7 +139,7 @@ TEST_F(BlockQCTest, PartialHitsMatchBaseBlock) {
     coverings.push_back(block_->Cover(poly));
     std::vector<cell::CellId> children;
     for (const cell::CellId c : coverings.back()) {
-      if (c.level() >= block_->level()) {
+      if (c.level() + 3 > block_->level()) {
         children.push_back(c);
         continue;
       }
@@ -220,41 +226,61 @@ TEST_F(BlockQCTest, StatsAreRecordedPerCoveringCell) {
   const AggregateRequest req = SomeRequest();
   const geo::Polygon& poly = (*polygons_)[1];
   const auto covering = block_->Cover(poly);
-  // Only overlapping cells coarser than the block level are recorded and
-  // probed; block-level cells bypass the cache.
+  // Only overlapping cells two or more levels coarser than the block level
+  // are recorded and probed; block-level cells and their parents bypass the
+  // cache.
   const std::shared_ptr<const BlockState> state = block_->StateSnapshot();
   size_t coarser = 0;
+  size_t one_level_coarser = 0;
   for (const cell::CellId& c : covering) {
-    if (c.level() < block_->level() && state->MayOverlap(c)) ++coarser;
+    if (!state->MayOverlap(c)) continue;
+    if (c.level() + 2 <= block_->level()) ++coarser;
+    if (c.level() + 1 == block_->level()) ++one_level_coarser;
   }
   ASSERT_GT(coarser, 0u);
+  ASSERT_GT(one_level_coarser, 0u);
   ASSERT_LT(coarser, covering.size());
   qc.Select(poly, req);
   EXPECT_EQ(qc.stats().num_distinct_cells(), coarser);
   EXPECT_EQ(qc.counters().probes, coarser);
 }
 
-TEST_F(BlockQCTest, BlockLevelCellsBypassTheCache) {
-  // Warm the cache first, so a probe would find a populated trie.
+TEST_F(BlockQCTest, OneLevelCoarserCellsBypassTheCache) {
+  // A block-level cell is one stored aggregate, and a cell one level
+  // coarser folds at most four, the same ones a cached entry would
+  // replace: neither is ever recorded, probed, counted or cached. Warm the
+  // cache first, so a probe would find a populated trie; recording any of
+  // these cells would add a distinct cell (or a drop).
   GeoBlockQC qc(block_, GeoBlockQC::Options{0.25, 0});
   const AggregateRequest req = SomeRequest();
   for (const geo::Polygon& poly : *polygons_) qc.Select(poly, req);
   qc.RebuildCache();
   ASSERT_GT(qc.trie_snapshot()->num_cached(), 0u);
-  // Block-level cells were never recorded, so recording one would add a
-  // distinct cell (or a drop).
   const size_t distinct_before = qc.stats().num_distinct_cells();
   const uint64_t dropped_before = qc.stats().dropped();
   qc.ResetCounters();
-  // A covering of block-level cells only, with finer cells mixed in that
-  // clamp to their block-level parents: every cell bypasses the cache.
+  // Grid cells' parents, with block-level cells and finer cells (which
+  // clamp to their block-level parents) mixed in. A parent holds at most
+  // four consecutive grid cells, so cells seven apart keep the covering
+  // ascending and disjoint.
   std::vector<cell::CellId> covering;
+  size_t parents = 0;
   const auto& cells = block_->cells();
   for (size_t i = 0; i < cells.size(); i += 7) {
     const cell::CellId c(cells[i]);
-    covering.push_back(i % 3 == 0 ? c.Child(2) : c);
+    switch (i % 3) {
+      case 0:
+        covering.push_back(c.Parent());
+        ++parents;
+        break;
+      case 1:
+        covering.push_back(c);
+        break;
+      default:
+        covering.push_back(c.Child(1));
+    }
   }
-  ASSERT_GT(covering.size(), 100u);
+  ASSERT_GT(parents, 100u);
   const QueryResult got = qc.SelectCovering(covering, req);
   EXPECT_EQ(qc.stats().num_distinct_cells(), distinct_before);
   EXPECT_EQ(qc.stats().dropped(), dropped_before);
@@ -329,7 +355,7 @@ TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
   // crossing the published cache equals, array for array, one built from
   // the current ranking, budget and state with the pre-crossing cache as
   // the payload source — whether the crossing rebuilt or skipped.
-  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kLevel, {}});
   constexpr size_t kInterval = 8;
   GeoBlockQC qc(&block, GeoBlockQC::Options{0.02, kInterval});
   const AggregateRequest req = SomeRequest();
@@ -417,15 +443,17 @@ TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
   ASSERT_EQ(qc.CommitBlockBatch(&block, in_cell).applied, in_cell.size());
   run(shifted, 200);
 
-  // New cells inside the root grow the budget: the next crossing rebuilds.
+  // New cells inside the root grow the budget by at least one cached cell:
+  // the next crossing rebuilds.
   ASSERT_EQ(AggregateTrie::RootFor(*block.StateSnapshot()), root);
   const geo::Rect root_rect = root.ToRect();
-  const size_t budget_before = qc.CacheBudgetBytes();
+  const size_t cell_bytes = AggregateTrie::CellBytes(data_->num_columns());
+  const size_t capacity_before = qc.CacheBudgetBytes() / cell_bytes;
   const auto inside = NewCellBatch(
-      block, data_->num_columns(), root_rect.min, root_rect.max, 8, 14);
+      block, data_->num_columns(), root_rect.min, root_rect.max, 64, 14);
   ASSERT_EQ(qc.CommitBlockBatch(&block, inside).applied, inside.size());
   ASSERT_EQ(AggregateTrie::RootFor(*block.StateSnapshot()), root);
-  ASSERT_GT(qc.CacheBudgetBytes(), budget_before);
+  ASSERT_GT(qc.CacheBudgetBytes() / cell_bytes, capacity_before);
   {
     const Tally t = run(shifted, kInterval);
     EXPECT_EQ(t.rebuilt, 1u);
@@ -484,19 +512,19 @@ TEST_F(BlockQCTest, SkippedRebuildMatchesFullBuild) {
   // outranks it: both crossings must skip. Fresh statistics make the
   // scores exact: K disjoint cells hit 8 times each fill the cache, then
   // outsiders hit once and twice follow. A block-level cell is never
-  // recorded: its queries only count towards the interval.
+  // recorded: its queries only count towards the interval. The K cells are
+  // two levels coarser than the block level, the finest the cache holds.
   const std::vector<cell::CellId> nothing{cell::CellId(block.cells()[0])};
   const auto repeat = [&](const std::vector<cell::CellId>& covering) {
     return [&covering]() -> const std::vector<cell::CellId>& {
       return covering;
     };
   };
-  const size_t capacity = qc.CacheBudgetBytes() /
-                          AggregateTrie::CellBytes(data_->num_columns());
+  const size_t capacity = qc.CacheBudgetBytes() / cell_bytes;
   ASSERT_GT(capacity, 0u);
   std::vector<cell::CellId> disjoint;
   for (const uint64_t id : block.cells()) {
-    const cell::CellId c = cell::CellId(id).Parent(block.level() - 1);
+    const cell::CellId c = cell::CellId(id).Parent(block.level() - 2);
     if (disjoint.empty() || disjoint.back() != c) disjoint.push_back(c);
   }
   ASSERT_GE(disjoint.size(), capacity + 2);
@@ -534,7 +562,7 @@ TEST_F(BlockQCTest, RootGrowthAloneRebuilds) {
   // With a zero budget nothing is ever cached and no commit moves the
   // budget, yet a commit that grows the root must still republish: the
   // skip test compares the published cache's root with the state's.
-  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{15, {}});
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kLevel, {}});
   constexpr size_t kInterval = 4;
   GeoBlockQC qc(&block, GeoBlockQC::Options{0.0, kInterval});
   const AggregateRequest req = SomeRequest();
@@ -574,7 +602,7 @@ TEST_F(BlockQCTest, ConcurrentClaimsDuringCrossings) {
   std::vector<cell::CellId> coarse;
   for (size_t i = 0; i < block_->num_cells(); i += 5) {
     const cell::CellId c(block_->cells()[i]);
-    coarse.push_back(c.Parent(block_->level() - 1 - static_cast<int>(i % 4)));
+    coarse.push_back(c.Parent(block_->level() - 2 - static_cast<int>(i % 4)));
   }
   std::sort(coarse.begin(), coarse.end());
   coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
@@ -631,10 +659,11 @@ TEST_F(BlockQCTest, ConcurrentClaimsDuringCrossings) {
 TEST_F(BlockQCTest, CacheCursorMatchesFigure8Reference) {
   // The cursor fold of CombineCovering against a per-cell Figure 8 fold
   // kept here: an ordered map of the published snapshot's cached ids,
-  // an exact-cell lookup, then the four direct children. Both read the
+  // an exact-cell lookup, then the four direct children. Like the fold, it
+  // takes cells less than two levels coarser than the grid straight from
+  // the block state. Both read the
   // same pinned state and cache snapshot of each of 8 shards; answers must
   // be bit-identical and the full/partial/miss counters equal.
-  constexpr int kLevel = 15;
   storage::ExtractOptions options;
   options.clean_bounds = workload::NycBounds();
   const auto data = std::make_shared<storage::SortedDataset>(
@@ -733,7 +762,7 @@ TEST_F(BlockQCTest, CacheCursorMatchesFigure8Reference) {
         if (c == previous) continue;  // a grid cell folds once
         previous = c;
         if (!state->MayOverlap(c)) continue;
-        if (c.level() == grid_level) {
+        if (c.level() + 1 >= grid_level) {
           fold_state(c, &want_acc);
           continue;
         }
@@ -778,11 +807,11 @@ TEST_F(BlockQCTest, CacheCursorMatchesFigure8Reference) {
           << "shard " << s;
 
       // The cursor contract the fold relies on: one cache cursor over the
-      // coarser cells in ascending order finds each cell's run and moves
-      // to its end.
+      // cells two or more levels coarser in ascending order finds each
+      // cell's run and moves to its end.
       size_t cursor = 0;
       for (const cell::CellId c : covering) {
-        if (c.level() >= grid_level || !state->MayOverlap(c)) continue;
+        if (c.level() + 1 >= grid_level || !state->MayOverlap(c)) continue;
         size_t fresh = 0;
         const BlockState::CellRun want_run = cache->NextRun(c, &fresh);
         const BlockState::CellRun got_run = cache->NextRun(c, &cursor);

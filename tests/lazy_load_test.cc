@@ -293,6 +293,49 @@ TEST_F(LazyLoadTest, ShardsFaultInOnFirstRouteOnly) {
   EXPECT_GE(mapped.shard_fault_count(), kShards);
 }
 
+TEST_F(LazyLoadTest, EnsureResidentChargesTheGovernor) {
+  // A shard faulted in off the query path, by an update routed to a cold
+  // shard or by AttachDataset, is charged exactly what a query fault
+  // charges.
+  WriteFile(BuildSet(kShards));
+  const BlockSet eager = Eager();
+  const AggregateRequest req = Request();
+  const auto open = [&](MemoryGovernor* governor) {
+    LazyOpenOptions options;
+    options.governor = governor;
+    return BlockSet::OpenMapped(path_, options);
+  };
+  constexpr size_t kShard = 2;
+  const std::vector<cell::CellId> covering = ShardCovering(eager, kShard);
+
+  // Shard 0 is resident from the open; a query faults kShard in.
+  MemoryGovernor query_governor(MemoryGovernor::Options{0});
+  const BlockSet by_query = open(&query_governor);
+  (void)by_query.SelectCovering(covering, req);
+  ASSERT_EQ(by_query.resident_shards(), 2u);
+
+  // An in-cell tuple (no new cell, so no new bytes) faults kShard in.
+  MemoryGovernor update_governor(MemoryGovernor::Options{0});
+  BlockSet by_update = open(&update_governor);
+  ASSERT_FALSE(by_update.shard_resident(kShard));
+  GeoBlock::UpdateTuple t;
+  t.location = (*data_)->projection().FromUnit(covering.front().CenterPoint());
+  t.values.assign((*data_)->num_columns(), 1.0);
+  ASSERT_EQ(by_update.ApplyBatchUpdate({&t, 1}).applied, 1u);
+  ASSERT_EQ(by_update.resident_shards(), 2u);
+  EXPECT_EQ(update_governor.resident_bytes(), query_governor.resident_bytes());
+
+  // AttachDataset faults every shard in; so does a root covering.
+  MemoryGovernor attach_governor(MemoryGovernor::Options{0});
+  BlockSet attached = open(&attach_governor);
+  attached.AttachDataset(*data_);
+  ASSERT_EQ(attached.resident_shards(), kShards);
+  const std::vector<cell::CellId> root{cell::CellId::Root()};
+  (void)by_query.SelectCovering(root, req);
+  ASSERT_EQ(by_query.resident_shards(), kShards);
+  EXPECT_EQ(attach_governor.resident_bytes(), query_governor.resident_bytes());
+}
+
 TEST_F(LazyLoadTest, CachedQueriesServeFromMappedSet) {
   WriteFile(BuildSet(kShards));
   const BlockSet eager = Eager();

@@ -260,8 +260,11 @@ TEST_F(QueryBatchTest, SelectCachedWithoutEnableCacheFallsBack) {
 TEST_F(QueryBatchTest, StatDropsSurfaceInMergedCounters) {
   // An undersized QueryStats table loses recordings silently at the stats
   // layer; the merged counters must make that loss observable so operators
-  // can tell "cold cache" from "stats table too small".
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
+  // can tell "cold cache" from "stats table too small". The grid is two
+  // levels finer than the shards' alignment, so the coverings hold cells
+  // two or more levels coarser than it: the cells the cache records.
+  BlockSet set =
+      BlockSet::Build(*sharded_, BlockSetOptions{{kLevel + 2, {}}});
   set.EnableCache(
       core::GeoBlockQC::Options{0.05, 0, /*stats_capacity=*/2});
   const AggregateRequest req = Request();

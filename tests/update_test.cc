@@ -568,8 +568,14 @@ TEST_F(UpdateTest, TrieUpdateCountsPatchedAggregates) {
   GeoBlockQC qc(&block_, GeoBlockQC::Options{1.0, 0});
   AggregateRequest req;
   req.Add(AggFn::kCount);
-  const auto polygons = workload::Neighborhoods(raw_, 10, 7);
-  for (const geo::Polygon& poly : polygons) qc.Select(poly, req);
+  // Record every populated cell two levels coarser than the grid, the
+  // finest cells the cache holds.
+  std::vector<cell::CellId> coarse;
+  for (const uint64_t id : block_.cells()) {
+    const cell::CellId c = cell::CellId(id).Parent(block_.level() - 2);
+    if (coarse.empty() || coarse.back() != c) coarse.push_back(c);
+  }
+  qc.SelectCovering(coarse, req);
   qc.RebuildCache();
   ASSERT_GT(qc.trie_snapshot()->num_cached(), 0u);
 
