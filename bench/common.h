@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -78,6 +79,18 @@ inline std::vector<std::vector<cell::CellId>> CoverAll(
 inline core::AggregateRequest RequestN(size_t n, size_t num_columns) {
   return core::AggregateRequest::FirstN(n, num_columns);
 }
+
+/// Median and range of a row's repeats.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  static Spread Of(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return {v[v.size() / 2], v.front(), v.back()};
+  }
+};
 
 inline void PaperNote(const char* note) {
   std::printf("paper: %s\n", note);

@@ -40,18 +40,6 @@ struct ModeStats {
   double qps = 0.0;
 };
 
-/// Median and range of one mode's repeats.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  static Spread Of(std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return {v[v.size() / 2], v.front(), v.back()};
-  }
-};
-
 /// Runs `threads` workers, each executing `rounds` passes over all
 /// coverings through `select`, comparing every result bitwise against the
 /// single-threaded reference.

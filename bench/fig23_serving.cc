@@ -1,9 +1,15 @@
 // Figure 23 (this repo's extension beyond the paper): the stand-alone
 // query server under open-loop load. Real sockets, real framing: N client
-// threads fire SELECT / COUNT / UPDATE frames at a QueryServer whose
-// batcher coalesces them into the engine's batched seams.
+// threads fire SELECT / COUNT / UPDATE frames at a QueryServer. A read
+// that finds the server idle runs on its connection's reader thread; the
+// rest queue for the batcher, which runs what it drains as one epoch
+// (the reads in one ParallelFor, the UPDATEs as one ApplyBatchUpdate).
 //
-// Two phases per client count:
+// Each client count is one row, run kRuns times, each time on a fresh
+// set and server; the table prints the median and the min-max of read
+// QPS, read p50 and p99, and update tuples/s over those runs.
+//
+// Two phases per run:
 //
 //   * read-only — every SELECT response is compared against a precomputed
 //     serial oracle (bit-identical doubles through the wire); reported as
@@ -55,6 +61,7 @@ namespace {
 
 constexpr size_t kShards = 8;
 constexpr size_t kUpdateTuples = 32;  // tuples per UPDATE frame
+constexpr size_t kRuns = 3;           // fresh-server runs per row
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -101,11 +108,42 @@ struct PhaseResult {
   uint64_t requests = 0;
 };
 
-struct Row {
-  size_t clients = 0;
+/// One run of a row: both phases against one fresh server.
+struct RowRun {
   PhaseResult read;
   PhaseResult mixed;
   double update_tuples_per_s = 0.0;
+};
+
+/// A row: the median and range of its runs.
+struct Row {
+  size_t clients = 0;
+  Spread read_qps, read_offered_qps, read_p50, read_p99, read_p999;
+  Spread mixed_qps, mixed_p50, mixed_p99, mixed_p999;
+  Spread update_tuples_per_s;
+
+  static Row Of(size_t clients, const std::vector<RowRun>& runs) {
+    const auto spread = [&](double (*get)(const RowRun&)) {
+      std::vector<double> v;
+      for (const RowRun& r : runs) v.push_back(get(r));
+      return Spread::Of(std::move(v));
+    };
+    Row row;
+    row.clients = clients;
+    row.read_qps = spread([](const RowRun& r) { return r.read.qps; });
+    row.read_offered_qps =
+        spread([](const RowRun& r) { return r.read.offered_qps; });
+    row.read_p50 = spread([](const RowRun& r) { return r.read.p50_us; });
+    row.read_p99 = spread([](const RowRun& r) { return r.read.p99_us; });
+    row.read_p999 = spread([](const RowRun& r) { return r.read.p999_us; });
+    row.mixed_qps = spread([](const RowRun& r) { return r.mixed.qps; });
+    row.mixed_p50 = spread([](const RowRun& r) { return r.mixed.p50_us; });
+    row.mixed_p99 = spread([](const RowRun& r) { return r.mixed.p99_us; });
+    row.mixed_p999 = spread([](const RowRun& r) { return r.mixed.p999_us; });
+    row.update_tuples_per_s =
+        spread([](const RowRun& r) { return r.update_tuples_per_s; });
+    return row;
+  }
 };
 
 /// Runs one open-loop phase: `clients` threads, each issuing `per_client`
@@ -168,6 +206,114 @@ PhaseResult OpenLoopPhase(uint16_t port, size_t clients, size_t per_client,
   return result;
 }
 
+/// Runs one row's two phases with `clients` client threads against a
+/// fresh set and server. Every divergence adds to `*mismatches`.
+RowRun RunRow(const TaxiEnv& env, const storage::ShardedDataset& sharded,
+              util::ThreadPool* pool, const core::AggregateRequest& req,
+              size_t clients, size_t per_client, uint64_t* mismatches) {
+  core::BlockSet set = core::BlockSet::Build(
+      sharded, core::BlockSetOptions{{kDefaultLevel, {}}});
+  server::ServerOptions options;
+  options.pool = pool;
+  server::QueryServer server(&set, options);
+  server.Start();
+
+  // The serial oracle: the server runs each read as Select itself, so
+  // sequential Select pins each exact answer.
+  std::vector<core::QueryResult> expected;
+  std::vector<uint64_t> expected_counts;
+  for (const geo::Polygon& poly : env.neighborhoods) {
+    expected.push_back(set.Select(poly, req));
+    expected_counts.push_back(set.Count(poly));
+  }
+
+  RowRun run;
+
+  // Closed-loop warmup estimates capacity for the open-loop rate.
+  uint64_t interval_ns = 0;
+  {
+    const size_t warm = std::max<size_t>(20, per_client / 10);
+    std::atomic<uint64_t> done{0};
+    const uint64_t w0 = NowNanos();
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < clients; ++t) {
+      workers.emplace_back([&, t] {
+        server::Client client = server::Client::Connect(server.port());
+        std::mt19937_64 rng(11 + t);
+        for (size_t i = 0; i < warm; ++i) {
+          const size_t p = rng() % env.neighborhoods.size();
+          (void)client.Select(env.neighborhoods[p], req);
+          done.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    const double warm_qps = static_cast<double>(done.load()) * 1e9 /
+                            static_cast<double>(NowNanos() - w0);
+    // Offer ~70% of measured capacity, spread across the clients.
+    const double per_thread_qps =
+        std::max(1.0, 0.70 * warm_qps / static_cast<double>(clients));
+    interval_ns = static_cast<uint64_t>(1e9 / per_thread_qps);
+  }
+
+  // Phase 1: read-only open loop, every response oracle-checked.
+  run.read = OpenLoopPhase(
+      server.port(), clients, per_client, interval_ns, mismatches,
+      [&](size_t t, size_t i, server::Client& client) {
+        std::mt19937_64 rng(t * 1'000'003 + i);
+        const size_t p = rng() % env.neighborhoods.size();
+        if (i % 8 == 7) {
+          return client.Count(env.neighborhoods[p]) == expected_counts[p];
+        }
+        const core::QueryResult got =
+            client.Select(env.neighborhoods[p], req);
+        return got.count == expected[p].count &&
+               got.values == expected[p].values;
+      });
+
+  // Phase 2: mixed 80/10/10. Counts are envelope-checked while updates
+  // land; the exact accounting happens after quiescing.
+  std::atomic<uint64_t> acked_tuples{0};
+  const uint64_t max_new =
+      clients * per_client * kUpdateTuples;  // every frame an UPDATE
+  run.mixed = OpenLoopPhase(
+      server.port(), clients, per_client, interval_ns, mismatches,
+      [&](size_t t, size_t i, server::Client& client) {
+        std::mt19937_64 rng(t * 2'000'003 + i);
+        const size_t p = rng() % env.neighborhoods.size();
+        const uint64_t dice = rng() % 10;
+        if (dice == 8) {
+          const uint64_t count = client.Count(env.neighborhoods[p]);
+          return count >= expected_counts[p] &&
+                 count <= expected_counts[p] + max_new;
+        }
+        if (dice == 9) {
+          const auto batch = MakeInCellBatch(
+              env.data, kDefaultLevel, kUpdateTuples, t * 5'000'011 + i);
+          const server::UpdateAck ack = client.Update(batch);
+          acked_tuples.fetch_add(ack.accepted);
+          return ack.accepted == batch.size();
+        }
+        const core::QueryResult got =
+            client.Select(env.neighborhoods[p], req);
+        return got.count >= expected[p].count &&
+               got.count <= expected[p].count + max_new;
+      });
+  const double mixed_s =
+      static_cast<double>(run.mixed.requests) / run.mixed.qps;
+  run.update_tuples_per_s =
+      static_cast<double>(acked_tuples.load()) / mixed_s;
+
+  server.Stop();
+  // Quiesced accounting: every acknowledged tuple exactly once.
+  const std::vector<cell::CellId> all{cell::CellId::Root()};
+  if (set.CountCovering(all) != env.data.num_rows() + acked_tuples.load()) {
+    ++*mismatches;
+  }
+  if (server.stats().update_tuples != acked_tuples.load()) ++*mismatches;
+  return run;
+}
+
 void Run() {
   bench_util::Banner(
       "Figure 23 — stand-alone query server (beyond the paper)",
@@ -188,121 +334,30 @@ void Run() {
   uint64_t mismatches = 0;
 
   std::vector<Row> rows;
-  bench_util::TablePrinter table({"clients", "read qps", "p50 us", "p99 us",
-                                  "p999 us", "mixed qps", "mixed p99 us",
-                                  "upd tuples/s"});
+  bench_util::TablePrinter table(
+      {"clients", "read qps", "min-max", "p50 us", "min-max", "p99 us",
+       "min-max", "mixed qps", "mixed p99 us", "upd tuples/s", "min-max"});
+  const auto fmt = [](double v, int digits) {
+    return bench_util::TablePrinter::Fmt(v, digits);
+  };
+  const auto range = [&fmt](const Spread& s, int digits) {
+    return fmt(s.min, digits) + "-" + fmt(s.max, digits);
+  };
   for (const size_t clients : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    core::BlockSet set = core::BlockSet::Build(
-        sharded, core::BlockSetOptions{{kDefaultLevel, {}}});
-    server::ServerOptions options;
-    options.pool = &pool;
-    server::QueryServer server(&set, options);
-    server.Start();
-
-    // The serial oracle: the server's batched seam folds each query
-    // exactly like Select, so sequential Select pins each exact answer.
-    std::vector<core::QueryResult> expected;
-    std::vector<uint64_t> expected_counts;
-    for (const geo::Polygon& poly : env.neighborhoods) {
-      expected.push_back(set.Select(poly, req));
-      expected_counts.push_back(set.Count(poly));
+    std::vector<RowRun> runs;
+    for (size_t r = 0; r < kRuns; ++r) {
+      runs.push_back(RunRow(env, sharded, &pool, req, clients, per_client,
+                            &mismatches));
     }
-
-    Row row;
-    row.clients = clients;
-
-    // Closed-loop warmup estimates capacity for the open-loop rate.
-    uint64_t interval_ns = 0;
-    {
-      const size_t warm = std::max<size_t>(20, per_client / 10);
-      std::atomic<uint64_t> done{0};
-      const uint64_t w0 = NowNanos();
-      std::vector<std::thread> workers;
-      for (size_t t = 0; t < clients; ++t) {
-        workers.emplace_back([&, t] {
-          server::Client client = server::Client::Connect(server.port());
-          std::mt19937_64 rng(11 + t);
-          for (size_t i = 0; i < warm; ++i) {
-            const size_t p = rng() % env.neighborhoods.size();
-            (void)client.Select(env.neighborhoods[p], req);
-            done.fetch_add(1);
-          }
-        });
-      }
-      for (std::thread& w : workers) w.join();
-      const double warm_qps = static_cast<double>(done.load()) * 1e9 /
-                              static_cast<double>(NowNanos() - w0);
-      // Offer ~70% of measured capacity, spread across the clients.
-      const double per_thread_qps =
-          std::max(1.0, 0.70 * warm_qps / static_cast<double>(clients));
-      interval_ns = static_cast<uint64_t>(1e9 / per_thread_qps);
-    }
-
-    // Phase 1: read-only open loop, every response oracle-checked.
-    row.read = OpenLoopPhase(
-        server.port(), clients, per_client, interval_ns, &mismatches,
-        [&](size_t t, size_t i, server::Client& client) {
-          std::mt19937_64 rng(t * 1'000'003 + i);
-          const size_t p = rng() % env.neighborhoods.size();
-          if (i % 8 == 7) {
-            return client.Count(env.neighborhoods[p]) == expected_counts[p];
-          }
-          const core::QueryResult got =
-              client.Select(env.neighborhoods[p], req);
-          return got.count == expected[p].count &&
-                 got.values == expected[p].values;
-        });
-
-    // Phase 2: mixed 80/10/10. Counts are envelope-checked while updates
-    // land; the exact accounting happens after quiescing.
-    std::atomic<uint64_t> acked_tuples{0};
-    const uint64_t max_new =
-        clients * per_client * kUpdateTuples;  // every frame an UPDATE
-    row.mixed = OpenLoopPhase(
-        server.port(), clients, per_client, interval_ns, &mismatches,
-        [&](size_t t, size_t i, server::Client& client) {
-          std::mt19937_64 rng(t * 2'000'003 + i);
-          const size_t p = rng() % env.neighborhoods.size();
-          const uint64_t dice = rng() % 10;
-          if (dice == 8) {
-            const uint64_t count = client.Count(env.neighborhoods[p]);
-            return count >= expected_counts[p] &&
-                   count <= expected_counts[p] + max_new;
-          }
-          if (dice == 9) {
-            const auto batch = MakeInCellBatch(
-                env.data, kDefaultLevel, kUpdateTuples, t * 5'000'011 + i);
-            const server::UpdateAck ack = client.Update(batch);
-            acked_tuples.fetch_add(ack.accepted);
-            return ack.accepted == batch.size();
-          }
-          const core::QueryResult got =
-              client.Select(env.neighborhoods[p], req);
-          return got.count >= expected[p].count &&
-                 got.count <= expected[p].count + max_new;
-        });
-    const double mixed_s =
-        static_cast<double>(row.mixed.requests) / row.mixed.qps;
-    row.update_tuples_per_s =
-        static_cast<double>(acked_tuples.load()) / mixed_s;
-
-    server.Stop();
-    // Quiesced accounting: every acknowledged tuple exactly once.
-    const std::vector<cell::CellId> all{cell::CellId::Root()};
-    if (set.CountCovering(all) != env.data.num_rows() + acked_tuples.load()) {
-      ++mismatches;
-    }
-    if (server.stats().update_tuples != acked_tuples.load()) ++mismatches;
-
+    const Row row = Row::Of(clients, runs);
     rows.push_back(row);
-    table.AddRow({std::to_string(row.clients),
-                  bench_util::TablePrinter::Fmt(row.read.qps, 0),
-                  bench_util::TablePrinter::Fmt(row.read.p50_us, 1),
-                  bench_util::TablePrinter::Fmt(row.read.p99_us, 1),
-                  bench_util::TablePrinter::Fmt(row.read.p999_us, 1),
-                  bench_util::TablePrinter::Fmt(row.mixed.qps, 0),
-                  bench_util::TablePrinter::Fmt(row.mixed.p99_us, 1),
-                  bench_util::TablePrinter::Fmt(row.update_tuples_per_s, 0)});
+    table.AddRow({std::to_string(row.clients), fmt(row.read_qps.median, 0),
+                  range(row.read_qps, 0), fmt(row.read_p50.median, 1),
+                  range(row.read_p50, 1), fmt(row.read_p99.median, 1),
+                  range(row.read_p99, 1), fmt(row.mixed_qps.median, 0),
+                  fmt(row.mixed_p99.median, 1),
+                  fmt(row.update_tuples_per_s.median, 0),
+                  range(row.update_tuples_per_s, 0)});
   }
   table.Print();
 
@@ -412,8 +467,10 @@ void Run() {
         static_cast<unsigned long long>(server.stats().read_only_rejected));
   }
 
-  std::printf("hardware threads: %u, shards: %zu, requests/client: %zu\n",
-              std::thread::hardware_concurrency(), kShards, per_client);
+  std::printf(
+      "hardware threads: %u, shards: %zu, requests/client: %zu, "
+      "runs per row: %zu (median, min-max)\n",
+      std::thread::hardware_concurrency(), kShards, per_client, kRuns);
   std::printf("kernel dispatch: %s, pool type: %s\n",
               core::kernels::ToString(core::kernels::ActiveDispatchLevel()),
               util::ThreadPool::pool_type());
@@ -431,6 +488,7 @@ void Run() {
        << "  \"pool_type\": \"" << util::ThreadPool::pool_type() << "\",\n"
        << "  \"shards\": " << kShards << ",\n"
        << "  \"requests_per_client\": " << per_client << ",\n"
+       << "  \"runs_per_row\": " << kRuns << ",\n"
        << "  \"update_tuples_per_frame\": " << kUpdateTuples << ",\n"
        << "  \"mismatches\": " << mismatches << ",\n"
        << "  \"degraded\": {\"read_qps\": " << degraded.qps
@@ -441,17 +499,27 @@ void Run() {
        << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    // Medians under the plain keys; _min / _max give the range.
     json << "    {\"clients\": " << r.clients
-         << ", \"read_qps\": " << r.read.qps
-         << ", \"read_offered_qps\": " << r.read.offered_qps
-         << ", \"read_p50_us\": " << r.read.p50_us
-         << ", \"read_p99_us\": " << r.read.p99_us
-         << ", \"read_p999_us\": " << r.read.p999_us
-         << ", \"mixed_qps\": " << r.mixed.qps
-         << ", \"mixed_p50_us\": " << r.mixed.p50_us
-         << ", \"mixed_p99_us\": " << r.mixed.p99_us
-         << ", \"mixed_p999_us\": " << r.mixed.p999_us
-         << ", \"update_tuples_per_s\": " << r.update_tuples_per_s << "}"
+         << ", \"read_qps\": " << r.read_qps.median
+         << ", \"read_qps_min\": " << r.read_qps.min
+         << ", \"read_qps_max\": " << r.read_qps.max
+         << ", \"read_offered_qps\": " << r.read_offered_qps.median
+         << ", \"read_p50_us\": " << r.read_p50.median
+         << ", \"read_p50_us_min\": " << r.read_p50.min
+         << ", \"read_p50_us_max\": " << r.read_p50.max
+         << ", \"read_p99_us\": " << r.read_p99.median
+         << ", \"read_p99_us_min\": " << r.read_p99.min
+         << ", \"read_p99_us_max\": " << r.read_p99.max
+         << ", \"read_p999_us\": " << r.read_p999.median
+         << ", \"mixed_qps\": " << r.mixed_qps.median
+         << ", \"mixed_p50_us\": " << r.mixed_p50.median
+         << ", \"mixed_p99_us\": " << r.mixed_p99.median
+         << ", \"mixed_p999_us\": " << r.mixed_p999.median
+         << ", \"update_tuples_per_s\": " << r.update_tuples_per_s.median
+         << ", \"update_tuples_per_s_min\": " << r.update_tuples_per_s.min
+         << ", \"update_tuples_per_s_max\": " << r.update_tuples_per_s.max
+         << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

@@ -95,6 +95,17 @@ IoStatus WriteFull(util::IoShim* io, int fd, std::string_view data,
   return IoStatus::kOk;
 }
 
+/// True when more bytes already wait on `fd`: a pipelining peer, whose
+/// next frames should share a batcher epoch with this one rather than
+/// each run alone on the reader. EOF and errors count as pending too
+/// (they also poll readable), which only sends the request to the queue.
+bool BytesPending(int fd) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  return ::poll(&pfd, 1, 0) > 0;
+}
+
 }  // namespace
 
 /// One accepted connection. The fd stays open until the last reference
@@ -141,7 +152,7 @@ struct QueryServer::Connection {
   }
 
   const int fd;
-  std::mutex write_mu;  ///< reader (errors, PING/STATS) vs batcher writes
+  std::mutex write_mu;  ///< reader (errors, PING/STATS) vs epoch writes
   std::atomic<bool> shut{false};
   std::mutex inflight_mu;
   std::condition_variable inflight_cv;
@@ -207,6 +218,9 @@ void QueryServer::StopInternal(bool discard) {
     queue_.Close();  // graceful: batcher drains the admitted backlog
   }
   if (batcher_.joinable()) batcher_.join();
+  // A reader may still run an epoch it claimed before the close; its
+  // response goes out before the connections shut down.
+  queue_.AwaitReleased();
 
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> readers;
@@ -384,6 +398,20 @@ bool QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
     pending.deadline_at_ms =
         NowMs() + static_cast<int64_t>(request.header.deadline_ms);
   }
+  // A read that finds the server idle runs here, on the thread that
+  // decoded it, as a one-request epoch: handing it to the batcher would
+  // cost a wake-up and a context switch that no batching pays back. Not
+  // when more frames already wait on this connection (a pipelining peer:
+  // those should batch with it), and never an UPDATE, so group commit and
+  // the fence window stay on the batcher thread.
+  if (pending.opcode != Opcode::kUpdate && !BytesPending(conn->fd) &&
+      queue_.TryClaimIdle()) {
+    std::vector<PendingRequest> epoch;
+    epoch.push_back(std::move(pending));
+    ExecuteEpoch(epoch);
+    queue_.Release();
+    return true;
+  }
   pending.inflight_token = Connection::InflightToken(conn);
   if (!queue_.TryPush(std::move(pending))) {
     // Typed backpressure: the request was NOT admitted (never a silent
@@ -399,13 +427,14 @@ bool QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
 void QueryServer::BatchLoop() {
   std::vector<PendingRequest> batch;
   while (queue_.DrainBatch(&batch, options_.max_batch)) {
-    if (options_.batch_hook) options_.batch_hook();
     ExecuteEpoch(batch);
-    batches_executed_.fetch_add(1, std::memory_order_relaxed);
+    queue_.Release();
   }
 }
 
 void QueryServer::ExecuteEpoch(std::vector<PendingRequest>& batch) {
+  if (options_.batch_hook) options_.batch_hook();
+  batches_executed_.fetch_add(1, std::memory_order_relaxed);
   // Expired requests are answered kTimeout and never executed: by its own
   // declaration nobody is waiting for the result, so executing it would
   // spend engine time on dead work (and a late response is worse than a
@@ -448,8 +477,8 @@ void QueryServer::ExecuteEpoch(std::vector<PendingRequest>& batch) {
 
   // Every read is exactly the sequential Select / Count, one pool
   // iteration each under its own try/catch, so a read that faults (e.g.
-  // on a corrupt shard) fails only itself. Responses are written here on
-  // the batcher thread once the reads joined.
+  // on a corrupt shard) fails only itself. Responses are written here, on
+  // the thread running the epoch, once the reads joined.
   std::vector<Status> read_status(read_idx.size(), Status::kInternal);
   std::vector<std::string> read_payload(read_idx.size());
   util::ParallelFor(options_.pool, read_idx.size(), [&](size_t j) {

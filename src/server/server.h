@@ -10,6 +10,12 @@
 /// and executes what it finds as one epoch — every SELECT / COUNT as its
 /// own Select / Count call in one ParallelFor on the fork-join ThreadPool
 /// (a faulting read fails only itself), then one ApplyBatchUpdate.
+/// A SELECT / COUNT that finds the server idle (nothing queued, no epoch
+/// running, no further bytes waiting on its connection) skips the queue:
+/// its reader thread runs it as a one-request epoch through the same
+/// ExecuteEpoch and then returns to its socket. Epochs never overlap (the
+/// queue's epoch slot), UPDATEs always go through the batcher, and a
+/// reader runs at most one epoch per request it decoded.
 /// PING and STATS are answered inline by the reader thread (health checks
 /// and audits must work even when the tenant is throttled or the queue is
 /// full, so they bypass QoS and admission).
@@ -75,13 +81,13 @@ struct ServerOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Per-tenant rate limiting / grey-listing policy.
   QosOptions qos;
-  /// Execution pool for an epoch's reads (null executes them inline on
-  /// the batcher thread). Must outlive the server.
+  /// Execution pool for an epoch's reads (null executes them on the
+  /// thread running the epoch). Must outlive the server.
   util::ThreadPool* pool = nullptr;
-  /// Test hook: when set, the batcher calls it before executing each
-  /// drained batch. tests/server_qos_test.cc parks the batcher on a latch
-  /// here to fill the admission queue deterministically. Null in
-  /// production.
+  /// Test hook: when set, it runs before every epoch, on whichever thread
+  /// runs that epoch (the batcher, or the reader of an idle read).
+  /// tests/server_qos_test.cc parks an epoch on a latch here to fill the
+  /// admission queue deterministically. Null in production.
   std::function<void()> batch_hook;
   /// Reap a connection that has been idle (no frame started) this long;
   /// 0 disables. Idle peers are the cheap kind of stall — this bounds how
@@ -176,9 +182,10 @@ class QueryServer {
  private:
   struct Connection;
 
-  /// One admitted request parked in the queue between its reader thread
-  /// and the batcher. Owns its decoded payload; the epoch's reads refer
-  /// into the drained vector (stable while the epoch executes).
+  /// One admitted request, parked in the queue between its reader thread
+  /// and the batcher or held by the reader running it inline. Owns its
+  /// decoded payload; the epoch's reads refer into the epoch's vector
+  /// (stable while the epoch executes).
   struct PendingRequest {
     Opcode opcode = Opcode::kPing;
     uint32_t tenant = 0;
@@ -199,13 +206,16 @@ class QueryServer {
   void BatchLoop();
 
   /// Handles one decoded request on the reader thread: PING/STATS inline,
-  /// the rest through QoS + admission. Returns false when the connection
+  /// the rest through QoS, then an idle read as its own epoch and anything
+  /// else into the admission queue. Returns false when the connection
   /// must close (schema-invalid request).
   bool Dispatch(const std::shared_ptr<Connection>& conn, Request&& request);
 
-  /// Executes one drained batch epoch: every SELECT / COUNT as its own
-  /// Select / Count in one ParallelFor, then one ApplyBatchUpdate, and
-  /// writes every response on the batcher thread.
+  /// Executes one epoch while holding the queue's epoch slot: runs the
+  /// batch_hook, then every SELECT / COUNT as its own Select / Count in
+  /// one ParallelFor, then one ApplyBatchUpdate, and writes every
+  /// response on the calling thread (the batcher, or the reader of an
+  /// idle read).
   void ExecuteEpoch(std::vector<PendingRequest>& batch);
 
   /// Writes a response frame to `conn` (serialized per connection;
@@ -260,10 +270,10 @@ class QueryServer {
 
   /// Fenced-UPDATE acknowledgment window: (tenant, fence) -> the ack the
   /// original apply earned, so a retry is answered instead of re-applied.
-  /// Touched only by the batcher thread (single consumer), so no mutex;
-  /// `dedup_fifo_` bounds it to options_.update_dedup_window entries per
-  /// eviction sweep (FIFO). The stats() path reads only the atomic hit
-  /// counter, never the map.
+  /// Touched only by the batcher thread (UPDATEs never run inline on a
+  /// reader), so no mutex; `dedup_fifo_` bounds it to
+  /// options_.update_dedup_window entries per eviction sweep (FIFO). The
+  /// stats() path reads only the atomic hit counter, never the map.
   std::map<std::pair<uint32_t, uint64_t>, UpdateAck> update_dedup_;
   std::deque<std::pair<uint32_t, uint64_t>> dedup_fifo_;
 };

@@ -200,8 +200,9 @@ class FaultInjectionTest : public ::testing::Test {
     return by_shard;
   }
 
-  /// A batch_hook that parks the batcher on one epoch while held, so the
-  /// requests queued behind it execute together as the next epoch.
+  /// A batch_hook that parks the next epoch while held (on whichever
+  /// thread runs it), so the requests queued behind it execute together
+  /// as the following epoch.
   struct BatcherPark {
     std::mutex mu;
     std::condition_variable cv;
@@ -436,10 +437,13 @@ TEST_F(FaultInjectionTest, CorruptMappedShardAnswersInternalAndStaysContained) {
 
   // A burst of shard-2 reads queued behind a parked epoch executes as one
   // pooled epoch, so the faults are thrown on pool workers: every burst
-  // request still answers kInternal.
+  // request still answers kInternal. The parked request comes from its
+  // own connection: an idle server runs it on that connection's reader,
+  // which stays parked with it.
   constexpr uint64_t kBurst = 4;
   park.Hold();
-  client.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
+  Client parked = Client::Connect(server.port());
+  parked.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
   park.AwaitParked();
   for (uint64_t j = 0; j < kBurst; ++j) {
     client.SendBytes(server::EncodeSelect(0, 2 + 2 * j, by_shard[2], req));
@@ -449,7 +453,7 @@ TEST_F(FaultInjectionTest, CorruptMappedShardAnswersInternalAndStaysContained) {
   park.Release();
   for (uint64_t j = 0; j < 1 + 2 * kBurst; ++j) {
     server::Response resp;
-    ASSERT_TRUE(client.ReadResponse(&resp));
+    ASSERT_TRUE((j == 0 ? parked : client).ReadResponse(&resp));
     EXPECT_EQ(resp.status, resp.cookie == 1 ? Status::kOk : Status::kInternal)
         << "cookie " << resp.cookie;
   }
@@ -482,9 +486,11 @@ TEST_F(FaultInjectionTest, FaultingReadFailsOnlyItselfInItsEpoch) {
   // A SELECT and a COUNT for healthy shard 0 and the same pair for corrupt
   // shard 2, all under one aggregate request, queued behind a parked epoch
   // so the four reads execute as one epoch. The shard-2 faults must fail
-  // only the shard-2 pair.
+  // only the shard-2 pair. The parked COUNT comes from its own connection,
+  // whose reader runs it (the server is idle) and stays parked with it.
   park.Hold();
-  client.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
+  Client parked = Client::Connect(server.port());
+  parked.SendBytes(server::EncodeCount(0, /*cookie=*/1, by_shard[0]));
   park.AwaitParked();
   client.SendBytes(server::EncodeSelect(0, 2, by_shard[0], req));
   client.SendBytes(server::EncodeCount(0, 3, by_shard[0]));
@@ -498,7 +504,7 @@ TEST_F(FaultInjectionTest, FaultingReadFailsOnlyItselfInItsEpoch) {
   EXPECT_GT(want.count, 0u);
   for (int j = 0; j < 5; ++j) {
     server::Response resp;
-    ASSERT_TRUE(client.ReadResponse(&resp));
+    ASSERT_TRUE((j == 0 ? parked : client).ReadResponse(&resp));
     if (resp.cookie == 2) {
       ASSERT_EQ(resp.status, Status::kOk);
       const server::SelectResult got =
@@ -667,8 +673,8 @@ TEST_F(FaultInjectionTest, QueuedRequestPastDeadlineIsAnsweredTimeout) {
   ServerOptions options;
   options.pool = pool_;
   options.clock = [&fake_ms] { return fake_ms.load(); };
-  // Park the batcher on its first epoch so later requests sit in the
-  // queue while the (fake) clock advances past their deadline.
+  // Park the first epoch so later requests sit in the queue while the
+  // (fake) clock advances past their deadline.
   options.batch_hook = [&] {
     if (hook_calls.fetch_add(1) == 0) {
       std::unique_lock<std::mutex> lock(hook_mu);
@@ -680,8 +686,11 @@ TEST_F(FaultInjectionTest, QueuedRequestPastDeadlineIsAnsweredTimeout) {
 
   Client client = Client::Connect(server.port());
   const geo::Polygon& poly = polygons_->front();
-  // Request 1 (no deadline) occupies the parked epoch.
-  client.SendBytes(server::EncodeCount(0, /*cookie=*/1, poly));
+  // Request 1 (no deadline) occupies the parked epoch. It comes from its
+  // own connection: the idle server runs it on that connection's reader,
+  // which stays parked with it.
+  Client parked = Client::Connect(server.port());
+  parked.SendBytes(server::EncodeCount(0, /*cookie=*/1, poly));
   while (hook_calls.load() == 0) std::this_thread::yield();
   // Request 2 carries a 50 ms deadline; wait until it is dispatched (its
   // deadline is stamped against the fake clock at 1000) and queued behind
@@ -699,7 +708,7 @@ TEST_F(FaultInjectionTest, QueuedRequestPastDeadlineIsAnsweredTimeout) {
   Status by_cookie[3] = {Status::kOk, Status::kInternal, Status::kInternal};
   for (int i = 0; i < 2; ++i) {
     server::Response resp;
-    ASSERT_TRUE(client.ReadResponse(&resp));
+    ASSERT_TRUE((i == 0 ? parked : client).ReadResponse(&resp));
     ASSERT_LE(resp.cookie, 2u);
     by_cookie[resp.cookie] = resp.status;
   }

@@ -17,15 +17,26 @@
 //     until the log dies (Status::kInternal = NOT acknowledged), the
 //     server Abort()s, and recovery must restore exactly the acknowledged
 //     prefix: persist-first carried through the wire.
+//
+//  4. Epoch hand-off — a read that finds the server idle runs on its own
+//     reader thread; reads that arrive meanwhile batch on the batcher, and
+//     every UPDATE epoch runs on the batcher. A seeded stress flips the
+//     server between idle and busy with random gaps and requires every
+//     request answered within a bounded wait (a stranded request fails
+//     instead of hanging), reads inside their envelope, exact STATS, and
+//     a Stop() that answers everything still in flight.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -58,11 +69,65 @@ using core::GeoBlock;
 using core::QueryResult;
 using io::UpdateLog;
 using server::Client;
+using server::Opcode;
 using server::QueryServer;
 using server::ServerOptions;
 using server::Status;
 
 using Batch = std::vector<GeoBlock::UpdateTuple>;
+
+/// How long a client waits for any one response before the test calls the
+/// request stranded.
+constexpr int kResponseWaitMs = 10000;
+
+/// Reads one response within kResponseWaitMs. False on a timeout or EOF, so
+/// a request the server never answers fails the test instead of hanging it.
+bool ReadWithin(Client& client, server::Response* resp) {
+  pollfd pfd{};
+  pfd.fd = client.fd();
+  pfd.events = POLLIN;
+  if (::poll(&pfd, 1, kResponseWaitMs) <= 0) return false;
+  return client.ReadResponse(resp);
+}
+
+/// A batch_hook that records the thread running each epoch and, while
+/// held, parks the next epoch until released.
+struct EpochRecorder {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool hold = false;
+  bool parked = false;
+  std::vector<std::thread::id> threads;
+
+  void Hook() {
+    std::unique_lock<std::mutex> lock(mu);
+    threads.push_back(std::this_thread::get_id());
+    if (!hold) return;
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return !hold; });
+  }
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu);
+    hold = true;
+    parked = false;
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      hold = false;
+    }
+    cv.notify_all();
+  }
+  std::vector<std::thread::id> Snapshot() {
+    std::lock_guard<std::mutex> lock(mu);
+    return threads;
+  }
+};
 
 class ServerServingTest : public ::testing::Test {
  protected:
@@ -361,6 +426,297 @@ TEST_F(ServerServingTest, AcknowledgedUpdatesSurviveCrashAndRestart) {
 
   ::unlink(manifest_path.c_str());
   ::unlink(wal_path.c_str());
+}
+
+TEST_F(ServerServingTest, IdleReadsRunInlineUpdatesStayOnTheBatcher) {
+  BlockSet set = BuildSet();
+  const BlockSet probe = BuildSet();  // cell ids for the update batches
+  const geo::Polygon& poly = polygons_->front();
+  const std::vector<AggregateRequest> reqs = Requests();
+  const QueryResult want = set.Select(poly, reqs[1]);
+  const uint64_t want_count = set.Count(poly);
+  EpochRecorder epochs;
+  ServerOptions options;
+  options.pool = pool_;
+  options.batch_hook = [&epochs] { epochs.Hook(); };
+  QueryServer server(&set, options);
+  server.Start();
+
+  // A SELECT on a fresh (idle) server runs on its connection's reader and
+  // parks there. COUNTs from other connections find the server busy, queue
+  // behind it, and run together as one batcher epoch once it is released.
+  constexpr uint64_t kQueued = 3;
+  epochs.Hold();
+  Client first = Client::Connect(server.port());
+  first.SendBytes(server::EncodeSelect(0, /*cookie=*/1, poly, reqs[1]));
+  epochs.AwaitParked();
+  std::vector<Client> others;
+  for (uint64_t k = 0; k < kQueued; ++k) {
+    others.push_back(Client::Connect(server.port()));
+    others.back().SendBytes(server::EncodeCount(0, 10 + k, poly));
+  }
+  while (server.stats().queue_depth < kQueued) std::this_thread::yield();
+  epochs.Release();
+  server::Response resp;
+  ASSERT_TRUE(ReadWithin(first, &resp));
+  ASSERT_EQ(resp.status, Status::kOk);
+  const server::SelectResult got = server::DecodeSelectResult(resp.payload);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.values, want.values);
+  for (uint64_t k = 0; k < kQueued; ++k) {
+    ASSERT_TRUE(ReadWithin(others[k], &resp));
+    ASSERT_EQ(resp.status, Status::kOk);
+    EXPECT_EQ(resp.cookie, 10 + k);
+    EXPECT_EQ(server::DecodeCountResult(resp.payload), want_count);
+  }
+  std::vector<std::thread::id> threads = epochs.Snapshot();
+  ASSERT_EQ(threads.size(), 2u) << "the inline SELECT, then one batch";
+  const std::thread::id reader = threads[0];
+  const std::thread::id batcher = threads[1];
+  EXPECT_NE(reader, batcher) << "the idle SELECT ran on the batcher";
+  EXPECT_EQ(server.stats().batches_executed, 2u);
+
+  // UPDATEs never run inline: from several connections at once, every
+  // UPDATE epoch runs on the batcher's thread.
+  constexpr size_t kWriters = 4;
+  constexpr size_t kUpdatesEach = 5;
+  std::vector<std::vector<Batch>> batches(kWriters);
+  for (size_t t = 0; t < kWriters; ++t) {
+    for (size_t b = 0; b < kUpdatesEach; ++b) {
+      batches[t].push_back(InCellBatch(probe, 4, 3100 + t * 10 + b));
+    }
+  }
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      Client client = Client::Connect(server.port());
+      for (const Batch& batch : batches[t]) {
+        EXPECT_EQ(client.Update(batch).accepted, batch.size());
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  threads = epochs.Snapshot();
+  ASSERT_GT(threads.size(), 2u);
+  for (size_t e = 2; e < threads.size(); ++e) {
+    EXPECT_EQ(threads[e], batcher) << "UPDATE epoch " << e << " ran inline";
+  }
+  EXPECT_EQ(server.stats().batches_executed, threads.size());
+  EXPECT_EQ(server.stats().updates_executed, kWriters * kUpdatesEach);
+
+  // Once the batcher has let go of the slot, the first connection's reads
+  // run on its reader again. The batcher releases the slot just after it
+  // writes its last ack, so allow a few short waits for that.
+  bool ran_inline = false;
+  for (int attempt = 0; attempt < 200 && !ran_inline; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    first.SendBytes(server::EncodeCount(0, 100 + attempt, poly));
+    ASSERT_TRUE(ReadWithin(first, &resp));
+    ASSERT_EQ(resp.status, Status::kOk);
+    ran_inline = epochs.Snapshot().back() == reader;
+  }
+  EXPECT_TRUE(ran_inline);
+  server.Stop();
+  EXPECT_EQ(server.stats().batches_executed, epochs.Snapshot().size());
+}
+
+TEST_F(ServerServingTest, SeededHandOffStressAnswersEveryRequest) {
+  const std::vector<AggregateRequest> reqs = Requests();
+  const std::vector<cell::CellId> all{cell::CellId::Root()};
+
+  // A pipelined burst on an idle server: frames already waiting on the
+  // connection go to the queue instead of each running alone on the
+  // reader, so the burst shares epochs.
+  {
+    BlockSet set = BuildSet();
+    const geo::Polygon& poly = polygons_->front();
+    const uint64_t want = set.Count(poly);
+    ServerOptions options;
+    options.pool = pool_;
+    QueryServer server(&set, options);
+    server.Start();
+    constexpr uint64_t kBurst = 32;
+    std::string burst;
+    for (uint64_t c = 1; c <= kBurst; ++c) {
+      burst += server::EncodeCount(0, c, poly);
+    }
+    Client client = Client::Connect(server.port());
+    client.SendBytes(burst);
+    for (uint64_t j = 0; j < kBurst; ++j) {
+      server::Response resp;
+      ASSERT_TRUE(ReadWithin(client, &resp)) << "burst response " << j;
+      ASSERT_EQ(resp.status, Status::kOk);
+      EXPECT_EQ(server::DecodeCountResult(resp.payload), want);
+    }
+    EXPECT_LT(server.stats().batches_executed, kBurst)
+        << "every pipelined frame ran as its own epoch";
+    server.Stop();
+  }
+
+  // The stress: 8 connections x 300 requests, SELECT and COUNT with one in
+  // ten a fenced UPDATE, each after a random 0-200 us gap.
+  constexpr size_t kClients = 8;
+  constexpr size_t kRequests = 300;
+  constexpr size_t kTuples = 4;
+  BlockSet set = BuildSet();
+  const BlockSet probe = BuildSet();  // cell ids for the update batches
+  std::vector<uint64_t> pre;
+  for (const geo::Polygon& poly : *polygons_) pre.push_back(set.Count(poly));
+  const uint64_t rows = set.CountCovering(all);
+  EpochRecorder epochs;
+  ServerOptions options;
+  options.pool = pool_;
+  options.batch_hook = [&epochs] { epochs.Hook(); };
+  QueryServer server(&set, options);
+  server.Start();
+
+  struct Observed {
+    uint64_t selects = 0;
+    uint64_t counts = 0;
+    uint64_t updates = 0;
+    uint64_t acked_tuples = 0;
+  };
+  std::vector<Observed> observed(kClients);
+  std::atomic<uint64_t> issued_tuples{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kClients; ++t) {
+    workers.emplace_back([&, t] {
+      Client::Options copts;
+      copts.tenant = static_cast<uint32_t>(t);
+      Client client = Client::Connect(server.port(), copts);
+      std::mt19937_64 rng(4242 + t);
+      Observed& mine = observed[t];
+      for (uint64_t i = 1; i <= kRequests; ++i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(rng() % 201));
+        const size_t p = rng() % polygons_->size();
+        const uint64_t dice = rng() % 10;
+        const Opcode opcode = dice == 0  ? Opcode::kUpdate
+                              : dice < 4 ? Opcode::kCount
+                                         : Opcode::kSelect;
+        if (opcode == Opcode::kUpdate) {
+          const Batch batch = InCellBatch(probe, kTuples, rng());
+          issued_tuples.fetch_add(batch.size());
+          client.SendBytes(server::EncodeUpdate(
+              copts.tenant, i, batch, /*fence=*/(uint64_t{t} << 32) | i));
+        } else if (opcode == Opcode::kCount) {
+          client.SendBytes(
+              server::EncodeCount(copts.tenant, i, (*polygons_)[p]));
+        } else {
+          client.SendBytes(server::EncodeSelect(
+              copts.tenant, i, (*polygons_)[p], reqs[rng() % reqs.size()]));
+        }
+        server::Response resp;
+        if (!ReadWithin(client, &resp)) {
+          ADD_FAILURE() << "client " << t << " request " << i
+                        << " was never answered";
+          return;
+        }
+        EXPECT_EQ(resp.cookie, i);
+        if (resp.status != Status::kOk) {
+          ADD_FAILURE() << "client " << t << " request " << i << ": "
+                        << server::ToString(resp.status);
+          continue;
+        }
+        uint64_t count = 0;
+        switch (opcode) {
+          case Opcode::kUpdate:
+            EXPECT_EQ(server::DecodeUpdateAck(resp.payload).accepted,
+                      kTuples);
+            ++mine.updates;
+            mine.acked_tuples += kTuples;
+            continue;
+          case Opcode::kCount:
+            count = server::DecodeCountResult(resp.payload);
+            ++mine.counts;
+            break;
+          default:
+            count = server::DecodeSelectResult(resp.payload).count;
+            ++mine.selects;
+            break;
+        }
+        // Every tuple a read can see was sent before its response arrived.
+        EXPECT_GE(count, pre[p]) << "client " << t << " request " << i;
+        EXPECT_LE(count, pre[p] + issued_tuples.load())
+            << "client " << t << " request " << i;
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  Observed total;
+  for (const Observed& o : observed) {
+    total.selects += o.selects;
+    total.counts += o.counts;
+    total.updates += o.updates;
+    total.acked_tuples += o.acked_tuples;
+  }
+  EXPECT_EQ(total.selects + total.counts + total.updates,
+            kClients * kRequests);
+  {
+    Client auditor = Client::Connect(server.port());
+    std::map<std::string, uint64_t> stats;
+    for (const auto& [key, value] : auditor.Stats()) stats[key] = value;
+    EXPECT_EQ(stats["server.selects"], total.selects);
+    EXPECT_EQ(stats["server.counts"], total.counts);
+    EXPECT_EQ(stats["server.updates"], total.updates);
+    for (size_t t = 0; t < kClients; ++t) {
+      EXPECT_EQ(stats["tenant." + std::to_string(t) + ".completed"],
+                kRequests)
+          << "tenant " << t;
+    }
+  }
+
+  // Stop() with requests in flight: one epoch parked, a SELECT, a COUNT
+  // and an UPDATE from every other connection queued behind it. Stop must
+  // answer every one of them before it closes the connections.
+  epochs.Hold();
+  std::vector<Client> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    Client::Options copts;
+    copts.tenant = static_cast<uint32_t>(t);
+    clients.push_back(Client::Connect(server.port(), copts));
+  }
+  const geo::Polygon& poly = polygons_->front();
+  clients[0].SendBytes(server::EncodeCount(0, 1, poly));
+  epochs.AwaitParked();
+  for (size_t t = 1; t < kClients; ++t) {
+    const Batch batch = InCellBatch(probe, kTuples, 777 + t);
+    const uint32_t tenant = static_cast<uint32_t>(t);
+    clients[t].SendBytes(server::EncodeSelect(tenant, 1, poly, reqs[1]) +
+                         server::EncodeCount(tenant, 2, poly) +
+                         server::EncodeUpdate(tenant, 3, batch,
+                                              /*fence=*/uint64_t{t} << 32));
+  }
+  const size_t queued = 3 * (kClients - 1);
+  while (server.stats().queue_depth < queued) std::this_thread::yield();
+  std::thread stopper([&server] { server.Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  epochs.Release();
+  for (size_t t = 0; t < kClients; ++t) {
+    for (size_t j = 0; j < (t == 0 ? 1u : 3u); ++j) {
+      server::Response resp;
+      if (!ReadWithin(clients[t], &resp)) {
+        ADD_FAILURE() << "Stop left client " << t << " response " << j
+                      << " unanswered";
+        continue;
+      }
+      EXPECT_EQ(resp.status, Status::kOk) << "client " << t;
+    }
+  }
+  stopper.join();
+
+  const server::ServerStats st = server.stats();
+  EXPECT_EQ(st.selects_executed, total.selects + (kClients - 1));
+  EXPECT_EQ(st.counts_executed, total.counts + kClients);
+  EXPECT_EQ(st.updates_executed, total.updates + (kClients - 1));
+  EXPECT_EQ(st.batches_executed, epochs.Snapshot().size());
+  const uint64_t acked = total.acked_tuples + (kClients - 1) * kTuples;
+  EXPECT_EQ(st.update_tuples, acked);
+  EXPECT_EQ(set.CountCovering(all), rows + acked);
+  for (const auto& [tenant, c] : server.governor().Snapshot()) {
+    EXPECT_EQ(c.completed, kRequests + (tenant == 0 ? 1u : 3u))
+        << "tenant " << tenant;
+  }
 }
 
 TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
