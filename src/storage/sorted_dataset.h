@@ -28,8 +28,11 @@ struct ExtractOptions {
 /// all sorted baselines are built from this representation.
 class SortedDataset {
  public:
-  /// Runs the extract phase: clean -> key -> sort. `sort_ms`/`collect` are
-  /// optional outputs for benchmarking the phases separately.
+  /// Runs the extract phase: clean -> key -> stable LSD radix sort of
+  /// (key, row) pairs -> per-column gather. Rows with equal keys keep their
+  /// input order. Grid cells are collected as the sorted keys are written
+  /// (`ExtractOptions::collect_cells_level`). Rows are indexed with 32 bits:
+  /// throws std::length_error when `raw` has more rows than that.
   static SortedDataset Extract(const PointTable& raw,
                                const ExtractOptions& options);
 

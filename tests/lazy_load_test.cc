@@ -106,12 +106,13 @@ class LazyLoadTest : public ::testing::Test {
     return req;
   }
 
-  static BlockSet BuildSet(size_t k) {
+  /// A k-shard set aligned to kLevel with its grid at `level`.
+  static BlockSet BuildSet(size_t k, int level = kLevel) {
     storage::ShardOptions options;
     options.num_shards = k;
     options.align_level = kLevel;
     return BlockSet::Build(storage::ShardedDataset::Partition(*data_, options),
-                           BlockSetOptions{{kLevel, {}}});
+                           BlockSetOptions{{level, {}}});
   }
 
   void WriteFile(const BlockSet& set) const {
@@ -337,7 +338,10 @@ TEST_F(LazyLoadTest, EnsureResidentChargesTheGovernor) {
 }
 
 TEST_F(LazyLoadTest, CachedQueriesServeFromMappedSet) {
-  WriteFile(BuildSet(kShards));
+  // A grid two levels finer than the shards' alignment, so the coverings
+  // hold cells two or more levels coarser than it: the cells the cache
+  // serves.
+  WriteFile(BuildSet(kShards, kLevel + 2));
   const BlockSet eager = Eager();
   BlockSet mapped = BlockSet::OpenMapped(path_);
   mapped.EnableCache(core::GeoBlockQC::Options{0.10, 0});
@@ -359,6 +363,9 @@ TEST_F(LazyLoadTest, CachedQueriesServeFromMappedSet) {
     ASSERT_EQ(eager.CountCovering(covering),
               mapped.SelectCoveringCached(covering, req).count);
   }
+  // A level-kLevel set folds 2 full hits here.
+  EXPECT_GE(mapped.MergedCacheCounters().full_hits, 20u)
+      << "the rebuilt caches folded too few hits to test the cached path";
 }
 
 TEST_F(LazyLoadTest, CorruptShardPayloadFaultsTypedAndStaysContained) {

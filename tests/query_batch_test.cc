@@ -31,6 +31,12 @@ class QueryBatchTest : public ::testing::Test {
  protected:
   static constexpr int kLevel = 15;
   static constexpr size_t kShards = 4;
+  /// Grid level of the cached-path tests' private sets: two levels finer
+  /// than kLevel, the shards' alignment.
+  static constexpr int kCachedLevel = kLevel + 2;
+  /// Least full hits a warm pass over the polygons must fold in those tests
+  /// (a level-kLevel set folds 2).
+  static constexpr uint64_t kMinWarmFullHits = 20;
 
   static void SetUpTestSuite() {
     raw_ = new storage::PointTable(workload::GenTaxi(30000, 31));
@@ -178,8 +184,11 @@ TEST_F(QueryBatchTest, ConcurrentMixedWorkloadIsDeterministic) {
 }
 
 TEST_F(QueryBatchTest, CachedPathKeepsExactCounterAccounting) {
-  // A private BlockSet so cache state does not leak across tests.
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
+  // A private BlockSet so cache state does not leak across tests. Its grid
+  // is two levels finer than the shards' alignment, so the coverings hold
+  // cells two or more levels coarser than it: the cells the cache serves.
+  BlockSet set =
+      BlockSet::Build(*sharded_, BlockSetOptions{{kCachedLevel, {}}});
   set.EnableCache(core::GeoBlockQC::Options{0.05, 0});
   const AggregateRequest req = Request();
 
@@ -243,6 +252,8 @@ TEST_F(QueryBatchTest, CachedPathKeepsExactCounterAccounting) {
   EXPECT_EQ(warm.full_hits + warm.partial_hits + warm.misses, warm.probes);
   EXPECT_GT(warm.full_hits + warm.partial_hits, 0u)
       << "rebuilt caches never hit";
+  EXPECT_GE(warm.full_hits, kMinWarmFullHits)
+      << "the warm pass folded too few cache hits to test the cached path";
 }
 
 TEST_F(QueryBatchTest, SelectCachedWithoutEnableCacheFallsBack) {
@@ -276,7 +287,10 @@ TEST_F(QueryBatchTest, StatDropsSurfaceInMergedCounters) {
 }
 
 TEST_F(QueryBatchTest, CachedResultsMatchUncached) {
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
+  // A grid two levels finer than the shards' alignment, as in
+  // CachedPathKeepsExactCounterAccounting, so round 1 folds cache hits.
+  BlockSet set =
+      BlockSet::Build(*sharded_, BlockSetOptions{{kCachedLevel, {}}});
   set.EnableCache(core::GeoBlockQC::Options{0.05, 0});
   const AggregateRequest req = Request();
   for (int round = 0; round < 2; ++round) {
@@ -289,6 +303,10 @@ TEST_F(QueryBatchTest, CachedResultsMatchUncached) {
         ASSERT_NEAR(cached.values[i], plain.values[i],
                     1e-9 * std::abs(plain.values[i]) + 1e-6);
       }
+    }
+    if (round == 1) {
+      EXPECT_GE(set.MergedCacheCounters().full_hits, kMinWarmFullHits)
+          << "the rebuilt caches folded too few hits to test the cached path";
     }
     set.RebuildCaches();
   }

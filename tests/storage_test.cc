@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "storage/filter.h"
 #include "storage/point_table.h"
 #include "storage/sorted_dataset.h"
+#include "workload/datagen.h"
 
 namespace geoblocks::storage {
 namespace {
@@ -168,6 +175,152 @@ TEST(ExtractTest, CollectsGridCells) {
       ++idx;
     }
     ASSERT_LT(idx, cells.size());
+  }
+}
+
+/// The comparison-sort extract that the radix sort replaced: std::sort of
+/// (key, row) pairs by key, then row, and a row-wise gather of the payload.
+/// Extract must reproduce its output bit for bit.
+struct ReferenceExtract {
+  std::vector<uint64_t> keys;
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<std::vector<double>> columns;
+  std::vector<uint64_t> cells;
+};
+
+ReferenceExtract ExtractByComparisonSort(const PointTable& raw,
+                                         const ExtractOptions& options) {
+  const geo::Rect clean = options.clean_bounds.IsEmpty()
+                              ? options.projection.domain()
+                              : options.clean_bounds;
+  std::vector<std::pair<uint64_t, uint32_t>> pairs;
+  for (size_t r = 0; r < raw.num_rows(); ++r) {
+    const geo::Point loc = raw.Location(r);
+    if (!std::isfinite(loc.x) || !std::isfinite(loc.y)) continue;
+    if (!clean.Contains(loc)) continue;
+    pairs.emplace_back(
+        cell::CellId::FromPoint(options.projection.ToUnit(loc)).id(),
+        static_cast<uint32_t>(r));
+  }
+  std::sort(pairs.begin(), pairs.end());
+
+  ReferenceExtract out;
+  out.columns.resize(raw.num_columns());
+  for (const auto& [key, row] : pairs) {
+    out.keys.push_back(key);
+    out.xs.push_back(raw.xs()[row]);
+    out.ys.push_back(raw.ys()[row]);
+    for (size_t c = 0; c < raw.num_columns(); ++c) {
+      out.columns[c].push_back(raw.column(c)[row]);
+    }
+    if (options.collect_cells_level >= 0) {
+      const uint64_t cell =
+          cell::CellId(key).Parent(options.collect_cells_level).id();
+      if (out.cells.empty() || out.cells.back() != cell) {
+        out.cells.push_back(cell);
+      }
+    }
+  }
+  return out;
+}
+
+template <typename T>
+bool BitwiseEqual(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// `base` with dirty rows mixed in: every 7th row gets a NaN or infinite
+/// coordinate, every 11th lies outside `bounds`, every 3rd repeats the
+/// exact location of an earlier row (with its own payload), so equal keys
+/// far apart in the input exercise the row tie-break, and some others lie
+/// a few leaf cells from an earlier row.
+PointTable WithDirtyRows(const PointTable& base, const geo::Rect& bounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  PointTable t(base.schema());
+  std::vector<double> values(base.num_columns());
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    for (size_t c = 0; c < base.num_columns(); ++c) {
+      values[c] = base.Value(r, c);
+    }
+    geo::Point loc = base.Location(r);
+    if (r % 7 == 1) {
+      const double bad[] = {nan, kInf, -kInf};
+      if (r % 2 == 0) {
+        loc.x = bad[r % 3];
+      } else {
+        loc.y = bad[r % 3];
+      }
+    } else if (r % 11 == 2) {
+      loc.x = bounds.max.x + 0.5 * bounds.Width();
+    } else if (r % 3 == 0 && r > 0) {
+      loc = base.Location(r / 2);
+    } else if (r % 5 == 0 && r > 0) {
+      // A few leaf cells away from an earlier row: keys that differ only
+      // in their lowest byte.
+      const double step = 3e-7 * static_cast<double>((r / 5) % 5) - 6e-7;
+      loc = base.Location(r / 2);
+      loc.x += step;
+      loc.y -= step;
+    }
+    t.AddRow(loc, values);
+  }
+  return t;
+}
+
+TEST(ExtractTest, MatchesComparisonSortBitwise) {
+  struct Source {
+    const char* name;
+    std::function<PointTable(size_t)> generate;
+    geo::Rect bounds;
+    ExtractOptions options;
+  };
+  ExtractOptions taxi;
+  taxi.clean_bounds = workload::NycBounds();
+  ExtractOptions tweets;  // whole-earth projection, clean to the US
+  tweets.clean_bounds = workload::UsBounds();
+  ExtractOptions osm;  // projected onto its domain, cleaned to the domain
+  osm.projection = geo::Projection(workload::AmericasBounds());
+  const std::vector<Source> sources = {
+      {"taxi", [](size_t n) { return workload::GenTaxi(n); },
+       workload::NycBounds(), taxi},
+      {"tweets", [](size_t n) { return workload::GenTweets(n); },
+       workload::UsBounds(), tweets},
+      {"osm", [](size_t n) { return workload::GenOsm(n); },
+       workload::AmericasBounds(), osm},
+  };
+  for (const Source& source : sources) {
+    for (const size_t n : {size_t{0}, size_t{300}, size_t{50000}}) {
+      const PointTable raw = WithDirtyRows(source.generate(n), source.bounds);
+      for (const int level : {11, 17}) {
+        const std::string what = std::string(source.name) + " n=" +
+                                 std::to_string(n) +
+                                 " level=" + std::to_string(level);
+        ExtractOptions options = source.options;
+        options.collect_cells_level = level;
+        const SortedDataset got = SortedDataset::Extract(raw, options);
+        const ReferenceExtract want = ExtractByComparisonSort(raw, options);
+        if (n > 0) {
+          ASSERT_LT(want.keys.size(), raw.num_rows()) << what;
+          ASSERT_GT(want.keys.size(), raw.num_rows() / 2) << what;
+          ASSERT_NE(std::adjacent_find(want.keys.begin(), want.keys.end()),
+                    want.keys.end())
+              << what << ": no equal keys";
+        }
+        ASSERT_TRUE(BitwiseEqual(got.keys(), want.keys)) << what;
+        ASSERT_TRUE(BitwiseEqual(got.xs(), want.xs)) << what;
+        ASSERT_TRUE(BitwiseEqual(got.ys(), want.ys)) << what;
+        ASSERT_EQ(got.num_columns(), raw.num_columns()) << what;
+        for (size_t c = 0; c < raw.num_columns(); ++c) {
+          ASSERT_TRUE(BitwiseEqual(got.column(c), want.columns[c]))
+              << what << " column " << c;
+        }
+        ASSERT_TRUE(BitwiseEqual(got.collected_cells(), want.cells)) << what;
+      }
+    }
   }
 }
 
